@@ -44,26 +44,15 @@ type t = {
           docs/PERF.md. *)
   recycle_nodes : bool;
       (** Recycle batch-chain and elimination nodes through a per-domain
-          {!Sec_reclaim.Magazine} instead of allocating per push. Costs
-          one extra fetch&add per *combined pop* (to detect when a
-          detached chain's last reader is done); off by default so
-          pinned-seed results are byte-identical. See docs/PERF.md. *)
-  slab_nodes : bool;
-      (** Back the recycling magazines with the wait-free
-          {!Sec_reclaim.Slab} store instead of the global depot: magazine
-          misses and overflows exchange whole slabs of chains with at
-          most one CAS attempt, instead of a retried CAS per chain.
-          Implies {!recycle_nodes} machinery; off by default so
-          pinned-seed results are byte-identical. See docs/PERF.md,
-          "Allocator". *)
-  offheap : bool;
-      (** Keep fixed-size node payloads outside the OCaml heap where the
-          structure's representation allows it. SEC's polymorphic
-          elimination slots must stay heap-allocated (any non-immediate
-          payload is a pointer the GC must trace), so for SEC this
-          forces {!slab_nodes}; the monomorphic arena path is
-          {!Sec_reclaim.Treiber_arena}. See docs/PERF.md,
-          "Allocator". *)
+          {!Sec_reclaim.Magazine} instead of allocating per push; full
+          and empty magazines trade whole chains with the wait-free
+          {!Sec_reclaim.Slab} store. Costs one extra fetch&add per
+          *combined pop* (to detect when a detached chain's last reader
+          is done); off by default so pinned-seed results are
+          byte-identical. SEC's nodes stay on the OCaml heap: its
+          payloads are polymorphic, so the off-heap arena
+          ({!Sec_reclaim.Treiber_arena}) cannot hold them. See
+          docs/PERF.md, "Allocator". *)
   mutation : mutation;
       (** Seeded correctness mutant (test-only; see {!mutation}). *)
 }
@@ -75,8 +64,6 @@ let default =
     collect_stats = false;
     adaptive = false;
     recycle_nodes = false;
-    slab_nodes = false;
-    offheap = false;
     mutation = No_mutation;
   }
 
@@ -104,8 +91,6 @@ let with_backoff b t = { t with freeze_backoff = b }
 let with_stats t = { t with collect_stats = true }
 let with_adaptive t = { t with adaptive = true }
 let with_recycling t = { t with recycle_nodes = true }
-let with_slab t = { t with recycle_nodes = true; slab_nodes = true }
-let with_offheap t = { t with recycle_nodes = true; slab_nodes = true; offheap = true }
 let with_mutation m t = { t with mutation = m }
 
 let mutation_to_string = function
@@ -116,9 +101,9 @@ let mutation_to_string = function
 let pp ppf t =
   Format.fprintf ppf
     "{aggregators=%d; freeze_backoff=%d; stats=%b; adaptive=%b; \
-     recycle=%b; slab=%b; offheap=%b%s}"
+     recycle=%b%s}"
     t.num_aggregators t.freeze_backoff t.collect_stats t.adaptive
-    t.recycle_nodes t.slab_nodes t.offheap
+    t.recycle_nodes
     (match t.mutation with
     | No_mutation -> ""
     | m -> "; MUTANT=" ^ mutation_to_string m)

@@ -158,15 +158,7 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
              }
          else None);
       recycle = config.Config.recycle_nodes;
-      (* [slab_nodes]/[offheap] route the magazines' slow path through
-         the wait-free slab store; SEC's polymorphic nodes themselves
-         stay on the OCaml heap (see Config.offheap). *)
-      mag =
-        Mag.create ~max_threads
-          ~backing:
-            (if config.Config.slab_nodes || config.Config.offheap then `Slab
-             else `Depot)
-          ();
+      mag = Mag.create ~max_threads ();
       (* Adaptive runs start consolidated (K = 1, the best single-thread
          setting) and grow under pressure; the field is untouched — and
          never read — without [Config.adaptive]. *)
@@ -378,8 +370,9 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
      read its value the chain can be recycled. Each reader bumps
      [batch.consumed] *after* its [get_value]; the one that brings it to
      the participant count walks the chain. [next] is read before the
-     node is recycled: a recycled node can be adopted (via a depot
-     overflow) and re-initialised by another thread immediately. *)
+     node is recycled: a recycled node can be adopted (a full magazine
+     parks its chain in the slab store) and re-initialised by another
+     thread immediately. *)
   let recycle_chain t ~tid batch ~limit =
     let rec walk node k =
       if k < limit then

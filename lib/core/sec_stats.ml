@@ -50,20 +50,24 @@ let pp ppf t =
     (pct_combined t) t.excluded
 
 (* ------------------------------------------------------------------ *)
-(* Allocator statistics (PR 10): one flat snapshot over the process-wide
+(* Allocator statistics: one flat snapshot over the process-wide
    magazine and slab tallies, so the harness reports the whole node
-   path — L1 magazine hit rate, depot CAS traffic (with contended
-   retries), slab park/adopt traffic and occupancy, arena remote-free
-   batching — from a single call. [alloc_reset]/[alloc_snapshot]
-   bracket one measured run, like the underlying [Global] modules. *)
+   path — L1 magazine hit rate, slab park/adopt traffic and occupancy,
+   arena remote-free batching — from a single call.
+   [alloc_reset]/[alloc_snapshot] bracket one measured run, like the
+   underlying [Global] modules. *)
 
 type alloc_stats = {
   mag_hits : int;
   mag_misses : int;
   mag_recycled : int;
   mag_hit_rate : float;
-  depot_cas : int;  (** depot CAS attempts (cross-domain) *)
-  depot_cas_retries : int;  (** attempts that lost and had to loop *)
+  depot_cas : int;
+      (** Always 0. The magazines' former global depot is gone: their
+          cross-domain traffic is the slab store's, counted in
+          [slab_cas]. Kept so readers of the snapshot (the perfbench
+          per-layer metrics) keep their field set. *)
+  depot_cas_retries : int;  (** Always 0; see [depot_cas]. *)
   slab_parks : int;  (** full slabs parked on the shared partial stack *)
   slab_adopts : int;  (** parked slabs adopted by a dry domain *)
   slab_cas : int;  (** slab-layer CAS attempts (park+adopt+remote) *)
@@ -85,8 +89,8 @@ let alloc_snapshot () =
     mag_misses = m.Sec_reclaim.Magazine.Global.misses;
     mag_recycled = m.Sec_reclaim.Magazine.Global.recycled;
     mag_hit_rate = Sec_reclaim.Magazine.Global.hit_rate m;
-    depot_cas = m.Sec_reclaim.Magazine.Global.depot_cas;
-    depot_cas_retries = m.Sec_reclaim.Magazine.Global.depot_cas_retries;
+    depot_cas = 0;
+    depot_cas_retries = 0;
     slab_parks = s.Sec_reclaim.Slab.Global.parks;
     slab_adopts = s.Sec_reclaim.Slab.Global.adopts;
     slab_cas = Sec_reclaim.Slab.Global.cas_attempts s;
@@ -98,9 +102,9 @@ let alloc_snapshot () =
 
 let pp_alloc ppf a =
   Format.fprintf ppf
-    "mag hits=%d misses=%d recycled=%d hit_rate=%.2f | depot cas=%d \
-     retries=%d | slab parks=%d adopts=%d cas=%d retries=%d fresh=%d \
-     occupancy=%.2f | remote batches=%d"
-    a.mag_hits a.mag_misses a.mag_recycled a.mag_hit_rate a.depot_cas
-    a.depot_cas_retries a.slab_parks a.slab_adopts a.slab_cas
-    a.slab_cas_retries a.slab_fresh a.slab_occupancy a.remote_batches
+    "mag hits=%d misses=%d recycled=%d hit_rate=%.2f | slab parks=%d \
+     adopts=%d cas=%d retries=%d fresh=%d occupancy=%.2f | remote \
+     batches=%d"
+    a.mag_hits a.mag_misses a.mag_recycled a.mag_hit_rate a.slab_parks
+    a.slab_adopts a.slab_cas a.slab_cas_retries a.slab_fresh
+    a.slab_occupancy a.remote_batches

@@ -1,40 +1,35 @@
-(* Allocator microbenchmark behind `sec_bench alloc` (PR 10): the node
-   hot path measured in isolation — no stack on top — so the depot
-   removal claim is a number, not an inference from end-to-end
-   throughput.
+(* Allocator microbenchmark behind `sec_bench alloc`: the node hot path
+   measured in isolation — no stack on top — so allocator claims are
+   numbers, not inferences from end-to-end throughput.
 
-   Two phases, three modes, both substrates:
+   Two phases, two modes, both substrates:
 
    - [Local]: every thread alloc/frees bursts of [burst] nodes through
      its own magazine. [burst] exceeds the magazine capacity, so each
-     burst forces slow-path refills and overflow emigrations — the
-     depot (one global CAS per chain, retried under contention) against
-     the slab store (one park/adopt attempt per whole slab).
+     burst forces slow-path refills and overflow emigrations into the
+     slab store — which a domain whose frees and allocations balance
+     absorbs in its own active slab, with no shared CAS at all.
    - [Remote]: producer/consumer pairs. The producer allocates a batch
      and hands it over through one exchange cell; the consumer frees
      every node. The allocation and free streams now live on different
-     domains — the depot is the rendezvous (maximal CAS contention),
-     where the slab store moves whole slabs and the arena batches
-     remote frees into per-slab inboxes.
+     domains, so the slab store moves whole slabs between them (one
+     park/adopt attempt per slab) and the arena batches remote frees
+     into per-slab inboxes.
 
-   Modes: [Depot] is the PR 5 magazine over the global depot; [Slab]
-   the same magazine refilled from the wait-free slab store; [Arena]
+   Modes: [Slab] is the magazine over the wait-free slab store; [Arena]
    the off-heap Bigarray arena with integer handles (no magazine — the
    arena's private free list plays that role).
 
    The iteration counts are fixed (not timed), so the simulated runs
-   are deterministic per seed and the cross-domain CAS comparison —
-   [Slab.Global.cas_attempts] vs the depot tally — is exact. Native
-   timing wraps the whole run (spawn + barrier + work); size [iters]
-   so the loop dominates. *)
+   are deterministic per seed and the cross-domain CAS count
+   ([Slab.Global.cas_attempts]) is exact. Native timing wraps the
+   whole run (spawn + barrier + work); size [iters] so the loop
+   dominates. *)
 
-type mode = Depot | Slab | Arena
+type mode = Slab | Arena
 type phase = Local | Remote
 
-let mode_to_string = function
-  | Depot -> "depot"
-  | Slab -> "slab"
-  | Arena -> "arena"
+let mode_to_string = function Slab -> "slab" | Arena -> "arena"
 
 let phase_to_string = function Local -> "local" | Remote -> "remote"
 
@@ -47,9 +42,9 @@ type result = {
   per_op : float;  (** ns/op (native) or cycles/op (sim) *)
   unit_label : string;  (** "ns/op" or "cycles/op" *)
   cross_cas : int;
-      (** cross-domain CAS attempts the allocator issued: the depot
-          tally under [Depot], {!Sec_reclaim.Slab.Global.cas_attempts}
-          under [Slab]/[Arena] — the comparison docs/PERF.md quotes *)
+      (** cross-domain CAS attempts the allocator issued
+          ({!Sec_reclaim.Slab.Global.cas_attempts}) — the count
+          docs/PERF.md quotes *)
   cross_cas_retries : int;  (** attempts that lost and looped/degraded *)
   fresh : int;  (** nodes constructed outside the recycler (misses) *)
   remote_batches : int;  (** arena remote-free batches spliced *)
@@ -65,8 +60,8 @@ module Bench (X : Sec_prim.Prim_intf.EXEC) = struct
 
   (* Every thread: [iters] bursts of [burst] alloc/free round-trips
      against its own magazine. Returns total round-trips. *)
-  let mag_local ~backing ~threads ~iters ~burst =
-    let mag = Mag.create ~max_threads:threads ~backing () in
+  let mag_local ~threads ~iters ~burst =
+    let mag = Mag.create ~max_threads:threads () in
     let completed = Array.make threads 0 in
     for _ = 1 to threads do
       X.spawn (fun () ->
@@ -92,11 +87,11 @@ module Bench (X : Sec_prim.Prim_intf.EXEC) = struct
 
   (* Producer/consumer pairs handing whole batches through one exchange
      cell: tid 2p allocates, tid 2p+1 frees. Counted on the consumer. *)
-  let mag_remote ~backing ~threads ~iters ~burst =
+  let mag_remote ~threads ~iters ~burst =
     let pairs = threads / 2 in
     if pairs < 1 then
       invalid_arg "Alloc_bench: the remote phase needs >= 2 threads";
-    let mag = Mag.create ~max_threads:threads ~backing () in
+    let mag = Mag.create ~max_threads:threads () in
     let cells = Array.init pairs (fun _ -> A.make_padded []) in
     let completed = Array.make threads 0 in
     for _ = 1 to pairs do
@@ -221,14 +216,8 @@ module Bench (X : Sec_prim.Prim_intf.EXEC) = struct
     match (mode, phase) with
     | Arena, Local -> arena_local ~threads ~iters ~burst
     | Arena, Remote -> arena_remote ~threads ~iters ~burst
-    | (Depot | Slab), Local ->
-        mag_local
-          ~backing:(if mode = Depot then `Depot else `Slab)
-          ~threads ~iters ~burst
-    | (Depot | Slab), Remote ->
-        mag_remote
-          ~backing:(if mode = Depot then `Depot else `Slab)
-          ~threads ~iters ~burst
+    | Slab, Local -> mag_local ~threads ~iters ~burst
+    | Slab, Remote -> mag_remote ~threads ~iters ~burst
 end
 
 (* ------------------------------------------------------------------ *)
@@ -237,18 +226,9 @@ end
 let default_iters = 200
 let default_burst = 192 (* > Magazine.default_capacity: bursts must spill *)
 
-(* Fold the process-wide tallies into a [result]; [cross_cas] is the
-   number the ISSUE's acceptance bar compares (slab strictly below
-   depot). *)
+(* Fold the process-wide tallies into a [result]. *)
 let finish ~mode ~phase ~backend ~threads ~ops ~per_op ~unit_label =
   let a = Sec_core.Sec_stats.alloc_snapshot () in
-  let cross_cas, cross_cas_retries =
-    match mode with
-    | Depot ->
-        (a.Sec_core.Sec_stats.depot_cas, a.Sec_core.Sec_stats.depot_cas_retries)
-    | Slab | Arena ->
-        (a.Sec_core.Sec_stats.slab_cas, a.Sec_core.Sec_stats.slab_cas_retries)
-  in
   {
     r_mode = mode;
     r_phase = phase;
@@ -257,8 +237,8 @@ let finish ~mode ~phase ~backend ~threads ~ops ~per_op ~unit_label =
     ops;
     per_op;
     unit_label;
-    cross_cas;
-    cross_cas_retries;
+    cross_cas = a.Sec_core.Sec_stats.slab_cas;
+    cross_cas_retries = a.Sec_core.Sec_stats.slab_cas_retries;
     fresh =
       a.Sec_core.Sec_stats.mag_misses + a.Sec_core.Sec_stats.slab_fresh;
     remote_batches = a.Sec_core.Sec_stats.remote_batches;

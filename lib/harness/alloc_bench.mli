@@ -1,15 +1,13 @@
-(** Allocator microbenchmark behind [sec_bench alloc] (PR 10): the node
-    hot path measured in isolation — alloc/free round-trip cost and
-    remote-free throughput for the PR 5 global depot against the
-    wait-free slab store and the off-heap arena, on both substrates.
+(** Allocator microbenchmark behind [sec_bench alloc]: the node hot
+    path measured in isolation — alloc/free round-trip cost and
+    remote-free throughput for the magazine over the wait-free slab
+    store and for the off-heap arena, on both substrates.
 
     The iteration counts are fixed (not timed), so simulated runs are
-    deterministic per seed and the cross-domain CAS comparison between
-    modes is exact. See docs/PERF.md ("Allocator") for measured
-    numbers. *)
+    deterministic per seed and their cross-domain CAS counts are exact.
+    See docs/PERF.md ("Allocator") for measured numbers. *)
 
 type mode =
-  | Depot  (** magazine over the PR 5 global depot (one CAS per chain) *)
   | Slab  (** magazine refilled from the wait-free slab store *)
   | Arena  (** off-heap Bigarray arena, integer handles, no magazine *)
 
@@ -31,9 +29,8 @@ type result = {
   per_op : float;  (** ns/op (native) or cycles/op (sim) *)
   unit_label : string;  (** "ns/op" or "cycles/op" *)
   cross_cas : int;
-      (** cross-domain CAS attempts the allocator issued — the depot
-          tally under [Depot], {!Sec_reclaim.Slab.Global.cas_attempts}
-          under [Slab]/[Arena] *)
+      (** cross-domain CAS attempts the allocator issued
+          ({!Sec_reclaim.Slab.Global.cas_attempts}) *)
   cross_cas_retries : int;  (** attempts that lost and looped/degraded *)
   fresh : int;  (** nodes constructed outside the recycler (misses) *)
   remote_batches : int;  (** arena remote-free batches spliced *)

@@ -27,12 +27,9 @@ type row = {
   mag_misses : int;
   mag_recycled : int;
   mag_hit_rate : float;
-  (* PR 10, the allocator dimension: depot CAS traffic (with contended
-     retries), slab-layer CAS traffic and occupancy, arena remote-free
-     batches, and — native rows only, zero in sim — GC counters for the
-     off-heap claim. *)
-  depot_cas : int;
-  depot_cas_retries : int;
+  (* The allocator dimension: slab-layer CAS traffic and occupancy,
+     arena remote-free batches, and — native rows only, zero in sim —
+     GC counters. *)
   slab_cas : int;
   slab_occupancy : float;
   remote_batches : int;
@@ -59,13 +56,12 @@ type doc = {
 (* ------------------------------------------------------------------ *)
 (* Collection                                                          *)
 
-(* The recycling, adaptive and slab-backed SEC/EBR variants ride along
-   in the baseline so the zero-allocation and depot-removal claims are
-   themselves regression-checked. *)
+(* The recycling and adaptive SEC variants and the EBR structures ride
+   along in the baseline so the zero-allocation claim is itself
+   regression-checked. *)
 let bench_entries =
   Registry.paper_set @ Registry.reclaimed_set
   @ [ Registry.sec_recycling; Registry.sec_adaptive ]
-  @ Registry.slab_set
 
 let bench_threads = [ 1; 2; 4 ]
 
@@ -96,8 +92,6 @@ let sim_row entry ~topology ~threads ~duration_cycles ~mix ~seed =
     mag_misses = a.Sec_core.Sec_stats.mag_misses;
     mag_recycled = a.Sec_core.Sec_stats.mag_recycled;
     mag_hit_rate = a.Sec_core.Sec_stats.mag_hit_rate;
-    depot_cas = a.Sec_core.Sec_stats.depot_cas;
-    depot_cas_retries = a.Sec_core.Sec_stats.depot_cas_retries;
     slab_cas = a.Sec_core.Sec_stats.slab_cas;
     slab_occupancy = a.Sec_core.Sec_stats.slab_occupancy;
     remote_batches = a.Sec_core.Sec_stats.remote_batches;
@@ -126,8 +120,6 @@ let native_row entry ~threads ~duration ~mix ~seed =
     mag_misses = a.Sec_core.Sec_stats.mag_misses;
     mag_recycled = a.Sec_core.Sec_stats.mag_recycled;
     mag_hit_rate = a.Sec_core.Sec_stats.mag_hit_rate;
-    depot_cas = a.Sec_core.Sec_stats.depot_cas;
-    depot_cas_retries = a.Sec_core.Sec_stats.depot_cas_retries;
     slab_cas = a.Sec_core.Sec_stats.slab_cas;
     slab_occupancy = a.Sec_core.Sec_stats.slab_occupancy;
     remote_batches = a.Sec_core.Sec_stats.remote_batches;
@@ -265,12 +257,11 @@ let to_string doc =
            "\n    {\"algorithm\": \"%s\", \"threads\": %d, \"ops\": %d, \
             \"allocs\": %d, \"throughput\": %s, \"mag_hits\": %d, \
             \"mag_misses\": %d, \"mag_recycled\": %d, \"mag_hit_rate\": %s, \
-            \"depot_cas\": %d, \"depot_cas_retries\": %d, \"slab_cas\": %d, \
-            \"slab_occupancy\": %s, \"remote_batches\": %d, \
+            \"slab_cas\": %d, \"slab_occupancy\": %s, \"remote_batches\": %d, \
             \"gc_minor_words\": %s, \"gc_major_colls\": %d}"
            (escape r.algorithm) r.threads r.ops r.allocs (fl r.throughput)
            r.mag_hits r.mag_misses r.mag_recycled (fl r.mag_hit_rate)
-           r.depot_cas r.depot_cas_retries r.slab_cas (fl r.slab_occupancy)
+           r.slab_cas (fl r.slab_occupancy)
            r.remote_batches (fl r.gc_minor_words) r.gc_major_colls))
     doc.rows;
   Buffer.add_string buf "\n  ]\n}\n";
@@ -485,8 +476,6 @@ let row_of_json j =
     mag_misses = to_int (member "mag_misses" j);
     mag_recycled = to_int (member "mag_recycled" j);
     mag_hit_rate = to_float (member "mag_hit_rate" j);
-    depot_cas = opt_int "depot_cas" j ~default:0;
-    depot_cas_retries = opt_int "depot_cas_retries" j ~default:0;
     slab_cas = opt_int "slab_cas" j ~default:0;
     slab_occupancy = opt_float "slab_occupancy" j ~default:0.;
     remote_batches = opt_int "remote_batches" j ~default:0;
@@ -541,25 +530,24 @@ let gating_algorithms =
   List.map (fun e -> e.Registry.name) Registry.paper_set
 
 (* The events/sec gate is wall-clock (unlike the deterministic
-   throughput rows), so it carries its own threshold: same-machine
-   regenerations use the default, while cross-machine comparisons (CI
-   runners of varying speed) should pass a wider [events_threshold].
-   It only applies when the baseline has the field (> 0), so baselines
-   predating the event-loop refactor still gate throughput alone. The
+   throughput rows), so it is opt-in: it applies only when the caller
+   passes an [events_threshold] and the baseline has the field (> 0).
+   The tier-1 smoke check passes none — it gates deterministic columns
+   only — while the CI step passes an explicit wide band. The
    pseudo-row is reported as algorithm "events/sec" at 0 threads. *)
 (* [allocs_threshold] gates allocations per operation (sim rows are
    deterministic, so any growth is a real hot-path change): a current
    allocs/op more than the fraction above the baseline's fails. A zero
    baseline (fully recycled hot path) must stay zero. *)
-let check ?(threshold = 0.10) ?(events_threshold = 0.10)
-    ?(allocs_threshold = 0.10) ~baseline ~current () =
+let check ?(threshold = 0.10) ?events_threshold ?(allocs_threshold = 0.10)
+    ~baseline ~current () =
   let events =
-    if
-      baseline.events_per_sec > 0.
-      && current.events_per_sec > 0.
-      && current.events_per_sec
-         < (1.0 -. events_threshold) *. baseline.events_per_sec
-    then
+    match events_threshold with
+    | Some events_threshold
+      when baseline.events_per_sec > 0.
+           && current.events_per_sec > 0.
+           && current.events_per_sec
+              < (1.0 -. events_threshold) *. baseline.events_per_sec ->
       [
         {
           r_algorithm = "events/sec";
@@ -569,7 +557,7 @@ let check ?(threshold = 0.10) ?(events_threshold = 0.10)
           current = current.events_per_sec;
         };
       ]
-    else []
+    | _ -> []
   in
   let apo (r : row) =
     if r.ops = 0 then 0. else float_of_int r.allocs /. float_of_int r.ops

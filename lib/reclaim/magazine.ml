@@ -5,14 +5,10 @@
    Constant Time" (PAPERS.md) in the shape popularised by slab-allocator
    magazines: each domain owns a private free-list — its magazine — that
    it pushes and pops with plain field operations: no atomics, no
-   contention. Magazines exchange *whole chains* with a global lock-free
-   depot in O(1), so even the refill/overflow slow path is a
-   single CAS regardless of chain length.
-
-   Since PR 10 the depot is the *default* backing, not the only one:
-   [create ~backing:`Slab] routes the slow path through the wait-free
-   slab store of {!Slab} instead — same chain currency, but one CAS
-   attempt per slab of chains rather than one retried CAS per chain
+   contention. Magazines exchange *whole chains* with the wait-free slab
+   store of {!Slab} in O(1): a full magazine's chain goes onto the
+   domain's active slab, an empty magazine refills from it, and only a
+   full or dry slab touches shared state — with a single CAS attempt
    (docs/PERF.md, "Allocator").
 
    Layering over EBR: the structure's pop retires the node as before;
@@ -34,14 +30,6 @@
 
 [@@@progress "lock_free"]
 
-(* Depot exchange (checked statically by sec_lint rule 13): every CAS on
-   the depot head must be preceded by a fresh read of it on the same
-   path — publishing or adopting a chain against a stale head would
-   silently drop someone else's chain. *)
-[@@@protocol
-  "depot: idle -read:depot-> loaded; loaded -read:depot-> loaded; loaded \
-   -rmw:depot-> idle"]
-
 (* Process-wide tallies across every magazine instance (defined first so
    the functor can feed them).
 
@@ -58,17 +46,11 @@ module Global = struct
         [@plain_ok "one cell per thread id; read only after worker join"]
     mutable misses : int; [@plain_ok "see [hits]"]
     mutable recycled : int; [@plain_ok "see [hits]"]
-    mutable depot_cas : int; [@plain_ok "see [hits]"]
-    mutable depot_cas_retries : int; [@plain_ok "see [hits]"]
   }
 
   (* Sized past any topology in lib/sim/topology.ml; ids are masked so a
      stray tid can never escape the array. *)
-  let cells =
-    Array.init 256 (fun _ ->
-        { hits = 0; misses = 0; recycled = 0; depot_cas = 0;
-          depot_cas_retries = 0 })
-
+  let cells = Array.init 256 (fun _ -> { hits = 0; misses = 0; recycled = 0 })
   let cell tid = cells.(tid land 255)
 
   let note_hit tid =
@@ -83,30 +65,14 @@ module Global = struct
     let c = cell tid in
     c.recycled <- c.recycled + 1
 
-  let note_depot_cas tid =
-    let c = cell tid in
-    c.depot_cas <- c.depot_cas + 1
-
-  let note_depot_cas_retry tid =
-    let c = cell tid in
-    c.depot_cas_retries <- c.depot_cas_retries + 1
-
-  type snapshot = {
-    hits : int;
-    misses : int;
-    recycled : int;
-    depot_cas : int;  (** depot CAS attempts (cross-domain, contended) *)
-    depot_cas_retries : int;  (** attempts that lost and had to loop *)
-  }
+  type snapshot = { hits : int; misses : int; recycled : int }
 
   let reset () =
     Array.iter
       (fun (c : cell) ->
         c.hits <- 0;
         c.misses <- 0;
-        c.recycled <- 0;
-        c.depot_cas <- 0;
-        c.depot_cas_retries <- 0)
+        c.recycled <- 0)
       cells
 
   let snapshot () =
@@ -116,11 +82,8 @@ module Global = struct
           hits = acc.hits + c.hits;
           misses = acc.misses + c.misses;
           recycled = acc.recycled + c.recycled;
-          depot_cas = acc.depot_cas + c.depot_cas;
-          depot_cas_retries = acc.depot_cas_retries + c.depot_cas_retries;
         })
-      { hits = 0; misses = 0; recycled = 0; depot_cas = 0;
-        depot_cas_retries = 0 }
+      { hits = 0; misses = 0; recycled = 0 }
       cells
 
   let hit_rate (s : snapshot) =
@@ -131,46 +94,34 @@ end
 (* Outside {!Make} so every instantiation shares one nominal type (and
    interfaces can name it without fixing the substrate). *)
 type stats = {
-  hits : int;  (** allocations served from a magazine or the refill store *)
+  hits : int;  (** allocations served from a magazine or the slab store *)
   misses : int;  (** allocations that fell through to fresh nodes *)
   recycled : int;  (** nodes returned by EBR destructors *)
-  depot_puts : int;  (** full chains emigrated (to depot or slab store) *)
-  depot_gets : int;  (** chains adopted (from depot or slab store) *)
-  depot_cas_retries : int;  (** depot CAS attempts that lost and looped *)
+  chain_puts : int;  (** full magazines emigrated to the slab store *)
+  chain_gets : int;  (** chains adopted from the slab store *)
 }
 
 module Make (P : Sec_prim.Prim_intf.S) = struct
-  module A = P.Atomic
-  module Backoff = Sec_prim.Backoff.Make (P)
   module Sl = Slab.Make (P)
 
   type 'a slot = {
     mutable free : 'a list;
         [@plain_ok
           "the whole slot record is private to its owning thread; \
-           cross-thread traffic goes through the depot atomic"]
+           cross-thread traffic goes through the slab store's atomic"]
     mutable count : int; [@plain_ok "thread-private, see [free]"]
     (* Per-thread tallies, folded by [stats]. *)
     mutable hits : int; [@plain_ok "thread-private, see [free]"]
     mutable misses : int; [@plain_ok "thread-private, see [free]"]
     mutable recycled : int; [@plain_ok "thread-private, see [free]"]
-    mutable depot_puts : int; [@plain_ok "thread-private, see [free]"]
-    mutable depot_gets : int; [@plain_ok "thread-private, see [free]"]
-    mutable cas_retries : int; [@plain_ok "thread-private, see [free]"]
+    mutable chain_puts : int; [@plain_ok "thread-private, see [free]"]
+    mutable chain_gets : int; [@plain_ok "thread-private, see [free]"]
   }
-
-  (* Where the slow path trades chains: the PR 5 global depot (one
-     atomic, CAS retry loops under contention) or the wait-free slab
-     store of {!Slab} (PR 10). Selected once at [create]; the default
-     stays [Depot] so existing pinned schedules are untouched. *)
-  type 'a backing = Depot | Slabs of 'a Sl.t
 
   type 'a t = {
     slots : 'a slot array;
-    capacity : int; (* nodes per magazine; depot chains have this length *)
-    depot : (int * 'a list) list A.t;
-        (* stack of (length, chain): chains move whole, in one CAS *)
-    backing : 'a backing;
+    capacity : int; (* nodes per magazine; slab chains have this length *)
+    slabs : 'a Sl.t; (* where full magazines go and empty ones refill *)
   }
 
   let fresh_slot () =
@@ -180,73 +131,27 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
       hits = 0;
       misses = 0;
       recycled = 0;
-      depot_puts = 0;
-      depot_gets = 0;
-      cas_retries = 0;
+      chain_puts = 0;
+      chain_gets = 0;
     }
 
   let default_capacity = 64
 
-  let create ?(capacity = default_capacity) ?(max_threads = 64)
-      ?(backing = `Depot) () =
+  let create ?(capacity = default_capacity) ?(max_threads = 64) () =
     if capacity < 1 then
       invalid_arg "Magazine.create: capacity must be at least 1";
     {
       slots = Array.init max_threads (fun _ -> fresh_slot ());
       capacity;
-      depot = A.make_padded [];
-      backing =
-        (match backing with
-        | `Depot -> Depot
-        | `Slab -> Slabs (Sl.create ~chain_len:capacity ~max_threads ()));
+      slabs = Sl.create ~chain_len:capacity ~max_threads ();
     }
 
   let capacity t = t.capacity
-  let slab_backed t = match t.backing with Depot -> false | Slabs _ -> true
-
-  (* Move one whole chain depot-ward. O(1): the chain is consed as a
-     unit, never walked. Every CAS attempt (and every lost one) is
-     tallied — the before/after evidence for taking the depot off the
-     hot path; the tally writes are plain and emit no events, so
-     counting is schedule-neutral. *)
-  let depot_put t ~tid chain =
-    let s = t.slots.(tid) in
-    let backoff = Backoff.create () in
-    let rec attempt () =
-      let cur = A.get t.depot in
-      Global.note_depot_cas tid;
-      if A.compare_and_set t.depot cur (chain :: cur) then ()
-      else begin
-        s.cas_retries <- s.cas_retries + 1;
-        Global.note_depot_cas_retry tid;
-        Backoff.once backoff;
-        attempt ()
-      end
-    in
-    attempt ()
-
-  (* Take one whole chain, or None when the depot is dry. O(1). *)
-  let depot_get t ~tid =
-    let s = t.slots.(tid) in
-    let backoff = Backoff.create () in
-    let rec attempt () =
-      match A.get t.depot with
-      | [] -> None
-      | (chain :: rest) as cur ->
-          Global.note_depot_cas tid;
-          if A.compare_and_set t.depot cur rest then Some chain
-          else begin
-            s.cas_retries <- s.cas_retries + 1;
-            Global.note_depot_cas_retry tid;
-            Backoff.once backoff;
-            attempt ()
-          end
-    in
-    attempt ()
 
   (* [alloc t ~tid] pops the calling thread's magazine; on empty it
-     adopts one full chain from the depot. [None] means the caller must
-     construct a fresh node (and should say so with [P.note_alloc]). *)
+     takes one whole chain from the slab store. [None] means the caller
+     must construct a fresh node (and should say so with
+     [P.note_alloc]). *)
   let alloc t ~tid =
     let s = t.slots.(tid) in
     match s.free with
@@ -257,16 +162,11 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
         Global.note_hit tid;
         Some n
     | [] -> (
-        let refill =
-          match t.backing with
-          | Depot -> depot_get t ~tid
-          | Slabs sl -> Sl.alloc_chain sl ~tid
-        in
-        match refill with
+        match Sl.alloc_chain t.slabs ~tid with
         | Some (len, n :: chain) ->
             s.free <- chain;
             s.count <- len - 1;
-            s.depot_gets <- s.depot_gets + 1;
+            s.chain_gets <- s.chain_gets + 1;
             s.hits <- s.hits + 1;
             Global.note_hit tid;
             Some n
@@ -276,8 +176,8 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
             None)
 
   (* [recycle t ~tid n] pushes [n] onto the calling thread's magazine;
-     a full magazine first emigrates wholesale to the depot, so another
-     thread's allocation stream can adopt it. *)
+     a full magazine first emigrates wholesale to the slab store, where
+     another thread's allocation stream can adopt it. *)
   let recycle t ~tid n =
     let s = t.slots.(tid) in
     s.recycled <- s.recycled + 1;
@@ -286,10 +186,8 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
       let full = s.free in
       s.free <- [];
       s.count <- 0;
-      s.depot_puts <- s.depot_puts + 1;
-      (match t.backing with
-      | Depot -> depot_put t ~tid (t.capacity, full)
-      | Slabs sl -> Sl.free_chain sl ~tid (t.capacity, full))
+      s.chain_puts <- s.chain_puts + 1;
+      Sl.free_chain t.slabs ~tid (t.capacity, full)
     end;
     s.free <- n :: s.free;
     s.count <- s.count + 1
@@ -301,9 +199,8 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
     hits : int;
     misses : int;
     recycled : int;
-    depot_puts : int;
-    depot_gets : int;
-    depot_cas_retries : int;
+    chain_puts : int;
+    chain_gets : int;
   }
 
   let stats t =
@@ -313,23 +210,13 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
           hits = acc.hits + s.hits;
           misses = acc.misses + s.misses;
           recycled = acc.recycled + s.recycled;
-          depot_puts = acc.depot_puts + s.depot_puts;
-          depot_gets = acc.depot_gets + s.depot_gets;
-          depot_cas_retries = acc.depot_cas_retries + s.cas_retries;
+          chain_puts = acc.chain_puts + s.chain_puts;
+          chain_gets = acc.chain_gets + s.chain_gets;
         })
-      {
-        hits = 0;
-        misses = 0;
-        recycled = 0;
-        depot_puts = 0;
-        depot_gets = 0;
-        depot_cas_retries = 0;
-      }
+      { hits = 0; misses = 0; recycled = 0; chain_puts = 0; chain_gets = 0 }
       t.slots
 
-  (* Slab-store tallies when slab-backed; [None] on the depot. *)
-  let slab_stats t =
-    match t.backing with Depot -> None | Slabs sl -> Some (Sl.stats sl)
+  let slab_stats t = Sl.stats t.slabs
 
   let hit_rate t =
     let s = stats t in

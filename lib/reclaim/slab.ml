@@ -3,14 +3,11 @@
    no cross-domain CAS on the common path ("Concurrent Fixed-Size
    Allocation and Free in Constant Time", PAPERS.md).
 
-   This is the layer below {!Magazine}. The magazine remains each
-   thread's private L1 free-list; what changes is the slow path. PR 5
-   funnelled every magazine refill and overflow through ONE global
-   depot atomic — a single contention point that every domain's misses
-   CAS against, with unbounded retry loops under contention. Here the
-   exchange currency grows from a chain (one magazine, [chain_len]
-   nodes) to a *slab* ([slab_chains] chains), and the transfer protocol
-   becomes wait-free:
+   This is the layer below {!Magazine}: each thread's magazine is its
+   private L1 free-list, and this store is its only refill and overflow
+   path. Magazines trade whole chains (one magazine, [chain_len] nodes);
+   domains trade whole *slabs* ([slab_chains] chains), and the transfer
+   protocol is wait-free:
 
    - [free_chain] pushes the chain onto the calling domain's *active
      slab* with plain field writes (owner-private, no atomics). Only
@@ -26,10 +23,10 @@
      so every path is wait-free, and the common paths touch no shared
      cache line at all.
 
-   Cross-domain CAS accounting: the depot pays one CAS (plus retries)
-   per chain per direction; the slab pays at most one CAS attempt per
-   [slab_chains] chains. `sec_bench alloc` measures both tallies side
-   by side (docs/PERF.md, "Allocator").
+   Cross-domain CAS accounting: at most one CAS attempt per
+   [slab_chains] chains, and none while a domain's frees and allocations
+   balance within its active slab. `sec_bench alloc` measures the tally
+   (docs/PERF.md, "Allocator").
 
    Nodes are GC-heap values here ('a is the structure's node record);
    they migrate freely between slabs, so every free is owner-local by
@@ -153,7 +150,7 @@ module Global = struct
 
   (* Every cross-domain CAS the slab layer issued: park and adopt
      attempts (successes and losses) plus arena remote splices. The
-     number `sec_bench alloc` compares against the depot's tally. *)
+     number `sec_bench alloc` reports per phase. *)
   let cas_attempts (s : snapshot) =
     s.parks + s.park_fails + s.adopts + s.adopt_fails + s.remote_cas
 
@@ -222,8 +219,6 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
   type 'a dstate = {
     mutable active : 'a slab;
         [@plain_ok "the whole dstate record is private to its owning thread"]
-    mutable loose : 'a list; [@plain_ok "thread-private, see [active]"]
-    mutable loose_n : int; [@plain_ok "thread-private, see [active]"]
     (* per-thread tallies, folded by [stats] *)
     mutable s_parks : int; [@plain_ok "thread-private, see [active]"]
     mutable s_park_fails : int; [@plain_ok "thread-private, see [active]"]
@@ -263,8 +258,6 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
         Array.init max_threads (fun tid ->
             {
               active = fresh_slab ~nodes tid;
-              loose = [];
-              loose_n = 0;
               s_parks = 0;
               s_park_fails = 0;
               s_adopts = 0;
@@ -360,36 +353,6 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
           None
         end
 
-  (* Node-granular face over the same store, for callers without their
-     own private free-list (the magazine keeps one; direct users get
-     [loose] here). Constant-time: pop/push the loose list, exchanging
-     whole chains with the active slab at the boundaries. *)
-  let alloc t ~tid =
-    let d = t.dstates.(tid) in
-    match d.loose with
-    | n :: rest ->
-        d.loose <- rest;
-        d.loose_n <- d.loose_n - 1;
-        Some n
-    | [] -> (
-        match alloc_chain t ~tid with
-        | Some (len, n :: chain) ->
-            d.loose <- chain;
-            d.loose_n <- len - 1;
-            Some n
-        | Some (_, []) | None -> None)
-
-  let free t ~tid n =
-    let d = t.dstates.(tid) in
-    d.loose <- n :: d.loose;
-    d.loose_n <- d.loose_n + 1;
-    if d.loose_n >= t.chain_len then begin
-      let chain = d.loose in
-      d.loose <- [];
-      d.loose_n <- 0;
-      free_chain t ~tid (t.chain_len, chain)
-    end
-
   (* ---------------------------------------------------------------- *)
   (* Introspection                                                     *)
 
@@ -421,7 +384,7 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
           chain_puts = acc.chain_puts + d.s_chain_puts;
           chain_gets = acc.chain_gets + d.s_chain_gets;
           fresh = acc.fresh + d.s_fresh;
-          pooled = acc.pooled + d.active.pooled + d.loose_n;
+          pooled = acc.pooled + d.active.pooled;
         })
       {
         parks = 0;
@@ -452,8 +415,8 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
      [next_slab]). Frees by the owner push the private free-list with
      plain stores. Frees by any other domain are *batched per-slab* in
      a small direct-mapped outbox and spliced into the owning slab's
-     remote inbox with one CAS per batch — this is where the depot's
-     per-chain global CAS becomes a per-[remote_batch] distributed one.
+     remote inbox with one CAS per batch: one distributed CAS per
+     [remote_batch] frees instead of one shared cell per free.
      The owner adopts a whole inbox with a single [exchange] (wait-free)
      when its free-list runs dry.
 
@@ -636,9 +599,9 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
 
     (* Splice one outbox batch into its slab's remote inbox. The only
        retry loop in the arena — and it runs once per [remote_batch]
-       frees, against a per-slab cell instead of one global depot, so
-       contention (and the retry tally) is what `sec_bench alloc`
-       measures shrinking. *)
+       frees, against a per-slab cell rather than one global cell, so
+       contention (and the retry tally) stays what `sec_bench alloc`
+       measures. *)
     let flush_outbox t ~tid (o : outbox) =
       if o.o_n > 0 then begin
         let d = t.adstates.(tid) in

