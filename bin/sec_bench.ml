@@ -279,6 +279,13 @@ let bench_cmd =
     if doc.J.events_per_sec > 0. then
       Printf.printf "  event loop: %.3g events/sec (wall clock, best-of-12)\n"
         doc.J.events_per_sec;
+    Option.iter
+      (fun (v : Sec_harness.Variance.t) ->
+        Printf.printf
+          "  event loop spread: mean %.3g, min %.3g, max %.3g events/sec \
+           (spread %.1f%% of mean, n=%d)\n"
+          v.mean v.min v.max v.relative_spread v.samples)
+      doc.J.events_spread;
     List.iter
       (fun (r : J.row) ->
         Printf.printf

@@ -409,7 +409,7 @@ let levenshtein a b =
     for j = 1 to lb do
       let cost = if a.[i - 1] = b.[j - 1] then 0 else 1 in
       cur.(j) <-
-        min (min (cur.(j - 1) + 1) (prev.(j) + 1)) (prev.(j - 1) + cost)
+        Int.min (Int.min (cur.(j - 1) + 1) (prev.(j) + 1)) (prev.(j - 1) + cost)
     done;
     Array.blit cur 0 prev 0 (lb + 1)
   done;

@@ -63,7 +63,7 @@ module Clock = struct
 
   let ensure (c : t) n =
     if Array.length !c <= n then begin
-      let bigger = Array.make (max (2 * Array.length !c) (n + 1)) 0 in
+      let bigger = Array.make (Int.max (2 * Array.length !c) (n + 1)) 0 in
       Array.blit !c 0 bigger 0 (Array.length !c);
       c := bigger
     end

@@ -299,7 +299,7 @@ let on_reclaim t ~fiber ~node =
       | Retired ->
           n.state <- Reclaimed;
           let fi = fiber_info t n.retire_fiber in
-          fi.pending <- max 0 (fi.pending - 1);
+          fi.pending <- Int.max 0 (fi.pending - 1);
           if fi.pending = 0 then begin
             fi.oldest_pending_seq <- max_int;
             fi.stall_reported <- false

@@ -181,7 +181,7 @@ let scenario_of ~maker ~refines ~gave_up ?crash_victim w () =
   let module R = History.Instrument (SP) (S) in
   let nthreads = List.length w.threads in
   let max_threads =
-    match w.max_threads with Some m -> m | None -> max 1 nthreads
+    match w.max_threads with Some m -> m | None -> Int.max 1 nthreads
   in
   (* The recorder is sized for the fiber count, the stack for the
      requested capacity — they differ in over-subscription workloads
@@ -190,7 +190,7 @@ let scenario_of ~maker ~refines ~gave_up ?crash_victim w () =
   let r =
     {
       R.stack = S.create ~max_threads ();
-      history = History.create ~max_threads:(max 1 nthreads);
+      history = History.create ~max_threads:(Int.max 1 nthreads);
     }
   in
   List.iter (fun v -> S.push r.R.stack ~tid:0 v) (List.rev w.prefill);

@@ -673,7 +673,7 @@ let gjoin a b =
 let gtransfer node st =
   match (node.op, st) with
   | Some (Enter _), GD n -> if n >= 4 then GTop else GD (n + 1)
-  | Some (Exit _), GD n -> GD (max 0 (n - 1))
+  | Some (Exit _), GD n -> GD (Int.max 0 (n - 1))
   | _ -> st
 
 let op_pos = function

@@ -93,8 +93,8 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
     (* Clamp: announcements at or past [capacity] own no elimination slot
        (the push path bails out before depositing) and must be excluded;
        they retry in a later batch. Same hazard as {!Sec_stack}. *)
-    A.set batch.pop_at_freeze (min (A.get batch.pop_count) t.capacity);
-    A.set batch.push_at_freeze (min (A.get batch.push_count) t.capacity);
+    A.set batch.pop_at_freeze (Int.min (A.get batch.pop_count) t.capacity);
+    A.set batch.push_at_freeze (Int.min (A.get batch.push_count) t.capacity);
     A.set aggregator.batch (make_batch t.capacity)
 
   let announce_and_freeze t aggregator batch ~seq ~counter_at_freeze =

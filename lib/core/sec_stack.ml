@@ -189,7 +189,7 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
     match t.stats with
     | None -> ()
     | Some s ->
-        let eliminated = 2 * min pushes pops in
+        let eliminated = 2 * Int.min pushes pops in
         Counter.incr s.batches ~tid;
         Counter.add s.operations ~tid (pushes + pops);
         Counter.add s.eliminated ~tid eliminated;
@@ -237,8 +237,8 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
          long enough to cover a contended cross-socket announce — or a
          thread whose fetch&increment queues behind a few others misses
          every batch's window and starves. *)
-      let initial = max 512 (budget / 32) in
-      let extension = max 1024 (budget / 8) in
+      let initial = Int.max 512 (budget / 32) in
+      let extension = Int.max 1024 (budget / 8) in
       let announced () = A.get batch.push_count + A.get batch.pop_count in
       P.relax initial;
       let after_initial = announced () in
@@ -265,7 +265,7 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
        snapshot (Config.mutation — refinement-prong tests only). *)
     let clamp c =
       if t.config.Config.mutation = Config.Batch_overflow then c
-      else min c t.capacity
+      else Int.min c t.capacity
     in
     let pops = clamp (A.get batch.pop_count) in
     let pushes = clamp (A.get batch.push_count) in

@@ -50,6 +50,11 @@ type doc = {
          number in the file: the deterministic rows stay byte-stable,
          this field varies run to run and is rounded to 3 significant
          digits to limit churn. *)
+  events_spread : Variance.t option;
+      (* the spread of the timed passes behind [events_per_sec], so a
+         reader can tell a real change from timing noise; not written to
+         the file (the baseline stays byte-stable), [None] when read back
+         or when no events were measured. *)
   rows : row list;
 }
 
@@ -131,7 +136,8 @@ let native_row entry ~threads ~duration ~mix ~seed =
    pinned simulated workload — SEC (combining/elimination paths) and TRB
    (CAS loop) at 4 threads. The event count is deterministic per seed;
    only the elapsed time varies, so best-of-[reps] timing is the
-   low-noise estimator. This is the number the event-loop refactor's
+   low-noise estimator; the spread of all [reps] passes comes back with
+   it. This is the number the event-loop refactor's
    ">= 2x events/sec" target is measured on (docs/PERF.md), and what the
    --against gate checks for wall-clock regressions. *)
 let events_workload_entries () = [ Registry.sec; Registry.treiber ]
@@ -152,22 +158,24 @@ let measure_events_per_sec ?(reps = 12) () =
       0
       (events_workload_entries ())
   in
-  let events = ref (one ()) (* warm-up pass, also fixes the count *) in
-  let best = ref infinity in
-  for _ = 1 to reps do
-    let t0 = Unix.gettimeofday () in
-    events := one ();
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt
-  done;
-  let raw = float_of_int !events /. !best in
+  let events = float_of_int (one ()) (* warm-up pass, fixes the count *) in
+  let rates =
+    List.init reps (fun _ ->
+        let t0 = Unix.gettimeofday () in
+        ignore (one ());
+        events /. (Unix.gettimeofday () -. t0))
+  in
+  let raw = List.fold_left Float.max 0. rates in
   (* Round to 3 significant digits: regenerating the file on the same
      machine should not churn the field by timing noise smaller than the
      gate threshold. *)
-  if raw <= 0. then 0.
-  else
-    let mag = 10. ** Float.of_int (2 - int_of_float (Float.log10 raw)) in
-    Float.round (raw *. mag) /. mag
+  let best =
+    if raw <= 0. then 0.
+    else
+      let mag = 10. ** Float.of_int (2 - int_of_float (Float.log10 raw)) in
+      Float.round (raw *. mag) /. mag
+  in
+  (best, Variance.of_samples rates)
 
 let collect_sim ?(seed = 1) () =
   let topology = Sec_sim.Topology.testbox in
@@ -182,13 +190,15 @@ let collect_sim ?(seed = 1) () =
           bench_threads)
       bench_entries
   in
+  let events_per_sec, events_spread = measure_events_per_sec () in
   {
     backend = "sim";
     machine = topology.Sec_sim.Topology.name;
     unit_label = "ops/cycle";
     seed;
     duration = float_of_int bench_cycles;
-    events_per_sec = measure_events_per_sec ();
+    events_per_sec;
+    events_spread = Some events_spread;
     rows;
   }
 
@@ -209,6 +219,7 @@ let collect_native ?(seed = 1) ?(duration = 0.05) () =
     seed;
     duration;
     events_per_sec = 0.;
+    events_spread = None;
     rows;
   }
 
@@ -500,6 +511,7 @@ let of_string src =
           | Some v -> to_float v
           | None -> 0.)
       | _ -> 0.);
+    events_spread = None;
     rows =
       (match member "rows" j with
       | Arr rows -> List.map row_of_json rows

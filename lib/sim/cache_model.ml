@@ -102,7 +102,7 @@ let access t ~core ~socket ~loc ~now kind =
      line and occupies it for the duration of the transfer. *)
   let hit cost = now + cost in
   let miss cost =
-    let start = max now line.busy_until in
+    let start = Int.max now line.busy_until in
     let finish = start + cost in
     line.busy_until <- finish;
     finish

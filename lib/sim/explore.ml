@@ -511,7 +511,7 @@ let run_one ctx scenario =
 let make_ctx ?suspend ?rand ~strategy ~quantum ~max_steps ~placements
     ~collecting ~max_extensions () =
   let collect_from =
-    List.fold_left (fun acc (p : placement) -> max acc p.step) 0 placements
+    List.fold_left (fun acc (p : placement) -> Int.max acc p.step) 0 placements
   in
   {
     fibers = [||];
@@ -700,12 +700,12 @@ let shrink_schedule ~still_fails schedule =
       let len = List.length current in
       if len <= 1 then current
       else begin
-        let n = min n len in
+        let n = Int.min n len in
         let chunk = (len + n - 1) / n in
         let rec try_complements i =
           if i * chunk >= len then None
           else
-            let lo = i * chunk and hi = min len ((i + 1) * chunk) in
+            let lo = i * chunk and hi = Int.min len ((i + 1) * chunk) in
             let candidate =
               List.filteri (fun j _ -> j < lo || j >= hi) current
             in
@@ -713,9 +713,9 @@ let shrink_schedule ~still_fails schedule =
             else try_complements (i + 1)
         in
         match try_complements 0 with
-        | Some candidate -> minimize candidate (max 2 (n - 1))
+        | Some candidate -> minimize candidate (Int.max 2 (n - 1))
         | None ->
-            if chunk <= 1 then current else minimize current (min len (2 * n))
+            if chunk <= 1 then current else minimize current (Int.min len (2 * n))
       end
     in
     minimize schedule 2

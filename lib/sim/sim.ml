@@ -81,7 +81,7 @@ module Heap = struct
      unchecked accesses; this heap sits on the per-event hot path. *)
   let push t key =
     if t.size = Array.length t.keys then begin
-      let keys = Array.make (max 16 (2 * t.size)) 0 in
+      let keys = Array.make (Int.max 16 (2 * t.size)) 0 in
       Array.blit t.keys 0 keys 0 t.size;
       t.keys <- keys
     end;
@@ -107,8 +107,12 @@ module Heap = struct
 
   (* Sift a root-shaped hole down past children smaller than [key], then
      drop [key] in — shared by [pop] (re-inserting the detached last
-     element) and [replace_min]. *)
-  let[@inline] sift_down a n key =
+     element) and [replace_min]. The [int] annotations must stay: without
+     them this function generalises to ['a array], every [<] becomes a
+     polymorphic [caml_lessthan] C call, and [@inline] copies that generic
+     body into every caller — on the per-park path that call dominated
+     the cost of a sift. *)
+  let[@inline] sift_down (a : int array) n (key : int) =
     let i = ref 0 in
     let sifting = ref true in
     while !sifting do
@@ -333,7 +337,7 @@ and schedule ctx =
         let slot = ctx.joiner in
         ctx.joiner_k <- None;
         ctx.joiner <- -1;
-        ctx.f_time.(slot) <- max ctx.f_time.(slot) ctx.max_end_time;
+        ctx.f_time.(slot) <- Int.max ctx.f_time.(slot) ctx.max_end_time;
         (match ctx.det with
         | Some d -> Sec_analysis.Race_detector.on_join d ~fiber:(fid_of slot)
         | None -> ());
@@ -356,13 +360,13 @@ and park ctx k =
    no longer counts as live, and its peers run on. *)
 and on_freeze ctx =
   let slot = ctx.current in
-  ctx.max_end_time <- max ctx.max_end_time ctx.f_time.(slot);
+  ctx.max_end_time <- Int.max ctx.max_end_time ctx.f_time.(slot);
   if slot <> 0 then ctx.live_workers <- ctx.live_workers - 1;
   schedule ctx
 
 and on_return ctx =
   let slot = ctx.current in
-  ctx.max_end_time <- max ctx.max_end_time ctx.f_time.(slot);
+  ctx.max_end_time <- Int.max ctx.max_end_time ctx.f_time.(slot);
   if slot <> 0 then ctx.live_workers <- ctx.live_workers - 1;
   (match ctx.det with
   | Some d -> Sec_analysis.Race_detector.on_exit d ~fiber:(fid_of slot)
@@ -402,7 +406,7 @@ and run_fiber ctx body =
               Some
                 (fun k ->
                   legacy_advance ctx
-                    (ctx.f_time.(ctx.current) + max 1 n)
+                    (ctx.f_time.(ctx.current) + Int.max 1 n)
                     k)
           | Yield ->
               Some
@@ -472,7 +476,7 @@ let dispatch_of ctx =
         end);
     d_relax =
       (fun n ->
-        if advance ctx (Array.unsafe_get ctx.f_time ctx.current + max 1 n)
+        if advance ctx (Array.unsafe_get ctx.f_time ctx.current + Int.max 1 n)
         then Effect.perform Switch);
     d_yield =
       (fun () ->

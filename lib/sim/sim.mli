@@ -36,11 +36,24 @@ type stats = {
 (** Internals of the scheduler's event heap, exposed for tests: the
     (time, fid) key packed into one unboxed int. [pack time fid] raises
     [Invalid_argument] when [fid + fid_bias] does not fit in [fid_bits]
-    bits or [time] exceeds the remaining 62-bit range. *)
+    bits or [time] exceeds the remaining 62-bit range.
+
+    The heap itself is a binary min-heap of such keys (non-negative
+    ints). [pop] and [min_key] return [-1] on an empty heap.
+    [replace_min t key] swaps the root for [key] and returns the old
+    root; it requires a non-empty heap and [key >= min_key t]. *)
 module Heap : sig
   val fid_bits : int
   val fid_bias : int
   val pack : int -> int -> int
+
+  type t
+
+  val create : unit -> t
+  val push : t -> int -> unit
+  val pop : t -> int
+  val replace_min : t -> int -> int
+  val min_key : t -> int
 end
 
 (** [run ~topology f] executes [f] as the main fiber of a fresh simulated

@@ -7,7 +7,10 @@
    node and claims it by CAS on the node's [taken] flag; a candidate whose
    interval began after the pop started was pushed concurrently and is
    taken immediately (built-in elimination). Emptiness requires a second
-   scan observing every pool unchanged.
+   scan observing every pool unchanged. Peek scans the same way but only
+   reads, and never reports a node whose interval is not yet stamped.
+   Pop and peek rank candidates by one total order (interval start, then
+   pool), so a peek never names a different top than a later pop takes.
 
    The paper's x86 RDTSCP timestamp source is replaced by the substrate
    clock ({!Sec_prim.Prim_intf.S.now_ns}); see DESIGN.md. Pool cleanup is
@@ -115,9 +118,36 @@ module Make (P : Sec_prim.Prim_intf.S) : Sec_spec.Stack_intf.S = struct
     if head != y then ignore (A.compare_and_set t.pools.(i) head y);
     (head, y)
 
-  (* [n] is strictly younger than interval [(_, e)] if its interval starts
-     after [e] ends. Overlapping intervals are unordered: either may win. *)
-  let younger (s, _) (_, e') = Int64.compare s e' > 0
+  (* The order every pop and peek picks its candidate by: interval start,
+     then pool index. A node strictly younger than another (its interval
+     starts after the other's ends) also starts later, so this is a linear
+     extension of the TS partial order and a pop still takes a maximal
+     node. Overlapping intervals are unordered, and the published pop may
+     take either; but once a peek has reported one of two unordered
+     maxima, every later pop and peek must agree with it — so no choice
+     may depend on the pool a scan happens to start from. *)
+  let ranks_above ((s, _), i) ((s', _), i') =
+    let c = Int64.compare s s' in
+    c > 0 || (c = 0 && i > i')
+
+  (* A published node whose interval is still [pending] belongs to a push
+     that has not linearized yet: the pusher may stamp it after pushes
+     that start later, so a peek that reported it could see it reappear
+     *below* them. Pop may take such a node (the push linearizes just
+     before the pop, which removes it), but peek must look past it. *)
+  let is_pending (s, _) = Int64.equal s Int64.max_int
+
+  (* An untaken node (or [None]) paired with its interval — or, when
+     [stamped_only], the first untaken stamped node from it, the youngest
+     a peek may report. One read of each interval, so a pop's scan
+     performs exactly the accesses it always did. *)
+  let rec with_interval ~stamped_only = function
+    | None -> None
+    | Some n ->
+        let ts = A.get n.ts in
+        if stamped_only && is_pending ts then
+          with_interval ~stamped_only (youngest (A.get n.next))
+        else Some (n, ts)
 
   type 'a scan_outcome =
     | Take_now of 'a node (* pushed during our operation: eliminate *)
@@ -126,7 +156,7 @@ module Make (P : Sec_prim.Prim_intf.S) : Sec_spec.Stack_intf.S = struct
 
   (* Scan all pools starting at the caller's own index, so concurrent
      pops spread their first probes instead of stampeding pool 0. *)
-  let scan t ~started ~from =
+  let scan t ~started ~from ~stamped_only =
     let num_pools = Array.length t.pools in
     let heads = Array.make num_pools None in
     let best = ref None in
@@ -137,18 +167,27 @@ module Make (P : Sec_prim.Prim_intf.S) : Sec_spec.Stack_intf.S = struct
         | None -> Empty_if heads
       else begin
         let i = (from + k) mod num_pools in
-        let head, young = pool_youngest t i in
+        let head, young =
+          if stamped_only then
+            (* A peek only reads. [youngest] re-boxes the node it returns,
+               so the helping CAS of [pool_youngest] replaces even an
+               untaken head, and every rescan would then fail the
+               [unchanged] test — a peek over a pool holding only a
+               pending node would spin until the pusher stamps it. *)
+            let head = A.get t.pools.(i) in
+            (head, youngest head)
+          else pool_youngest t i
+        in
         heads.(i) <- head;
-        match young with
+        match with_interval ~stamped_only young with
         | None -> loop (k + 1)
-        | Some n ->
-            let ts = A.get n.ts in
-            let start_of_interval = fst ts in
-            if Int64.compare start_of_interval started > 0 then Take_now n
+        | Some (n, ts) ->
+            if Int64.compare (fst ts) started > 0 then Take_now n
             else begin
               (match !best with
-              | Some (_, best_ts) when not (younger ts best_ts) -> ()
-              | _ -> best := Some (n, ts));
+              | Some (_, best_key) when not (ranks_above (ts, i) best_key) ->
+                  ()
+              | _ -> best := Some (n, (ts, i)));
               loop (k + 1)
             end
       end
@@ -157,35 +196,48 @@ module Make (P : Sec_prim.Prim_intf.S) : Sec_spec.Stack_intf.S = struct
 
   let try_take n = A.compare_and_set n.taken false true
 
-  let unchanged t heads =
+  (* Emptiness confirmation: every pool head is as the scan saw it and
+     holds nothing visible. For peek a pending node is not visible, so a
+     pool holding only pending pushes reads as empty — the peek
+     linearizes before those pushes instead of waiting for their stamps. *)
+  let unchanged t heads ~stamped_only =
+    let visible h =
+      if stamped_only then
+        Option.is_some (with_interval ~stamped_only (youngest h))
+      else Option.is_some (youngest h)
+    in
     let ok = ref true in
     Array.iteri
       (fun i h ->
-        if A.get t.pools.(i) != h || youngest h <> None then ok := false)
+        if A.get t.pools.(i) != h || visible h then ok := false)
       heads;
     !ok
 
   let pop t ~tid =
     let started = P.now_ns () in
+    let from = tid mod Array.length t.pools in
     let rec attempt () =
-      match scan t ~started ~from:(tid mod Array.length t.pools) with
+      match scan t ~started ~from ~stamped_only:false with
       | Take_now n | Candidate n ->
           if try_take n then Some n.value
           else begin
             P.relax 8;
             attempt ()
           end
-      | Empty_if heads -> if unchanged t heads then None else attempt ()
+      | Empty_if heads ->
+          if unchanged t heads ~stamped_only:false then None else attempt ()
     in
     attempt ()
 
   let peek t ~tid =
     let started = P.now_ns () in
+    let from = tid mod Array.length t.pools in
     let rec attempt () =
-      match scan t ~started ~from:(tid mod Array.length t.pools) with
+      match scan t ~started ~from ~stamped_only:true with
       | Take_now n | Candidate n ->
           if A.get n.taken then attempt () else Some n.value
-      | Empty_if heads -> if unchanged t heads then None else attempt ()
+      | Empty_if heads ->
+          if unchanged t heads ~stamped_only:true then None else attempt ()
     in
     attempt ()
 end

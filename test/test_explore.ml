@@ -271,6 +271,187 @@ let test_sec_elimination_all_schedules () =
   | other -> Alcotest.failf "expected Passed, got %s" (result_kind other)
 
 (* -------------------------------------------------------------------- *)
+(* TSI peek. Two bugs made native TSI histories non-linearizable; each
+   has a pinned witness below.
+   - Pending push: fiber 0 pushes 1; fiber 1 peeks, pushes 2 and peeks
+     again. A peek that reports 1 while its push is still pending
+     (published, interval not yet stamped) puts push 1 before the first
+     peek, yet the second peek, after fiber 1's own push 2, reports 1
+     again.
+   - Unordered maxima: pushes 1 and 2 get overlapping intervals, which
+     the TS order leaves unordered. A scan that keeps the first maximal
+     node it meets answers by the pool it starts from, so fiber 0 peeks
+     1 while fiber 1 peeks (or pops) 2, with both nodes still present.
+   Three settings of the bounded search hid them:
+   - history timestamps were the bare Explore step, which ticks only at
+     atomic accesses, so a fiber's back-to-back operations shared a
+     timestamp (response = next invocation) and the checker treated them
+     as overlapping, free to reorder;
+   - a clock read is no scheduling point, so a push read both ends of its
+     interval in one step: intervals were points and never overlapped;
+   - the default 8-access quantum rotates a fiber out before its
+     operations end, so few preemptions cannot hold a push pending. *)
+
+(* Timestamps that order every clock read: the Explore step, then a
+   sequence number within the step. Calls within one step come from one
+   fiber with no scheduling point in between, so call order is real-time
+   order, and the clock adds no access — the schedule is unchanged. *)
+module Seq_clock = struct
+  include SP
+
+  let last = ref (-1L)
+  let seq = ref 0L
+
+  let now_ns () =
+    let step = SP.now_ns () in
+    if Int64.equal step !last then seq := Int64.succ !seq
+    else begin
+      last := step;
+      seq := 0L
+    end;
+    Int64.add (Int64.shift_left step 20) !seq
+end
+
+(* The stacks' substrate: a clock read first reads a private cell, so it
+   is a scheduling point and time passes between the two ends of an
+   interval, as on hardware. *)
+module Clocked = struct
+  include SP
+
+  let tick : int Atomic.t option ref = ref None
+
+  let now_ns () =
+    Option.iter (fun c -> ignore (Atomic.get c)) !tick;
+    SP.now_ns ()
+end
+
+module Tsi = Sec_stacks.Ts_stack.Make (Clocked)
+module Tsi_ebr = Sec_reclaim.Ts_stack_ebr.Make (Clocked)
+
+let tsi_quantum = 32
+let tsi_history : int Sec_spec.History.event list ref = ref []
+
+let tsi_scenario programs (module S : Sec_spec.Stack_intf.S) () =
+  Seq_clock.last := -1L;
+  Clocked.tick := Some (SP.Atomic.make 0);
+  let module R = Sec_spec.History.Instrument (Seq_clock) (S) in
+  let r = R.create ~max_threads:(List.length programs) () in
+  ( List.mapi
+      (fun tid program () ->
+        List.iter
+          (function
+            | Sec_refine.Refine.Push v -> R.push r ~tid v
+            | Pop -> ignore (R.pop r ~tid)
+            | Peek -> ignore (R.peek r ~tid))
+          program)
+      programs,
+    fun () ->
+      tsi_history := Sec_spec.History.events r.R.history;
+      match Sec_spec.Lin_check.check !tsi_history with
+      | Sec_spec.Lin_check.Linearizable -> true
+      | Not_linearizable | Gave_up -> false )
+
+let pending_push = Sec_refine.Refine.[ [ Push 1 ]; [ Peek; Push 2; Peek ] ]
+
+let unordered_maxima =
+  Sec_refine.Refine.[ [ Push 1; Peek; Peek ]; [ Push 2; Peek; Pop ] ]
+
+let tsi_stacks =
+  [
+    ("tsi", (module Tsi : Sec_spec.Stack_intf.S));
+    ("tsi-ebr", (module Tsi_ebr : Sec_spec.Stack_intf.S));
+  ]
+
+let history_event tid op =
+  List.find
+    (fun (e : int Sec_spec.History.event) -> e.tid = tid && op e.op)
+    !tsi_history
+
+let replay_linearizable name witness scenario =
+  let schedule = Explore.schedule_of_string witness in
+  Alcotest.(check bool)
+    (name ^ ": at most 8 placements")
+    true
+    (List.length schedule <= 8);
+  match Explore.replay ~quantum:tsi_quantum ~schedule scenario with
+  | Explore.Ok_run true -> schedule
+  | Explore.Ok_run false ->
+      Alcotest.failf "%s: history not linearizable under %s" name witness
+  | Explore.Raised m -> Alcotest.failf "%s: replay raised %s" name m
+  | Explore.Livelocked -> Alcotest.failf "%s: replay livelocked" name
+
+(* Pinned witnesses: [Explore.for_all ~quantum:32] found each against the
+   code before the fix and [shrink_schedule] reduced it. *)
+
+(* The replay must put fiber 1's first peek entirely inside push 1 — the
+   pending window. The witness preempts fiber 0 between its publish and
+   its stamp, at its [step]th access (fiber 0 runs first under the
+   baseline); frozen there for good, fiber 0 must not stall the peeker:
+   a peek may skip a pending node but never wait for its stamp. *)
+let test_tsi_peek_pending_witness () =
+  List.iter2
+    (fun (name, stack) witness ->
+      let scenario = tsi_scenario pending_push stack in
+      let schedule = replay_linearizable name witness scenario in
+      let push1 =
+        history_event 0 (function Sec_spec.History.Push 1 -> true | _ -> false)
+      and peek1 =
+        history_event 1 (function Sec_spec.History.Peek _ -> true | _ -> false)
+      in
+      Alcotest.(check bool)
+        (name ^ ": first peek inside the pending push")
+        true
+        (push1.inv < peek1.inv && peek1.resp < push1.resp);
+      let stamp = (List.hd schedule).Explore.step in
+      match
+        Explore.suspended_run ~quantum:tsi_quantum ~victim:0 ~after:stamp
+          scenario
+      with
+      | Explore.Survived { engaged = true } -> ()
+      | Explore.Survived { engaged = false } ->
+          Alcotest.failf "%s: pusher finished before access %d" name stamp
+      | Explore.Blocked ->
+          Alcotest.failf "%s: peeker blocked on the pending push" name
+      | Explore.Crashed m -> Alcotest.failf "%s: crashed: %s" name m)
+    tsi_stacks [ "4:1"; "8:1" ]
+
+(* The replay must overlap the two pushes in real time, so that neither
+   order of them is forced. *)
+let test_tsi_peek_maxima_witness () =
+  List.iter2
+    (fun (name, stack) witness ->
+      ignore
+        (replay_linearizable name witness (tsi_scenario unordered_maxima stack));
+      let push v =
+        history_event (v - 1) (function
+          | Sec_spec.History.Push w -> w = v
+          | _ -> false)
+      in
+      let p1 = push 1 and p2 = push 2 in
+      Alcotest.(check bool)
+        (name ^ ": pushes overlap")
+        true
+        (p1.inv < p2.resp && p2.inv < p1.resp))
+    tsi_stacks [ "5:1;12:0"; "9:1;21:0" ]
+
+(* The whole bounded space of both scenarios is linearizable. *)
+let test_tsi_peek_all_schedules () =
+  List.iter
+    (fun (name, stack) ->
+      List.iter
+        (fun programs ->
+          match
+            Explore.for_all ~quantum:tsi_quantum ~max_preemptions:2
+              (tsi_scenario programs stack)
+          with
+          | Explore.Passed { truncated = false; _ } -> ()
+          | other ->
+              Alcotest.failf "%s: expected Passed, got %s" name
+                (result_kind other))
+        [ pending_push; unordered_maxima ])
+    tsi_stacks
+
+(* -------------------------------------------------------------------- *)
 (* Pathology detection                                                   *)
 
 let test_livelock_detected () =
@@ -339,6 +520,12 @@ let () =
             test_sec_conservation_all_schedules;
           Alcotest.test_case "sec elimination" `Slow
             test_sec_elimination_all_schedules;
+          Alcotest.test_case "tsi peek pending witness" `Quick
+            test_tsi_peek_pending_witness;
+          Alcotest.test_case "tsi peek maxima witness" `Quick
+            test_tsi_peek_maxima_witness;
+          Alcotest.test_case "tsi peek all schedules" `Quick
+            test_tsi_peek_all_schedules;
         ] );
       ( "pathologies",
         [

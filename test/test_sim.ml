@@ -494,6 +494,69 @@ let test_heap_pack_range () =
   rejects (1 lsl (63 - Sim.Heap.fid_bits)) 0;
   rejects (-1) 0
 
+(* Differential test of the scheduler's ready heap against a sorted-list
+   reference: seeded random push / pop / replace_min sequences, with keys
+   drawn from small times (many ties broken by fid) and from the edges of
+   the packing range — the largest fid and times just below
+   2^(62 - fid_bits). After every step the heap's min must equal the
+   reference's head. *)
+let test_heap_differential () =
+  let max_fid = (1 lsl Sim.Heap.fid_bits) - 1 - Sim.Heap.fid_bias in
+  let max_time = (1 lsl (62 - Sim.Heap.fid_bits)) - 1 in
+  let key st =
+    let time =
+      match Random.State.int st 3 with
+      | 0 -> Random.State.int st 8
+      | 1 -> max_time - Random.State.int st 8
+      | _ -> Random.State.int st 1_000_000
+    in
+    let fid =
+      match Random.State.int st 3 with
+      | 0 -> max_fid - Random.State.int st 4
+      | 1 -> Random.State.int st 4 - Sim.Heap.fid_bias
+      | _ -> Random.State.int st 1000
+    in
+    Sim.Heap.pack time fid
+  in
+  let head = function [] -> -1 | k :: _ -> k in
+  for seed = 1 to 50 do
+    let st = Random.State.make [| seed |] in
+    let h = Sim.Heap.create () in
+    let reference = ref [] in
+    for step = 1 to 400 do
+      let k = key st in
+      (match Random.State.int st 4 with
+      | 0 | 1 ->
+          Sim.Heap.push h k;
+          reference := List.merge Int.compare [ k ] !reference
+      | 2 ->
+          let got = Sim.Heap.pop h in
+          Alcotest.(check int)
+            (Printf.sprintf "seed %d step %d pop" seed step)
+            (head !reference) got;
+          reference := (match !reference with [] -> [] | _ :: r -> r)
+      | _ -> (
+          match !reference with
+          | m :: rest when k >= m ->
+              let got = Sim.Heap.replace_min h k in
+              Alcotest.(check int)
+                (Printf.sprintf "seed %d step %d replace_min" seed step)
+                m got;
+              reference := List.merge Int.compare [ k ] rest
+          | _ ->
+              Sim.Heap.push h k;
+              reference := List.merge Int.compare [ k ] !reference));
+      Alcotest.(check int)
+        (Printf.sprintf "seed %d step %d min_key" seed step)
+        (head !reference) (Sim.Heap.min_key h)
+    done;
+    (* drain: the heap yields the reference in order, then -1 *)
+    List.iter
+      (fun k -> Alcotest.(check int) "drain" k (Sim.Heap.pop h))
+      !reference;
+    Alcotest.(check int) "empty pop" (-1) (Sim.Heap.pop h)
+  done
+
 let () =
   Alcotest.run "sim"
     [
@@ -545,6 +608,8 @@ let () =
           Alcotest.test_case "jitter determinism" `Quick
             test_jitter_determinism;
           Alcotest.test_case "heap pack range" `Quick test_heap_pack_range;
+          Alcotest.test_case "heap differential" `Quick
+            test_heap_differential;
         ] );
       ( "stacks at 40 fibers",
         [
