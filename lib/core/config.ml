@@ -11,7 +11,7 @@ type mutation =
       (** Omit the freeze-snapshot capacity clamp: when more live threads
           than [max_threads] announce into one batch, the frozen counters
           race past the elimination array — the exact bug the clamp in
-          [Sec_stack.freeze_batch] fixed. *)
+          [Batch.freeze_batch] fixed. *)
   | Pop_reorder
       (** The pop-side combiner publishes the *remaining* stack instead
           of the detached chain as the batch substack: combined pops read

@@ -1,30 +1,11 @@
 (* SEC — Sharded Elimination and Combining stack (the paper's Algorithms 1
-   and 2, Figure 1).
-
-   Threads are sharded over K aggregators by thread id. Each aggregator
-   points to its currently active *batch*. A thread announces an operation
-   by fetch&increment on the batch's push or pop counter; the returned
-   sequence number names an elimination-array slot (pushes deposit their
-   node there immediately). The first announcer of either type wins a
-   test&set and becomes the batch's *freezer*: after a short backoff (to
-   let the batch grow) it snapshots both counters into
-   [push_at_freeze]/[pop_at_freeze] and installs a fresh batch in the
-   aggregator, which releases every announcer:
-
-   - announcers whose sequence number is not below the freeze snapshot do
-     not belong to the batch and retry in a later batch;
-   - the first min(pushes, pops) operations of each type eliminate
-     pairwise through the elimination array;
-   - the survivors are all of one type; the one with the lowest surviving
-     sequence number becomes the *combiner* and applies them all to the
-     shared Treiber-style stack with a single CAS (appending a pre-linked
-     substack, or unlinking a chain of nodes), then raises
-     [batch_applied]; waiting pops find their results by indexing into the
-     detached substack ([get_value]).
-
-   Linearization (paper, Section 5): eliminated pairs linearize together
-   at the exchange; non-eliminated operations linearize at their
-   combiner's successful CAS, ordered by sequence number. *)
+   and 2, Figure 1): the batch engine of {!Batch} over one shared
+   Treiber-style stack. Announcing, freezing, elimination and the choice
+   of each batch's combiner all live in the engine; this module supplies
+   the two store steps a combiner runs — appending a pre-linked substack
+   to [top] with a single CAS (paper: PushToStack, lines 44–50) and
+   unlinking a chain of nodes from it (PopFromStack, lines 80–94) — plus
+   [peek] and [depth]. *)
 
 (* The combining protocol is blocking: an announcer whose batch's freezer
    (or combiner) is suspended spins on [batch_applied] forever. The
@@ -34,459 +15,73 @@
 [@@@progress "blocking"]
 [@@@spec "stack"]
 
-(* Batch lifecycle (checked statically by sec_lint rule 13): announcing
-   (counter FAAs, elimination-slot deposits) and the freezer race on
-   [freezer_decided] happen only while the batch is open; the freeze
-   snapshot writes [pop_at_freeze] strictly before [push_at_freeze]
-   (push's elimination test reads pops-at-freeze through the push
-   counter, so the reverse order would under-eliminate); and only a
-   fully snapped batch may be retired by installing its successor. *)
-[@@@protocol
-  "batch: open -rmw:push_count-> open; open -rmw:pop_count-> open; open \
-   -write:elimination-> open; open -rmw:freezer_decided-> open; open \
-   -write:pop_at_freeze-> snapped; snapped -write:push_at_freeze-> frozen; \
-   frozen -write:batch-> open"]
-
 module Make (P : Sec_prim.Prim_intf.S) = struct
   module A = P.Atomic
-  module Backoff = Sec_prim.Backoff.Make (P)
-  module Counter = Sec_prim.Striped_counter.Make (P)
-  module Mag = Sec_reclaim.Magazine.Make (P)
 
-  type 'a node = {
-    mutable value : 'a;
-        [@plain_ok
-          "written while the node is private to its pusher (fresh, or \
-           recycled after its last reader provably finished); published \
-           by the elimination-slot store or the combiner's CAS on [top]"]
-    mutable next : 'a node option;
-        [@plain_ok
-          "linked while the node is still private to one combiner; \
-           published wholesale by the combiner's release CAS on [top]"]
-  }
+  module Shared_top = struct
+    type 'a t = {
+      top : 'a Batch.node option A.t; (* Figure 1, stackTop *)
+      pop_reorder : bool;
+          (* [Pop_reorder] is the seeded mutant publishing the remaining
+             stack instead of the detached chain (Config.mutation —
+             refinement-prong tests only). *)
+    }
 
-  type 'a batch = {
-    push_count : int A.t;
-    pop_count : int A.t;
-    push_at_freeze : int A.t;
-    pop_at_freeze : int A.t;
-    elimination : 'a node option A.t array;
-    freezer_decided : bool A.t;
-    batch_applied : bool A.t;
-    substack : 'a node option A.t;
-        (* chain detached by a pop-side combiner, read by [get_value] *)
-    consumed : int A.t;
-        (* combined pops done reading [substack]; the last one may
-           recycle the detached chain (only touched with
-           [Config.recycle_nodes]) *)
-  }
+    (* Combiners retry immediately: there are at most K of them, an
+       entire batch of waiters stalls while one dawdles, and backing off
+       after a failed CAS just surrenders the loser's place behind a
+       stream of fresh combiners. *)
+    let link s ~shard:_ ~bottom ~top =
+      let rec attempt () =
+        (let current_top = A.get s.top in
+         bottom.Batch.next <- current_top;
+         if not (A.compare_and_set s.top current_top (Some top)) then
+           attempt ())
+        [@await_ok
+          "a failed CAS means another combiner landed its whole batch; at \
+           most K combiners compete, so retrying bare is the right call"]
+      in
+      attempt ()
 
-  type 'a aggregator = { batch : 'a batch A.t }
+    let detach s ~shard:_ ~wanted =
+      let rec attempt () =
+        let current_top = A.get s.top in
+        (* Walk down min(wanted, depth) nodes; the remainder of the batch
+           will observe an empty stack. *)
+        let rec walk node k =
+          if k = 0 then node
+          else
+            match node with
+            | None -> None
+            | Some n -> walk n.Batch.next (k - 1)
+        in
+        let new_top = walk current_top wanted in
+        (if A.compare_and_set s.top current_top new_top then
+           if s.pop_reorder then new_top else current_top
+         else attempt ())
+        [@await_ok
+          "a failed CAS means another combiner landed its whole batch; at \
+           most K combiners compete, so retrying bare is the right call"]
+      in
+      attempt ()
+  end
 
-  type stats_counters = {
-    batches : Counter.t;
-    operations : Counter.t;
-    eliminated : Counter.t;
-    combined : Counter.t;
-    excluded : Counter.t;
-  }
+  module B = Batch.Make (P) (Shared_top)
 
-  type 'a t = {
-    top : 'a node option A.t; (* the shared stack (Figure 1, stackTop) *)
-    aggregators : 'a aggregator array;
-    capacity : int; (* elimination-array size = max_threads *)
-    config : Config.t;
-    stats : stats_counters option;
-    (* Zero-allocation hot path ([Config.recycle_nodes]); [recycle]
-       mirrors the config flag so the per-op branch is a plain read. *)
-    recycle : bool;
-    mag : 'a node Mag.t;
-    (* Contention-adaptive sharding ([Config.adaptive]): the number of
-       aggregators announcements actually route to, moved between 1 and
-       [Array.length aggregators] by the freeze-time controller. *)
-    active : int A.t;
-    win_ops : int A.t; (* operations frozen in the current window *)
-    win_batches : int A.t; (* batches frozen in the current window *)
-  }
+  type 'a t = 'a B.t
 
   let name = "SEC"
 
-  let make_batch capacity =
-    {
-      push_count = A.make_padded 0;
-      pop_count = A.make_padded 0;
-      push_at_freeze = A.make_padded (-1);
-      pop_at_freeze = A.make_padded (-1);
-      (* Each elimination slot belongs to a different announcing thread;
-         adjacent unpadded slots would false-share under the paper's
-         hottest path (announce/collect). *)
-      elimination = Array.init capacity (fun _ -> A.make_padded None);
-      freezer_decided = A.make_padded false;
-      batch_applied = A.make_padded false;
-      substack = A.make_padded None;
-      consumed = A.make_padded 0;
-    }
-
   let create_with ~config ?(max_threads = 64) () =
-    (* Routing is [tid mod K] with every tid below [max_threads], so
-       clamping K to the thread count is routing-equivalent (aggregators
-       past it could never be reached) — it keeps harness runs at low
-       thread counts working with a high configured K. Nonsensical
-       configurations built by hand still fail [Config.validate]. *)
-    let config =
-      if config.Config.num_aggregators > max_threads then
-        { config with Config.num_aggregators = max_threads }
-      else config
-    in
-    Config.validate ~capacity:max_threads config;
-    {
-      top = A.make_padded None;
-      aggregators =
-        Array.init config.Config.num_aggregators (fun _ ->
-            { batch = A.make_padded (make_batch max_threads) });
-      capacity = max_threads;
-      config;
-      stats =
-        (if config.Config.collect_stats then
-           Some
-             {
-               batches = Counter.create ();
-               operations = Counter.create ();
-               eliminated = Counter.create ();
-               combined = Counter.create ();
-               excluded = Counter.create ();
-             }
-         else None);
-      recycle = config.Config.recycle_nodes;
-      mag = Mag.create ~max_threads ();
-      (* Adaptive runs start consolidated (K = 1, the best single-thread
-         setting) and grow under pressure; the field is untouched — and
-         never read — without [Config.adaptive]. *)
-      active = A.make_padded 1;
-      win_ops = A.make_padded 0;
-      win_batches = A.make_padded 0;
-    }
+    B.create ~config ~max_threads (fun _ ->
+        {
+          Shared_top.top = A.make_padded None;
+          pop_reorder = config.Config.mutation = Config.Pop_reorder;
+        })
 
   let create ?max_threads () = create_with ~config:Config.default ?max_threads ()
-
-  let aggregator_of t tid =
-    let k =
-      if t.config.Config.adaptive then A.get t.active
-      else Array.length t.aggregators
-    in
-    t.aggregators.(tid mod k)
-
-  (* Current routing width: K under static sharding, the controller's
-     choice under [Config.adaptive] (tests and docs/PERF.md). *)
-  let active_aggregators t =
-    if t.config.Config.adaptive then A.get t.active
-    else Array.length t.aggregators
-
-  (* ------------------------------------------------------------------ *)
-  (* Freezing (paper: FreezeBatch, lines 28–32)                          *)
-
-  let record_batch_stats t ~tid ~pushes ~pops =
-    match t.stats with
-    | None -> ()
-    | Some s ->
-        let eliminated = 2 * Int.min pushes pops in
-        Counter.incr s.batches ~tid;
-        Counter.add s.operations ~tid (pushes + pops);
-        Counter.add s.eliminated ~tid eliminated;
-        Counter.add s.combined ~tid (pushes + pops - eliminated)
-
-  (* Contention controller (cf. "A Dynamic Elimination-Combining Stack
-     Algorithm", PAPERS.md): every freeze feeds its batch size into a
-     window; once [adapt_window] batches have been frozen, the freezer
-     that closes the window compares the window's mean batching degree
-     against two thresholds and widens or narrows the routing. Hysteresis
-     (grow at a mean of >= [grow_degree] ops/batch, shrink only at
-     <= [shrink_degree]) keeps the controller from oscillating on
-     workloads that hover between the two. Runs without [Config.adaptive]
-     never touch these cells, so the static path is unchanged. *)
-  let adapt_window = 16
-  let grow_degree = 4
-  let shrink_degree_x2 = 3 (* shrink when 2 * mean <= 3, i.e. mean <= 1.5 *)
-
-  let adapt t ~ops =
-    ignore (A.fetch_and_add t.win_ops ops);
-    let b = A.fetch_and_add t.win_batches 1 + 1 in
-    if b >= adapt_window && A.compare_and_set t.win_batches b 0 then begin
-      (* One winner per window: the CAS above closes it, the exchange
-         claims its tally (concurrent freezers may have added a few more
-         ops — they roll into this window's mean, which is fine). *)
-      let total = A.exchange t.win_ops 0 in
-      let k = A.get t.active in
-      if total >= grow_degree * b && k < Array.length t.aggregators then
-        A.set t.active (k + 1)
-      else if 2 * total <= shrink_degree_x2 * b && k > 1 then
-        A.set t.active (k - 1)
-    end
-
-  (* The freezer lingers so more operations join the batch, raising the
-     elimination/combining degree (paper, Section 3.1). The wait is
-     adaptive: poll the announcement counters and keep waiting while the
-     batch is still growing, up to [freeze_backoff] relax units in total —
-     so a lone thread freezes almost immediately while a busy aggregator
-     gathers a full batch. *)
-  let freezer_backoff t batch =
-    let budget = t.config.Config.freeze_backoff in
-    if budget > 0 then begin
-      (* Short initial probe: a lone thread freezes almost immediately.
-         If anything else announced during it, keep extending in windows
-         long enough to cover a contended cross-socket announce — or a
-         thread whose fetch&increment queues behind a few others misses
-         every batch's window and starves. *)
-      let initial = Int.max 512 (budget / 32) in
-      let extension = Int.max 1024 (budget / 8) in
-      let announced () = A.get batch.push_count + A.get batch.pop_count in
-      P.relax initial;
-      let after_initial = announced () in
-      if after_initial > 1 then begin
-        (* Others are arriving: let the batch grow. *)
-        let rec wait spent seen =
-          if spent < budget then begin
-            P.relax extension;
-            let now = announced () in
-            if now > seen then wait (spent + extension) now
-          end
-        in
-        wait initial after_initial
-      end
-    end
-
-  let freeze_batch t ~tid aggregator batch =
-    freezer_backoff t batch;
-    (* When more live threads than [max_threads] announce into one batch,
-       the counters race past [capacity]. Announcements at or past it own
-       no elimination slot (the push path bails out before depositing), so
-       the snapshot must exclude them; they retry in a later batch.
-       [Batch_overflow] is the seeded mutant reintroducing the unclamped
-       snapshot (Config.mutation — refinement-prong tests only). *)
-    let clamp c =
-      if t.config.Config.mutation = Config.Batch_overflow then c
-      else Int.min c t.capacity
-    in
-    let pops = clamp (A.get batch.pop_count) in
-    let pushes = clamp (A.get batch.push_count) in
-    A.set batch.pop_at_freeze pops;
-    A.set batch.push_at_freeze pushes;
-    record_batch_stats t ~tid ~pushes ~pops;
-    if t.config.Config.adaptive then adapt t ~ops:(pushes + pops);
-    (* Installing the new batch is what releases the waiting announcers. *)
-    A.set aggregator.batch (make_batch t.capacity)
-
-  (* Announce via FAA, then either freeze (if we won the seq-0 test&set
-     race) or wait until the freezer retires the batch. Returns true when
-     the caller's operation belongs to [batch]. *)
-  let announce_and_freeze t ~tid aggregator batch ~seq ~counter_at_freeze =
-    if seq = 0 && not (A.exchange batch.freezer_decided true) then
-      freeze_batch t ~tid aggregator batch
-    else Backoff.spin_while (fun () -> A.get aggregator.batch == batch);
-    let included = seq < A.get counter_at_freeze in
-    (if not included then
-       match t.stats with
-       | Some s -> Counter.incr s.excluded ~tid
-       | None -> ());
-    included
-
-  (* ------------------------------------------------------------------ *)
-  (* Combining for pushes (paper: PushToStack, lines 33–51)              *)
-
-  let node_of batch i =
-    (* The announcer with sequence number [i] deposits its node right
-       after its FAA; the combiner may momentarily have to wait for it. *)
-    Backoff.spin_until (fun () ->
-        match A.get batch.elimination.(i) with Some _ -> true | None -> false);
-    match A.get batch.elimination.(i) with
-    | Some n -> n
-    | None -> assert false
-
-  let push_to_stack t batch ~seq =
-    let push_frozen = A.get batch.push_at_freeze in
-    (* Link the surviving pushes [seq .. push_frozen) into a substack:
-       higher sequence numbers end up nearer the top. *)
-    let bottom = node_of batch seq in
-    let top_of_substack = ref bottom in
-    for i = seq + 1 to push_frozen - 1 do
-      let n = node_of batch i in
-      n.next <- Some !top_of_substack;
-      top_of_substack := n
-    done;
-    (* Combiners retry immediately: there are at most K of them, an entire
-       batch of waiters stalls while one dawdles, and backing off after a
-       failed CAS just surrenders the loser's place behind a stream of
-       fresh combiners. *)
-    let rec attempt () =
-      (let current_top = A.get t.top in
-       bottom.next <- current_top;
-       if not (A.compare_and_set t.top current_top (Some !top_of_substack))
-       then attempt ())
-      [@await_ok
-        "a failed CAS means another combiner landed its whole batch; at \
-         most K combiners compete, so retrying bare is the right call"]
-    in
-    attempt ()
-
-  (* ------------------------------------------------------------------ *)
-  (* Combining for pops (paper: PopFromStack + GetValue, lines 80–103)   *)
-
-  let pop_from_stack t batch ~seq =
-    let pop_frozen = A.get batch.pop_at_freeze in
-    let to_remove = pop_frozen - seq in
-    let rec attempt () =
-      let current_top = A.get t.top in
-      (* Walk down min(to_remove, depth) nodes; the remainder of the batch
-         will observe an empty stack. *)
-      let rec walk node k =
-        if k = 0 then node
-        else match node with None -> None | Some n -> walk n.next (k - 1)
-      in
-      let new_top = walk current_top to_remove in
-      (if A.compare_and_set t.top current_top new_top then
-         A.set batch.substack
-           (* [Pop_reorder] is the seeded mutant publishing the remaining
-              stack instead of the detached chain (Config.mutation —
-              refinement-prong tests only). *)
-           (if t.config.Config.mutation = Config.Pop_reorder then new_top
-            else current_top)
-       else attempt ())
-      [@await_ok
-        "a failed CAS means another combiner landed its whole batch; at \
-         most K combiners compete, so retrying bare is the right call"]
-    in
-    attempt ()
-
-  let get_value batch ~offset =
-    let rec walk node k =
-      match node with
-      | None -> None
-      | Some n -> if k = 0 then Some n.value else walk n.next (k - 1)
-    in
-    walk (A.get batch.substack) offset
-
-  (* The detached chain's nodes are unreachable from [top] (the combiner's
-     CAS snipped them out), so once every combined pop of the batch has
-     read its value the chain can be recycled. Each reader bumps
-     [batch.consumed] *after* its [get_value]; the one that brings it to
-     the participant count walks the chain. [next] is read before the
-     node is recycled: a recycled node can be adopted (a full magazine
-     parks its chain in the slab store) and re-initialised by another
-     thread immediately. *)
-  let recycle_chain t ~tid batch ~limit =
-    let rec walk node k =
-      if k < limit then
-        match node with
-        | None -> () (* batch outran the stack: chain is shorter *)
-        | Some n ->
-            let next = n.next in
-            Mag.recycle t.mag ~tid n;
-            walk next (k + 1)
-    in
-    walk (A.get batch.substack) 0
-
-  (* ------------------------------------------------------------------ *)
-  (* Public operations (paper: Algorithms 1 and 2)                       *)
-
-  (* A recycled node is private to this push until the elimination-slot
-     store publishes it: its previous life ended either in an eliminated
-     pop (the only reader read the value before recycling) or in a
-     detached chain whose last reader recycled it after every [get_value]
-     completed, so the in-place stores below race with nothing. *)
-  let make_node t ~tid value =
-    if t.recycle then
-      match Mag.alloc t.mag ~tid with
-      | Some n ->
-          n.value <- value;
-          n.next <- None;
-          n
-      | None ->
-          P.note_alloc ();
-          ({ value; next = None }
-          [@fresh_ok "magazine miss: cold start or pop-starved run"])
-    else begin
-      P.note_alloc ();
-      ({ value; next = None } [@fresh_ok "recycling disabled in config"])
-    end
-
-  let push t ~tid value =
-    let aggregator = aggregator_of t tid in
-    let node = make_node t ~tid value in
-    let rec try_batch () =
-      let batch = A.get aggregator.batch in
-      let seq = A.fetch_and_add batch.push_count 1 in
-      if seq >= t.capacity then begin
-        (* No elimination slot for us: more announcements landed in this
-           batch than the stack was sized for (live threads exceed
-           [max_threads]). The freeze snapshot clamps to [capacity], so we
-           are excluded by construction — wait out the batch and retry. *)
-        (match t.stats with
-        | Some s -> Counter.incr s.excluded ~tid
-        | None -> ());
-        Backoff.spin_while (fun () -> A.get aggregator.batch == batch);
-        try_batch ()
-      end
-      else begin
-        A.set batch.elimination.(seq) (Some node);
-        if
-          announce_and_freeze t ~tid aggregator batch ~seq
-            ~counter_at_freeze:batch.push_at_freeze
-        then begin
-          let pop_frozen = A.get batch.pop_at_freeze in
-          if seq >= pop_frozen then
-            (* Not eliminated; the smallest surviving push combines. *)
-            if seq = pop_frozen then begin
-              push_to_stack t batch ~seq;
-              A.set batch.batch_applied true
-            end
-            else Backoff.spin_until (fun () -> A.get batch.batch_applied)
-          (* else: a pop with our sequence number consumed our node. *)
-        end
-        else try_batch ()
-      end
-    in
-    try_batch ()
-
-  let pop t ~tid =
-    let aggregator = aggregator_of t tid in
-    let rec try_batch () =
-      let batch = A.get aggregator.batch in
-      let seq = A.fetch_and_add batch.pop_count 1 in
-      if
-        announce_and_freeze t ~tid aggregator batch ~seq
-          ~counter_at_freeze:batch.pop_at_freeze
-      then begin
-        let push_frozen = A.get batch.push_at_freeze in
-        if seq < push_frozen then begin
-          (* Eliminated: take the value deposited by the push that shares
-             our sequence number. We are that node's only reader, so with
-             recycling on it goes straight back to a magazine. *)
-          let n = node_of batch seq in
-          let v = n.value in
-          if t.recycle then Mag.recycle t.mag ~tid n;
-          Some v
-        end
-        else begin
-          if seq = push_frozen then begin
-            pop_from_stack t batch ~seq;
-            A.set batch.batch_applied true
-          end
-          else Backoff.spin_until (fun () -> A.get batch.batch_applied);
-          let v = get_value batch ~offset:(seq - push_frozen) in
-          (if t.recycle then
-             (* Participants in the combined phase are exactly the pops
-                with sequence numbers in [push_frozen, pop_frozen) — the
-                combiner included. The last to finish reading recycles
-                the detached chain. *)
-             let total = A.get batch.pop_at_freeze - push_frozen in
-             let finished = A.fetch_and_add batch.consumed 1 + 1 in
-             if finished = total then recycle_chain t ~tid batch ~limit:total);
-          v
-        end
-      end
-      else try_batch ()
-    in
-    try_batch ()
+  let push t ~tid value = B.push_op t ~tid value
+  let pop t ~tid = B.pop_op t ~tid
 
   (* With recycling off, a node reachable from [top] is immutable, so one
      read suffices. With recycling on, the node could be popped, recycled
@@ -496,13 +91,14 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
      equality proves the stack did not move under us (and a node still at
      the top cannot have been recycled: recycling happens only after the
      node is unlinked). *)
-  let peek t ~tid:_ =
+  let peek (t : _ t) ~tid:_ =
+    let top = t.store.top in
     let rec attempt () =
-      match A.get t.top with
+      match A.get top with
       | None -> None
       | Some n as cur ->
-          let v = n.value in
-          if (not t.recycle) || A.get t.top == cur then Some v
+          let v = n.Batch.value in
+          if (not t.recycle) || A.get top == cur then Some v
           else begin
             P.relax 1;
             attempt ()
@@ -510,31 +106,18 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
     in
     attempt ()
 
-  (* ------------------------------------------------------------------ *)
-  (* Introspection                                                       *)
-
-  let stats t =
-    match t.stats with
-    | None -> Sec_stats.empty
-    | Some s ->
-        {
-          Sec_stats.batches = Counter.get s.batches;
-          operations = Counter.get s.operations;
-          eliminated = Counter.get s.eliminated;
-          combined = Counter.get s.combined;
-          excluded = Counter.get s.excluded;
-        }
-
-  let config t = t.config
-  let magazine_stats t = Mag.stats t.mag
-  let magazine_hit_rate t = Mag.hit_rate t.mag
-  let slab_stats t = Mag.slab_stats t.mag
+  let stats = B.stats
+  let config = B.config
+  let active_aggregators = B.active_aggregators
+  let magazine_stats = B.magazine_stats
+  let magazine_hit_rate = B.magazine_hit_rate
+  let slab_stats = B.slab_stats
 
   (* Current depth of the shared stack; O(n), single snapshot of [top],
      for tests and examples only. *)
-  let depth t =
+  let depth (t : _ t) =
     let rec count node acc =
-      match node with None -> acc | Some n -> count n.next (acc + 1)
+      match node with None -> acc | Some n -> count n.Batch.next (acc + 1)
     in
-    count (A.get t.top) 0
+    count (A.get t.store.top) 0
 end

@@ -127,6 +127,33 @@ let test_no_global_hot_spot () =
   in
   Alcotest.(check int) "drained everything from one side" 20 (drain 0)
 
+(* Schedule pin: the pool's whole simulated schedule under a fixed seed,
+   8 fibers on 2 aggregators, 100% updates. The pool runs on the shared
+   batch engine, so an engine edit that moves the pool's schedule (its
+   freezer, announce or combine steps) changes this digest and must be
+   re-recorded deliberately. *)
+let pinned_pool_digest = 4456098729832276427
+
+let pool_schedule_digest () =
+  let _, stats =
+    Sec_sim.Sim.run ~seed:42 ~topology:Sec_sim.Topology.emerald (fun () ->
+        let p = SimPool.create ~aggregators:2 ~max_threads:8 () in
+        for _ = 1 to 8 do
+          Sec_sim.Sim.spawn (fun () ->
+              let tid = Sec_sim.Sim.fiber_id () in
+              for i = 1 to 50 do
+                if Sec_sim.Sim.Prim.rand_int 2 = 0 then SimPool.push p ~tid i
+                else ignore (SimPool.pop p ~tid)
+              done)
+        done;
+        Sec_sim.Sim.await_all ())
+  in
+  stats.Sec_sim.Sim.schedule_digest
+
+let test_schedule_pin () =
+  Alcotest.(check int) "pool schedule digest (seed 42, 8 fibers, 2 shards)"
+    pinned_pool_digest (pool_schedule_digest ())
+
 let qcheck_pool_multiset =
   QCheck.Test.make ~name:"pool: sequential multiset semantics" ~count:200
     QCheck.(list (option small_int))
@@ -176,5 +203,6 @@ let () =
           Alcotest.test_case "conservation (40 fibers)" `Quick
             test_conservation_simulated_at_scale;
           Alcotest.test_case "sharded stores" `Quick test_no_global_hot_spot;
+          Alcotest.test_case "schedule pin" `Quick test_schedule_pin;
         ] );
     ]

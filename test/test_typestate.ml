@@ -359,7 +359,7 @@ let test_shipped_automata_present () =
       (path ^ " declares " ^ name) [ name ]
       (Ts.automata_of ts ~file:(Filename.concat dir path))
   in
-  check "core/sec_stack.ml" "batch";
+  check "core/batch.ml" "batch";
   check "reclaim/ebr.ml" "epoch";
   Alcotest.(check (list string))
     "the unmutated library has no rule 11-13 diagnostics" []
@@ -367,7 +367,7 @@ let test_shipped_automata_present () =
 
 let test_sec_stack_freeze_order_mutant () =
   let ts =
-    analyze_mutant ~path:"core/sec_stack.ml"
+    analyze_mutant ~path:"core/batch.ml"
       ~what:
         "A.set batch.pop_at_freeze pops;\n    A.set batch.push_at_freeze pushes;"
       ~with_:
@@ -451,6 +451,30 @@ let test_three_way_static () =
             file)
     Registry.refine_set
 
+(* SEC and its pool own no blocking wait: every stuck spin lives in the
+   shared batch engine, so both files are blocking only through the
+   resolved call graph into core/batch.ml (as cc_stack.ml is through
+   ccsynch.ml). *)
+let test_sec_blocking_via_engine () =
+  let dir, _, ts = Lazy.force lib in
+  let stuck path =
+    List.filter_map
+      (fun (_, name, _, c, _) ->
+        if Ts.loop_class_to_string c = "stuck_spin" then Some name else None)
+      (Ts.loops ts ~file:(Filename.concat dir path))
+  in
+  Alcotest.(check bool) "the engine holds the stuck waits" true
+    (stuck "core/batch.ml" <> []);
+  List.iter
+    (fun path ->
+      Alcotest.(check (list string)) (path ^ " has no local stuck wait") []
+        (stuck path);
+      Alcotest.(check (option string))
+        (path ^ " is blocking via the engine") (Some "blocking")
+        (Option.map Ts.verdict_to_string
+           (Ts.verdict_of ts ~file:(Filename.concat dir path))))
+    [ "core/sec_stack.ml"; "core/sec_pool.ml" ]
+
 (* Leg 2 (dynamic) for the entries test_progress.ml does not cover:
    the reclaimed and recycling/adaptive variants and the pool. *)
 let stack_scenario ?(tids = [| 0; 1 |]) (module M : Registry.MAKER) () =
@@ -511,9 +535,9 @@ let test_facts_monotone_over_fixtures () =
 let test_cfg_stats () =
   let dir, _, ts = Lazy.force lib in
   let units, nodes, heads =
-    Ts.cfg_stats ts ~file:(Filename.concat dir "core/sec_stack.ml")
+    Ts.cfg_stats ts ~file:(Filename.concat dir "core/batch.ml")
   in
-  Alcotest.(check bool) "sec_stack has analysed units" true (units > 5);
+  Alcotest.(check bool) "the batch engine has analysed units" true (units > 5);
   Alcotest.(check bool) "CFGs have nodes" true (nodes > units);
   Alcotest.(check bool) "and loop heads" true (heads > 0)
 
@@ -551,6 +575,8 @@ let () =
       ( "three-way",
         quick "static = declared = registry, all entries"
           test_three_way_static
+        :: quick "SEC and pool blocking via the batch engine"
+             test_sec_blocking_via_engine
         :: List.map
              (fun (entry : Registry.entry) ->
                slow
