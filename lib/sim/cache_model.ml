@@ -1,9 +1,13 @@
 (* Socket-granular MESI-flavoured cost model.
 
-   Every simulated atomic cell is its own cache line (identified by an
-   integer). For each line we track the owning core (last writer, if its
-   copy is still exclusive) and a bitmask of sockets holding a shared
-   copy. Charging rules:
+   Every simulated atomic cell is its own cache line. The cell holds its
+   [line] record directly, so a line lives exactly as long as its cell:
+   the model keeps no table of lines, and a dead cell's line is garbage
+   like the cell itself. Each line carries an integer id (allocation
+   order) for the analyses that key tables on locations. For each line
+   we track the owning core (last writer, if its copy is still
+   exclusive) and a bitmask of sockets holding a shared copy. Charging
+   rules:
 
    - read: cheap if we own the line or our socket holds a copy; otherwise
      a transfer from the owner's socket (local or remote), after which our
@@ -25,6 +29,7 @@
 type kind = Read | Write | Rmw
 
 type line = {
+  id : int; (* allocation order within one model *)
   mutable owner : int; (* core id of exclusive owner, -1 if none *)
   mutable owner_socket : int;
   mutable sharers : int; (* socket bitmask (<= 62 sockets) *)
@@ -41,15 +46,12 @@ type t = {
   remote_transfer : int;
   rmw_extra : int;
   invalidate_per_socket : int;
-  mutable lines : line array;
-  mutable used : int;
+  mutable next_id : int;
   (* traffic statistics *)
   mutable transfers : int;
   mutable remote_transfers : int;
   mutable invalidations : int;
 }
-
-let fresh_line () = { owner = -1; owner_socket = -1; sharers = 0; busy_until = 0 }
 
 let create topo =
   let c = topo.Topology.costs in
@@ -60,8 +62,7 @@ let create topo =
     remote_transfer = c.Topology.remote_transfer;
     rmw_extra = c.Topology.rmw_extra;
     invalidate_per_socket = c.Topology.invalidate_per_socket;
-    lines = Array.init 1024 (fun _ -> fresh_line ());
-    used = 0;
+    next_id = 0;
     transfers = 0;
     remote_transfers = 0;
     invalidations = 0;
@@ -71,32 +72,29 @@ let create topo =
    the creating core: its own subsequent accesses are L1 hits and only
    *other* threads pay a transfer — as on real hardware. *)
 let new_line t ~core ~socket =
-  if t.used >= Array.length t.lines then begin
-    let bigger =
-      Array.init
-        (2 * Array.length t.lines)
-        (fun i -> if i < Array.length t.lines then t.lines.(i) else fresh_line ())
-    in
-    t.lines <- bigger
-  end;
-  let id = t.used in
-  t.used <- id + 1;
-  let line = t.lines.(id) in
-  line.owner <- core;
-  line.owner_socket <- socket;
-  line.sharers <- 1 lsl socket;
-  id
+  let id = t.next_id in
+  t.next_id <- id + 1;
+  {
+    id;
+    owner = core;
+    owner_socket = socket;
+    sharers = 1 lsl socket;
+    busy_until = 0;
+  }
+
+(* A line no model has charged: schedulers that do not price accesses
+   ({!Explore}) hand these out and key their tables on [id]. *)
+let line_of_id id =
+  { id; owner = -1; owner_socket = -1; sharers = 0; busy_until = 0 }
+let[@inline] line_id line = line.id
 
 let popcount =
   let rec go acc n = if n = 0 then acc else go (acc + (n land 1)) (n lsr 1) in
   go 0
 
 (* Returns the accessor's new virtual time after performing [kind] on
-   [loc] at time [now]. *)
-let access t ~core ~socket ~loc ~now kind =
-  (* [loc] came from [new_line], so it is below [t.used] by construction;
-     this lookup runs once per simulated atomic access. *)
-  let line = Array.unsafe_get t.lines loc in
+   [line] at time [now]. *)
+let access t ~core ~socket ~line ~now kind =
   let bit = 1 lsl socket in
   (* A hit costs [cost] without occupying the line; a miss queues on the
      line and occupies it for the duration of the transfer. *)

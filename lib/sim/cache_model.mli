@@ -7,17 +7,30 @@ type kind = Read | Write | Rmw
 
 type t
 
+(** One simulated cache line. The model keeps no reference to it: the
+    cell that owns it does, so it is collected with that cell. *)
+type line
+
 val create : Topology.t -> t
 
-(** Allocate a fresh line, returning its id. The line starts exclusively
-    owned by the creating core (allocation writes it). *)
-val new_line : t -> core:int -> socket:int -> int
+(** Allocate a fresh line with the model's next id. The line starts
+    exclusively owned by the creating core (allocation writes it). *)
+val new_line : t -> core:int -> socket:int -> line
 
-(** [access t ~core ~socket ~loc ~now kind] performs one access at virtual
-    time [now] and returns the accessor's new virtual time. Misses and
-    RMWs from non-owners queue on the line's availability (a hot line is a
-    serial resource); hits are charged without occupying the line. *)
-val access : t -> core:int -> socket:int -> loc:int -> now:int -> kind -> int
+(** A line carrying only [id], owned by nobody. For schedulers that do
+    not charge accesses and key their tables on the id. *)
+val line_of_id : int -> line
+
+(** The line's id: allocation order within its model (or the id given
+    to {!line_of_id}). *)
+val line_id : line -> int
+
+(** [access t ~core ~socket ~line ~now kind] performs one access at
+    virtual time [now] and returns the accessor's new virtual time.
+    Misses and RMWs from non-owners queue on the line's availability (a
+    hot line is a serial resource); hits are charged without occupying
+    the line. *)
+val access : t -> core:int -> socket:int -> line:line -> now:int -> kind -> int
 
 type traffic = { transfers : int; remote_transfers : int; invalidations : int }
 

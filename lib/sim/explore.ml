@@ -253,10 +253,11 @@ and run_fiber ctx fiber body =
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
-          | Sim_effects.Access (loc, kind) ->
+          | Sim_effects.Access (line, kind) ->
               Some
                 (fun (k : (a, _) continuation) ->
-                  at_access ctx ~loc ~kind (fun () -> continue k ()))
+                  at_access ctx ~loc:(Cache_model.line_id line) ~kind (fun () ->
+                      continue k ()))
           | Sim_effects.Relax _ -> Some (fun k -> continue k ())
           | Sim_effects.Yield ->
               Some
@@ -273,7 +274,7 @@ and run_fiber ctx fiber body =
                 (fun k ->
                   let id = ctx.next_loc in
                   ctx.next_loc <- id + 1;
-                  continue k id)
+                  continue k (Cache_model.line_of_id id))
           | Sim_effects.Now -> Some (fun k -> continue k (Int64.of_int ctx.step))
           | Sim_effects.Rand_int n ->
               Some
@@ -455,7 +456,7 @@ let setup_effc :
         (fun k ->
           let id = ctx.next_loc in
           ctx.next_loc <- id + 1;
-          continue k id)
+          continue k (Cache_model.line_of_id id))
   | Sim_effects.Now -> Some (fun k -> continue k (Int64.of_int ctx.step))
   | Sim_effects.Rand_int n ->
       Some (fun k -> continue k (Sec_prim.Rng.int ctx.setup_rng n))

@@ -285,12 +285,12 @@ let[@inline] check_freeze ctx =
        ctx.suspend_seen = ctx.suspend_after
      end
 
-let[@inline] access_time ctx loc kind =
+let[@inline] access_time ctx line kind =
   let slot = ctx.current in
   Cache_model.access ctx.cache
     ~core:(Array.unsafe_get ctx.f_core slot)
     ~socket:(Array.unsafe_get ctx.f_socket slot)
-    ~loc
+    ~line
     ~now:(Array.unsafe_get ctx.f_time slot)
     kind
 
@@ -394,13 +394,13 @@ and run_fiber ctx body =
              dispatch fast path bypasses it) but still honoured, for
              analysis hooks that perform [Fiber_id] and for any caller
              performing {!Sim_effects} effects directly. *)
-          | Access (loc, kind) ->
+          | Access (line, kind) ->
               Some
                 (fun (k : (a, _) continuation) ->
                   if check_freeze ctx then on_freeze ctx
                   else begin
                     Sim_effects.Progress.on_event (fid_of ctx.current);
-                    legacy_advance ctx (access_time ctx loc kind) k
+                    legacy_advance ctx (access_time ctx line kind) k
                   end)
           | Relax n ->
               Some
@@ -468,11 +468,11 @@ let dispatch_of ctx =
         Cache_model.new_line ctx.cache ~core:ctx.f_core.(ctx.current)
           ~socket:ctx.f_socket.(ctx.current));
     d_access =
-      (fun loc kind ->
+      (fun line kind ->
         if check_freeze ctx then Effect.perform Freeze
         else begin
           Sim_effects.Progress.on_event (fid_of ctx.current);
-          if advance ctx (access_time ctx loc kind) then Effect.perform Switch
+          if advance ctx (access_time ctx line kind) then Effect.perform Switch
         end);
     d_relax =
       (fun n ->

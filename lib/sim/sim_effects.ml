@@ -11,8 +11,8 @@
    installed the cost is a single ref read per operation. *)
 
 type _ Effect.t +=
-  | New_loc : int Effect.t
-  | Access : int * Cache_model.kind -> unit Effect.t
+  | New_loc : Cache_model.line Effect.t
+  | Access : Cache_model.line * Cache_model.kind -> unit Effect.t
   | Relax : int -> unit Effect.t
   | Yield : unit Effect.t
   | Now : int64 Effect.t
@@ -53,8 +53,8 @@ let alloc_tally () = Domain.DLS.get alloc_key
    [Effect.Unhandled], exactly as before. *)
 
 type dispatch = {
-  d_new_loc : unit -> int;
-  d_access : int -> Cache_model.kind -> unit;
+  d_new_loc : unit -> Cache_model.line;
+  d_access : Cache_model.line -> Cache_model.kind -> unit;
   d_relax : int -> unit;
   d_yield : unit -> unit;
   d_now : unit -> int64;
@@ -72,7 +72,7 @@ type dispatch = {
 let effect_dispatch =
   {
     d_new_loc = (fun () -> Effect.perform New_loc);
-    d_access = (fun loc kind -> Effect.perform (Access (loc, kind)));
+    d_access = (fun line kind -> Effect.perform (Access (line, kind)));
     d_relax = (fun n -> Effect.perform (Relax n));
     d_yield = (fun () -> Effect.perform Yield);
     d_now = (fun () -> Effect.perform Now);
@@ -104,11 +104,12 @@ let restore d = Domain.DLS.set disp_key d
 module Detect = struct
   type event = Make | Read | Write | Rmw | Cas of bool
 
-  let notify loc event =
+  let notify line event =
     match !Sec_analysis.Race_detector.active with
     | None -> ()
     | Some d -> (
         let fiber = Effect.perform Fiber_id in
+        let loc = Cache_model.line_id line in
         let open Sec_analysis.Race_detector in
         match event with
         | Make -> on_make d ~fiber ~loc
@@ -152,40 +153,41 @@ end
 
 module Prim : Sec_prim.Prim_intf.EXEC with type budget = int = struct
   module Atomic = struct
-    type 'a t = { loc : int; mutable v : 'a }
+    (* The cell holds its cache line, so the line dies with the cell. *)
+    type 'a t = { line : Cache_model.line; mutable v : 'a }
 
     (* Whichever scheduler dispatches these accesses runs exactly one
        fiber at a time, so after the dispatch accounts for the access we
        can act on [v] directly. *)
     let make v =
-      let loc = (dispatch ()).d_new_loc () in
-      Detect.notify loc Detect.Make;
-      { loc; v }
+      let line = (dispatch ()).d_new_loc () in
+      Detect.notify line Detect.Make;
+      { line; v }
 
     let make_padded = make (* every simulated cell is its own line *)
 
     let get t =
-      (dispatch ()).d_access t.loc Cache_model.Read;
-      Detect.notify t.loc Detect.Read;
+      (dispatch ()).d_access t.line Cache_model.Read;
+      Detect.notify t.line Detect.Read;
       t.v
 
     let set t v =
-      (dispatch ()).d_access t.loc Cache_model.Write;
-      Detect.notify t.loc Detect.Write;
+      (dispatch ()).d_access t.line Cache_model.Write;
+      Detect.notify t.line Detect.Write;
       t.v <- v
 
     let exchange t v =
-      (dispatch ()).d_access t.loc Cache_model.Rmw;
-      Detect.notify t.loc Detect.Rmw;
+      (dispatch ()).d_access t.line Cache_model.Rmw;
+      Detect.notify t.line Detect.Rmw;
       let old = t.v in
       t.v <- v;
       old
 
     let compare_and_set t expected desired =
       (* A failing CAS still costs the line transfer. *)
-      (dispatch ()).d_access t.loc Cache_model.Rmw;
+      (dispatch ()).d_access t.line Cache_model.Rmw;
       let success = t.v == expected in
-      Detect.notify t.loc (Detect.Cas success);
+      Detect.notify t.line (Detect.Cas success);
       if success then begin
         t.v <- desired;
         true
@@ -193,8 +195,8 @@ module Prim : Sec_prim.Prim_intf.EXEC with type budget = int = struct
       else false
 
     let fetch_and_add t n =
-      (dispatch ()).d_access t.loc Cache_model.Rmw;
-      Detect.notify t.loc Detect.Rmw;
+      (dispatch ()).d_access t.line Cache_model.Rmw;
+      Detect.notify t.line Detect.Rmw;
       let old = t.v in
       t.v <- old + n;
       old

@@ -14,39 +14,39 @@ let costs = Topology.default_costs
 
 let test_cache_read_costs () =
   let c = Cache.create Topology.testbox in
-  let loc = Cache.new_line c ~core:7 ~socket:1 in
+  let line = Cache.new_line c ~core:7 ~socket:1 in
   (* The creator owns the line: its reads are L1 hits. *)
-  let creator = Cache.access c ~core:7 ~socket:1 ~loc ~now:100 Cache.Read in
+  let creator = Cache.access c ~core:7 ~socket:1 ~line ~now:100 Cache.Read in
   Alcotest.(check int) "creator reads own line" (100 + costs.Topology.l1_hit)
     creator;
   (* First read from the other socket: a remote transfer. *)
-  let first = Cache.access c ~core:0 ~socket:0 ~loc ~now:200 Cache.Read in
+  let first = Cache.access c ~core:0 ~socket:0 ~line ~now:200 Cache.Read in
   Alcotest.(check int) "cross-socket first read"
     (200 + costs.Topology.remote_transfer)
     first;
   (* Re-read: now cached in our socket. *)
-  let again = Cache.access c ~core:0 ~socket:0 ~loc ~now:500 Cache.Read in
+  let again = Cache.access c ~core:0 ~socket:0 ~line ~now:500 Cache.Read in
   Alcotest.(check int) "shared re-read" (500 + costs.Topology.shared_hit) again
 
 let test_cache_write_invalidates () =
   let c = Cache.create Topology.testbox in
-  let loc = Cache.new_line c ~core:0 ~socket:0 in
-  ignore (Cache.access c ~core:0 ~socket:0 ~loc ~now:0 Cache.Read);
-  ignore (Cache.access c ~core:4 ~socket:1 ~loc ~now:0 Cache.Read);
+  let line = Cache.new_line c ~core:0 ~socket:0 in
+  ignore (Cache.access c ~core:0 ~socket:0 ~line ~now:0 Cache.Read);
+  ignore (Cache.access c ~core:4 ~socket:1 ~line ~now:0 Cache.Read);
   (* A write from socket 0 must pay to invalidate socket 1's copy. *)
-  let w = Cache.access c ~core:0 ~socket:0 ~loc ~now:1_000 Cache.Write in
+  let w = Cache.access c ~core:0 ~socket:0 ~line ~now:1_000 Cache.Write in
   Alcotest.(check bool) "write pays invalidation" true
     (w
     >= 1_000 + costs.Topology.local_transfer
        + costs.Topology.invalidate_per_socket);
   (* Writer now owns the line exclusively. *)
-  let own = Cache.access c ~core:0 ~socket:0 ~loc ~now:2_000 Cache.Write in
+  let own = Cache.access c ~core:0 ~socket:0 ~line ~now:2_000 Cache.Write in
   Alcotest.(check int) "exclusive rewrite" (2_000 + costs.Topology.l1_hit) own
 
 let test_cache_rmw_premium () =
   let c = Cache.create Topology.testbox in
-  let loc = Cache.new_line c ~core:0 ~socket:0 in
-  let owned_rmw = Cache.access c ~core:0 ~socket:0 ~loc ~now:0 Cache.Rmw in
+  let line = Cache.new_line c ~core:0 ~socket:0 in
+  let owned_rmw = Cache.access c ~core:0 ~socket:0 ~line ~now:0 Cache.Rmw in
   Alcotest.(check int) "owned RMW = l1 + premium"
     (costs.Topology.l1_hit + costs.Topology.rmw_extra)
     owned_rmw
@@ -56,30 +56,47 @@ let test_cache_line_serializes () =
      finishes a full transfer after the first. This is the property that
      makes a hot CAS cell a sequential bottleneck. *)
   let c = Cache.create Topology.testbox in
-  let loc = Cache.new_line c ~core:9 ~socket:1 in
-  let e1 = Cache.access c ~core:0 ~socket:0 ~loc ~now:0 Cache.Rmw in
-  let e2 = Cache.access c ~core:1 ~socket:0 ~loc ~now:0 Cache.Rmw in
-  let e3 = Cache.access c ~core:2 ~socket:0 ~loc ~now:0 Cache.Rmw in
+  let line = Cache.new_line c ~core:9 ~socket:1 in
+  let e1 = Cache.access c ~core:0 ~socket:0 ~line ~now:0 Cache.Rmw in
+  let e2 = Cache.access c ~core:1 ~socket:0 ~line ~now:0 Cache.Rmw in
+  let e3 = Cache.access c ~core:2 ~socket:0 ~line ~now:0 Cache.Rmw in
   Alcotest.(check bool) "second queues behind first" true (e2 >= e1 + 1);
   Alcotest.(check bool) "third queues behind second" true (e3 >= e2 + 1);
   (* A hit on an unrelated line does not queue. *)
-  let loc2 = Cache.new_line c ~core:0 ~socket:0 in
-  let h = Cache.access c ~core:0 ~socket:0 ~loc:loc2 ~now:0 Cache.Read in
+  let line2 = Cache.new_line c ~core:0 ~socket:0 in
+  let h = Cache.access c ~core:0 ~socket:0 ~line:line2 ~now:0 Cache.Read in
   Alcotest.(check int) "independent line is free" costs.Topology.l1_hit h
 
 let test_cache_ping_pong_traffic () =
   (* Alternating RMWs from two sockets: every access is a transfer. *)
   let c = Cache.create Topology.testbox in
-  let loc = Cache.new_line c ~core:9 ~socket:1 in
+  let line = Cache.new_line c ~core:9 ~socket:1 in
   let now = ref 0 in
   for _ = 1 to 10 do
-    now := Cache.access c ~core:0 ~socket:0 ~loc ~now:!now Cache.Rmw;
-    now := Cache.access c ~core:4 ~socket:1 ~loc ~now:!now Cache.Rmw
+    now := Cache.access c ~core:0 ~socket:0 ~line ~now:!now Cache.Rmw;
+    now := Cache.access c ~core:4 ~socket:1 ~line ~now:!now Cache.Rmw
   done;
   let t = Cache.traffic c in
   Alcotest.(check bool) "transfers counted" true (t.Cache.transfers >= 19);
   Alcotest.(check bool) "remote transfers counted" true
     (t.Cache.remote_transfers >= 18)
+
+(* The model keeps no table of lines: once the cell owning a line is
+   gone, so is the line, however long the model itself lives. Without
+   this, a long simulation's memory grows with every cell it ever made. *)
+let[@inline never] weak_fresh_line c =
+  let w = Weak.create 1 in
+  Weak.set w 0 (Some (Cache.new_line c ~core:0 ~socket:0));
+  w
+
+let test_cache_line_collectable () =
+  let c = Cache.create Topology.testbox in
+  let w = weak_fresh_line c in
+  Gc.full_major ();
+  Alcotest.(check bool) "dead line collected" false (Weak.check w 0);
+  (* The model is still alive here and keeps allocating. *)
+  let line = Cache.new_line c ~core:0 ~socket:0 in
+  Alcotest.(check int) "ids continue" 1 (Cache.line_id line)
 
 let qcheck_cache_model_invariants =
   (* Random access sequences: end times never precede start times by less
@@ -101,7 +118,7 @@ let qcheck_cache_model_invariants =
           in
           let socket = core / 4 in
           let finish =
-            Cache.access c ~core ~socket ~loc:locs.(loc_idx) ~now:!now kind
+            Cache.access c ~core ~socket ~line:locs.(loc_idx) ~now:!now kind
           in
           let ok =
             finish >= !now + costs.Topology.l1_hit
@@ -572,6 +589,8 @@ let () =
             test_cache_ping_pong_traffic;
           Alcotest.test_case "smt siblings share cache" `Quick
             test_smt_siblings_share_cache;
+          Alcotest.test_case "dead line collectable" `Quick
+            test_cache_line_collectable;
           QCheck_alcotest.to_alcotest qcheck_cache_model_invariants;
         ] );
       ( "topology",
