@@ -91,6 +91,10 @@ module Make (P : Sec_prim.Prim_intf.S) (Store : STORE) = struct
         (* combined pops done reading [substack]; the last one may
            recycle the detached chain (only touched with
            [Config.recycle_nodes]) *)
+    expected : int;
+        (* size (pushes + pops) of the batch this one replaced on the same
+           aggregator ([capacity] for the first): the freezer stops
+           waiting once this many have announced *)
   }
 
   type 'a aggregator = { batch : 'a batch A.t }
@@ -121,7 +125,7 @@ module Make (P : Sec_prim.Prim_intf.S) (Store : STORE) = struct
     win_batches : int A.t; (* batches frozen in the current window *)
   }
 
-  let make_batch capacity =
+  let make_batch capacity ~expected =
     {
       push_count = A.make_padded 0;
       pop_count = A.make_padded 0;
@@ -135,6 +139,7 @@ module Make (P : Sec_prim.Prim_intf.S) (Store : STORE) = struct
       batch_applied = A.make_padded false;
       substack = A.make_padded None;
       consumed = A.make_padded 0;
+      expected;
     }
 
   (* [store k] builds the backing store for [k] aggregators. *)
@@ -154,7 +159,10 @@ module Make (P : Sec_prim.Prim_intf.S) (Store : STORE) = struct
       store = store config.Config.num_aggregators;
       aggregators =
         Array.init config.Config.num_aggregators (fun _ ->
-            { batch = A.make_padded (make_batch max_threads) });
+            {
+              batch =
+                A.make_padded (make_batch max_threads ~expected:max_threads);
+            });
       capacity = max_threads;
       config;
       stats =
@@ -230,7 +238,11 @@ module Make (P : Sec_prim.Prim_intf.S) (Store : STORE) = struct
      adaptive: poll the announcement counters and keep waiting while the
      batch is still growing, up to [freeze_backoff] relax units in total —
      so a lone thread freezes almost immediately while a busy aggregator
-     gathers a full batch. *)
+     gathers a full batch. It also stops as soon as the batch is as large
+     as the one before it ([expected]): when every thread of the shard is
+     already in, waiting longer cannot add anyone (cf. DECS, PAPERS.md:
+     pay for elimination and combining in proportion to the contention
+     met). *)
   let freezer_backoff t batch =
     let budget = t.config.Config.freeze_backoff in
     if budget > 0 then begin
@@ -244,13 +256,14 @@ module Make (P : Sec_prim.Prim_intf.S) (Store : STORE) = struct
       let announced () = A.get batch.push_count + A.get batch.pop_count in
       P.relax initial;
       let after_initial = announced () in
-      if after_initial > 1 then begin
+      if after_initial > 1 && after_initial < batch.expected then begin
         (* Others are arriving: let the batch grow. *)
         let rec wait spent seen =
           if spent < budget then begin
             P.relax extension;
             let now = announced () in
-            if now > seen then wait (spent + extension) now
+            if now > seen && now < batch.expected then
+              wait (spent + extension) now
           end
         in
         wait initial after_initial
@@ -276,7 +289,7 @@ module Make (P : Sec_prim.Prim_intf.S) (Store : STORE) = struct
     record_batch_stats t ~tid ~pushes ~pops;
     if t.config.Config.adaptive then adapt t ~ops:(pushes + pops);
     (* Installing the new batch is what releases the waiting announcers. *)
-    A.set aggregator.batch (make_batch t.capacity)
+    A.set aggregator.batch (make_batch t.capacity ~expected:(pushes + pops))
 
   let count_excluded t ~tid =
     match t.stats with Some s -> Counter.incr s.excluded ~tid | None -> ()

@@ -27,10 +27,11 @@ type t = {
   freeze_backoff : int;
       (** Budget, in relax units, for the freezer's adaptive wait before
           freezing its batch: it keeps polling while announcements still
-          arrive, up to this total. A longer wait lets more operations
-          join the batch, raising the elimination and combining degrees
-          (paper, Section 3.1). [0] freezes immediately (the ablation
-          benchmark uses this). *)
+          arrive, up to this total, and stops once the batch is as large
+          as the previous batch of its aggregator. A longer wait lets
+          more operations join the batch, raising the elimination and
+          combining degrees (paper, Section 3.1). [0] freezes
+          immediately (the ablation benchmark uses this). *)
   collect_stats : bool;
       (** Record per-batch statistics (batching degree, %eliminated,
           %combined — Tables 1–3). Costs a few striped-counter updates per

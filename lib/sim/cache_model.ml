@@ -86,6 +86,7 @@ let new_line t ~core ~socket =
    ({!Explore}) hand these out and key their tables on [id]. *)
 let line_of_id id =
   { id; owner = -1; owner_socket = -1; sharers = 0; busy_until = 0 }
+
 let[@inline] line_id line = line.id
 
 let popcount =

@@ -283,6 +283,94 @@ let test_capacity_overflow () =
   Alcotest.(check (list int)) "all pushes land" [ 1; 2; 3; 4; 5; 6 ] popped;
   Alcotest.(check bool) "overflow path exercised" true (excluded > 0)
 
+(* ------------------------------------------------------------------ *)
+(* Freezer wait (simulated emerald, 100% updates, fixed seeds)          *)
+
+module SP = Sec_sim.Sim.Prim
+module SimSec = Sec_core.Sec_stack.Make (SP)
+module SR = Sec_harness.Runner.Make (SP)
+
+(* Per-fiber completed operations of a timed SEC run: the shape of the
+   simulated benchmark workloads (prefill 1 000, the simulated runner's
+   loop overhead and jitter of 2) at a shorter budget. *)
+let sim_update_counts ~seed ~threads ~cycles =
+  fst
+    (Sec_sim.Sim.run ~seed ~jitter:2 ~topology:Sec_sim.Topology.emerald
+       (fun () ->
+         let s = SimSec.create ~max_threads:threads () in
+         for i = 1 to 1_000 do
+           SimSec.push s ~tid:0 i
+         done;
+         let outcome =
+           SR.drive ~op_overhead:Sec_harness.Sim_runner.loop_overhead ~threads
+             ~stop:(SR.Timed cycles) ~mix:Sec_harness.Workload.update_heavy
+             ~push:(fun ~tid v -> SimSec.push s ~tid v)
+             ~pop:(fun ~tid -> SimSec.pop s ~tid)
+             ~peek:(fun ~tid -> SimSec.peek s ~tid)
+             ()
+         in
+         outcome.SR.counts))
+
+(* The freezer stops waiting once its batch is as large as the previous
+   one. That must not leave a thread whose announcement keeps arriving
+   just after the freeze behind: every fiber completes at least 90% of
+   the mean. *)
+let check_fair ~threads =
+  let counts = sim_update_counts ~seed:1 ~threads ~cycles:1_000_000 in
+  let total = Array.fold_left ( + ) 0 counts in
+  let lo = Array.fold_left Int.min max_int counts in
+  let ratio = float_of_int (lo * threads) /. float_of_int total in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d fibers: min/mean %.3f >= 0.9" threads ratio)
+    true (ratio >= 0.9)
+
+let test_freezer_fair_56 () = check_fair ~threads:56
+let test_freezer_fair_12 () = check_fair ~threads:12
+
+(* Pinned throughput of the sim-uncontended shape (4 fibers, 2
+   aggregators, so 2 per shard): a freezer edit that moves it fails
+   here. A freezer that waits out its extension after both fibers of a
+   shard have announced completes about 2.5x fewer. *)
+let pinned_uncontended_ops = 5_716
+
+let test_freezer_uncontended_pin () =
+  let counts = sim_update_counts ~seed:1 ~threads:4 ~cycles:1_000_000 in
+  Alcotest.(check int) "ops (seed 1, 4 fibers, 1M cycles)"
+    pinned_uncontended_ops
+    (Array.fold_left ( + ) 0 counts)
+
+(* [freeze_backoff = 0] freezes at once: a lone thread's operations
+   never relax, while the default budget relaxes once per operation (the
+   initial probe). *)
+let relax_calls = ref 0
+
+module Counting_prim = struct
+  include Sec_prim.Native
+
+  let relax n =
+    incr relax_calls;
+    Sec_prim.Native.relax n
+end
+
+module Counting_sec = Sec_core.Sec_stack.Make (Counting_prim)
+
+let test_no_probe_without_backoff () =
+  let relaxes freeze_backoff =
+    let config = { Config.default with Config.freeze_backoff } in
+    let s = Counting_sec.create_with ~config ~max_threads:1 () in
+    relax_calls := 0;
+    for i = 1 to 50 do
+      Counting_sec.push s ~tid:0 i
+    done;
+    for _ = 1 to 50 do
+      ignore (Counting_sec.pop s ~tid:0)
+    done;
+    !relax_calls
+  in
+  Alcotest.(check int) "freeze_backoff = 0" 0 (relaxes 0);
+  Alcotest.(check int) "default budget: one probe per op" 100
+    (relaxes Config.default.Config.freeze_backoff)
+
 let test_tid_to_aggregator_coverage () =
   (* Every aggregator must receive traffic when tids cover [0, K). *)
   for aggs = 1 to 5 do
@@ -342,5 +430,14 @@ let () =
             test_tid_to_aggregator_coverage;
           Alcotest.test_case "batch capacity overflow" `Quick
             test_capacity_overflow;
+        ] );
+      ( "freezer",
+        [
+          Alcotest.test_case "fair at 56 fibers" `Quick test_freezer_fair_56;
+          Alcotest.test_case "fair at 12 fibers" `Quick test_freezer_fair_12;
+          Alcotest.test_case "uncontended ops pin" `Quick
+            test_freezer_uncontended_pin;
+          Alcotest.test_case "no probe without backoff" `Quick
+            test_no_probe_without_backoff;
         ] );
     ]
