@@ -536,77 +536,6 @@ let check_cmd =
       const run $ seeds_arg $ budget_arg $ mutants_arg $ entries_arg
       $ witness_dir_arg $ schedules_arg $ runs_arg)
 
-(* Allocator microbenchmark: the node hot path in isolation — the
-   magazine over the slab store vs the off-heap arena, local
-   round-trips and cross-domain (producer/consumer) frees, on either
-   substrate. The table it prints is what docs/PERF.md ("Allocator")
-   quotes. *)
-let alloc_cmd =
-  let module AB = Sec_harness.Alloc_bench in
-  let backend_arg =
-    let doc = "Substrate: $(b,sim) (deterministic) or $(b,native)." in
-    Arg.(
-      value
-      & opt (Arg.enum [ ("sim", `Sim); ("native", `Native) ]) `Sim
-      & info [ "backend" ] ~docv:"BACKEND" ~doc)
-  in
-  let threads_arg =
-    let doc = "Worker count (the remote phase pairs them up; keep even)." in
-    Arg.(value & opt int 4 & info [ "threads" ] ~docv:"N" ~doc)
-  in
-  let iters_arg =
-    let doc = "Bursts per thread (fixed work, not timed)." in
-    Arg.(value & opt int AB.default_iters & info [ "iters" ] ~docv:"N" ~doc)
-  in
-  let burst_arg =
-    let doc =
-      "Nodes per burst (keep above the magazine capacity of 64 so every \
-       burst exercises the slow path)."
-    in
-    Arg.(value & opt int AB.default_burst & info [ "burst" ] ~docv:"N" ~doc)
-  in
-  let run seed backend threads iters burst =
-    let measure ~mode ~phase =
-      match backend with
-      | `Sim -> AB.run_sim ~threads ~iters ~burst ~seed ~mode ~phase ()
-      | `Native -> AB.run_native ~threads ~iters ~burst ~seed ~mode ~phase ()
-    in
-    let results =
-      List.concat_map
-        (fun phase ->
-          List.map
-            (fun mode -> measure ~mode ~phase)
-            [ AB.Slab; AB.Arena ])
-        [ AB.Local; AB.Remote ]
-    in
-    let backend_label =
-      match backend with `Sim -> "sim" | `Native -> "native"
-    in
-    Printf.printf
-      "alloc bench [%s, %d threads, %d iters x %d burst, seed %d]\n"
-      backend_label threads iters burst seed;
-    Printf.printf "  %-7s %-7s %9s %14s %10s %8s %7s %8s %5s\n" "phase"
-      "mode" "ops" "per-op" "cross-CAS" "retries" "fresh" "batches" "occ";
-    List.iter
-      (fun (r : AB.result) ->
-        Printf.printf "  %-7s %-7s %9d %14s %10d %8d %7d %8d %5.2f\n"
-          (AB.phase_to_string r.AB.r_phase)
-          (AB.mode_to_string r.AB.r_mode)
-          r.AB.ops
-          (Printf.sprintf "%.1f %s" r.AB.per_op r.AB.unit_label)
-          r.AB.cross_cas r.AB.cross_cas_retries r.AB.fresh r.AB.remote_batches
-          r.AB.occupancy)
-      results
-  in
-  Cmd.v
-    (Cmd.info "alloc"
-       ~doc:
-         "Microbenchmark the node allocators (slab store vs off-heap \
-          arena): alloc/free round-trip cost, remote-free throughput and \
-          cross-domain CAS counts")
-    Term.(
-      const run $ seed_arg $ backend_arg $ threads_arg $ iters_arg $ burst_arg)
-
 let algos_cmd =
   let run () =
     List.iter
@@ -629,4 +558,4 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ list_cmd; run_cmd; all_cmd; figures_cmd; sweep_cmd; bench_cmd;
-            alloc_cmd; check_cmd; algos_cmd ]))
+            check_cmd; algos_cmd ]))

@@ -21,12 +21,6 @@ type kind =
       (** a fiber pins the epoch while another's limbo grows past the
           bound *)
   | Guard_leak  (** fiber finished inside a guard, or unbalanced exit *)
-  | Slab_double_free
-      (** a slab/arena slot was freed while already free — the
-          allocator-level double-free below {!Double_retire} *)
-  | Alloc_from_live_slab
-      (** an allocator handed out a slot that is still live, or carved
-          from a slab/arena already released *)
 
 type report = {
   kind : kind;
@@ -66,24 +60,6 @@ val on_enter : t -> fiber:int -> unit
 val on_exit : t -> fiber:int -> unit
 val on_fiber_exit : t -> fiber:int -> unit
 
-(** {2 Slab/arena lifecycle} — the allocator below the node lifecycle
-    (lib/reclaim/slab.ml). Slab ids are allocator-assigned and live in
-    their own namespace; slot indices are per-slab. *)
-
-val on_slot_alloc : t -> fiber:int -> slab:int -> slot:int -> int
-(** The allocator handed out [slot] of [slab]: starts a node life
-    ({!on_alloc}) bound to the slot and returns its id. A slot still
-    live, or a slab already released, is {!Alloc_from_live_slab}. *)
-
-val on_slot_free : t -> fiber:int -> slab:int -> slot:int -> unit
-(** The slot returned to a free-list: unbinds and closes the node's
-    life. A slot not currently live is {!Slab_double_free}. *)
-
-val on_slab_release : t -> fiber:int -> slab:int -> unit
-(** The slab's storage is gone: every still-bound node is forced to the
-    reclaimed state (later touches report use-after-reclaim), and later
-    allocations from the slab report {!Alloc_from_live_slab}. *)
-
 (** {2 Reports} *)
 
 val reports : t -> report list
@@ -118,8 +94,5 @@ val note_unlink : fiber:int -> node:int -> unit
 val note_retire : fiber:int -> node:int -> unit
 val note_reclaim : fiber:int -> node:int -> unit
 val note_access : fiber:int -> node:int -> unit
-val note_slot_alloc : fiber:int -> slab:int -> slot:int -> int
-val note_slot_free : fiber:int -> slab:int -> slot:int -> unit
-val note_slab_release : fiber:int -> slab:int -> unit
 val note_enter : fiber:int -> unit
 val note_exit : fiber:int -> unit

@@ -50,9 +50,8 @@ type t = {
           {!Sec_reclaim.Slab} store. Costs one extra fetch&add per
           *combined pop* (to detect when a detached chain's last reader
           is done); off by default so pinned-seed results are
-          byte-identical. SEC's nodes stay on the OCaml heap: its
-          payloads are polymorphic, so the off-heap arena
-          ({!Sec_reclaim.Treiber_arena}) cannot hold them. See
+          byte-identical. SEC's nodes are polymorphic, so they live on
+          the OCaml heap like every node the slab store serves. See
           docs/PERF.md, "Allocator". *)
   mutation : mutation;
       (** Seeded correctness mutant (test-only; see {!mutation}). *)

@@ -52,8 +52,8 @@ let pp ppf t =
 (* ------------------------------------------------------------------ *)
 (* Allocator statistics: one flat snapshot over the process-wide
    magazine and slab tallies, so the harness reports the whole node
-   path — L1 magazine hit rate, slab park/adopt traffic and occupancy,
-   arena remote-free batching — from a single call.
+   path — L1 magazine hit rate, slab park/adopt traffic and occupancy —
+   from a single call.
    [alloc_reset]/[alloc_snapshot] bracket one measured run, like the
    underlying [Global] modules. *)
 
@@ -70,11 +70,10 @@ type alloc_stats = {
   depot_cas_retries : int;  (** Always 0; see [depot_cas]. *)
   slab_parks : int;  (** full slabs parked on the shared partial stack *)
   slab_adopts : int;  (** parked slabs adopted by a dry domain *)
-  slab_cas : int;  (** slab-layer CAS attempts (park+adopt+remote) *)
+  slab_cas : int;  (** slab-layer CAS attempts (park + adopt) *)
   slab_cas_retries : int;  (** slab-layer attempts that lost *)
   slab_fresh : int;  (** slab misses: fresh-node construction *)
   slab_occupancy : float;  (** pooled / capacity over all slabs *)
-  remote_batches : int;  (** arena remote-free batches spliced *)
 }
 
 let alloc_reset () =
@@ -97,14 +96,12 @@ let alloc_snapshot () =
     slab_cas_retries = Sec_reclaim.Slab.Global.cas_retries s;
     slab_fresh = s.Sec_reclaim.Slab.Global.fresh;
     slab_occupancy = Sec_reclaim.Slab.Global.occupancy s;
-    remote_batches = s.Sec_reclaim.Slab.Global.remote_batches;
   }
 
 let pp_alloc ppf a =
   Format.fprintf ppf
     "mag hits=%d misses=%d recycled=%d hit_rate=%.2f | slab parks=%d \
-     adopts=%d cas=%d retries=%d fresh=%d occupancy=%.2f | remote \
-     batches=%d"
+     adopts=%d cas=%d retries=%d fresh=%d occupancy=%.2f"
     a.mag_hits a.mag_misses a.mag_recycled a.mag_hit_rate a.slab_parks
     a.slab_adopts a.slab_cas a.slab_cas_retries a.slab_fresh
-    a.slab_occupancy a.remote_batches
+    a.slab_occupancy

@@ -28,11 +28,9 @@ type row = {
   mag_recycled : int;
   mag_hit_rate : float;
   (* The allocator dimension: slab-layer CAS traffic and occupancy,
-     arena remote-free batches, and — native rows only, zero in sim —
-     GC counters. *)
+     and — native rows only, zero in sim — GC counters. *)
   slab_cas : int;
   slab_occupancy : float;
-  remote_batches : int;
   gc_minor_words : float;  (** native: minor words allocated; sim: 0 *)
   gc_major_colls : int;  (** native: major collections; sim: 0 *)
 }
@@ -99,7 +97,6 @@ let sim_row entry ~topology ~threads ~duration_cycles ~mix ~seed =
     mag_hit_rate = a.Sec_core.Sec_stats.mag_hit_rate;
     slab_cas = a.Sec_core.Sec_stats.slab_cas;
     slab_occupancy = a.Sec_core.Sec_stats.slab_occupancy;
-    remote_batches = a.Sec_core.Sec_stats.remote_batches;
     gc_minor_words = 0.;
     gc_major_colls = 0;
   }
@@ -127,7 +124,6 @@ let native_row entry ~threads ~duration ~mix ~seed =
     mag_hit_rate = a.Sec_core.Sec_stats.mag_hit_rate;
     slab_cas = a.Sec_core.Sec_stats.slab_cas;
     slab_occupancy = a.Sec_core.Sec_stats.slab_occupancy;
-    remote_batches = a.Sec_core.Sec_stats.remote_batches;
     gc_minor_words = gc1.Gc.minor_words -. gc0.Gc.minor_words;
     gc_major_colls = gc1.Gc.major_collections - gc0.Gc.major_collections;
   }
@@ -268,12 +264,12 @@ let to_string doc =
            "\n    {\"algorithm\": \"%s\", \"threads\": %d, \"ops\": %d, \
             \"allocs\": %d, \"throughput\": %s, \"mag_hits\": %d, \
             \"mag_misses\": %d, \"mag_recycled\": %d, \"mag_hit_rate\": %s, \
-            \"slab_cas\": %d, \"slab_occupancy\": %s, \"remote_batches\": %d, \
-            \"gc_minor_words\": %s, \"gc_major_colls\": %d}"
+            \"slab_cas\": %d, \"slab_occupancy\": %s, \"gc_minor_words\": %s, \
+            \"gc_major_colls\": %d}"
            (escape r.algorithm) r.threads r.ops r.allocs (fl r.throughput)
            r.mag_hits r.mag_misses r.mag_recycled (fl r.mag_hit_rate)
-           r.slab_cas (fl r.slab_occupancy)
-           r.remote_batches (fl r.gc_minor_words) r.gc_major_colls))
+           r.slab_cas (fl r.slab_occupancy) (fl r.gc_minor_words)
+           r.gc_major_colls))
     doc.rows;
   Buffer.add_string buf "\n  ]\n}\n";
   Buffer.contents buf
@@ -489,7 +485,6 @@ let row_of_json j =
     mag_hit_rate = to_float (member "mag_hit_rate" j);
     slab_cas = opt_int "slab_cas" j ~default:0;
     slab_occupancy = opt_float "slab_occupancy" j ~default:0.;
-    remote_batches = opt_int "remote_batches" j ~default:0;
     gc_minor_words = opt_float "gc_minor_words" j ~default:0.;
     gc_major_colls = opt_int "gc_major_colls" j ~default:0;
   }

@@ -1,20 +1,15 @@
-(* The wait-free slab allocator and off-heap arena
+(* The wait-free slab store below the magazines
    (lib/reclaim/slab.ml): chain-level slab semantics, park/adopt
-   hand-off, arena handle lifecycle and remote-free batching, the
-   reclaim checker's slab/arena shadow-heap contract (seeded
-   double-free and use-after-release mutants caught under pinned
-   replay), the slab-backed stacks against their GC twins — including
-   SEC's recycling crossing the store from consumers to producers — and
-   the cross-domain CAS counts of the microbenchmark `sec_bench alloc`
-   runs, pinned per phase. *)
+   hand-off, the slab-backed stacks against their GC twins — including
+   SEC's recycling crossing the store from consumers to producers — the
+   cross-domain CAS count of a magazine microbenchmark, pinned per
+   phase, and a refinement sweep over the slab-backed TRB-EBR. *)
 
 module Slab = Sec_reclaim.Slab
 module NSl = Sec_reclaim.Slab.Make (Sec_prim.Native)
-module Chk = Sec_analysis.Reclaim_checker
 module Topology = Sec_sim.Topology
 module Sim = Sec_sim.Sim
 module SP = Sim.Prim
-module AB = Sec_harness.Alloc_bench
 
 module type STACK = Sec_spec.Stack_intf.S
 
@@ -73,198 +68,6 @@ let test_create_validates () =
       ignore (NSl.create ~chain_len:0 ()))
 
 (* ------------------------------------------------------------------ *)
-(* Off-heap arena semantics (native substrate). *)
-
-let test_arena_round_trip_and_reuse () =
-  let a = NSl.Arena.create ~slab_slots:8 ~max_slabs:2 ~max_threads:2 () in
-  let h = NSl.Arena.alloc a ~tid:0 in
-  NSl.Arena.set_value a h 42;
-  NSl.Arena.set_link a h (-1);
-  Alcotest.(check int) "value survives" 42 (NSl.Arena.get_value a h);
-  Alcotest.(check int) "live counts the slot" 1 (NSl.Arena.live a);
-  NSl.Arena.free a ~tid:0 h;
-  Alcotest.(check int) "free empties the arena" 0 (NSl.Arena.live a);
-  let h' = NSl.Arena.alloc a ~tid:0 in
-  Alcotest.(check int) "owner free list is LIFO: same slot again" h h';
-  NSl.Arena.free a ~tid:0 h';
-  let st = NSl.Arena.stats a in
-  Alcotest.(check int) "one slab carved" 1 st.Slab.carved;
-  Alcotest.(check int) "no remote traffic" 0 st.Slab.remote_frees
-
-let test_arena_remote_batching () =
-  Slab.Global.reset ();
-  let a =
-    NSl.Arena.create ~slab_slots:16 ~max_slabs:2 ~max_threads:2
-      ~remote_batch:4 ()
-  in
-  (* tid 0 owns the slab it carves; tid 1 frees remotely. *)
-  let handles = Array.init 10 (fun _ -> NSl.Arena.alloc a ~tid:0) in
-  Array.iter (fun h -> NSl.Arena.free a ~tid:1 h) handles;
-  let st = NSl.Arena.stats a in
-  Alcotest.(check int) "every free was remote" 10 st.Slab.remote_frees;
-  (* batch size 4: 10 frees splice two full batches, 2 slots linger in
-     the outbox until the explicit flush. *)
-  Alcotest.(check int) "two full batches spliced" 2 st.Slab.remote_batches;
-  NSl.Arena.flush_remote a ~tid:1;
-  let st = NSl.Arena.stats a in
-  Alcotest.(check int) "flush publishes the tail batch" 3
-    st.Slab.remote_batches;
-  Alcotest.(check int) "nothing live once published" 0 (NSl.Arena.live a);
-  (* adoption is lazy: the owner drains its private free list (16-slot
-     slab minus the 10 handed over = 6 slots) before touching the
-     inbox; the 7th allocation finds the list dry and adopts all 10
-     remote slots in one exchange, instead of carving a second slab. *)
-  let drained = Array.init 6 (fun _ -> NSl.Arena.alloc a ~tid:0) in
-  Alcotest.(check int) "no adoption while the free list holds out" 0
-    (NSl.Arena.stats a).Slab.adopted;
-  let h = NSl.Arena.alloc a ~tid:0 in
-  Alcotest.(check int) "adoption recovered the remote slots" 10
-    (NSl.Arena.stats a).Slab.adopted;
-  Alcotest.(check int) "still one slab carved" 1
-    (NSl.Arena.stats a).Slab.carved;
-  NSl.Arena.free a ~tid:0 h;
-  Array.iter (fun h -> NSl.Arena.free a ~tid:0 h) drained;
-  (* occupancy gauge: everything pooled again. *)
-  let g = Slab.Global.snapshot () in
-  Alcotest.(check int) "pooled equals capacity" g.Slab.Global.capacity
-    g.Slab.Global.pooled
-
-let test_arena_exhaustion_raises () =
-  let a = NSl.Arena.create ~slab_slots:2 ~max_slabs:1 ~max_threads:1 () in
-  ignore (NSl.Arena.alloc a ~tid:0);
-  ignore (NSl.Arena.alloc a ~tid:0);
-  let raised =
-    try
-      ignore (NSl.Arena.alloc a ~tid:0);
-      false
-    with Failure _ -> true
-  in
-  Alcotest.(check bool) "a full chunk refuses to carve" true raised
-
-(* ------------------------------------------------------------------ *)
-(* The reclaim checker's slab/arena shadow heap: the lifecycle rules
-   the new report kinds enforce, fed directly. *)
-
-let test_checker_clean_slab_lifecycle () =
-  let t = Chk.create () in
-  let id = Chk.on_slot_alloc t ~fiber:0 ~slab:7 ~slot:3 in
-  Chk.on_publish t ~fiber:0 ~node:id;
-  Chk.on_unlink t ~fiber:0 ~node:id;
-  Chk.on_retire t ~fiber:0 ~node:id;
-  Chk.on_slot_free t ~fiber:0 ~slab:7 ~slot:3;
-  (* the slot is free again: a second life is a fresh shadow node *)
-  let id' = Chk.on_slot_alloc t ~fiber:1 ~slab:7 ~slot:3 in
-  Alcotest.(check bool) "reincarnation gets a fresh id" true (id' <> id);
-  Chk.on_slot_free t ~fiber:1 ~slab:7 ~slot:3;
-  Chk.on_slab_release t ~fiber:0 ~slab:7;
-  Alcotest.(check int) "clean lifecycle, no reports" 0
-    (List.length (Chk.reports t))
-
-let test_checker_slab_double_free () =
-  let t = Chk.create () in
-  let _id = Chk.on_slot_alloc t ~fiber:0 ~slab:1 ~slot:0 in
-  Chk.on_slot_free t ~fiber:0 ~slab:1 ~slot:0;
-  Chk.on_slot_free t ~fiber:1 ~slab:1 ~slot:0;
-  match Chk.reports t with
-  | [ r ] ->
-      Alcotest.(check string) "kind" "slab-double-free"
-        (Chk.kind_to_string r.Chk.kind)
-  | rs -> Alcotest.failf "expected one report, got %d" (List.length rs)
-
-let test_checker_two_owners_reported () =
-  let t = Chk.create () in
-  let _a = Chk.on_slot_alloc t ~fiber:0 ~slab:2 ~slot:5 in
-  let _b = Chk.on_slot_alloc t ~fiber:1 ~slab:2 ~slot:5 in
-  match Chk.reports t with
-  | [ r ] ->
-      Alcotest.(check string) "kind" "alloc-from-live-slab"
-        (Chk.kind_to_string r.Chk.kind)
-  | rs -> Alcotest.failf "expected one report, got %d" (List.length rs)
-
-let test_checker_alloc_after_release () =
-  let t = Chk.create () in
-  Chk.on_slab_release t ~fiber:0 ~slab:3;
-  ignore (Chk.on_slot_alloc t ~fiber:1 ~slab:3 ~slot:0);
-  match Chk.reports t with
-  | [ r ] ->
-      Alcotest.(check string) "kind" "alloc-from-live-slab"
-        (Chk.kind_to_string r.Chk.kind)
-  | rs -> Alcotest.failf "expected one report, got %d" (List.length rs)
-
-let test_checker_use_after_arena_release () =
-  let t = Chk.create () in
-  let id = Chk.on_slot_alloc t ~fiber:0 ~slab:4 ~slot:1 in
-  Chk.on_publish t ~fiber:0 ~node:id;
-  (* releasing the slab forces every resident node to Reclaimed... *)
-  Chk.on_slab_release t ~fiber:0 ~slab:4;
-  (* ...so a stale handle dereference is a use-after-reclaim. *)
-  Chk.on_enter t ~fiber:1;
-  Chk.on_access t ~fiber:1 ~node:id;
-  Chk.on_exit t ~fiber:1;
-  let kinds = List.map (fun r -> Chk.kind_to_string r.Chk.kind) (Chk.reports t) in
-  Alcotest.(check bool)
-    (Printf.sprintf "use-after-reclaim reported (got: %s)"
-       (String.concat ", " kinds))
-    true
-    (List.mem "use-after-reclaim" kinds)
-
-(* ------------------------------------------------------------------ *)
-(* The same two mutants seeded into real arena runs on the simulator,
-   with the checker installed: the shadow heap must catch them under
-   every pinned seed (the runs are deterministic, so catching them once
-   per seed IS the pinned replay). *)
-
-module SimSl = Slab.Make (SP)
-
-let arena_mutant_kinds ~seed mutate =
-  let chk = Chk.create () in
-  let (_ : unit), _ =
-    Sim.run ~seed ~jitter:3 ~reclaim_checker:chk ~topology:Topology.testbox
-      (fun () ->
-        let a =
-          SimSl.Arena.create ~slab_slots:8 ~max_slabs:2 ~max_threads:4 ()
-        in
-        Sim.spawn (fun () ->
-            let tid = Sim.fiber_id () in
-            let h = SimSl.Arena.alloc a ~tid in
-            SimSl.Arena.set_value a h 1;
-            mutate a ~tid h);
-        Sim.await_all ())
-  in
-  List.map (fun r -> Chk.kind_to_string r.Chk.kind) (Chk.reports chk)
-
-let test_sim_double_free_mutant_caught () =
-  List.iter
-    (fun seed ->
-      let kinds =
-        arena_mutant_kinds ~seed (fun a ~tid h ->
-            SimSl.Arena.free a ~tid h;
-            SimSl.Arena.free a ~tid h)
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "seed %d catches the double free (got: %s)" seed
-           (String.concat ", " kinds))
-        true
-        (List.mem "slab-double-free" kinds))
-    [ 1; 2; 3 ]
-
-let test_sim_alloc_after_release_mutant_caught () =
-  List.iter
-    (fun seed ->
-      let kinds =
-        arena_mutant_kinds ~seed (fun a ~tid h ->
-            SimSl.Arena.free a ~tid h;
-            SimSl.Arena.release a ~tid;
-            ignore (SimSl.Arena.alloc a ~tid))
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "seed %d catches alloc-after-release (got: %s)" seed
-           (String.concat ", " kinds))
-        true
-        (List.mem "alloc-from-live-slab" kinds))
-    [ 1; 2; 3 ]
-
-(* ------------------------------------------------------------------ *)
 (* Lockstep differentials: the slab-backed stacks are observationally
    identical to their GC twins. The phased workload (mixed ops, then a
    deep drain, then a refill) forces the magazines past capacity so
@@ -272,7 +75,6 @@ let test_sim_alloc_after_release_mutant_caught () =
 
 module NT = Sec_stacks.Treiber.Make (Sec_prim.Native)
 module NE = Sec_reclaim.Treiber_ebr.Make (Sec_prim.Native)
-module NA = Sec_reclaim.Treiber_arena.Make (Sec_prim.Native)
 
 let test_differential_lockstep () =
   Slab.Global.reset ();
@@ -318,38 +120,6 @@ let test_differential_lockstep () =
        g.Slab.Global.chain_puts g.Slab.Global.chain_gets)
     true
     (g.Slab.Global.chain_puts > 0 && g.Slab.Global.chain_gets > 0)
-
-(* The off-heap arena stack against plain Treiber (int payloads: the
-   arena is monomorphic by design — no Obj, lint rule 3). *)
-let test_differential_arena () =
-  let t = NT.create ~max_threads:1 () in
-  let a = NA.create ~max_threads:1 ~slab_slots:64 ~max_slabs:64 () in
-  let state = ref 0x9E3779B9 in
-  let rand bound =
-    state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
-    !state mod bound
-  in
-  for i = 1 to 6_000 do
-    match rand 5 with
-    | 0 | 1 | 2 ->
-        NT.push t ~tid:0 i;
-        NA.push a ~tid:0 i
-    | 3 ->
-        let x = NT.pop t ~tid:0 and y = NA.pop a ~tid:0 in
-        Alcotest.(check (option int)) "pop agrees (OFH)" x y
-    | _ ->
-        let x = NT.peek t ~tid:0 and y = NA.peek a ~tid:0 in
-        Alcotest.(check (option int)) "peek agrees (OFH)" x y
-  done;
-  let rec drain () =
-    let x = NT.pop t ~tid:0 and y = NA.pop a ~tid:0 in
-    Alcotest.(check (option int)) "drain agrees (OFH)" x y;
-    if x <> None then drain ()
-  in
-  drain ();
-  NA.flush a ~tid:0;
-  Alcotest.(check bool) "arena saw real carving" true
-    ((NA.arena_stats a).Slab.carved > 0)
 
 (* SEC recycling its nodes through magazines over the slab store, as a
    plain stack face. One aggregator puts every fiber on one shard. *)
@@ -476,23 +246,112 @@ let test_sec_recycling_crosses_slab_store () =
     (List.sort compare popped)
 
 (* ------------------------------------------------------------------ *)
-(* Cross-domain CAS counts of the deterministic simulated
-   microbenchmark (the same one `sec_bench alloc` runs), pinned per
-   phase: the local phase balances every domain's frees and allocations
-   inside its own active slab and never touches the shared partial
-   stack; the producer/consumer phase moves whole slabs. *)
+(* Cross-domain CAS counts of a deterministic simulated magazine
+   microbenchmark, pinned per phase. [iters] bursts of [burst] nodes
+   exceed the magazine capacity, so every burst crosses into the slab
+   store. The local phase balances every domain's frees and
+   allocations inside its own active slab and never touches the shared
+   partial stack; the producer/consumer phase moves whole slabs, one
+   park or adopt attempt per slab. *)
+
+module X = SP
+module A = X.Atomic
+module Backoff = Sec_prim.Backoff.Make (X)
+module Mag = Sec_reclaim.Magazine.Make (X)
+
+(* Every thread: [iters] bursts of [burst] alloc/free round-trips
+   against its own magazine. Returns total round-trips. *)
+let mag_local ~threads ~iters ~burst =
+  let mag = Mag.create ~max_threads:threads () in
+  let completed = Array.make threads 0 in
+  for _ = 1 to threads do
+    X.spawn (fun () ->
+        let tid = X.thread_id () in
+        let nodes = Array.make burst 0 in
+        for _ = 1 to iters do
+          for i = 0 to burst - 1 do
+            nodes.(i) <-
+              (match Mag.alloc mag ~tid with
+              | Some n -> n
+              | None ->
+                  X.note_alloc ();
+                  tid + i)
+          done;
+          for i = 0 to burst - 1 do
+            Mag.recycle mag ~tid nodes.(i)
+          done;
+          completed.(tid) <- completed.(tid) + burst
+        done)
+  done;
+  X.await_all ();
+  Array.fold_left ( + ) 0 completed
+
+(* Producer/consumer pairs handing whole batches through one exchange
+   cell: tid 2p allocates, tid 2p+1 frees. Counted on the consumer. *)
+let mag_remote ~threads ~iters ~burst =
+  let pairs = threads / 2 in
+  if pairs < 1 then
+    invalid_arg "mag_remote: the remote phase needs >= 2 threads";
+  let mag = Mag.create ~max_threads:threads () in
+  let cells = Array.init pairs (fun _ -> A.make_padded []) in
+  let completed = Array.make threads 0 in
+  for _ = 1 to pairs do
+    X.spawn (fun () ->
+        (* producer *)
+        let tid = X.thread_id () in
+        let cell = cells.(tid / 2) in
+        for _ = 1 to iters do
+          let batch = ref [] in
+          for i = 0 to burst - 1 do
+            let n =
+              match Mag.alloc mag ~tid with
+              | Some n -> n
+              | None ->
+                  X.note_alloc ();
+                  tid + i
+            in
+            batch := n :: !batch
+          done;
+          let backoff = Backoff.create () in
+          while not (A.compare_and_set cell [] !batch) do
+            Backoff.once backoff
+          done
+        done);
+    X.spawn (fun () ->
+        (* consumer *)
+        let tid = X.thread_id () in
+        let cell = cells.(tid / 2) in
+        for _ = 1 to iters do
+          let backoff = Backoff.create () in
+          let rec take () =
+            match A.exchange cell [] with
+            | [] ->
+                Backoff.once backoff;
+                take ()
+            | batch -> batch
+          in
+          List.iter (fun n -> Mag.recycle mag ~tid n) (take ());
+          completed.(tid) <- completed.(tid) + burst
+        done)
+  done;
+  X.await_all ();
+  Array.fold_left ( + ) 0 completed
+
+let slab_cas ~phase =
+  Sec_core.Sec_stats.alloc_reset ();
+  let (_ : int), _ =
+    Sim.run ~seed:1 ~jitter:2 ~topology:Topology.testbox (fun () ->
+        phase ~threads:4 ~iters:50 ~burst:96)
+  in
+  Slab.Global.cas_attempts (Slab.Global.snapshot ())
 
 let test_slab_cas_pinned () =
   List.iter
-    (fun (phase, expected) ->
-      let r =
-        AB.run_sim ~threads:4 ~iters:50 ~burst:96 ~seed:1 ~mode:AB.Slab ~phase
-          ()
-      in
+    (fun (name, phase, expected) ->
       Alcotest.(check int)
-        (AB.phase_to_string phase ^ ": cross-domain CASes")
-        expected r.AB.cross_cas)
-    [ (AB.Local, 0); (AB.Remote, 89) ]
+        (name ^ ": cross-domain CASes")
+        expected (slab_cas ~phase))
+    [ ("local", mag_local, 0); ("remote", mag_remote, 89) ]
 
 (* ------------------------------------------------------------------ *)
 (* Crash/cancel refinement sweep over the slab-backed TRB-EBR: every
@@ -520,41 +379,10 @@ let () =
           Alcotest.test_case "park and adopt" `Quick test_park_and_adopt;
           Alcotest.test_case "create validates" `Quick test_create_validates;
         ] );
-      ( "arena",
-        [
-          Alcotest.test_case "round trip and slot reuse" `Quick
-            test_arena_round_trip_and_reuse;
-          Alcotest.test_case "remote-free batching" `Quick
-            test_arena_remote_batching;
-          Alcotest.test_case "exhaustion raises" `Quick
-            test_arena_exhaustion_raises;
-        ] );
-      ( "checker contract",
-        [
-          Alcotest.test_case "clean lifecycle" `Quick
-            test_checker_clean_slab_lifecycle;
-          Alcotest.test_case "slab double free" `Quick
-            test_checker_slab_double_free;
-          Alcotest.test_case "two owners of one slot" `Quick
-            test_checker_two_owners_reported;
-          Alcotest.test_case "alloc after release" `Quick
-            test_checker_alloc_after_release;
-          Alcotest.test_case "use after arena release" `Quick
-            test_checker_use_after_arena_release;
-        ] );
-      ( "seeded mutants (sim, pinned replay)",
-        [
-          Alcotest.test_case "double free caught" `Quick
-            test_sim_double_free_mutant_caught;
-          Alcotest.test_case "alloc after release caught" `Quick
-            test_sim_alloc_after_release_mutant_caught;
-        ] );
       ( "differential",
         [
           Alcotest.test_case "TRB vs TRB-EBR lockstep" `Quick
             test_differential_lockstep;
-          Alcotest.test_case "TRB vs TRB-OFH lockstep" `Quick
-            test_differential_arena;
           Alcotest.test_case "sim histories linearizable" `Quick
             test_sim_linearizable_slab;
           Alcotest.test_case "fewer allocations than Treiber" `Quick
