@@ -97,11 +97,3 @@ let alloc_snapshot () =
     slab_fresh = s.Sec_reclaim.Slab.Global.fresh;
     slab_occupancy = Sec_reclaim.Slab.Global.occupancy s;
   }
-
-let pp_alloc ppf a =
-  Format.fprintf ppf
-    "mag hits=%d misses=%d recycled=%d hit_rate=%.2f | slab parks=%d \
-     adopts=%d cas=%d retries=%d fresh=%d occupancy=%.2f"
-    a.mag_hits a.mag_misses a.mag_recycled a.mag_hit_rate a.slab_parks
-    a.slab_adopts a.slab_cas a.slab_cas_retries a.slab_fresh
-    a.slab_occupancy
