@@ -3,7 +3,8 @@
 
    A property compiles to an {!Explore} scenario: each workload thread
    becomes a fiber driving the structure through the
-   {!History.Instrument} recorder, and the final check drains what
+   {!History.Instrument} recorder, timestamped by {!Seq_clock} so one
+   fiber's back-to-back operations stay ordered, and the final check drains what
    survived (through recorded pops, so the drain is part of the history)
    and hands the merged event list to the declared spec's checker —
    {!Lin_check} for [Stack_sem], the bag matcher below for [Pool_sem].
@@ -178,7 +179,8 @@ let pushes_of ops = List.filter_map (function Push v -> Some v | _ -> None) ops
 let scenario_of ~maker ~refines ~gave_up ?crash_victim w () =
   let module F = (val maker : Registry.MAKER) in
   let module S = F (SP) in
-  let module R = History.Instrument (SP) (S) in
+  let module R = History.Instrument (Seq_clock) (S) in
+  Seq_clock.reset ();
   let nthreads = List.length w.threads in
   let max_threads =
     match w.max_threads with Some m -> m | None -> Int.max 1 nthreads

@@ -286,31 +286,12 @@ let test_sec_elimination_all_schedules () =
    - history timestamps were the bare Explore step, which ticks only at
      atomic accesses, so a fiber's back-to-back operations shared a
      timestamp (response = next invocation) and the checker treated them
-     as overlapping, free to reorder;
+     as overlapping, free to reorder (histories are now stamped by
+     Sec_refine.Seq_clock);
    - a clock read is no scheduling point, so a push read both ends of its
      interval in one step: intervals were points and never overlapped;
    - the default 8-access quantum rotates a fiber out before its
      operations end, so few preemptions cannot hold a push pending. *)
-
-(* Timestamps that order every clock read: the Explore step, then a
-   sequence number within the step. Calls within one step come from one
-   fiber with no scheduling point in between, so call order is real-time
-   order, and the clock adds no access — the schedule is unchanged. *)
-module Seq_clock = struct
-  include SP
-
-  let last = ref (-1L)
-  let seq = ref 0L
-
-  let now_ns () =
-    let step = SP.now_ns () in
-    if Int64.equal step !last then seq := Int64.succ !seq
-    else begin
-      last := step;
-      seq := 0L
-    end;
-    Int64.add (Int64.shift_left step 20) !seq
-end
 
 (* The stacks' substrate: a clock read first reads a private cell, so it
    is a scheduling point and time passes between the two ends of an
@@ -332,9 +313,9 @@ let tsi_quantum = 32
 let tsi_history : int Sec_spec.History.event list ref = ref []
 
 let tsi_scenario programs (module S : Sec_spec.Stack_intf.S) () =
-  Seq_clock.last := -1L;
+  Sec_refine.Seq_clock.reset ();
   Clocked.tick := Some (SP.Atomic.make 0);
-  let module R = Sec_spec.History.Instrument (Seq_clock) (S) in
+  let module R = Sec_spec.History.Instrument (Sec_refine.Seq_clock) (S) in
   let r = R.create ~max_threads:(List.length programs) () in
   ( List.mapi
       (fun tid program () ->

@@ -178,6 +178,85 @@ let test_pop_reorder_mutant_weighted () =
     (Refine.Weighted { seed = 0xC0FFEEL; runs = 32; stay_weight = 4 })
 
 (* ------------------------------------------------------------------ *)
+(* The history clock                                                    *)
+
+(* Stacks with no atomic access: a fiber's whole program runs within
+   one Explore step. [Amnesic] forgets every push. *)
+module Plain (_ : Sec_prim.Prim_intf.S) = struct
+  type 'a t = 'a list ref
+
+  let name = "PLAIN"
+  let create ?max_threads:_ () = ref []
+  let push t ~tid:_ v = t := v :: !t
+
+  let pop t ~tid:_ =
+    match !t with
+    | v :: rest ->
+        t := rest;
+        Some v
+    | [] -> None
+
+  let peek t ~tid:_ = match !t with v :: _ -> Some v | [] -> None
+end
+
+module Amnesic (P : Sec_prim.Prim_intf.S) = struct
+  include Plain (P)
+
+  let name = "AMNESIC"
+  let push _ ~tid:_ _ = ()
+end
+
+(* One fiber pushes then pops within one Explore step. Refine's clock
+   must still stamp the push's response strictly before the pop's
+   invocation. A bare step clock stamps both with the same step, so the
+   checker lets the pop linearize first. *)
+let test_clock_orders_one_step () =
+  let module S = Plain (Sec_sim.Sim.Prim) in
+  let module R = Sec_spec.History.Instrument (Sec_refine.Seq_clock) (S) in
+  let events = ref [] in
+  let scenario () =
+    Sec_refine.Seq_clock.reset ();
+    let r = R.create ~max_threads:1 () in
+    ( [
+        (fun () ->
+          R.push r ~tid:0 1;
+          ignore (R.pop r ~tid:0));
+      ],
+      fun () ->
+        events := Sec_spec.History.events r.R.history;
+        true )
+  in
+  (match Explore.random_run ~seed:1L scenario with
+  | Explore.Ok_run true, _ -> ()
+  | _ -> Alcotest.fail "the plain run should pass");
+  (match !events with
+  | [ push; pop ] ->
+      let step ts = Int64.shift_right ts 20 in
+      Alcotest.(check int64) "push and pop share one Explore step"
+        (step push.Sec_spec.History.resp) (step pop.Sec_spec.History.inv);
+      Alcotest.(check bool) "push's response strictly before pop's invocation"
+        true
+        (Int64.compare push.Sec_spec.History.resp pop.Sec_spec.History.inv < 0)
+  | evs -> Alcotest.failf "expected 2 events, got %d" (List.length evs));
+  (* Through Refine: a pop that misses its own fiber's completed push is
+     a violation, not an overlap. *)
+  let gu = ref false in
+  let scenario =
+    Refine.scenario_of ~maker:(module Amnesic : Registry.MAKER)
+      ~refines:Registry.Stack_sem ~gave_up:gu
+      {
+        Refine.prefill = [];
+        threads = [ [ Refine.Push 1; Refine.Pop ] ];
+        max_threads = None;
+      }
+  in
+  match Explore.random_run ~seed:1L scenario with
+  | Explore.Ok_run false, _ -> ()
+  | Explore.Ok_run true, _ ->
+      Alcotest.fail "a pop after its own fiber's push read empty, unconvicted"
+  | _ -> Alcotest.fail "the amnesic run should complete"
+
+(* ------------------------------------------------------------------ *)
 (* The ddmin shrinker itself                                            *)
 
 let test_shrink_schedule_ddmin () =
@@ -225,6 +304,11 @@ let () =
             test_pop_reorder_mutant_dpor;
           Alcotest.test_case "pop reorder caught + shrunk (weighted)" `Slow
             test_pop_reorder_mutant_weighted;
+        ] );
+      ( "clock",
+        [
+          Alcotest.test_case "one step, push before pop" `Quick
+            test_clock_orders_one_step;
         ] );
       ( "shrinker",
         [ Alcotest.test_case "ddmin is 1-minimal" `Quick test_shrink_schedule_ddmin ] );
