@@ -337,21 +337,39 @@ let mag_remote ~threads ~iters ~burst =
   X.await_all ();
   Array.fold_left ( + ) 0 completed
 
-let slab_cas ~phase =
+let slab_tallies ~phase =
   Sec_core.Sec_stats.alloc_reset ();
   let (_ : int), _ =
     Sim.run ~seed:1 ~jitter:2 ~topology:Topology.testbox (fun () ->
         phase ~threads:4 ~iters:50 ~burst:96)
   in
-  Slab.Global.cas_attempts (Slab.Global.snapshot ())
+  Slab.Global.snapshot ()
 
 let test_slab_cas_pinned () =
   List.iter
     (fun (name, phase, expected) ->
       Alcotest.(check int)
         (name ^ ": cross-domain CASes")
-        expected (slab_cas ~phase))
+        expected
+        (Slab.Global.cas_attempts (slab_tallies ~phase)))
     [ ("local", mag_local, 0); ("remote", mag_remote, 89) ]
+
+(* The lost attempts among those CASes, on the same runs: a lost park
+   keeps the slab local, a lost adopt degrades to fresh nodes. Every
+   attempt is won or lost, so the winners are exactly the parks and
+   adopts. *)
+let test_slab_retries_pinned () =
+  List.iter
+    (fun (name, phase, expected) ->
+      let g = slab_tallies ~phase in
+      Alcotest.(check int)
+        (name ^ ": lost CASes")
+        expected (Slab.Global.cas_retries g);
+      Alcotest.(check int)
+        (name ^ ": won CASes are the parks and adopts")
+        (g.Slab.Global.parks + g.Slab.Global.adopts)
+        (Slab.Global.cas_attempts g - Slab.Global.cas_retries g))
+    [ ("local", mag_local, 0); ("remote", mag_remote, 23) ]
 
 (* ------------------------------------------------------------------ *)
 (* Crash/cancel refinement sweep over the slab-backed TRB-EBR: every
@@ -389,6 +407,11 @@ let () =
             test_fewer_allocations_than_treiber;
           Alcotest.test_case "SEC recycling crosses the slab store" `Quick
             test_sec_recycling_crosses_slab_store;
+        ] );
+      ( "Global tallies (park + adopt CASes)",
+        [
+          Alcotest.test_case "lost CASes pinned per phase" `Quick
+            test_slab_retries_pinned;
         ] );
       ( "acceptance",
         [
