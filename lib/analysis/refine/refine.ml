@@ -4,10 +4,10 @@
    A property compiles to an {!Explore} scenario: each workload thread
    becomes a fiber driving the structure through the
    {!History.Instrument} recorder, timestamped by {!Seq_clock} so one
-   fiber's back-to-back operations stay ordered, and the final check drains what
-   survived (through recorded pops, so the drain is part of the history)
-   and hands the merged event list to the declared spec's checker —
-   {!Lin_check} for [Stack_sem], the bag matcher below for [Pool_sem].
+   fiber's back-to-back operations stay ordered, and the final check
+   drains what survived (through recorded pops, so the drain is part of
+   the history) and hands the merged event list to the declared spec's
+   checker — {!Lin_check} for [Stack_sem], the bag matcher below for [Pool_sem].
    Prefill goes through the *raw* stack before the fibers start and is
    accounted for via the checkers' [~init], so it adds no concurrent
    events.

@@ -123,7 +123,7 @@ module Global = struct
         chain_puts = 0;
         chain_gets = 0;
         fresh = 0;
-              pooled = 0;
+        pooled = 0;
         capacity = 0;
       }
       cells
