@@ -34,8 +34,10 @@
    a schedule that exhibits a write-write race fails with the offending
    source locations even if the scenario's own check passes.
 
-   Like {!Sim}, the engine interprets the effects of {!Sim_effects}; there
-   is no cost model here — only interleavings matter. *)
+   Like {!Sim}, the engine installs a {!Sim_effects.dispatch} record for
+   the whole run and performs a private effect only when control must
+   move to another fiber; there is no cost model here — only
+   interleavings matter. *)
 
 type placement = { step : int; fiber : int }
 
@@ -104,7 +106,7 @@ let schedule_of_string s =
 
 type fiber_state =
   | Start of (unit -> unit)
-  | Paused of (unit -> unit) (* resumes the captured continuation *)
+  | Paused of (unit, unit) Effect.Deep.continuation
   | Done
   | Frozen
       (* parked forever by the suspension adversary ({!classify}): the
@@ -151,7 +153,11 @@ type run_ctx = {
   strategy : strategy;
   accesses : (int, loc_accesses) Hashtbl.t; (* loc -> last accesses *)
   branched : (int * int, unit) Hashtbl.t; (* dedup of (step, fiber) *)
-  setup_rng : Sec_prim.Rng.t; (* for effects outside any fiber *)
+  (* [false] during scenario setup and the final check, which run
+     sequentially outside any fiber: fiber id -1, [setup_rng], no
+     workers, and no scheduling. *)
+  mutable in_fiber : bool;
+  setup_rng : Sec_prim.Rng.t; (* for primitives outside any fiber *)
   (* Weighted-random scheduling; [recorded] accumulates the deviations
      (reversed) so a failing run serializes to a replayable schedule. *)
   rand : rand_sched option;
@@ -229,6 +235,16 @@ let harvest_conflicts ctx ~loc ~kind =
          conflicts through [last_write]; drop them to keep pairs fresh. *)
       Hashtbl.reset acc.reads
 
+(* Scheduling effects private to this engine, performed by the installed
+   dispatch only when control must move: [Switch f] parks the performer
+   and runs fiber [f]; [Freeze] drops the performer (suspension
+   adversary); [Abandon] drops it and unwinds to the driver, leaving the
+   other fibers paused, once the step budget is spent. *)
+type _ Effect.t +=
+  | Switch : int -> unit Effect.t
+  | Freeze : unit Effect.t
+  | Abandon : unit Effect.t
+
 (* Tail-call discipline as in {!Sim}: every branch ends in [continue],
    [run_fiber], [dispatch] or a plain return unwinding to the driver. *)
 let rec dispatch ctx fiber =
@@ -236,8 +252,11 @@ let rec dispatch ctx fiber =
   ctx.in_quantum <- ctx.quantum;
   match ctx.fibers.(fiber) with
   | Done | Frozen -> assert false
-  | Paused resume -> resume ()
+  | Paused k -> Effect.Deep.continue k ()
   | Start body -> run_fiber ctx fiber body
+
+and rotate ctx =
+  match next_runnable ctx with None -> () | Some f -> dispatch ctx f
 
 and run_fiber ctx fiber body =
   let open Effect.Deep in
@@ -246,82 +265,63 @@ and run_fiber ctx fiber body =
       retc =
         (fun () ->
           ctx.fibers.(fiber) <- Done;
-          match next_runnable ctx with
-          | None -> ()
-          | Some f -> dispatch ctx f);
+          rotate ctx);
       exnc = raise;
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
-          | Sim_effects.Access (line, kind) ->
+          | Switch f ->
               Some
                 (fun (k : (a, _) continuation) ->
-                  at_access ctx ~loc:(Cache_model.line_id line) ~kind (fun () ->
-                      continue k ()))
-          | Sim_effects.Relax _ -> Some (fun k -> continue k ())
-          | Sim_effects.Yield ->
-              Some
-                (fun k ->
-                  (* A yield rotates immediately — that is its meaning. *)
-                  match next_runnable ctx with
-                  | None -> continue k ()
-                  | Some f ->
-                      ctx.fibers.(ctx.current) <-
-                        Paused (fun () -> continue k ());
-                      dispatch ctx f)
-          | Sim_effects.New_loc ->
-              Some
-                (fun k ->
-                  let id = ctx.next_loc in
-                  ctx.next_loc <- id + 1;
-                  continue k (Cache_model.line_of_id id))
-          | Sim_effects.Now -> Some (fun k -> continue k (Int64.of_int ctx.step))
-          | Sim_effects.Rand_int n ->
-              Some
-                (fun k -> continue k (Sec_prim.Rng.int ctx.rngs.(ctx.current) n))
-          | Sim_effects.Rand_bits ->
-              Some
-                (fun k -> continue k (Sec_prim.Rng.bits ctx.rngs.(ctx.current)))
-          | Sim_effects.Fiber_id -> Some (fun k -> continue k ctx.current)
-          | Sim_effects.Num_workers ->
-              Some (fun k -> continue k (Array.length ctx.rngs))
-          | Sim_effects.Spawn _ ->
+                  ctx.fibers.(ctx.current) <- Paused k;
+                  dispatch ctx f)
+          | Freeze ->
               Some
                 (fun _ ->
-                  raise (Unsupported "Sim.spawn inside an Explore scenario"))
-          | Sim_effects.Await_all ->
-              Some
-                (fun _ ->
-                  raise (Unsupported "Sim.await_all inside an Explore scenario"))
-          | _ -> None)
+                  ctx.fibers.(ctx.current) <- Frozen;
+                  rotate ctx)
+          | Abandon -> Some (fun _ -> ())
+          | _ -> None);
     }
 
-(* The heart: a scheduling point just before an atomic access. [resume]
-   continues the suspended access. *)
-and at_access ctx ~loc ~kind (resume : unit -> unit) =
-  let freeze =
-    match ctx.suspend with
-    | Some (victim, after) when ctx.current = victim && not ctx.suspended ->
-        ctx.victim_seen <- ctx.victim_seen + 1;
-        ctx.victim_seen = after
-    | _ -> false
-  in
-  if freeze then begin
-    (* Suspension adversary: park the victim forever, just before the
-       access executes. The frozen access is never accounted as a step —
-       it never happens. *)
-    ctx.suspended <- true;
-    ctx.fibers.(ctx.current) <- Frozen;
-    match next_runnable ctx with None -> () | Some f -> dispatch ctx f
-  end
-  else at_live_access ctx ~loc ~kind resume
+(* Sample the weighted-random scheduler, if installed: [None] keeps the
+   fair baseline for this access, [Some f] deviates to fiber [f]. The
+   baseline still rotates every [quantum] accesses in between, so even a
+   fiber whose weight the sampler never favours keeps running — random
+   exploration stays sound for blocking algorithms. *)
+let random_choice ctx =
+  match ctx.rand with
+  | None -> None
+  | Some r -> (
+      match runnable_others ctx with
+      | [] -> None
+      | alts ->
+          if Array.length r.weights = 0 then
+            r.weights <-
+              Array.init (Array.length ctx.fibers) (fun _ ->
+                  1 lsl Sec_prim.Rng.int r.rng 4);
+          let total =
+            List.fold_left (fun acc f -> acc + r.weights.(f)) r.stay alts
+          in
+          let d = Sec_prim.Rng.int r.rng total in
+          if d < r.stay then None
+          else
+            let rec pick d = function
+              | [] -> None
+              | f :: rest ->
+                  if d < r.weights.(f) then Some f
+                  else pick (d - r.weights.(f)) rest
+            in
+            pick (d - r.stay) alts)
 
-and at_live_access ctx ~loc ~kind (resume : unit -> unit) =
+(* A live (non-frozen) access by the current fiber: account the step,
+   then let it execute, switch fibers, or abandon the run. *)
+let at_live_access ctx ~loc ~kind =
   Sim_effects.Progress.on_event ctx.current;
   ctx.step <- ctx.step + 1;
   if ctx.step > ctx.max_steps then begin
-    ctx.livelocked <- true
-    (* abandon: unwind to the driver, leaving other fibers paused *)
+    ctx.livelocked <- true;
+    Effect.perform Abandon
   end
   else begin
     let forced =
@@ -356,64 +356,94 @@ and at_live_access ctx ~loc ~kind (resume : unit -> unit) =
         | Done | Frozen ->
             (* Replay drift should not happen (runs are deterministic);
                degrade to continuing rather than crashing. *)
-            resume ()
-        | Start _ | Paused _ ->
-            ctx.fibers.(ctx.current) <- Paused resume;
-            dispatch ctx f)
+            ()
+        | Start _ | Paused _ -> Effect.perform (Switch f))
     | None -> (
         match random_choice ctx with
         | Some f ->
             (* A sampled deviation: record it so the run replays as a
                plain forced-preemption schedule, then switch. *)
             ctx.recorded <- { step = ctx.step; fiber = f } :: ctx.recorded;
-            ctx.fibers.(ctx.current) <- Paused resume;
-            dispatch ctx f
+            Effect.perform (Switch f)
         | None ->
         if ctx.in_quantum <= 1 then begin
           (* Baseline fairness: rotate round-robin. *)
           match next_runnable ctx with
-          | None ->
-              ctx.in_quantum <- ctx.quantum;
-              resume ()
-          | Some f ->
-              ctx.fibers.(ctx.current) <- Paused resume;
-              dispatch ctx f
+          | None -> ctx.in_quantum <- ctx.quantum
+          | Some f -> Effect.perform (Switch f)
         end
-        else begin
-          ctx.in_quantum <- ctx.in_quantum - 1;
-          resume ()
-        end)
+        else ctx.in_quantum <- ctx.in_quantum - 1)
   end
 
-(* Sample the weighted-random scheduler, if installed: [None] keeps the
-   fair baseline for this access, [Some f] deviates to fiber [f]. The
-   baseline still rotates every [quantum] accesses in between, so even a
-   fiber whose weight the sampler never favours keeps running — random
-   exploration stays sound for blocking algorithms. *)
-and random_choice ctx =
-  match ctx.rand with
-  | None -> None
-  | Some r -> (
-      match runnable_others ctx with
-      | [] -> None
-      | alts ->
-          if Array.length r.weights = 0 then
-            r.weights <-
-              Array.init (Array.length ctx.fibers) (fun _ ->
-                  1 lsl Sec_prim.Rng.int r.rng 4);
-          let total =
-            List.fold_left (fun acc f -> acc + r.weights.(f)) r.stay alts
-          in
-          let d = Sec_prim.Rng.int r.rng total in
-          if d < r.stay then None
-          else
-            let rec pick d = function
-              | [] -> None
-              | f :: rest ->
-                  if d < r.weights.(f) then Some f
-                  else pick (d - r.weights.(f)) rest
-            in
-            pick (d - r.stay) alts)
+(* The heart: a scheduling point just before an atomic access, run on
+   the accessing fiber's own stack. Returning lets the access execute;
+   any other outcome performs one of the private effects. *)
+let at_access ctx ~loc ~kind =
+  let freeze =
+    match ctx.suspend with
+    | Some (victim, after) when ctx.current = victim && not ctx.suspended ->
+        ctx.victim_seen <- ctx.victim_seen + 1;
+        ctx.victim_seen = after
+    | _ -> false
+  in
+  if freeze then begin
+    (* Suspension adversary: park the victim forever, just before the
+       access executes. The frozen access is never accounted as a step —
+       it never happens. *)
+    ctx.suspended <- true;
+    Effect.perform Freeze
+  end
+  else at_live_access ctx ~loc ~kind
+
+(* An access outside the fibers (scenario setup, final check): no
+   scheduling (there is nothing to interleave with), but the virtual
+   clock still ticks: the final check records drain events through
+   {!Sec_spec.History}, and those need distinct timestamps so the
+   linearizability checker sees them as sequential. The step budget
+   applies here too (generously): a check that operates on the structure
+   (e.g. a draining pop) can inherit a stalled protocol state — a
+   combiner lock held by a crash-frozen fiber — and would otherwise spin
+   the setup context forever. *)
+let at_setup_access ctx =
+  ctx.step <- ctx.step + 1;
+  if ctx.step > 4 * ctx.max_steps then
+    failwith "Explore: setup/check exceeded the step budget"
+
+let rng ctx = if ctx.in_fiber then ctx.rngs.(ctx.current) else ctx.setup_rng
+
+let dispatch_of ctx =
+  {
+    Sim_effects.d_new_loc =
+      (fun () ->
+        let id = ctx.next_loc in
+        ctx.next_loc <- id + 1;
+        Cache_model.line_of_id id);
+    d_access =
+      (fun line kind ->
+        if ctx.in_fiber then
+          at_access ctx ~loc:(Cache_model.line_id line) ~kind
+        else at_setup_access ctx);
+    d_relax = ignore;
+    d_yield =
+      (fun () ->
+        (* A yield rotates immediately — that is its meaning. *)
+        if ctx.in_fiber then
+          match next_runnable ctx with
+          | None -> ()
+          | Some f -> Effect.perform (Switch f));
+    d_now = (fun () -> Int64.of_int ctx.step);
+    d_now_int = (fun () -> ctx.step);
+    d_rand_int = (fun n -> Sec_prim.Rng.int (rng ctx) n);
+    d_rand_bits = (fun () -> Sec_prim.Rng.bits (rng ctx));
+    d_spawn =
+      (fun _ -> raise (Unsupported "Sim.spawn inside an Explore scenario"));
+    d_await_all =
+      (fun () ->
+        raise (Unsupported "Sim.await_all inside an Explore scenario"));
+    d_fiber_id = (fun () -> if ctx.in_fiber then ctx.current else -1);
+    d_num_workers =
+      (fun () -> if ctx.in_fiber then Array.length ctx.rngs else 0);
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                               *)
@@ -423,59 +453,34 @@ type one_outcome =
   | Raised of string
   | Livelocked
 
-(* Effects performed outside the fibers (scenario setup, final check) are
-   interpreted trivially and sequentially. Shared by {!run_one} and the
-   suspension driver {!run_frozen}. *)
-let setup_effc :
-    type a.
-    run_ctx -> a Effect.t -> ((a, unit) Effect.Deep.continuation -> unit) option
-    =
- fun ctx eff ->
-  let open Effect.Deep in
-  match eff with
-  | Sim_effects.Access (_, _) ->
-      (* No scheduling (there is nothing to interleave with), but the
-         virtual clock still ticks: the final check records drain events
-         through {!Sec_spec.History}, and those need distinct timestamps
-         so the linearizability checker sees them as sequential. The step
-         budget applies here too (generously): a check that operates on
-         the structure (e.g. a draining pop) can inherit a stalled
-         protocol state — a combiner lock held by a crash-frozen fiber —
-         and would otherwise spin the setup context forever. *)
-      Some
-        (fun k ->
-          ctx.step <- ctx.step + 1;
-          if ctx.step > 4 * ctx.max_steps then
-            discontinue k
-              (Failure "Explore: setup/check exceeded the step budget")
-          else continue k ())
-  | Sim_effects.Relax _ -> Some (fun k -> continue k ())
-  | Sim_effects.Yield -> Some (fun k -> continue k ())
-  | Sim_effects.New_loc ->
-      Some
-        (fun k ->
-          let id = ctx.next_loc in
-          ctx.next_loc <- id + 1;
-          continue k (Cache_model.line_of_id id))
-  | Sim_effects.Now -> Some (fun k -> continue k (Int64.of_int ctx.step))
-  | Sim_effects.Rand_int n ->
-      Some (fun k -> continue k (Sec_prim.Rng.int ctx.setup_rng n))
-  | Sim_effects.Rand_bits ->
-      Some (fun k -> continue k (Sec_prim.Rng.bits ctx.setup_rng))
-  | Sim_effects.Fiber_id -> Some (fun k -> continue k (-1))
-  | Sim_effects.Num_workers -> Some (fun k -> continue k 0)
-  | _ -> None
+(* Run [f] — a whole scenario run: setup, fibers, final check — with
+   [ctx]'s dispatch installed, restoring the caller's on every exit.
+   Shared by {!run_one} and the suspension driver {!run_frozen}. *)
+let with_dispatch ctx f =
+  let saved = Sim_effects.install (dispatch_of ctx) in
+  Fun.protect ~finally:(fun () -> Sim_effects.restore saved) f
+
+(* Build the scenario's state in the setup context and load its fibers;
+   returns the final check. *)
+let load ctx scenario =
+  let fibers, check = scenario () in
+  if fibers = [] then raise (Unsupported "scenario with no fibers");
+  ctx.fibers <- Array.of_list (List.map (fun b -> Start b) fibers);
+  ctx.rngs <-
+    Array.init (Array.length ctx.fibers) (fun i ->
+        Sec_prim.Rng.create (Int64.of_int (1_000 + i)));
+  check
+
+(* Run the loaded fibers from fiber 0 until none is runnable or the step
+   budget abandons them. *)
+let run_fibers ctx =
+  ctx.in_fiber <- true;
+  dispatch ctx 0;
+  ctx.in_fiber <- false
 
 let run_one ctx scenario =
-  let open Effect.Deep in
-  let outcome = ref (Ok_run true) in
   let body () =
-    let fibers, check = scenario () in
-    if fibers = [] then raise (Unsupported "scenario with no fibers");
-    ctx.fibers <- Array.of_list (List.map (fun b -> Start b) fibers);
-    ctx.rngs <-
-      Array.init (Array.length ctx.fibers) (fun i ->
-          Sec_prim.Rng.create (Int64.of_int (1_000 + i)));
+    let check = load ctx scenario in
     (* Setup-to-fiber happens-before edges for the race detector: the
        scenario's state was built by the setup context (fiber -1). *)
     (match !Sec_analysis.Race_detector.active with
@@ -484,7 +489,7 @@ let run_one ctx scenario =
           (fun i _ -> Sec_analysis.Race_detector.on_spawn d ~parent:(-1) ~child:i)
           ctx.fibers
     | None -> ());
-    dispatch ctx 0;
+    run_fibers ctx;
     (match !Sec_analysis.Race_detector.active with
     | Some d ->
         Array.iteri
@@ -494,20 +499,13 @@ let run_one ctx scenario =
     | None -> ());
     (* Guard-leak detection at fiber completion — except on livelock,
        where abandoned fibers legitimately still hold their guards. *)
-    if not ctx.livelocked then
+    if ctx.livelocked then Livelocked
+    else begin
       Array.iteri (fun i _ -> Sim_effects.Reclaim.on_fiber_exit i) ctx.fibers;
-    if ctx.livelocked then outcome := Livelocked
-    else outcome := Ok_run (check ())
+      Ok_run (check ())
+    end
   in
-  (try
-     match_with body ()
-       {
-         retc = (fun () -> ());
-         exnc = (fun e -> outcome := Raised (Printexc.to_string e));
-         effc = (fun eff -> setup_effc ctx eff);
-       }
-   with e -> outcome := Raised (Printexc.to_string e));
-  !outcome
+  try with_dispatch ctx body with e -> Raised (Printexc.to_string e)
 
 let make_ctx ?suspend ?rand ~strategy ~quantum ~max_steps ~placements
     ~collecting ~max_extensions () =
@@ -534,6 +532,7 @@ let make_ctx ?suspend ?rand ~strategy ~quantum ~max_steps ~placements
     strategy;
     accesses = Hashtbl.create 64;
     branched = Hashtbl.create 64;
+    in_fiber = false;
     setup_rng = Sec_prim.Rng.create 99L;
     rand;
     recorded = [];
@@ -743,34 +742,17 @@ type suspension_outcome =
    Race/reclamation hooks are not fed either way — a frozen fiber holding
    a guard is the adversary's doing, not a bug. *)
 let run_frozen ?(consult = false) ctx scenario =
-  let open Effect.Deep in
-  let outcome = ref (Survived { engaged = false }) in
-  let verdict = ref None in
   let body () =
-    let fibers, check = scenario () in
-    if fibers = [] then raise (Unsupported "scenario with no fibers");
-    ctx.fibers <- Array.of_list (List.map (fun b -> Start b) fibers);
-    ctx.rngs <-
-      Array.init (Array.length ctx.fibers) (fun i ->
-          Sec_prim.Rng.create (Int64.of_int (1_000 + i)));
-    dispatch ctx 0;
-    if ctx.livelocked then outcome := Blocked
-    else begin
+    let check = load ctx scenario in
+    run_fibers ctx;
+    if ctx.livelocked then (Blocked, None)
+    else
       (* The driver unwound with nothing runnable: every fiber is [Done]
          except the (at most one) [Frozen] victim. *)
-      outcome := Survived { engaged = ctx.suspended };
-      if consult then verdict := Some (check ())
-    end
+      let engaged = ctx.suspended in
+      (Survived { engaged }, if consult then Some (check ()) else None)
   in
-  (try
-     match_with body ()
-       {
-         retc = (fun () -> ());
-         exnc = (fun e -> outcome := Crashed (Printexc.to_string e));
-         effc = (fun eff -> setup_effc ctx eff);
-       }
-   with e -> outcome := Crashed (Printexc.to_string e));
-  (!outcome, !verdict)
+  try with_dispatch ctx body with e -> (Crashed (Printexc.to_string e), None)
 
 let suspended_run ?(quantum = 8) ?(max_steps = 20_000) ~victim ~after scenario
     =

@@ -18,13 +18,11 @@
    continuation, unstarted body) lives in struct-of-arrays indexed by
    [fid + Heap.fid_bias], and the ready queue is a keys-only binary heap
    of packed [(time, fid)] ints — the fiber index rides in the key's low
-   bits, so scheduling touches no boxed payloads at all. The hot path
-   performs no effect: {!Sim_effects.dispatch} routes primitives to
-   direct functions that charge the access inline and only perform the
-   private [Switch] effect when an earlier fiber must actually run.
-   The legacy effect vocabulary is still handled (for {!Explore}-style
-   callers and the analysis hooks that perform [Fiber_id]), just off the
-   hot path.
+   bits, so scheduling touches no boxed payloads at all. Primitives
+   reach the loop only through the {!Sim_effects.dispatch} record
+   installed for the run: direct functions that charge the access
+   inline and perform the private [Switch] effect only when an earlier
+   fiber must actually run.
 
    IMPORTANT implementation invariant: every handler branch, [schedule]
    and [retc] must end in a TAIL call ([continue]/[schedule]/[run_fiber]);
@@ -33,7 +31,7 @@
 open Sim_effects
 
 exception Deadlock
-exception Not_in_simulation
+exception Not_in_simulation = Sim_effects.Not_in_simulation
 
 exception Stalled
 (* Raised when [run ~max_events] exceeds its event budget: with a fiber
@@ -375,9 +373,6 @@ and on_return ctx =
   Sim_effects.Progress.on_fiber_exit (fid_of slot);
   schedule ctx
 
-and legacy_advance ctx new_time k =
-  if advance ctx new_time then park ctx k else Effect.Deep.continue k ()
-
 and run_fiber ctx body =
   let open Effect.Deep in
   match_with body ()
@@ -390,70 +385,6 @@ and run_fiber ctx body =
           | Switch -> (ctx.switch_h : ((a, _) continuation -> _) option)
           | Freeze -> (ctx.freeze_h : ((a, _) continuation -> _) option)
           | Await -> (ctx.await_h : ((a, _) continuation -> _) option)
-          (* Legacy effect vocabulary: cold under this loop (the
-             dispatch fast path bypasses it) but still honoured, for
-             analysis hooks that perform [Fiber_id] and for any caller
-             performing {!Sim_effects} effects directly. *)
-          | Access (line, kind) ->
-              Some
-                (fun (k : (a, _) continuation) ->
-                  if check_freeze ctx then on_freeze ctx
-                  else begin
-                    Sim_effects.Progress.on_event (fid_of ctx.current);
-                    legacy_advance ctx (access_time ctx line kind) k
-                  end)
-          | Relax n ->
-              Some
-                (fun k ->
-                  legacy_advance ctx
-                    (ctx.f_time.(ctx.current) + Int.max 1 n)
-                    k)
-          | Yield ->
-              Some
-                (fun k ->
-                  legacy_advance ctx
-                    (ctx.f_time.(ctx.current)
-                    + ctx.topo.Topology.costs.yield_quantum)
-                    k)
-          | New_loc ->
-              Some
-                (fun k ->
-                  continue k
-                    (Cache_model.new_line ctx.cache
-                       ~core:ctx.f_core.(ctx.current)
-                       ~socket:ctx.f_socket.(ctx.current)))
-          | Now -> Some (fun k -> continue k (Int64.of_int ctx.f_time.(ctx.current)))
-          | Rand_int n ->
-              Some
-                (fun k ->
-                  continue k (Sec_prim.Rng.int ctx.f_rng.(ctx.current) n))
-          | Rand_bits ->
-              Some
-                (fun k ->
-                  continue k (Sec_prim.Rng.bits ctx.f_rng.(ctx.current)))
-          | Fiber_id -> Some (fun k -> continue k (fid_of ctx.current))
-          | Num_workers -> Some (fun k -> continue k ctx.next_core)
-          | Spawn body ->
-              Some
-                (fun k ->
-                  do_spawn ctx body;
-                  continue k ())
-          | Await_all ->
-              Some
-                (fun k ->
-                  if ctx.live_workers = 0 then begin
-                    (match ctx.det with
-                    | Some d ->
-                        Sec_analysis.Race_detector.on_join d
-                          ~fiber:(fid_of ctx.current)
-                    | None -> ());
-                    continue k ()
-                  end
-                  else begin
-                    ctx.joiner <- ctx.current;
-                    ctx.joiner_k <- Some k;
-                    schedule ctx
-                  end)
           | _ -> None)
     }
 
@@ -608,10 +539,9 @@ let run ?(seed = 42) ?(jitter = 0) ?detector ?reclaim_checker ?progress
           schedule_digest = ctx.digest land max_int;
         } )
 
-(* Routed through the dispatch so they hit the in-run fast path; outside
-   a run the default dispatch performs the legacy effects, preserving
-   [Effect.Unhandled] (and {!Explore}'s handlers see exactly what they
-   always saw). *)
+(* Routed through the dispatch like every primitive: inside a run they
+   reach whichever scheduler installed it ({!Explore} rejects [spawn] and
+   [await_all]); outside any run they raise [Not_in_simulation]. *)
 let spawn body = (Sim_effects.dispatch ()).d_spawn body
 let await_all () = (Sim_effects.dispatch ()).d_await_all ()
 let fiber_id () = (Sim_effects.dispatch ()).d_fiber_id ()

@@ -1,27 +1,17 @@
-(* The effect vocabulary shared by every scheduler that can execute
+(* The primitive layer shared by every scheduler that can execute
    simulated threads: {!Sim} (discrete-event, cost-charging) and
-   {!Explore} (systematic schedule enumeration) both install handlers for
-   these effects; {!Prim} is the {!Sec_prim.Prim_intf.S} implementation
-   that performs them, so the same algorithm code runs under either.
+   {!Explore} (systematic schedule enumeration) each install a
+   {!dispatch} record for the duration of a run; {!Prim} is the
+   {!Sec_prim.Prim_intf.S} implementation that calls through it, so the
+   same algorithm code runs under either.
 
    When a {!Sec_analysis.Race_detector} is installed, every atomic
    operation additionally reports a (fiber, location, kind) event to it.
-   The fiber id is obtained with the non-scheduling [Fiber_id] effect, so
-   the events work identically under both schedulers; with no detector
-   installed the cost is a single ref read per operation. *)
+   The fiber id comes from the installed dispatch, so the events work
+   identically under both schedulers; with no detector installed the
+   cost is a single ref read per operation. *)
 
-type _ Effect.t +=
-  | New_loc : Cache_model.line Effect.t
-  | Access : Cache_model.line * Cache_model.kind -> unit Effect.t
-  | Relax : int -> unit Effect.t
-  | Yield : unit Effect.t
-  | Now : int64 Effect.t
-  | Rand_int : int -> int Effect.t
-  | Rand_bits : int Effect.t
-  | Spawn : (unit -> unit) -> unit Effect.t
-  | Await_all : unit Effect.t
-  | Fiber_id : int Effect.t
-  | Num_workers : int Effect.t
+exception Not_in_simulation
 
 (* Fresh hot-path allocations ([Prim.note_alloc] calls). A plain counter
    rather than an effect: each domain executes one simulation at a time,
@@ -37,20 +27,19 @@ let alloc_tally () = Domain.DLS.get alloc_key
 (* ------------------------------------------------------------------ *)
 (* Primitive dispatch.
 
-   {!Prim} routes every primitive through this domain-local record
-   instead of performing an effect directly. The default implementation
-   performs the legacy effects above, so {!Explore} (and any other
-   effect-based scheduler) works unchanged; {!Sim} installs direct
-   functions for the duration of a run, turning the hot path — an atomic
-   access that does not switch fibers — into a plain call with no effect
-   round-trip and no [Access]-payload allocation. Only the rare access
-   that must actually hand control to an earlier fiber performs an
-   effect ({!Sim}'s private [Switch]).
+   {!Prim} routes every primitive through this domain-local record, and
+   the record is the only way a primitive reaches a scheduler. {!Sim}
+   and {!Explore} each install direct functions for the duration of a
+   run, so the hot path — an atomic access that does not switch fibers —
+   is a plain call with no effect round-trip and no payload allocation.
+   Only an access that must actually hand control to another fiber
+   performs an effect, private to the scheduler that installed the
+   record.
 
-   The record lives behind a per-domain ref so concurrent simulations on
-   a {!Sec_harness.Sweep} pool each see their own installation; outside
-   any run the default applies and a primitive raises
-   [Effect.Unhandled], exactly as before. *)
+   The record lives in a per-domain slot so concurrent simulations on a
+   {!Sec_harness.Sweep} pool each see their own installation; outside
+   any run the default applies and every primitive raises
+   [Not_in_simulation]. *)
 
 type dispatch = {
   d_new_loc : unit -> Cache_model.line;
@@ -69,26 +58,28 @@ type dispatch = {
   d_num_workers : unit -> int;
 }
 
-let effect_dispatch =
+let outside _ = raise Not_in_simulation
+
+let no_dispatch =
   {
-    d_new_loc = (fun () -> Effect.perform New_loc);
-    d_access = (fun line kind -> Effect.perform (Access (line, kind)));
-    d_relax = (fun n -> Effect.perform (Relax n));
-    d_yield = (fun () -> Effect.perform Yield);
-    d_now = (fun () -> Effect.perform Now);
-    d_now_int = (fun () -> Int64.to_int (Effect.perform Now));
-    d_rand_int = (fun n -> Effect.perform (Rand_int n));
-    d_rand_bits = (fun () -> Effect.perform Rand_bits);
-    d_spawn = (fun body -> Effect.perform (Spawn body));
-    d_await_all = (fun () -> Effect.perform Await_all);
-    d_fiber_id = (fun () -> Effect.perform Fiber_id);
-    d_num_workers = (fun () -> Effect.perform Num_workers);
+    d_new_loc = outside;
+    d_access = (fun _ _ -> raise Not_in_simulation);
+    d_relax = outside;
+    d_yield = outside;
+    d_now = outside;
+    d_now_int = outside;
+    d_rand_int = outside;
+    d_rand_bits = outside;
+    d_spawn = outside;
+    d_await_all = outside;
+    d_fiber_id = outside;
+    d_num_workers = outside;
   }
 
 (* The record is stored in the slot directly (not behind a ref): the
    [dispatch] read is on the path of every primitive, and one DLS load is
    all it costs. *)
-let disp_key = Domain.DLS.new_key (fun () -> effect_dispatch)
+let disp_key = Domain.DLS.new_key (fun () -> no_dispatch)
 let[@inline] dispatch () = Domain.DLS.get disp_key
 
 (* [install d] swaps the calling domain's dispatch and returns the
@@ -108,7 +99,7 @@ module Detect = struct
     match !Sec_analysis.Race_detector.active with
     | None -> ()
     | Some d -> (
-        let fiber = Effect.perform Fiber_id in
+        let fiber = (dispatch ()).d_fiber_id () in
         let loc = Cache_model.line_id line in
         let open Sec_analysis.Race_detector in
         match event with

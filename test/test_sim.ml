@@ -284,9 +284,8 @@ let test_sim_spawn_limit () =
              Sim.await_all ())))
 
 let test_sim_prim_outside_run () =
-  match SP.Atomic.make 0 with
-  | _ -> Alcotest.fail "expected Effect.Unhandled outside Sim.run"
-  | exception Effect.Unhandled _ -> ()
+  Alcotest.check_raises "no installed dispatch" Sim.Not_in_simulation
+    (fun () -> ignore (SP.Atomic.make 0))
 
 let test_sim_spawn_inherits_time () =
   (* A worker's clock starts at its spawner's time: work done by main
