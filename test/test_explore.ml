@@ -435,17 +435,18 @@ let test_tsi_peek_all_schedules () =
 (* -------------------------------------------------------------------- *)
 (* Pathology detection                                                   *)
 
-let test_livelock_detected () =
-  let scenario () =
-    let flag = SP.Atomic.make false in
-    let spin () =
-      while not (SP.Atomic.get flag) do
-        SP.cpu_relax ()
-      done
-    in
-    ([ spin ], fun () -> true)
+(* One fiber spinning on a flag nobody sets. *)
+let spin_scenario () =
+  let flag = SP.Atomic.make false in
+  let spin () =
+    while not (SP.Atomic.get flag) do
+      SP.cpu_relax ()
+    done
   in
-  match Explore.for_all ~max_steps:1_000 scenario with
+  ([ spin ], fun () -> true)
+
+let test_livelock_detected () =
+  match Explore.for_all ~max_steps:1_000 spin_scenario with
   | Explore.Failed { kind = Explore.Livelock; _ } -> ()
   | other -> Alcotest.failf "expected Livelock, got %s" (result_kind other)
 
@@ -456,6 +457,49 @@ let test_exception_reported () =
       Alcotest.(check bool) "message mentions boom" true
         (String.length msg > 0)
   | other -> Alcotest.failf "expected Fiber_raised, got %s" (result_kind other)
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
+  at 0
+
+(* Explore runs a fixed set of fibers, so Sim's fiber operations have no
+   meaning inside a scenario: calling one fails the search, naming the
+   rejection. *)
+let test_fiber_ops_rejected () =
+  let expect_rejected what body =
+    match Explore.for_all (fun () -> ([ body ], fun () -> true)) with
+    | Explore.Failed { kind = Explore.Fiber_raised msg; _ } ->
+        Alcotest.(check bool)
+          (what ^ " raises Unsupported naming it")
+          true
+          (contains msg "Unsupported" && contains msg what)
+    | other ->
+        Alcotest.failf "%s: expected Fiber_raised, got %s" what
+          (result_kind other)
+  in
+  expect_rejected "Sim.spawn" (fun () -> Sec_sim.Sim.spawn ignore);
+  expect_rejected "Sim.await_all" Sec_sim.Sim.await_all
+
+(* Every way out of an Explore run restores the caller's dispatch, so a
+   primitive used afterwards fails loudly instead of reaching the dead
+   run's scheduler. *)
+let outside_any_run what =
+  match SP.Atomic.make 0 with
+  | _ -> Alcotest.failf "%s: a primitive still reaches a scheduler" what
+  | exception Sec_sim.Sim.Not_in_simulation -> ()
+
+let test_dispatch_restored () =
+  let raising () = ([ (fun () -> failwith "boom") ], fun () -> true) in
+  (match Explore.replay ~schedule:[] raising with
+  | Explore.Raised _ -> ()
+  | _ -> Alcotest.fail "expected the replay to report the raise");
+  outside_any_run "after a replay whose fiber raised";
+  (* The step budget abandons the spinning fiber mid-access. *)
+  (match Explore.for_all ~max_steps:1_000 spin_scenario with
+  | Explore.Failed { kind = Explore.Livelock; _ } -> ()
+  | other -> Alcotest.failf "expected Livelock, got %s" (result_kind other));
+  outside_any_run "after a livelocked search"
 
 let test_schedule_count_grows_with_bound () =
   let count bound =
@@ -514,5 +558,8 @@ let () =
           Alcotest.test_case "exception" `Quick test_exception_reported;
           Alcotest.test_case "bound semantics" `Quick
             test_schedule_count_grows_with_bound;
+          Alcotest.test_case "fiber ops rejected" `Quick
+            test_fiber_ops_rejected;
+          Alcotest.test_case "dispatch restored" `Quick test_dispatch_restored;
         ] );
     ]

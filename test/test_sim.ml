@@ -287,6 +287,15 @@ let test_sim_prim_outside_run () =
   Alcotest.check_raises "no installed dispatch" Sim.Not_in_simulation
     (fun () -> ignore (SP.Atomic.make 0))
 
+(* A run whose main raises still restores the caller's dispatch: the
+   next primitive outside any run fails loudly again. *)
+let test_sim_dispatch_restored () =
+  (match Sim.run ~topology:Topology.testbox (fun () -> failwith "main") with
+  | _ -> Alcotest.fail "expected the run to raise"
+  | exception Failure _ -> ());
+  Alcotest.check_raises "outside any run again" Sim.Not_in_simulation
+    (fun () -> ignore (SP.Atomic.make 0))
+
 let test_sim_spawn_inherits_time () =
   (* A worker's clock starts at its spawner's time: work done by main
      before spawning is on the critical path. *)
@@ -606,6 +615,8 @@ let () =
           Alcotest.test_case "numa penalty" `Quick test_sim_numa_penalty;
           Alcotest.test_case "spawn limit" `Quick test_sim_spawn_limit;
           Alcotest.test_case "prim outside run" `Quick test_sim_prim_outside_run;
+          Alcotest.test_case "dispatch restored after raise" `Quick
+            test_sim_dispatch_restored;
           Alcotest.test_case "relax advances clock" `Quick
             test_sim_relax_advances_clock;
           Alcotest.test_case "spawn inherits time" `Quick
