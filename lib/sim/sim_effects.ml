@@ -63,7 +63,7 @@ let outside _ = raise Not_in_simulation
 let no_dispatch =
   {
     d_new_loc = outside;
-    d_access = (fun _ _ -> raise Not_in_simulation);
+    d_access = outside;
     d_relax = outside;
     d_yield = outside;
     d_now = outside;
