@@ -1,5 +1,5 @@
 (** Systematic schedule exploration with preemption bounding (CHESS-style
-    stateless model checking) over the {!Sim_effects} instrumentation.
+    stateless model checking) of code written against {!Sim.Prim}.
 
     A *scenario* is a generator returning fresh fiber bodies plus a final
     check; {!for_all} replays it under every schedule that deviates from

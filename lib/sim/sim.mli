@@ -1,13 +1,18 @@
 (** Deterministic discrete-event simulator of a NUMA multicore.
 
-    Simulated threads are effects-based fibers with private virtual
-    clocks; atomic accesses are charged through {!Cache_model} and the
-    earliest fiber always runs next. Used to run every stack in this
-    repository at the paper's 56/96/192-thread scales on a small host,
-    and to explore interleavings deterministically in tests. *)
+    Simulated threads are fibers with private virtual clocks. {!Prim}
+    reaches the scheduler through a dispatch record installed for the
+    run: atomic accesses are charged through {!Cache_model} inline, and
+    a fiber switch happens only when another fiber is now earliest.
+    Used to run every stack in this repository at the paper's
+    56/96/192-thread scales on a small host, and to explore
+    interleavings deterministically in tests. *)
 
 exception Deadlock
+
 exception Not_in_simulation
+(** Raised by every {!Prim} operation used outside {!run} or an
+    {!Explore} run. *)
 
 exception Stalled
 (** Raised when [run ~max_events] exceeds its event budget — the
@@ -110,5 +115,6 @@ val fiber_id : unit -> int
 (** The simulated execution substrate, including the execution capability
     ({!Sec_prim.Prim_intf.EXEC}): budgets are virtual cycles, [spawn] and
     [await_all] are the fiber operations above, and [thread_id] is
-    {!fiber_id}. Using it outside {!run} raises [Effect.Unhandled]. *)
+    {!fiber_id}. Using it outside {!run} or an {!Explore} run raises
+    {!Not_in_simulation}. *)
 module Prim : Sec_prim.Prim_intf.EXEC with type budget = int
