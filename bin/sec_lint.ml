@@ -87,31 +87,10 @@ let print_json diagnostics =
   if diagnostics <> [] then print_string "\n";
   print_string "]\n"
 
-(* Lint [files] as one corpus: one summary environment, one typestate
-   analysis, per-file composed facts, plus the whole-environment
-   rule-10 and rule 11-13 diagnostics. *)
-let check_corpus ?scope files =
-  let env = Summary.analyze ?scope files in
-  let ts = Typestate.analyze ~summary:env ?scope files in
-  let facts file =
-    Typestate.facts_with ts ~file (Summary.facts_for env ~file)
-  in
-  let diagnostics =
-    List.concat_map (fun file -> L.check_file ?scope ~facts:(facts file) file) files
-    @ Summary.publication_diagnostics env
-    @ Typestate.diagnostics ts
-  in
-  ( env,
-    ts,
-    List.sort
-      (fun (a : L.diagnostic) b ->
-        compare (a.file, a.line, a.col, a.rule) (b.file, b.line, b.col, b.rule))
-      diagnostics )
-
 type output = Text | Json | Sarif
 
 let lint ~output files =
-  let _env, _ts, diagnostics = check_corpus files in
+  let _env, _ts, diagnostics = Typestate.check_corpus files in
   (match output with
   | Json -> print_json diagnostics
   | Sarif -> print_string (L.sarif_of_diagnostics diagnostics)
@@ -129,8 +108,7 @@ let lint ~output files =
 (* --- audit mode ---------------------------------------------------- *)
 
 let audit files =
-  let env = Summary.analyze files in
-  let ts = Typestate.analyze ~summary:env files in
+  let env, ts, _ = Typestate.check_corpus files in
   let facts file =
     Typestate.facts_with ts ~file (Summary.facts_for env ~file)
   in
@@ -397,7 +375,7 @@ let selftest dir =
      interprocedural fixtures exercise the facts and rule 10-13
      paths. *)
   let scope = { L.check_discipline = true; allow_obj = false } in
-  let _env, _ts, diagnostics = check_corpus ~scope files in
+  let _env, _ts, diagnostics = Typestate.check_corpus ~scope files in
   let failures = ref 0 in
   let expected_total = ref 0 in
   List.iter

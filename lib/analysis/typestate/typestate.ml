@@ -1732,3 +1732,32 @@ let guarded_positions t ~file =
   | Some fi ->
       Hashtbl.fold (fun p () acc -> p :: acc) fi.f_guarded []
       |> List.sort compare
+
+(* ------------------------------------------------------------------ *)
+(* Corpus entry point                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Lint [sources] as one corpus: one summary environment, one typestate
+   analysis, per-file composed facts, plus the whole-environment
+   rule-10 and rule 11-13 diagnostics. *)
+let check_with ~summary ?scope sources =
+  let ts = analyze_sources ~summary ?scope sources in
+  let facts file = facts_with ts ~file (Summary.facts_for summary ~file) in
+  let diagnostics =
+    List.concat_map
+      (fun (file, src) ->
+        L.check_string ?scope ~facts:(facts file) ~filename:file src)
+      sources
+    @ Summary.publication_diagnostics summary
+    @ diagnostics ts
+  in
+  (summary, ts, List.sort diag_order diagnostics)
+
+let check_corpus ?scope files =
+  check_with
+    ~summary:(Summary.analyze ?scope files)
+    ?scope
+    (List.map (fun file -> (file, L.read_file file)) files)
+
+let check_sources ?scope sources =
+  check_with ~summary:(Summary.analyze_sources ?scope sources) ?scope sources

@@ -80,6 +80,21 @@ val analyze : summary:Summary.env -> ?scope:L.scope -> string list -> t
 val analyze_sources :
   summary:Summary.env -> ?scope:L.scope -> (string * string) list -> t
 
+(** Lint [files] as one corpus — the [sec_lint] entry point: one
+    summary environment, one typestate analysis, each file's rule 1-9
+    diagnostics under the composed facts, plus the rule-10 and rule
+    11-13 diagnostics, sorted by (file, line, col, rule). [scope]
+    overrides {!L.scope_of_path} for every file. *)
+val check_corpus :
+  ?scope:L.scope -> string list -> Summary.env * t * L.diagnostic list
+
+(** {!check_corpus} over in-memory sources [(filename, contents)] —
+    unit tests. *)
+val check_sources :
+  ?scope:L.scope ->
+  (string * string) list ->
+  Summary.env * t * L.diagnostic list
+
 (** All rule 11-13 diagnostics, sorted by (file, line, col, rule). *)
 val diagnostics : t -> L.diagnostic list
 

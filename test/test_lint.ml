@@ -11,6 +11,15 @@ let check ?(scope = discipline_scope) src =
 
 let rules ds = List.map (fun d -> d.L.rule) ds
 
+(* The corpus entry point [sec_lint] runs (summaries, typestate and the
+   per-file rules together), over one in-memory file. *)
+let corpus src =
+  let _, _, ds =
+    Sec_typestate.Typestate.check_sources ~scope:discipline_scope
+      [ ("fixture.ml", src) ]
+  in
+  ds
+
 (* -------------------------------------------------------------------- *)
 (* mutable-field *)
 
@@ -109,7 +118,7 @@ let test_ebr_guard_fires () =
       \  | None -> None\n\
       \  | Some n -> Some n.value\n"
   in
-  match check src with
+  match corpus src with
   | [ d ] ->
       Alcotest.(check string) "rule" "ebr-guard" d.L.rule;
       Alcotest.(check int) "line of the naked deref" 6 d.L.line
@@ -122,7 +131,7 @@ let test_ebr_guard_extent_clean () =
       \  match A.get t.top with None -> None | Some n -> Some n.value)\n"
   in
   Alcotest.(check int) "deref inside the guard extent is clean" 0
-    (List.length (check src))
+    (List.length (corpus src))
 
 let test_unguarded_ok_covers_subtree () =
   (* One annotation on a helper body covers every deref inside it. *)
@@ -134,14 +143,14 @@ let test_unguarded_ok_covers_subtree () =
       \  | Some n -> youngest (A.get n.next))\n\
       \  [@unguarded_ok \"callers hold the guard\"]\n"
   in
-  Alcotest.(check int) "annotated helper is clean" 0 (List.length (check src))
+  Alcotest.(check int) "annotated helper is clean" 0 (List.length (corpus src))
 
 let test_empty_unguarded_ok_rejected () =
   let src =
     ebr_prelude ^ "let value_of n = n.value [@unguarded_ok \"\"]\n"
   in
   Alcotest.(check (list string)) "empty reason still fires" [ "ebr-guard" ]
-    (rules (check src))
+    (rules (corpus src))
 
 let test_ebr_rules_need_ebr_reference () =
   (* Same deref shapes, but the module never references Ebr: the node
@@ -154,7 +163,7 @@ let test_ebr_rules_need_ebr_reference () =
     \  | Some n -> Some n.value\n"
   in
   Alcotest.(check int) "no Ebr reference: rules disarmed" 0
-    (List.length (check src))
+    (List.length (corpus src))
 
 let test_retire_once_fires () =
   let src =
@@ -191,7 +200,7 @@ let test_retire_ok_accepted () =
 
 let test_while_on_atomic_fires () =
   let src = "let wait f = while not (A.get f) do () done\n" in
-  match check src with
+  match corpus src with
   | [ d ] ->
       Alcotest.(check string) "rule" "retry-discipline" d.L.rule;
       Alcotest.(check int) "line of the while" 1 d.L.line
@@ -206,7 +215,7 @@ let test_bare_cas_loop_fires () =
     \  in\n\
     \  attempt ()\n"
   in
-  (match check src with
+  (match corpus src with
   | [ d ] ->
       Alcotest.(check string) "rule" "retry-discipline" d.L.rule;
       Alcotest.(check int) "line of the rec binding" 2 d.L.line
@@ -216,7 +225,7 @@ let test_bare_cas_loop_fires () =
     "let rec spin c = if not (A.compare_and_set c 0 1) then spin c\n"
   in
   Alcotest.(check (list string)) "top-level rec loop fires"
-    [ "retry-discipline" ] (rules (check src))
+    [ "retry-discipline" ] (rules (corpus src))
 
 let test_paced_loops_clean () =
   let src =
@@ -232,7 +241,7 @@ let test_paced_loops_clean () =
     \  in\n\
     \  attempt ()\n"
   in
-  Alcotest.(check int) "paced loops are clean" 0 (List.length (check src))
+  Alcotest.(check int) "paced loops are clean" 0 (List.length (corpus src))
 
 let test_await_ok_accepted () =
   let src =
@@ -243,19 +252,19 @@ let test_await_ok_accepted () =
     \  in\n\
     \  attempt ()\n"
   in
-  Alcotest.(check int) "annotated loop is clean" 0 (List.length (check src))
+  Alcotest.(check int) "annotated loop is clean" 0 (List.length (corpus src))
 
 let test_empty_await_ok_rejected () =
   let src =
     "let wait f = (while not (A.get f) do () done) [@await_ok \"\"]\n"
   in
   Alcotest.(check (list string)) "empty reason still fires"
-    [ "retry-discipline" ] (rules (check src))
+    [ "retry-discipline" ] (rules (corpus src))
 
 let test_non_shared_loop_clean () =
   (* A recursive loop with no atomic RMW inside is not a retry loop. *)
   let src = "let rec length = function [] -> 0 | _ :: t -> 1 + length t\n" in
-  Alcotest.(check int) "pure recursion is clean" 0 (List.length (check src))
+  Alcotest.(check int) "pure recursion is clean" 0 (List.length (corpus src))
 
 (* -------------------------------------------------------------------- *)
 (* progress-class *)
@@ -298,11 +307,10 @@ let test_lock_free_spin_fires () =
      let push t v = ignore (t, v)\n\
      let pop t = Backoff.spin_until (fun () -> A.get t.done_); None\n"
   in
-  match check src with
-  | [ d ] ->
-      Alcotest.(check string) "rule" "progress-class" d.L.rule;
-      Alcotest.(check int) "line of the spin" 4 d.L.line
-  | ds -> Alcotest.failf "expected one diagnostic, got %d" (List.length ds)
+  Alcotest.(check (list (pair int string)))
+    "the spin is diagnosed; rule 12 contradicts the declaration"
+    [ (1, "loop-progress"); (4, "progress-class") ]
+    (List.map (fun d -> (d.L.line, d.L.rule)) (corpus src))
 
 let test_lock_free_spin_await_ok_accepted () =
   let src =
@@ -315,7 +323,7 @@ let test_lock_free_spin_await_ok_accepted () =
     \  None\n"
   in
   Alcotest.(check int) "annotated spin in lock_free module is clean" 0
-    (List.length (check src))
+    (List.length (corpus src))
 
 let test_half_interface_needs_no_declaration () =
   (* Binding push alone (a helper module, say) is not a stack. *)
@@ -417,10 +425,10 @@ let test_clean_fixture () =
   in
   Alcotest.(check int) "idiomatic module is clean" 0 (List.length (check src))
 
-(* The real tree must be clean after this PR's fixes: run the same check
-   the @lint alias runs (interprocedural facts included — several
-   annotations were deleted because the summaries discharge them) over a
-   few load-bearing files. *)
+(* The real tree must be clean: run the same corpus check the @lint
+   alias runs (interprocedural facts and typestate included — several
+   annotations were deleted because the analyses discharge them) and
+   inspect a few load-bearing files. *)
 module Summary = Sec_summary.Summary
 
 (* The summary environment must cover the whole library, exactly as the
@@ -437,10 +445,12 @@ let rec gather path acc =
 
 let test_repo_files_clean () =
   if Sys.file_exists "../lib" then begin
-    let env = Summary.analyze (gather "../lib" []) in
+    let _, _, diagnostics =
+      Sec_typestate.Typestate.check_corpus (gather "../lib" [])
+    in
     List.iter
       (fun path ->
-        match L.check_file ~facts:(Summary.facts_for env ~file:path) path with
+        match List.filter (fun d -> d.L.file = path) diagnostics with
         | [] -> ()
         | ds ->
             Alcotest.failf "%s: %s" path

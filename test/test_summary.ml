@@ -31,6 +31,14 @@ let key_of env suffix =
 
 let rules ds = List.map (fun (d : L.diagnostic) -> d.L.rule) ds
 
+(* The corpus entry point [sec_lint] runs: summaries, typestate and the
+   per-file rules together. *)
+let corpus srcs =
+  let _, _, ds =
+    Sec_typestate.Typestate.check_sources ~scope:discipline_scope srcs
+  in
+  ds
+
 (* -------------------------------------------------------------------- *)
 (* Effect fixpoint on call cycles *)
 
@@ -98,12 +106,9 @@ let test_ctx_guarded_helper () =
     (Summary.ctx_guarded env scan);
   Alcotest.(check bool) "scan is not an entry point" false
     (Summary.String_set.mem scan (Summary.entries env));
-  (* The same facts must silence the syntactic ebr-guard rule. *)
-  let facts = Summary.facts_for env ~file:"guard.ml" in
+  (* The corpus run must discharge the ebr-guard rule with it. *)
   Alcotest.(check (list string)) "facts discharge the helper derefs" []
-    (rules
-       (L.check_string ~facts ~scope:discipline_scope ~filename:"guard.ml"
-          guard_src));
+    (rules (corpus [ ("guard.ml", guard_src) ]));
   (* Without facts the helper's derefs fire — the annotations the
      interprocedural pass makes unnecessary. *)
   Alcotest.(check bool) "without facts the rule still fires" true
@@ -239,13 +244,9 @@ let test_fixture_differential () =
     Alcotest.(check int) "syntactic lint flags all four loops" 4
       (List.length
          (List.filter (fun r -> r = "retry-discipline") syntactic));
-    let env =
-      Summary.analyze ~scope:discipline_scope [ spin_fixture ]
-    in
-    let with_facts =
-      L.check_file ~scope:discipline_scope
-        ~facts:(Summary.facts_for env ~file:spin_fixture)
-        spin_fixture
+    let _, _, with_facts =
+      Sec_typestate.Typestate.check_corpus ~scope:discipline_scope
+        [ spin_fixture ]
     in
     Alcotest.(check (list int))
       "summary facts keep only the genuinely unpaced loops" [ 26; 43 ]

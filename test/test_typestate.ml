@@ -139,7 +139,7 @@ let peek t ~tid =
   v
 |}
   in
-  let env, ts = analyze_src src in
+  let _, ts = analyze_src src in
   Alcotest.(check bool)
     "the read is in the definitely-guarded set" true
     (Ts.guarded_positions ts ~file:"fix.ml" <> []);
@@ -148,14 +148,22 @@ let peek t ~tid =
     "syntactic lint demands a guard"
     [ "ebr-guard" ]
     (List.map (fun (d : L.diagnostic) -> d.rule) syntactic);
-  let facts =
-    Ts.facts_with ts ~file:"fix.ml" (Summary.facts_for env ~file:"fix.ml")
+  let corpus src =
+    let _, _, ds = Ts.check_sources ~scope [ ("fix.ml", src) ] in
+    List.map (fun (d : L.diagnostic) -> d.rule) ds
   in
-  Alcotest.(check (list string))
-    "typestate facts discharge it" []
-    (List.map
-       (fun (d : L.diagnostic) -> d.rule)
-       (L.check_string ~scope ~facts ~filename:"fix.ml" src))
+  Alcotest.(check (list string)) "typestate facts discharge it" []
+    (corpus src);
+  (* Non-vacuity: the same read with the enter/exit pair removed is
+     reported by the corpus run. *)
+  let unpinned =
+    String.concat "\n"
+      (List.filter
+         (fun l -> not (Filename.check_suffix l "~tid;"))
+         (String.split_on_char '\n' src))
+  in
+  Alcotest.(check (list string)) "without the pair the read is flagged"
+    [ "ebr-guard" ] (corpus unpinned)
 
 (* -------------------------------------------------------------------- *)
 (* Rule 12: loop classification and verdicts *)
@@ -511,8 +519,7 @@ let test_facts_monotone_over_fixtures () =
   let dir = resolve [ "lint_fixtures"; "test/lint_fixtures" ] in
   let files = List.sort compare (gather dir []) in
   Alcotest.(check bool) "fixtures found" true (files <> []);
-  let env = Summary.analyze ~scope files in
-  let ts = Ts.analyze ~summary:env ~scope files in
+  let env, ts, _ = Ts.check_corpus ~scope files in
   List.iter
     (fun file ->
       let key (d : L.diagnostic) = (d.line, d.col, d.rule) in
