@@ -1,13 +1,13 @@
 (* Command-line driver for the discipline lint.
 
    Default mode: walk the given files and directories (recursively,
-   *.ml only), run the interprocedural summary analysis
-   (Sec_summary.Summary) and the path-sensitive typestate analysis
-   (Sec_typestate.Typestate) over the whole set, lint each file with
-   the composed facts (rules 1-9, obligations discharged across call
-   boundaries and by CFG guard-depth proofs), add the rule-10
-   plain-publication and rule 11-13 typestate diagnostics, print every
-   diagnostic as file:line:col, and exit non-zero if any were found.
+   *.ml only) and lint them as one corpus (Typestate.check_corpus): the
+   interprocedural summary analysis (Sec_summary.Summary) and the
+   path-sensitive typestate analysis (Sec_typestate.Typestate) run over
+   the whole set, each file gets the per-file rules under the summary
+   facts, and the rule-10 plain-publication and typestate diagnostics
+   (rules 4, 6 and 11-13) are added; print every diagnostic as
+   file:line:col, and exit non-zero if any were found.
    Wired into the build as [dune build @lint], which [dune runtest]
    depends on — so a discipline violation fails the tier-1 check.
    Output modes: [--json] emits a JSON array of {file, line, col,
@@ -20,10 +20,9 @@
    reported (exit 1), together with per-rule suppression counts.
    [@publication_ok] is counted but not staleness-probed (its rule
    lives in the summary analysis, not the syntactic recheck);
-   [@await_ok] is probed by the syntactic recheck AND by the typestate
-   rule-12 reclassification, merged by disjunction — an annotation
-   that keeps a wait out of the stuck class of a declared-lock_free
-   module is live even when rules 6/7 no longer need it.
+   [@unguarded_ok] and [@await_ok] are probed by the typestate analysis
+   (rule 4, and rules 6 and 12 together), the rest by the syntactic
+   recheck.
 
    Self-test mode: [sec_lint --selftest <dir>] checks the fixture files
    under <dir> (discipline scope forced on, summaries and typestate
@@ -38,7 +37,6 @@
    has one). *)
 
 module L = Sec_lint_rules.Lint_rules
-module Summary = Sec_summary.Summary
 module Typestate = Sec_typestate.Typestate
 
 let rec gather path acc =
@@ -108,32 +106,13 @@ let lint ~output files =
 (* --- audit mode ---------------------------------------------------- *)
 
 let audit files =
-  let env, ts, _ = Typestate.check_corpus files in
-  let facts file =
-    Typestate.facts_with ts ~file (Summary.facts_for env ~file)
-  in
+  let _, ts, _ = Typestate.check_corpus files in
   let entries =
     List.concat_map
       (fun file ->
         List.map
-          (fun (e : L.audit_entry) ->
-            (* the typestate rule-12 probe: an [@await_ok] whose removal
-               flips a module's static progress verdict is live even if
-               the syntactic recheck no longer needs it *)
-            let e =
-              if e.audit_annotation.ann_name = "await_ok" && not e.audit_live
-              then
-                match
-                  Typestate.audit_await ts ~file
-                    ~line:e.audit_annotation.ann_line
-                    ~col:e.audit_annotation.ann_col
-                with
-                | Some true -> { e with audit_live = true }
-                | _ -> e
-              else e
-            in
-            (file, e))
-          (L.audit_file ~facts:(facts file) file))
+          (fun e -> (file, e))
+          (Typestate.audit ts ~file (L.read_file file)))
       files
   in
   let count name =
@@ -202,12 +181,12 @@ let rule_docs =
       Some "unguarded_ok",
       "Rule 4. In discipline modules referencing Ebr, reads of node \
        record fields must happen inside a guard extent — otherwise a \
-       concurrent retire/sweep can free the node under the reader. The \
-       syntactic check accepts a lexical guard call; the summary \
-       analysis discharges reads in helpers whose every call site is \
-       guarded; the typestate analysis discharges reads at positions \
-       proved guard-depth >= 1 on every CFG path. Otherwise annotate \
-       [@unguarded_ok \"reason\"]." );
+       concurrent retire/sweep can free the node under the reader. A \
+       query over the typestate CFG: a read is accepted at guard depth \
+       >= 1 on every path (a guard wrapper's lambda body counts), in a \
+       helper whose every call site is guarded (interprocedural \
+       summaries), or inside a lambda passed to a guard wrapper. \
+       Otherwise annotate [@unguarded_ok \"reason\"]." );
     ( "retire-once",
       Some "retire_ok",
       "Rule 5. A node may be retired exactly once, by the thread that \
@@ -219,18 +198,20 @@ let rule_docs =
       Some "await_ok",
       "Rule 6. A retry loop on shared atomic state (a while on an \
        atomic read, or a recursive CAS/exchange loop) must pace itself \
-       with a Backoff/relax/yield call, or carry [@await_ok \"why the \
-       wait is bounded\"]. Unpaced spinning saturates the interconnect \
-       exactly when the system is most contended." );
+       with a Backoff/relax/yield call (directly or through a callee), \
+       or carry [@await_ok \"why the wait is bounded\"]. A query over \
+       rule 12's loop records: loops rule 12 proves bounded are \
+       exempt. Unpaced spinning saturates the interconnect exactly when \
+       the system is most contended." );
     ( "progress-class",
-      Some "await_ok",
+      None,
       "Rule 7. A module binding both push and pop must declare \
-       [@@@progress \"lock_free\"] or [@@@progress \"blocking\"], and a \
-       lock_free module must not wait unboundedly on another thread's \
-       write (spin_until/spin_while outside an [@await_ok] extent). The \
-       declaration is cross-checked three ways: by this rule, by the \
-       dynamic suspension classifier, and by the typestate rule 12 \
-       static verdict." );
+       [@@@progress \"lock_free\"] or [@@@progress \"blocking\"]. The \
+       declared class is checked twice: by the dynamic suspension \
+       classifier, and by the typestate rule 12 static verdict (a stuck \
+       wait reachable under a lock_free declaration is diagnosed at the \
+       declaration, naming the wait). No suppression: the declaration \
+       is the point." );
     ( "fresh-node",
       Some "fresh_ok",
       "Rule 8. In modules recycling nodes through Magazine, node record \

@@ -18,10 +18,9 @@
 
    4. [ebr-guard] — in discipline modules that use [Ebr], a field read of
       a node-typed record (any record type whose name contains "node")
-      must happen inside a syntactic [guard ...] call, or carry
-      [@unguarded_ok "why the caller holds the guard"]. The annotation
-      may sit on any enclosing expression (e.g. a helper's whole body):
-      it marks its subtree as guarded.
+      must be guarded. The rule is a query over the typestate CFG's
+      guard depth, so it lives in {!Sec_typestate.Typestate}; this
+      module supplies its node-field and [Ebr]-reference recognisers.
 
    5. [retire-once] — in the same modules, a [retire] call must be
       syntactically gated by an unlink CAS (the enclosing if-condition or
@@ -31,24 +30,16 @@
       {!Sec_analysis.Reclaim_checker} catches the interleavings, this
       rule catches the call sites.
 
-   6. [retry-discipline] — a retry loop on shared atomic state (a [while]
-      whose condition reads an atomic, or a recursive function whose body
-      both performs a CAS/exchange and calls itself) must pace itself: it
-      must contain a [Backoff]/[relax]/[yield] call, or carry
-      [@await_ok "why the wait is bounded"]. An unpaced loop hammers the
-      contended line (the paper's central performance concern) and is the
-      syntactic shape of every starvation/livelock hazard the dynamic
-      {!Sec_analysis.Progress_monitor} flags.
+   6. [retry-discipline] — an unpaced retry loop on shared atomic state.
+      The rule is a query over the typestate loop records, so it lives in
+      {!Sec_typestate.Typestate}.
 
    7. [progress-class] — a module that implements the stack interface
       (binds both [push] and [pop]) must declare its progress class with
       a floating attribute: [[@@@progress "lock_free"]] or
       [[@@@progress "blocking"]]. The declaration is checked dynamically
       by the suspension classifier ({!Sec_sim.Explore.classify}, via the
-      harness registry); statically, a module declared lock_free must not
-      wait unboundedly on another thread's write ([spin_until] /
-      [spin_while] outside an [@await_ok] extent) — such a wait requires
-      the blocking declaration.
+      harness registry) and statically by the typestate rule 12 verdict.
 
    8. [fresh-node] — in discipline modules that recycle nodes through
       {!Sec_reclaim.Magazine} or the {!Sec_reclaim.Slab} store, a node
@@ -88,17 +79,18 @@
    {!facts}: a bundle of location predicates computed by
    {!Sec_summary.Summary} from per-function atomic-effect summaries
    propagated over the whole-library call graph. Facts only ever
-   *discharge* obligations (a callee that paces, a caller that holds
-   the guard, a call site gated by the unlink CAS), never add new ones,
-   so running without facts is always sound but may demand annotations
-   the interprocedural analysis proves unnecessary ([--audit] reports
+   *discharge* obligations (a call site gated by the unlink CAS, a
+   caller under [@fresh_ok]), never add new ones, so running without
+   facts is always sound but may demand annotations the
+   interprocedural analysis proves unnecessary ([--audit] reports
    those).
 
-   The intent annotations — [@unguarded_ok], [@retire_ok], [@await_ok],
-   [@fresh_ok] — share one subtree-covering discipline
-   ({!covering_annotations}): each needs a non-empty reason string, and
-   each marks its whole subtree, so one annotation on a helper's body
-   covers every occurrence inside it. *)
+   The intent annotations [@retire_ok] and [@fresh_ok] share one
+   subtree-covering discipline ({!covering_annotations}): each needs a
+   non-empty reason string, and each marks its whole subtree, so one
+   annotation on a helper's body covers every occurrence inside it.
+   [@unguarded_ok] and [@await_ok] follow the same discipline in the
+   typestate queries. *)
 
 type diagnostic = {
   file : string;
@@ -110,40 +102,25 @@ type diagnostic = {
 
 type scope = {
   check_discipline : bool;
-      (* rules 1, 2, 4, 5: algorithm modules written against Prim_intf *)
+      (* rules 1, 2, 4-9: algorithm modules written against Prim_intf *)
   allow_obj : bool; (* rule 3 exemption: lib/prim/padding.ml *)
 }
 
 (* Interprocedural facts, supplied by Sec_summary.Summary (or {!no_facts}
    when running purely syntactically). Positions are (line, col) pairs of
-   the would-be diagnostic; spans are (start_line, end_line) of the
-   expression whose obligation is being discharged. Facts are consulted
-   only to *suppress* a diagnostic, never to create one. *)
+   the would-be diagnostic. Facts are consulted only to *suppress* a
+   diagnostic, never to create one. *)
 type facts = {
-  guarded_at : int * int -> bool;
-      (* rule 4: the enclosing function runs under a guard at every call
-         site (or the position sits inside a guard-wrapper call) *)
   gated_at : int * int -> bool;
       (* rule 5: every call site of the enclosing function is gated by an
          unlink compare_and_set *)
-  awaited_at : int * int -> bool;
-      (* rules 6/7: every call site sits under an [@await_ok] extent *)
   fresh_at : int * int -> bool;
       (* rule 8: every call site sits under a [@fresh_ok] extent *)
-  paced_within : int * int -> bool;
-      (* rule 6: some call inside the span resolves to a function whose
-         transitive effect paces (Backoff/relax/yield) *)
 }
 
 let no_facts =
   let f _ = false in
-  {
-    guarded_at = f;
-    gated_at = f;
-    awaited_at = f;
-    fresh_at = f;
-    paced_within = f;
-  }
+  { gated_at = f; fresh_at = f }
 
 (* Identity of one annotation occurrence, for the audit's
    disable-and-recheck probe: the position of the attribute *name*
@@ -277,8 +254,8 @@ let is_pacing_ident lid =
       true
   | _ -> false
 
-(* Unbounded waits on another thread's write (rule 7): under a lock_free
-   declaration these need an [@await_ok] bound or a blocking declaration. *)
+(* Unbounded waits on another thread's write: rule 12 classifies every
+   call site as a loop. *)
 let is_spin_wait_ident lid =
   match last_component lid with
   | "spin_until" | "spin_while" -> true
@@ -329,8 +306,8 @@ let structure_uses_magazine =
    contains "node". Dereferencing these is what the guard protects (rule
    4); a literal built from nothing but these fields is what the
    fresh-node rule flags (rule 8). *)
-let collect_node_fields structure =
-  let fields = Hashtbl.create 16 in
+let node_fields structure =
+  let fields = ref [] in
   let it =
     {
       Ast_iterator.default_iterator with
@@ -340,14 +317,14 @@ let collect_node_fields structure =
           | Ptype_record labels
             when contains_sub td.ptype_name.Location.txt "node" ->
               List.iter
-                (fun ld -> Hashtbl.replace fields ld.pld_name.Location.txt ())
+                (fun ld -> fields := ld.pld_name.Location.txt :: !fields)
                 labels
           | _ -> ());
           Ast_iterator.default_iterator.type_declaration it td);
     }
   in
   it.structure it structure;
-  fields
+  !fields
 
 (* Does [e]'s subtree contain an identifier satisfying [pred]? *)
 let expr_contains_ident pred e =
@@ -368,13 +345,6 @@ let expr_contains_ident pred e =
 
 let expr_contains_cas e = expr_contains_ident is_cas_ident e
 
-(* A bare reference to [name] anywhere in [e] — the self-call of a
-   recursive retry loop. *)
-let expr_references_self name e =
-  expr_contains_ident
-    (fun lid -> match flatten_longident lid with [ n ] -> n = name | _ -> false)
-    e
-
 (* ------------------------------------------------------------------ *)
 (* The checker                                                          *)
 
@@ -382,20 +352,15 @@ let expr_references_self name e =
 type ctx = {
   in_shared_block : bool;
       (* inside a record literal or Array.make/init arguments (rule 2) *)
-  in_guard : bool; (* inside a [guard ...] call's arguments (rule 4) *)
   in_cas_branch : bool;
       (* inside a branch selected by a compare_and_set (rule 5) *)
   retire_covered : bool; (* inside an [@retire_ok "..."] subtree (rule 5) *)
-  await_covered : bool;
-      (* inside an [@await_ok "..."] subtree (rules 6 and 7) *)
   fresh_covered : bool; (* inside a [@fresh_ok "..."] subtree (rule 8) *)
 }
 
 let covering_annotations =
   [
-    ("unguarded_ok", fun ctx -> { ctx with in_guard = true });
     ("retire_ok", fun ctx -> { ctx with retire_covered = true });
-    ("await_ok", fun ctx -> { ctx with await_covered = true });
     ("fresh_ok", fun ctx -> { ctx with fresh_covered = true });
   ]
 
@@ -420,7 +385,7 @@ let auditable_annotations =
   [
     ("unguarded_ok", [ "ebr-guard" ]);
     ("retire_ok", [ "retire-once" ]);
-    ("await_ok", [ "retry-discipline"; "progress-class" ]);
+    ("await_ok", [ "retry-discipline"; "loop-progress" ]);
     ("fresh_ok", [ "fresh-node" ]);
     ("unpadded_ok", [ "unpadded-atomic" ]);
     ("plain_ok", [ "mutable-field" ]);
@@ -444,8 +409,7 @@ let check_structure ?(facts = no_facts) ?disabled ~file ~scope structure =
   (* The shared subtree-covering annotation discipline: an annotation
      with a non-empty reason string marks the whole subtree it sits on,
      so one annotation on a helper's body covers every occurrence inside
-     it. [@unguarded_ok] discharges rule 4, [@retire_ok] rule 5,
-     [@await_ok] rules 6 and 7, [@fresh_ok] rule 8. *)
+     it. [@retire_ok] discharges rule 5, [@fresh_ok] rule 8. *)
   let attr_has_reason name attrs =
     match find_attr name attrs with
     | Some attr when attr_enabled attr -> (
@@ -460,24 +424,6 @@ let check_structure ?(facts = no_facts) ?disabled ~file ~scope structure =
         if attr_has_reason name e.pexp_attributes then mark ctx else ctx)
       ctx covering_annotations
   in
-  (* Does any sub-expression of [e] (including [e] itself) carry a
-     justified [@await_ok]? Used where rule 6 anchors on the whole
-     binding but the annotation may sit on an inner expression. *)
-  let subtree_has_await_ok e =
-    let found = ref false in
-    let it =
-      {
-        Ast_iterator.default_iterator with
-        expr =
-          (fun it e ->
-            if attr_has_reason "await_ok" e.pexp_attributes then
-              found := true;
-            Ast_iterator.default_iterator.expr it e);
-      }
-    in
-    it.expr it e;
-    !found
-  in
   let diags = ref [] in
   let add loc rule message =
     let line, col = pos_of loc in
@@ -488,10 +434,7 @@ let check_structure ?(facts = no_facts) ?disabled ~file ~scope structure =
   let magazine_rules =
     scope.check_discipline && structure_uses_magazine structure
   in
-  let node_fields =
-    if ebr_rules || magazine_rules then collect_node_fields structure
-    else Hashtbl.create 0
-  in
+  let node_fields = if magazine_rules then node_fields structure else [] in
 
   (* Rules 7 and 9 pre-pass: [@@@progress] / [@@@spec] declarations and
      push/pop bindings anywhere in the structure (including submodules —
@@ -530,9 +473,6 @@ let check_structure ?(facts = no_facts) ?disabled ~file ~scope structure =
      it.structure it structure);
   let progress_decls = List.rev !progress_decls in
   let spec_decls = List.rev !spec_decls in
-  let declared_lock_free =
-    List.exists (fun (p, _) -> p = Some "lock_free") progress_decls
-  in
 
   (* Rule 1: mutable record fields need [@plain_ok "..."]. *)
   let check_label (ld : label_declaration) =
@@ -579,17 +519,6 @@ let check_structure ?(facts = no_facts) ?disabled ~file ~scope structure =
     | _ -> ()
   in
 
-  (* Rule 4: node-field reads outside a guard extent. *)
-  let check_unguarded loc field =
-    add loc "ebr-guard"
-      (Printf.sprintf
-         "read of node field '%s' outside a guard extent in an EBR module: \
-          a concurrent retirement makes this a use-after-free; wrap the \
-          access in Ebr.guard, or annotate it [@unguarded_ok \"why the \
-          caller holds the guard\"]"
-         field)
-  in
-
   (* Rule 5: retire calls not gated by an unlink CAS. *)
   let check_retire loc =
     add loc "retire-once"
@@ -597,38 +526,6 @@ let check_structure ?(facts = no_facts) ?disabled ~file ~scope structure =
        the unlink race must not also retire the node (double-free); gate \
        the call on the winning CAS, or annotate it [@retire_ok \"why the \
        node is unlinked exactly once\"]"
-  in
-
-  (* Rule 6: unpaced retry loops on shared atomics. *)
-  let retry_message shape =
-    Printf.sprintf
-      "%s retries on a shared atomic without pacing: add a Backoff \
-       call (once/spin_until/spin_while), a substrate relax/yield, or — \
-       if the wait is bounded by protocol — annotate it [@await_ok \
-       \"why the wait is bounded\"]"
-      shape
-  in
-  let line_span (loc : Location.t) =
-    (loc.Location.loc_start.Lexing.pos_lnum, loc.Location.loc_end.Lexing.pos_lnum)
-  in
-  let check_retry_vb ctx (vb : value_binding) =
-    match vb.pvb_pat.ppat_desc with
-    | Ppat_var { txt = fname; _ } ->
-        let body = vb.pvb_expr in
-        if
-          expr_contains_ident is_retry_rmw_ident body
-          && expr_references_self fname body
-          && (not (expr_contains_ident is_pacing_ident body))
-          && (not ctx.await_covered)
-          && (not (attr_has_reason "await_ok" vb.pvb_attributes))
-          && (not (subtree_has_await_ok body))
-          && (not (facts.paced_within (line_span vb.pvb_loc)))
-          && not (facts.awaited_at (pos_of vb.pvb_loc))
-        then
-          add vb.pvb_loc "retry-discipline"
-            (retry_message
-               (Printf.sprintf "recursive CAS/exchange loop '%s'" fname))
-    | _ -> ()
   in
 
   (* Rule 7: the progress-class declaration obligations. *)
@@ -702,28 +599,13 @@ let check_structure ?(facts = no_facts) ?disabled ~file ~scope structure =
        that fallback [@fresh_ok \"why a fresh node is acceptable here\"]"
   in
 
-  let check_lock_free_spin loc =
-    add loc "progress-class"
-      "module declared [@@@progress \"lock_free\"] but waits unboundedly \
-       on another thread's write (spin_until/spin_while): bound the wait \
-       and annotate it [@await_ok \"why the wait is bounded\"], or \
-       declare [@@@progress \"blocking\"]"
-  in
-
   let rec expr ctx (e : expression) =
     let has_reason name = attr_has_reason name e.pexp_attributes in
-    (* The shared covering discipline: a justified [@unguarded_ok] /
-       [@retire_ok] / [@await_ok] marks this whole subtree. *)
+    (* The shared covering discipline: a justified [@retire_ok] /
+       [@fresh_ok] marks this whole subtree. *)
     let ctx = enter_covering e ctx in
     match e.pexp_desc with
     | Pexp_ident { txt; loc } -> check_obj txt loc
-    | Pexp_field (inner, { txt = field; loc = floc }) ->
-        (if
-           ebr_rules && (not ctx.in_guard)
-           && Hashtbl.mem node_fields (last_component field)
-           && not (facts.guarded_at (pos_of floc))
-         then check_unguarded floc (last_component field));
-        expr ctx inner
     | Pexp_apply ({ pexp_desc = Pexp_ident { txt; loc }; _ }, args) ->
         check_obj txt loc;
         (if
@@ -737,20 +619,12 @@ let check_structure ?(facts = no_facts) ?disabled ~file ~scope structure =
            && (not ctx.retire_covered)
            && not (facts.gated_at (pos_of e.pexp_loc))
          then check_retire e.pexp_loc);
-        (if
-           scope.check_discipline && declared_lock_free
-           && is_spin_wait_ident txt
-           && (not ctx.await_covered)
-           && not (facts.awaited_at (pos_of e.pexp_loc))
-         then check_lock_free_spin e.pexp_loc);
         let arg_ctx =
           {
             ctx with
             (* Entering Array.make/Array.init arguments counts as entering
                a shared block: the cells live together in one array. *)
             in_shared_block = ctx.in_shared_block || is_array_builder txt;
-            (* Entering a [guard] call's arguments enters its extent. *)
-            in_guard = ctx.in_guard || is_guard_call txt;
           }
         in
         List.iter (fun (_, a) -> expr arg_ctx a) args
@@ -780,7 +654,7 @@ let check_structure ?(facts = no_facts) ?disabled ~file ~scope structure =
            && fields <> []
            && List.for_all
                 (fun (({ txt; _ } : Longident.t Location.loc), _) ->
-                  Hashtbl.mem node_fields (last_component txt))
+                  List.mem (last_component txt) node_fields)
                 fields
            && not (facts.fresh_at (pos_of e.pexp_loc))
          then check_fresh_node e.pexp_loc);
@@ -790,27 +664,6 @@ let check_structure ?(facts = no_facts) ?disabled ~file ~scope structure =
           fields
     | Pexp_array items ->
         List.iter (expr { ctx with in_shared_block = true }) items
-    | Pexp_while (cond, body) ->
-        (if
-           scope.check_discipline
-           && expr_contains_ident is_atomic_get cond
-           && (not ctx.await_covered)
-           && (not
-                 (expr_contains_ident is_pacing_ident cond
-                 || expr_contains_ident is_pacing_ident body))
-           && (not (subtree_has_await_ok body))
-           && (not (facts.paced_within (line_span e.pexp_loc)))
-           && not (facts.awaited_at (pos_of e.pexp_loc))
-         then
-           add e.pexp_loc "retry-discipline"
-             (retry_message "while loop on an atomic read"));
-        expr ctx cond;
-        expr ctx body
-    | Pexp_let (rflag, vbs, cont) ->
-        (if scope.check_discipline && rflag = Asttypes.Recursive then
-           List.iter (check_retry_vb ctx) vbs);
-        List.iter (fun vb -> expr ctx vb.pvb_expr) vbs;
-        expr ctx cont
     | _ ->
         (* Generic descent that preserves the context:
            [default_iterator.expr it e] iterates [e]'s children through
@@ -833,10 +686,8 @@ let check_structure ?(facts = no_facts) ?disabled ~file ~scope structure =
   let top_ctx =
     {
       in_shared_block = false;
-      in_guard = false;
       in_cas_branch = false;
       retire_covered = false;
-      await_covered = false;
       fresh_covered = false;
     }
   in
@@ -845,16 +696,6 @@ let check_structure ?(facts = no_facts) ?disabled ~file ~scope structure =
       Ast_iterator.default_iterator with
       expr = (fun _ e -> expr top_ctx e);
       type_declaration = (fun _ td -> type_declaration td);
-      structure_item =
-        (fun it si ->
-          (* Structure-level [let rec] retry loops (rule 6); expression-
-             level ones are handled by the walk's [Pexp_let] case. *)
-          (match si.pstr_desc with
-          | Pstr_value (Asttypes.Recursive, vbs) when scope.check_discipline
-            ->
-              List.iter (check_retry_vb top_ctx) vbs
-          | _ -> ());
-          Ast_iterator.default_iterator.structure_item it si);
     }
   in
   iterator.structure iterator structure;
@@ -1014,16 +855,21 @@ type audit_entry = {
 (* Disable-and-recheck: an annotation is live iff treating that one
    occurrence as absent changes the diagnostic set. Precise by
    construction — whatever subtree/covering semantics the rules give an
-   annotation, the probe inherits them. *)
-let audit_structure ?facts ~file ~scope structure =
+   annotation, the probe inherits them. [probe] decides the occurrences
+   whose rules live in another analysis. *)
+let audit_structure ?facts ?(probe = fun _ -> None) ~file ~scope structure =
   let base = check_structure ?facts ~file ~scope structure in
   List.map
     (fun ann ->
       let live =
-        (* The syntactic recheck cannot decide [@publication_ok]:
-           conservatively live. *)
-        ann.ann_name = "publication_ok"
-        || check_structure ?facts ~disabled:ann ~file ~scope structure <> base
+        match probe ann with
+        | Some live -> live
+        | None ->
+            (* The syntactic recheck cannot decide [@publication_ok]:
+               conservatively live. *)
+            ann.ann_name = "publication_ok"
+            || check_structure ?facts ~disabled:ann ~file ~scope structure
+               <> base
       in
       {
         audit_annotation = ann;
@@ -1032,15 +878,15 @@ let audit_structure ?facts ~file ~scope structure =
       })
     (annotations_of_structure structure)
 
-let audit_string ?facts ?scope ~filename src =
+let audit_string ?facts ?probe ?scope ~filename src =
   let scope = match scope with Some s -> s | None -> scope_of_path filename in
   match parse_string ~file:filename src with
-  | structure -> audit_structure ?facts ~file:filename ~scope structure
+  | structure -> audit_structure ?facts ?probe ~file:filename ~scope structure
   | exception _ -> []
 
-let audit_file ?facts ?scope path =
+let audit_file ?facts ?probe ?scope path =
   let scope = match scope with Some s -> s | None -> scope_of_path path in
-  audit_string ?facts ~scope ~filename:path (read_file path)
+  audit_string ?facts ?probe ~scope ~filename:path (read_file path)
 
 (* ------------------------------------------------------------------ *)
 (* Output                                                               *)

@@ -1,28 +1,21 @@
 (** Static lint for the repo's shared-memory discipline.
 
     The syntactic rule classes, reported as [file:line:col] diagnostics
-    (rules 11-13 — [guard-balance], [loop-progress], [protocol] — are
-    path-sensitive and live in {!Sec_typestate.Typestate}):
+    (rules 4 and 6 — [ebr-guard], [retry-discipline] — are queries over
+    the typestate CFG, and rules 11-13 — [guard-balance],
+    [loop-progress], [protocol] — are path-sensitive; all five live in
+    {!Sec_typestate.Typestate}):
     - [mutable-field]: no [mutable] record field in algorithm modules
       without [@plain_ok "publication argument"];
     - [unpadded-atomic]: atomics stored in long-lived shared blocks
       (records, arrays) must be [make_padded] or [@unpadded_ok "..."];
     - [obj-confinement]: [Obj.*] only in [lib/prim/padding.ml];
-    - [ebr-guard]: in discipline modules referencing [Ebr], reads of
-      node-record fields (record types named [*node*]) must sit inside a
-      syntactic [guard ...] call or under [@unguarded_ok "reason"];
     - [retire-once]: in the same modules, [retire] calls must be inside
       a branch selected by a [compare_and_set] (the unlink CAS) or carry
       [@retire_ok "reason"];
-    - [retry-discipline]: a retry loop on shared atomic state (a [while]
-      on an atomic read, or a recursive CAS/exchange loop) must pace
-      itself with a [Backoff]/[relax]/[yield] call or carry
-      [@await_ok "why the wait is bounded"];
     - [progress-class]: a module binding both [push] and [pop] must
-      declare [[@@@progress "lock_free"]] or [[@@@progress "blocking"]],
-      and a lock_free module must not wait unboundedly on another
-      thread's write ([spin_until]/[spin_while] outside an [@await_ok]
-      extent);
+      declare [[@@@progress "lock_free"]] or [[@@@progress "blocking"]]
+      (rule 12 checks the declared class against the static verdict);
     - [fresh-node]: in modules recycling nodes through
       {!Sec_reclaim.Magazine}, node record literals must be the
       magazine-miss fallback ([Mag.alloc] first), annotated
@@ -41,11 +34,11 @@
       shares this module's diagnostic surface and the
       [@publication_ok "reason"] annotation discipline.
 
-    The intent annotations ([@unguarded_ok], [@retire_ok], [@await_ok],
-    [@fresh_ok]) share one subtree-covering discipline: each needs a
-    non-empty reason string, and each covers the whole subtree it sits
-    on, so one annotation on a helper body covers every occurrence
-    inside it.
+    The intent annotations ([@retire_ok], [@fresh_ok], and the typestate
+    queries' [@unguarded_ok] and [@await_ok]) share one subtree-covering
+    discipline: each needs a non-empty reason string, and each covers
+    the whole subtree it sits on, so one annotation on a helper body
+    covers every occurrence inside it.
 
     The per-file rules are syntactic; interprocedural knowledge enters
     through {!facts}, a bundle of location predicates computed by
@@ -54,11 +47,12 @@
     annotations the analysis proves unnecessary — {!audit_file} finds
     those.
 
-    The two EBR rules are the static prong of the reclamation-safety
-    layer ({!Sec_analysis.Reclaim_checker} is the dynamic prong); the
-    two progress rules are the static prong of the progress layer
-    ({!Sec_analysis.Progress_monitor} and the suspension classifier
-    {!Sec_sim.Explore.classify} are the dynamic prong). See
+    [retire-once] and the typestate [ebr-guard] are the static prong of
+    the reclamation-safety layer ({!Sec_analysis.Reclaim_checker} is
+    the dynamic prong); [progress-class] and the typestate
+    [retry-discipline] and [loop-progress] are the static prong of the
+    progress layer ({!Sec_analysis.Progress_monitor} and the suspension
+    classifier {!Sec_sim.Explore.classify} are the dynamic prong). See
     docs/ANALYSIS.md.
 
     Run as [dune build @lint] via [bin/sec_lint]. *)
@@ -73,31 +67,23 @@ type diagnostic = {
 
 type scope = {
   check_discipline : bool;
-      (** apply the mutable-field, unpadded-atomic, ebr-guard,
-          retire-once, retry-discipline and progress-class rules (the
-          EBR pair also requires the module to reference [Ebr]) *)
+      (** apply the mutable-field, unpadded-atomic, retire-once,
+          progress-class, fresh-node and spec-class rules (retire-once
+          also requires the module to reference [Ebr]) and the typestate
+          rules *)
   allow_obj : bool;  (** exempt from obj-confinement *)
 }
 
 (** Interprocedural facts supplied by {!Sec_summary.Summary}. Every
-    predicate takes the (line, col) anchor of a would-be diagnostic
-    (or, for [paced_within], the (start_line, end_line) span of the
-    loop) and returns whether the interprocedural analysis discharges
-    that obligation. Facts only suppress diagnostics. *)
+    predicate takes the (line, col) anchor of a would-be diagnostic and
+    returns whether the interprocedural analysis discharges that
+    obligation. Facts only suppress diagnostics. *)
 type facts = {
-  guarded_at : int * int -> bool;
-      (** rule 4: every call site of the enclosing function runs under a
-          guard (or the read sits inside a guard-wrapper call) *)
   gated_at : int * int -> bool;
       (** rule 5: every call site of the enclosing function is gated by
           an unlink compare_and_set *)
-  awaited_at : int * int -> bool;
-      (** rules 6/7: every call site sits under an [@await_ok] extent *)
   fresh_at : int * int -> bool;
       (** rule 8: every call site sits under a [@fresh_ok] extent *)
-  paced_within : int * int -> bool;
-      (** rule 6: a call inside the span resolves to a function whose
-          transitive effect paces (Backoff/relax/yield) *)
 }
 
 (** The all-false bundle: a purely syntactic run. *)
@@ -143,12 +129,25 @@ val check_string :
 
 (** Audit the annotations of a file: for each occurrence, recheck with
     that one occurrence treated as absent; unchanged diagnostics mean
-    the annotation is stale. Parse failures audit as the empty list
-    (the check entry points report the parse error). *)
-val audit_file : ?facts:facts -> ?scope:scope -> string -> audit_entry list
+    the annotation is stale. [probe] decides an occurrence instead when
+    it returns [Some live] — the hook through which
+    {!Sec_typestate.Typestate} audits the annotations of its own rules.
+    Parse failures audit as the empty list (the check entry points
+    report the parse error). *)
+val audit_file :
+  ?facts:facts ->
+  ?probe:(annotation -> bool option) ->
+  ?scope:scope ->
+  string ->
+  audit_entry list
 
 val audit_string :
-  ?facts:facts -> ?scope:scope -> filename:string -> string -> audit_entry list
+  ?facts:facts ->
+  ?probe:(annotation -> bool option) ->
+  ?scope:scope ->
+  filename:string ->
+  string ->
+  audit_entry list
 
 val pp_diagnostic : Format.formatter -> diagnostic -> unit
 val diagnostic_to_string : diagnostic -> string
@@ -159,9 +158,9 @@ val sarif_of_diagnostics : diagnostic list -> string
 
 (** {2 Shared idiom vocabulary}
 
-    The summary analysis ({!Sec_summary.Summary}) recognises the same
-    source idioms as the lint; exporting the predicates keeps the two
-    prongs in lockstep. *)
+    The summary and typestate analyses recognise the same source idioms
+    as the lint; exporting the predicates keeps the prongs in
+    lockstep. *)
 
 val flatten_longident : Longident.t -> string list
 val last_component : Longident.t -> string
@@ -198,6 +197,13 @@ val expr_contains_ident :
 val string_payload : Parsetree.attribute -> string option
 
 val find_attr : string -> Parsetree.attributes -> Parsetree.attribute option
+
+(** Field names of every record type whose name contains ["node"]: the
+    reclaimable nodes rule 4 guards and rule 8 recycles. *)
+val node_fields : Parsetree.structure -> string list
+
+(** Does the structure reference [Ebr] (the rule-4/5 arming test)? *)
+val structure_uses_ebr : Parsetree.structure -> bool
 
 (** (line, 0-based column) of a location's start. *)
 val pos_of : Location.t -> int * int

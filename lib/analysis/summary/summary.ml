@@ -58,7 +58,6 @@ type call = {
   ccol : int;
   cg : bool;  (* lexically under a guard (or [@unguarded_ok] extent) *)
   cc : bool;  (* lexically in a CAS-selected branch / [@retire_ok] *)
-  ca : bool;  (* under an [@await_ok] extent *)
   cf : bool;  (* under a [@fresh_ok] extent *)
   cp : bool;  (* under a [@publication_ok] extent *)
   lam_spans : (int * int) list;  (* line spans of literal lambda args *)
@@ -113,7 +112,6 @@ type env = {
   mutable ctx_rounds_v : int;
   cg_tbl : (string, bool) Hashtbl.t;
   cc_tbl : (string, bool) Hashtbl.t;
-  ca_tbl : (string, bool) Hashtbl.t;
   cf_tbl : (string, bool) Hashtbl.t;
   guard_spans : (string, (int * int) list ref) Hashtbl.t;  (* per file *)
   writers_tbl : (string, String_set.t) Hashtbl.t;  (* cell -> entries *)
@@ -140,7 +138,6 @@ let new_env () =
     ctx_rounds_v = 0;
     cg_tbl = Hashtbl.create 128;
     cc_tbl = Hashtbl.create 128;
-    ca_tbl = Hashtbl.create 128;
     cf_tbl = Hashtbl.create 128;
     guard_spans = Hashtbl.create 16;
     writers_tbl = Hashtbl.create 64;
@@ -172,11 +169,6 @@ let make_fn env ~key ~file ~ns ~parent ~span ~top_level =
 
 let line_span (loc : Location.t) =
   (loc.loc_start.pos_lnum, loc.loc_end.pos_lnum)
-
-let has_substring s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
 
 let stem_of file = Filename.remove_extension (Filename.basename file)
 
@@ -212,23 +204,6 @@ let expr_has_cas e =
   in
   it.expr it e;
   !found
-
-let collect_node_fields str =
-  let acc = ref [] in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      type_declaration =
-        (fun it td ->
-          (match td.ptype_kind with
-          | Ptype_record labels when has_substring td.ptype_name.txt "node" ->
-              List.iter (fun ld -> acc := ld.pld_name.txt :: !acc) labels
-          | _ -> ());
-          Ast_iterator.default_iterator.type_declaration it td);
-    }
-  in
-  it.structure it str;
-  !acc
 
 let attr_reason name attrs =
   match L.find_attr name attrs with
@@ -326,7 +301,6 @@ type wctx = {
   f : fn;
   g : bool;
   cas : bool;
-  aw : bool;
   fr : bool;
   pb : bool;
   al : (string * string) list;  (* local alias -> cell key *)
@@ -341,7 +315,6 @@ let enter_attrs ctx (attrs : attributes) =
       ctx with
       g = ctx.g || attr_reason "unguarded_ok" attrs;
       cas = ctx.cas || attr_reason "retire_ok" attrs;
-      aw = ctx.aw || attr_reason "await_ok" attrs;
       fr = ctx.fr || attr_reason "fresh_ok" attrs;
       pb = ctx.pb || attr_reason "publication_ok" attrs;
     }
@@ -516,7 +489,6 @@ and walk_apply env ctx e lid args =
             ccol;
             cg = ctx.g;
             cc = ctx.cas;
-            ca = ctx.aw;
             cf = ctx.fr;
             cp = ctx.pb;
             lam_spans;
@@ -594,7 +566,7 @@ let init_fn env fc ns =
         ~top_level:true
 
 let base_ctx fc fn =
-  { fc; f = fn; g = false; cas = false; aw = false; fr = false; pb = false;
+  { fc; f = fn; g = false; cas = false; fr = false; pb = false;
     al = [] }
 
 let register_ns env ns =
@@ -945,7 +917,6 @@ let compute_ctx env =
   ctx_fixpoint env sites env.cg_tbl (fun encl c ->
       c.cg || in_guard_span env encl.file c.cline);
   ctx_fixpoint env sites env.cc_tbl (fun _ c -> c.cc);
-  ctx_fixpoint env sites env.ca_tbl (fun _ c -> c.ca);
   ctx_fixpoint env sites env.cf_tbl (fun _ c -> c.cf)
 
 let compute_writers env =
@@ -989,7 +960,7 @@ let analyze_common ?scope sources =
               file;
               stem = stem_of file;
               overlay;
-              node_fields = collect_node_fields str;
+              node_fields = L.node_fields str;
             }
           in
           walk_structure env fc fc.stem str)
@@ -1033,50 +1004,40 @@ let analyze_sources ?scope sources =
 
 let tbl_true tbl key = Hashtbl.find_opt tbl key = Some true
 
+(* The functions of [file], and the innermost one containing a line. *)
+let file_fns env file =
+  List.rev env.order
+  |> List.filter_map (fun k ->
+         let fn : fn = Hashtbl.find env.fns k in
+         if fn.file = file then Some fn else None)
+
+let innermost fns line =
+  List.fold_left
+    (fun best (fn : fn) ->
+      let l1, l2 = fn.span in
+      if l1 <= line && line <= l2 then
+        match best with
+        | Some (b : fn) when snd b.span - fst b.span <= l2 - l1 -> best
+        | _ -> Some fn
+      else best)
+    None fns
+
 let facts_for env ~file =
-  let fns =
-    List.rev env.order
-    |> List.filter_map (fun k ->
-           let fn : fn = Hashtbl.find env.fns k in
-           if fn.file = file then Some fn else None)
-  in
-  let innermost line =
-    List.fold_left
-      (fun best fn ->
-        let l1, l2 = fn.span in
-        if l1 <= line && line <= l2 then
-          match best with
-          | Some (b : fn) when snd b.span - fst b.span <= l2 - l1 -> best
-          | _ -> Some fn
-        else best)
-      None fns
-  in
+  let fns = file_fns env file in
   let at tbl (line, _col) =
-    match innermost line with
+    match innermost fns line with
     | Some fn -> tbl_true tbl fn.key
     | None -> false
   in
-  let guarded_at (line, col) =
-    at env.cg_tbl (line, col) || in_guard_span env file line
-  in
-  let paced_within (l1, l2) =
-    List.exists
-      (fun fn ->
-        List.exists
-          (function
-            | Call { callee = Some g; cline; _ } ->
-                l1 <= cline && cline <= l2 && (total env g).paces
-            | _ -> false)
-          fn.events)
-      fns
-  in
-  {
-    L.guarded_at;
-    gated_at = at env.cc_tbl;
-    awaited_at = at env.ca_tbl;
-    fresh_at = at env.cf_tbl;
-    paced_within;
-  }
+  { L.gated_at = at env.cc_tbl; fresh_at = at env.cf_tbl }
+
+let guarded_at env ~file =
+  let fns = file_fns env file in
+  fun (line, _col) ->
+    (match innermost fns line with
+    | Some fn -> tbl_true env.cg_tbl fn.key
+    | None -> false)
+    || in_guard_span env file line
 
 let cell_writers env cell =
   match Hashtbl.find_opt env.writers_tbl cell with
@@ -1199,5 +1160,4 @@ let effect_rounds env = env.eff_rounds
 let ctx_rounds env = env.ctx_rounds_v
 let ctx_guarded env key = tbl_true env.cg_tbl key
 let ctx_gated env key = tbl_true env.cc_tbl key
-let ctx_awaited env key = tbl_true env.ca_tbl key
 let ctx_fresh env key = tbl_true env.cf_tbl key

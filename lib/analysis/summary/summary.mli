@@ -14,7 +14,7 @@
       own events and its callees' (bottom-up fixpoint over the call
       graph, convergent because the lattice is finite sets + booleans);
     - a {e context fixpoint} per obligation kind (guarded / CAS-gated /
-      awaited / fresh-sanctioned): a non-entry function's obligations
+      fresh-sanctioned): a non-entry function's obligations
       are discharged when {e every} call site is covered, lexically or
       by the caller's own context (greatest fixpoint, initialised true
       for internal functions so cycles resolve optimistically and
@@ -34,10 +34,12 @@
     local [Atomic.make]s) get per-function pseudo-keys so they can
     never alias a shared field.
 
-    Facts produced here only ever {e discharge} lint obligations; they
-    cannot create rule 1–9 diagnostics, so adding summaries to a lint
-    run can only shrink its diagnostic set (rule 10 is the one additive
-    check, and it is this module's own). *)
+    Facts produced here only ever {e discharge} obligations: the
+    {!facts_for} bundle discharges rules 5 and 8 in the lint, and
+    {!guarded_at} discharges rule 4 in {!Sec_typestate.Typestate}. They
+    cannot create diagnostics, so adding summaries to a lint run can
+    only shrink its diagnostic set (rule 10 is the one additive check,
+    and it is this module's own). *)
 
 module L = Sec_lint_rules.Lint_rules
 
@@ -73,9 +75,14 @@ val analyze_sources : ?scope:L.scope -> (string * string) list -> env
 
 (** {2 Lint integration} *)
 
-(** The discharge predicates for [file], to pass to
+(** The rule 5 and 8 discharge predicates for [file], to pass to
     {!L.check_file} / {!L.check_string}. *)
 val facts_for : env -> file:string -> L.facts
+
+(** The rule-4 discharge predicate for [file]: is the (line, col)
+    position inside a function whose every call site runs under a guard
+    ({!ctx_guarded}), or inside a lambda passed to a guard wrapper? *)
+val guarded_at : env -> file:string -> int * int -> bool
 
 (** Rule-10 diagnostics across the whole environment, sorted by
     (file, line, col). *)
@@ -130,5 +137,4 @@ val ctx_rounds : env -> int
 val ctx_guarded : env -> string -> bool
 
 val ctx_gated : env -> string -> bool
-val ctx_awaited : env -> string -> bool
 val ctx_fresh : env -> string -> bool

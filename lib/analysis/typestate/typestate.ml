@@ -676,11 +676,10 @@ let gtransfer node st =
   | Some (Exit _), GD n -> GD (Int.max 0 (n - 1))
   | _ -> st
 
-let op_pos = function
-  | Atomic (_, _, p) | Enter p | Exit p | Callsite p | Mark p -> p
-
-(* Returns the definitely-guarded positions (depth >= 1 on every
-   reaching path) and the imbalance diagnostics of one CFG. *)
+(* Returns the definitely-guarded field reads (every reachable [Mark]
+   node of the position at depth >= 1 on every reaching path — a local
+   helper inlined at two call sites has two) and the imbalance
+   diagnostics of one CFG. *)
 let guard_analysis ~file cfg =
   let has_guard =
     Array.exists
@@ -703,7 +702,7 @@ let guard_analysis ~file cfg =
             | _ -> first_enter := Some p)
         | _ -> ())
       cfg.nodes;
-    let guarded = ref [] in
+    let guarded = Hashtbl.create 16 in
     let diags = ref [] in
     let add pos msg =
       let d = mk_diag ~file ~pos ~rule:"guard-balance" msg in
@@ -718,7 +717,10 @@ let guard_analysis ~file cfg =
                here): the epoch was never pinned"
         | _ -> ());
         match (n.op, state.(n.id)) with
-        | Some o, GD d when d >= 1 -> guarded := op_pos o :: !guarded
+        | Some (Mark p), GD d ->
+            let all = Option.value (Hashtbl.find_opt guarded p) ~default:true in
+            Hashtbl.replace guarded p (all && d >= 1)
+        | Some (Mark p), GTop -> Hashtbl.replace guarded p false
         | _ -> ())
       cfg.nodes;
     (match (state.(cfg.normal_exit), !first_enter) with
@@ -742,7 +744,8 @@ let guard_analysis ~file cfg =
           "guard depth differs across exception paths: some raising path \
            skips the exit"
     | _ -> ());
-    (!guarded, !diags)
+    ( Hashtbl.fold (fun p all acc -> if all then p :: acc else acc) guarded [],
+      !diags )
   end
 
 (* ------------------------------------------------------------------ *)
@@ -767,6 +770,8 @@ type loop_rec = {
   lr_pos : pos;
   lr_class : loop_class;
   lr_reason : string;
+  lr_retry : string option;
+      (* the loop's shape when it is an unpaced retry (rule 6) *)
 }
 
 (* Syntactic effect scans, widened by the summary's transitive callee
@@ -802,6 +807,12 @@ let expr_has_atomic_write e =
   L.expr_contains_ident
     (fun lid -> L.is_atomic_set lid || L.is_rmw_ident lid)
     e
+
+(* A pacing call (Backoff/relax/yield) in [e], or a resolved call in
+   [span] whose callee's transitive effect paces. *)
+let paced eenv e span =
+  L.expr_contains_ident L.is_pacing_ident e
+  || span_effect eenv span (fun eff -> eff.Summary.paces)
 
 let touches_atomics eenv e =
   expr_has_atomic e || span_effect eenv (line_span e.pexp_loc) eff_touches
@@ -1032,15 +1043,29 @@ let classify_binding ?disabled eenv ~group vb =
     it.expr it e;
     !found
   in
-  let record name lpos cls reason =
+  let record ?retry name lpos cls reason =
     loops :=
-      { lr_name = name; lr_pos = lpos; lr_class = cls; lr_reason = reason }
+      {
+        lr_name = name;
+        lr_pos = lpos;
+        lr_class = cls;
+        lr_reason = reason;
+        lr_retry = retry;
+      }
       :: !loops;
     if cls = Stuck_spin then stuck := (lpos, reason) :: !stuck
   in
   let classify_while aw e c body =
     let lpos = L.pos_of e.pexp_loc in
     let name = Printf.sprintf "while@%d" (fst lpos) in
+    let retry =
+      if
+        L.expr_contains_ident L.is_atomic_get c
+        && not (paced eenv e (line_span e.pexp_loc))
+      then Some "while loop on an atomic read"
+      else None
+    in
+    let record = record ?retry in
     if aw <> None || subtree_awaited e then
       record name lpos Bounded "author-certified bounded wait ([@await_ok])"
     else if mentions_deadline eenv c || mentions_deadline eenv body then
@@ -1064,6 +1089,17 @@ let classify_binding ?disabled eenv ~group vb =
     in
     if participating then begin
       let name = String.concat "/" names in
+      let retry =
+        if
+          List.exists (L.expr_contains_ident L.is_retry_rmw_ident) bodies
+          && not
+               (List.exists
+                  (fun (_, vb) -> paced eenv vb.pvb_expr (line_span vb.pvb_loc))
+                  grp)
+        then Some (Printf.sprintf "recursive CAS/exchange loop '%s'" name)
+        else None
+      in
+      let record = record ?retry in
       let _, vb0 = List.hd grp in
       let lpos = L.pos_of vb0.pvb_loc in
       let calls = List.concat_map (collect_rec_calls names) bodies in
@@ -1196,7 +1232,10 @@ type file_info = {
   f_units : int list; (* global unit ids, definition order *)
   f_automata : automaton list;
   f_progress : (string * pos) option;
-  f_guarded : (pos, unit) Hashtbl.t;
+  f_reads : (pos * string) list;
+      (* node-field reads neither the CFG nor the summary proves guarded *)
+  f_unguarded : (pos * (pos * pos)) list;
+      (* [@unguarded_ok] attr-name occurrence -> its expression's extent *)
   f_awaits : pos list; (* [@await_ok] attr-name occurrences *)
   mutable f_base : L.diagnostic list; (* guard + protocol diags *)
   mutable f_blocking : bool;
@@ -1206,14 +1245,20 @@ type t = {
   units : unit_info array;
   files : (string * file_info) list;
   progress_diags : L.diagnostic list; (* baseline rule-12 diags *)
+  summary : Summary.env;
+  scope : L.scope option;
 }
 
 (* --- structure -> units ------------------------------------------- *)
 
-let collect_structure structure =
+(* [node_fields] are the fields whose reads rule 4 checks (none outside
+   EBR modules). *)
+let collect_structure ~node_fields structure =
   let raw = ref [] in
   let progress = ref None in
   let protocols = ref [] in
+  let reads = ref [] in
+  let unguarded = ref [] in
   let awaits = ref [] in
   let rec do_structure str = List.iter do_item str
   and do_item si =
@@ -1243,10 +1288,28 @@ let collect_structure structure =
     | _ -> ()
   in
   do_structure structure;
-  (* every reasoned [@await_ok] occurrence, for the audit probe *)
+  (* rule 4's node-field reads and [@unguarded_ok] extents, and every
+     reasoned [@await_ok] occurrence, for the audit probe *)
   let it =
     {
       Ast_iterator.default_iterator with
+      expr =
+        (fun it e ->
+          (match e.pexp_desc with
+          | Pexp_field (_, { txt; loc })
+            when List.mem (L.last_component txt) node_fields ->
+              reads := (L.pos_of loc, L.last_component txt) :: !reads
+          | _ -> ());
+          (match attr_reason "unguarded_ok" e.pexp_attributes with
+          | Some a ->
+              let stop = e.pexp_loc.Location.loc_end in
+              unguarded :=
+                ( a,
+                  ( L.pos_of e.pexp_loc,
+                    (stop.Lexing.pos_lnum, stop.pos_cnum - stop.pos_bol) ) )
+                :: !unguarded
+          | None -> ());
+          Ast_iterator.default_iterator.expr it e);
       attribute =
         (fun it a ->
           (if a.attr_name.Location.txt = "await_ok" then
@@ -1258,7 +1321,12 @@ let collect_structure structure =
     }
   in
   it.structure it structure;
-  (List.rev !raw, !progress, List.rev !protocols, List.rev !awaits)
+  ( List.rev !raw,
+    !progress,
+    List.rev !protocols,
+    List.rev !reads,
+    !unguarded,
+    List.rev !awaits )
 
 let deadline_names_of vbs =
   let tbl = Hashtbl.create 4 in
@@ -1468,7 +1536,12 @@ let analyze_sources ~summary ?scope sources =
   let files =
     List.map
       (fun (file, str) ->
-        let raw, progress, protocols, awaits = collect_structure str in
+        let node_fields =
+          if L.structure_uses_ebr str then L.node_fields str else []
+        in
+        let raw, progress, protocols, reads, unguarded, awaits =
+          collect_structure ~node_fields str
+        in
         let call_effects =
           List.map
             (fun (cpos, (key, _, _)) ->
@@ -1555,12 +1628,18 @@ let analyze_sources ~summary ?scope sources =
               u.u_id)
             raw
         in
+        let summary_guarded = Summary.guarded_at summary ~file in
         ( file,
           {
             f_units = ids;
             f_automata = List.rev !automata;
             f_progress = progress;
-            f_guarded = guarded;
+            f_reads =
+              List.filter
+                (fun (p, _) ->
+                  not (Hashtbl.mem guarded p || summary_guarded p))
+                reads;
+            f_unguarded = unguarded;
             f_awaits = awaits;
             f_base = !base;
             f_blocking = false;
@@ -1624,7 +1703,7 @@ let analyze_sources ~summary ?scope sources =
     (fun (file, fi) ->
       fi.f_blocking <- List.assoc_opt file blocking = Some true)
     files;
-  { units; files; progress_diags = pdiags }
+  { units; files; progress_diags = pdiags; summary; scope }
 
 let analyze ~summary ?scope paths =
   let sources =
@@ -1638,22 +1717,65 @@ let analyze ~summary ?scope paths =
   analyze_sources ~summary ?scope sources
 
 (* ------------------------------------------------------------------ *)
+(* Rules 4 and 6: queries over guard depths and loop records           *)
+(* ------------------------------------------------------------------ *)
+
+(* Rule 4: the candidate reads outside every [@unguarded_ok] extent
+   ([disabled]: one occurrence treated as absent — the audit probe). *)
+let guard_diags ~file ?disabled fi =
+  let covered p =
+    List.exists
+      (fun (a, (start, stop)) -> Some a <> disabled && start <= p && p < stop)
+      fi.f_unguarded
+  in
+  List.filter_map
+    (fun (p, field) ->
+      if covered p then None
+      else
+        Some
+          (mk_diag ~file ~pos:p ~rule:"ebr-guard"
+             (Printf.sprintf
+                "read of node field '%s' outside a guard extent in an EBR \
+                 module: a concurrent retirement makes this a \
+                 use-after-free; wrap the access in Ebr.guard, or annotate \
+                 it [@unguarded_ok \"why the caller holds the guard\"]"
+                field)))
+    fi.f_reads
+
+(* Rule 6: the unpaced retry loops the classifier did not prove
+   bounded. *)
+let retry_diags ~file loops =
+  List.filter_map
+    (fun lr ->
+      match lr.lr_retry with
+      | Some shape when lr.lr_class <> Bounded ->
+          Some
+            (mk_diag ~file ~pos:lr.lr_pos ~rule:"retry-discipline"
+               (Printf.sprintf
+                  "%s retries on a shared atomic without pacing: add a \
+                   Backoff call (once/spin_until/spin_while), a substrate \
+                   relax/yield, or — if the wait is bounded by protocol — \
+                   annotate it [@await_ok \"why the wait is bounded\"]"
+                  shape))
+      | _ -> None)
+    loops
+
+let file_loops t fi =
+  List.concat_map (fun uid -> t.units.(uid).u_loops) fi.f_units
+
+let query_diagnostics t =
+  List.concat_map
+    (fun (file, fi) ->
+      guard_diags ~file fi @ retry_diags ~file (file_loops t fi))
+    t.files
+
+(* ------------------------------------------------------------------ *)
 (* Accessors                                                           *)
 (* ------------------------------------------------------------------ *)
 
 let diagnostics t =
   List.sort diag_order
     (t.progress_diags @ List.concat_map (fun (_, fi) -> fi.f_base) t.files)
-
-let facts_with t ~file (base : L.facts) =
-  match List.assoc_opt file t.files with
-  | None -> base
-  | Some fi ->
-      {
-        base with
-        L.guarded_at =
-          (fun p -> base.L.guarded_at p || Hashtbl.mem fi.f_guarded p);
-      }
 
 let verdict_of t ~file =
   match List.assoc_opt file t.files with
@@ -1685,36 +1807,48 @@ let automata_of t ~file =
   | None -> []
   | Some fi -> List.map (fun a -> a.a_name) fi.f_automata
 
-let audit_await t ~file ~line ~col =
+(* The typestate side of [--audit]: [@unguarded_ok] is live iff
+   deleting it changes the rule-4 diagnostics; [@await_ok] iff deleting
+   it changes the rule-6 or rule-12 diagnostics. [None] for every other
+   occurrence. *)
+let probe t ~file (ann : L.annotation) =
   match List.assoc_opt file t.files with
   | None -> None
-  | Some fi ->
-      if not (List.mem (line, col) fi.f_awaits) then None
-      else begin
-        (* reclassify this file's units with the occurrence disabled;
-           await extents are file-local, so only these stuck sets can
-           change — then recompute every verdict (reachability crosses
-           files) and compare the rule-12 diagnostic sets *)
-        let override = Hashtbl.create 16 in
-        List.iter
-          (fun uid ->
-            let u = t.units.(uid) in
-            let _, stk =
-              classify_binding ~disabled:(line, col) u.u_eenv ~group:u.u_group
-                u.u_vb
-            in
-            Hashtbl.replace override uid stk)
-          fi.f_units;
-        let _, pdiags =
-          progress_view t.units t.files ~stuck_of:(fun i ->
-              match Hashtbl.find_opt override i with
-              | Some stk -> stk
-              | None -> t.units.(i).u_stuck)
-        in
-        Some
-          (List.sort diag_order pdiags
-          <> List.sort diag_order t.progress_diags)
-      end
+  | Some fi -> (
+      let at = (ann.ann_line, ann.ann_col) in
+      match ann.ann_name with
+      | "unguarded_ok" when List.mem_assoc at fi.f_unguarded ->
+          Some (guard_diags ~file ~disabled:at fi <> guard_diags ~file fi)
+      | "await_ok" when List.mem at fi.f_awaits ->
+          (* reclassify this file's units with the occurrence disabled;
+             await extents are file-local, so only these loops can
+             change — then recompute every verdict (reachability
+             crosses files) *)
+          let reclassified =
+            List.map
+              (fun uid ->
+                let u = t.units.(uid) in
+                ( uid,
+                  classify_binding ~disabled:at u.u_eenv ~group:u.u_group
+                    u.u_vb ))
+              fi.f_units
+          in
+          let _, pdiags =
+            progress_view t.units t.files ~stuck_of:(fun i ->
+                match List.assoc_opt i reclassified with
+                | Some (_, stk) -> stk
+                | None -> t.units.(i).u_stuck)
+          in
+          let loops = List.concat_map (fun (_, (l, _)) -> l) reclassified in
+          Some
+            (pdiags <> t.progress_diags
+            || retry_diags ~file loops <> retry_diags ~file (file_loops t fi))
+      | _ -> None)
+
+let audit t ~file src =
+  L.audit_string ?scope:t.scope
+    ~facts:(Summary.facts_for t.summary ~file)
+    ~probe:(probe t ~file) ~filename:file src
 
 let cfg_stats t ~file =
   match List.assoc_opt file t.files with
@@ -1726,30 +1860,24 @@ let cfg_stats t ~file =
           (nu + 1, nn + Array.length u.u_cfg.nodes, nh + u.u_cfg.n_loop_heads))
         (0, 0, 0) fi.f_units
 
-let guarded_positions t ~file =
-  match List.assoc_opt file t.files with
-  | None -> []
-  | Some fi ->
-      Hashtbl.fold (fun p () acc -> p :: acc) fi.f_guarded []
-      |> List.sort compare
-
 (* ------------------------------------------------------------------ *)
 (* Corpus entry point                                                  *)
 (* ------------------------------------------------------------------ *)
 
 (* Lint [sources] as one corpus: one summary environment, one typestate
-   analysis, per-file composed facts, plus the whole-environment
-   rule-10 and rule 11-13 diagnostics. *)
+   analysis, each file's rule 1-9 diagnostics under the summary facts,
+   plus the whole-environment rule-10 and typestate diagnostics. *)
 let check_with ~summary ?scope sources =
   let ts = analyze_sources ~summary ?scope sources in
-  let facts file = facts_with ts ~file (Summary.facts_for summary ~file) in
   let diagnostics =
     List.concat_map
       (fun (file, src) ->
-        L.check_string ?scope ~facts:(facts file) ~filename:file src)
+        L.check_string ?scope
+          ~facts:(Summary.facts_for summary ~file)
+          ~filename:file src)
       sources
     @ Summary.publication_diagnostics summary
-    @ diagnostics ts
+    @ diagnostics ts @ query_diagnostics ts
   in
   (summary, ts, List.sort diag_order diagnostics)
 

@@ -15,18 +15,22 @@
     the summary environment ({!Sec_summary.Summary.resolved_calls}),
     which is also where callee atomic effects come from.
 
-    Three rules run on top of the engine:
+    Three rules run on top of the engine, and two more are queries over
+    what they compute:
 
     - rule 11, [guard-balance] — direct EBR [enter]/[exit] pairs (an
       application of an ident whose last component is [enter]/[exit]
       with a labelled [~tid] argument) must balance on {e every} path,
       including exception edges; an [exit] at depth zero, a path that
       returns or raises with the epoch still pinned, and paths that
-      disagree on the depth are each diagnosed. Positions that are
-      {e definitely} guarded (depth >= 1 on all paths) are exported as
-      facts ({!facts_with}) that discharge rule 4 the same way summary
-      facts do — which is how every [[@unguarded_ok]] is re-proved or
-      stale-flagged by [sec_lint --audit].
+      disagree on the depth are each diagnosed.
+    - rule 4, [ebr-guard] — a query over rule 11's guard depth: in an
+      EBR module (one referencing [Ebr]), a read of a node-record field
+      (record types named [*node*]) is diagnosed unless it is at depth
+      >= 1 on every path (a [guard] wrapper's lambda body counts), its
+      function is guarded at every call site or sits inside a
+      guard-wrapper call ({!Summary.guarded_at}), or it lies inside an
+      [[@unguarded_ok "reason"]] extent.
     - rule 12, [loop-progress] — every loop (a [while], a recursive
       binding group, a [spin_until]/[spin_while] call site) is
       classified {!Bounded} (for-loops, monotone counters with a
@@ -39,6 +43,11 @@
       through the resolved call graph (so [fc_stack.ml] is blocking
       {e via} [fc.ml]'s combiner wait); a [[@@@progress]] declaration
       disagreeing with the verdict is diagnosed at the declaration.
+    - rule 6, [retry-discipline] — a query over rule 12's loop records:
+      a retry-shaped loop (a [while] whose condition reads an atomic, or
+      a recursive group containing a CAS or [exchange]) that is not
+      {!Bounded} and is unpaced (no [Backoff]/[relax]/[yield] call and
+      no resolved callee whose summary paces) is diagnosed at the loop.
     - rule 13, [protocol] — a [[@@@protocol "name: s1 -kind:field-> s2;
       ..."]] floating attribute declares a state machine over the
       file's atomic fields (kind is [read]/[write]/[rmw]; field is the
@@ -50,9 +59,9 @@
       are stepped through by running the callee's CFG from the caller's
       state set (memoised; recursion falls back to identity).
 
-    Like summary facts, the facts exported here only ever discharge
-    rule 1-9 obligations; rules 11-13 are this module's own additive
-    checks. *)
+    [[@unguarded_ok]] and [[@await_ok]] are audited here ({!audit}):
+    each occurrence is live iff deleting it changes the rule-4 (resp.
+    rule-6 or rule-12) diagnostics. *)
 
 module L = Sec_lint_rules.Lint_rules
 module Summary = Sec_summary.Summary
@@ -81,10 +90,10 @@ val analyze_sources :
   summary:Summary.env -> ?scope:L.scope -> (string * string) list -> t
 
 (** Lint [files] as one corpus — the [sec_lint] entry point: one
-    summary environment, one typestate analysis, each file's rule 1-9
-    diagnostics under the composed facts, plus the rule-10 and rule
-    11-13 diagnostics, sorted by (file, line, col, rule). [scope]
-    overrides {!L.scope_of_path} for every file. *)
+    summary environment, one typestate analysis, each file's
+    {!Sec_lint_rules.Lint_rules} diagnostics under the summary facts,
+    plus the rule-10 and typestate diagnostics, sorted by (file, line,
+    col, rule). [scope] overrides {!L.scope_of_path} for every file. *)
 val check_corpus :
   ?scope:L.scope -> string list -> Summary.env * t * L.diagnostic list
 
@@ -95,13 +104,9 @@ val check_sources :
   (string * string) list ->
   Summary.env * t * L.diagnostic list
 
-(** All rule 11-13 diagnostics, sorted by (file, line, col, rule). *)
+(** All rule 11-13 diagnostics, sorted by (file, line, col, rule). The
+    rule 4 and 6 queries report through {!check_corpus}. *)
 val diagnostics : t -> L.diagnostic list
-
-(** Extend a facts bundle with this analysis' definitely-guarded
-    positions (guard depth >= 1 on every path): composes with
-    {!Summary.facts_for} by disjunction on [guarded_at]. *)
-val facts_with : t -> file:string -> L.facts -> L.facts
 
 (** The static progress verdict for [file]; [None] when the file has no
     analysed functions. *)
@@ -119,17 +124,11 @@ val loops :
 (** Names of the protocol automata declared in [file]. *)
 val automata_of : t -> file:string -> string list
 
-(** Rule-12 staleness probe for one [[@await_ok]] occurrence (position
-    of the attribute name): [Some true] if deleting it would change the
-    rule-12 diagnostic set (the annotation is what keeps a wait out of
-    the stuck class of a declared-lock_free module), [Some false] if
-    deleting it changes nothing for rule 12, [None] if the analysis
-    never saw that occurrence. Merged by [sec_lint --audit] with the
-    syntactic probe by disjunction. *)
-val audit_await : t -> file:string -> line:int -> col:int -> bool option
+(** Audit the annotations of [file] (source text [src]) against the
+    corpus: {!L.audit_string} under the summary facts, with each
+    [[@unguarded_ok]] and [[@await_ok]] occurrence this analysis saw
+    decided by its own disable-and-recheck probe. *)
+val audit : t -> file:string -> string -> L.audit_entry list
 
 (** [(units, cfg nodes, loop heads)] for [file] — introspection. *)
 val cfg_stats : t -> file:string -> int * int * int
-
-(** Positions (line, col) proved guarded on every path — introspection. *)
-val guarded_positions : t -> file:string -> (int * int) list

@@ -308,8 +308,8 @@ let test_lock_free_spin_fires () =
      let pop t = Backoff.spin_until (fun () -> A.get t.done_); None\n"
   in
   Alcotest.(check (list (pair int string)))
-    "the spin is diagnosed; rule 12 contradicts the declaration"
-    [ (1, "loop-progress"); (4, "progress-class") ]
+    "rule 12 contradicts the declaration"
+    [ (1, "loop-progress") ]
     (List.map (fun d -> (d.L.line, d.L.rule)) (corpus src))
 
 let test_lock_free_spin_await_ok_accepted () =
@@ -429,8 +429,6 @@ let test_clean_fixture () =
    alias runs (interprocedural facts and typestate included — several
    annotations were deleted because the analyses discharge them) and
    inspect a few load-bearing files. *)
-module Summary = Sec_summary.Summary
-
 (* The summary environment must cover the whole library, exactly as the
    @lint alias runs it: signature constraints (e.g. [Stack_intf.S])
    resolve through other files, and an unresolved constraint makes
@@ -485,8 +483,13 @@ let test_check_string_file_agree () =
 (* -------------------------------------------------------------------- *)
 (* Audit: live and stale annotations *)
 
-let audit ?facts src =
-  L.audit_string ?facts ~scope:discipline_scope ~filename:"fixture.ml" src
+(* The audit [sec_lint --audit] runs, over one in-memory file. *)
+let audit src =
+  let _, ts, _ =
+    Sec_typestate.Typestate.check_sources ~scope:discipline_scope
+      [ ("fixture.ml", src) ]
+  in
+  Sec_typestate.Typestate.audit ts ~file:"fixture.ml" src
 
 let test_audit_live_annotation () =
   (* Removing the annotation would add an ebr-guard diagnostic, so it is
@@ -514,21 +517,14 @@ let test_audit_stale_annotation () =
 
 let test_audit_facts_make_annotation_stale () =
   (* A loop paced only through a helper: syntactically the [@await_ok]
-     is load-bearing, interprocedurally it is redundant — the summary
-     facts flip the audit verdict. This is the exchanger/eb_stack
-     cleanup this PR applied to the real tree. *)
+     looks load-bearing, interprocedurally it is redundant — the
+     summary's pacing effect makes the annotation stale. *)
   let src =
     "module A = Atomic\n\
      let settle () = Prim.relax 8\n\
      let wait f = (while not (A.get f) do settle () done) [@await_ok \"x\"]\n"
   in
-  (match audit src with
-  | [ e ] -> Alcotest.(check bool) "live without facts" true e.L.audit_live
-  | es -> Alcotest.failf "expected one audit entry, got %d" (List.length es));
-  let env =
-    Summary.analyze_sources ~scope:discipline_scope [ ("fixture.ml", src) ]
-  in
-  match audit ~facts:(Summary.facts_for env ~file:"fixture.ml") src with
+  match audit src with
   | [ e ] -> Alcotest.(check bool) "stale with facts" false e.L.audit_live
   | es -> Alcotest.failf "expected one audit entry, got %d" (List.length es)
 

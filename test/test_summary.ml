@@ -2,8 +2,8 @@
    (lib/analysis/summary): fixpoint convergence on call cycles, the
    context fixpoint discharging lint obligations across calls, rule 10
    (plain-publication) in both its intra- and interprocedural forms,
-   the differential against the purely syntactic lint on the seeded
-   fixtures, and the cross-validation of the static may-write set
+   pacing through a helper on the seeded fixtures, and the
+   cross-validation of the static may-write set
    against the dynamic race detector on the mutant corpus. *)
 
 module L = Sec_lint_rules.Lint_rules
@@ -108,14 +108,7 @@ let test_ctx_guarded_helper () =
     (Summary.String_set.mem scan (Summary.entries env));
   (* The corpus run must discharge the ebr-guard rule with it. *)
   Alcotest.(check (list string)) "facts discharge the helper derefs" []
-    (rules (corpus [ ("guard.ml", guard_src) ]));
-  (* Without facts the helper's derefs fire — the annotations the
-     interprocedural pass makes unnecessary. *)
-  Alcotest.(check bool) "without facts the rule still fires" true
-    (List.mem "ebr-guard"
-       (rules
-          (L.check_string ~scope:discipline_scope ~filename:"guard.ml"
-             guard_src)))
+    (rules (corpus [ ("guard.ml", guard_src) ]))
 
 (* An exported helper (no signature constraint) keeps its obligation:
    any caller outside the library could run it unguarded. *)
@@ -218,9 +211,9 @@ let test_publication_across_helpers () =
              interproc_pub_src)))
 
 (* -------------------------------------------------------------------- *)
-(* Differential on the seeded fixture files: the syntactic lint
-   over-reports the paced-through-a-helper loops; the summary facts
-   keep exactly the two genuinely unpaced ones. *)
+(* The seeded fixture's two loops paced through a helper are
+   discharged by the summaries' pacing effect; the corpus run keeps
+   exactly the two genuinely unpaced ones. *)
 
 (* Tests run from the test directory under `dune runtest` and from the
    workspace root under `dune exec`; resolve either layout. *)
@@ -238,12 +231,6 @@ let test_fixture_differential () =
   if not (Sys.file_exists spin_fixture) then
     Alcotest.skip ()
   else begin
-    let syntactic =
-      rules (L.check_file ~scope:discipline_scope spin_fixture)
-    in
-    Alcotest.(check int) "syntactic lint flags all four loops" 4
-      (List.length
-         (List.filter (fun r -> r = "retry-discipline") syntactic));
     let _, _, with_facts =
       Sec_typestate.Typestate.check_corpus ~scope:discipline_scope
         [ spin_fixture ]

@@ -1,11 +1,11 @@
 (* Tests for the path-sensitive typestate analysis
-   (lib/analysis/typestate): the CFG guard-balance rule and its
-   facts-export (rule 11), the loop classifier and static progress
-   verdicts (rule 12), the protocol automata (rule 13), the three-way
-   progress agreement (declaration = dynamic classifier = static
-   verdict) over every registry entry, seeded protocol mutants for the
-   three shipped automata, and the monotonicity property of the facts
-   pipeline over the lint fixtures. *)
+   (lib/analysis/typestate): the CFG guard-balance rule (rule 11) and
+   the rule-4 query over its guard depth, the loop classifier and
+   static progress verdicts (rule 12), the protocol automata (rule 13),
+   the three-way progress agreement (declaration = dynamic classifier
+   = static verdict) over every registry entry, seeded protocol mutants
+   for the three shipped automata, and the monotonicity property of the
+   facts pipeline over the lint fixtures. *)
 
 module L = Sec_lint_rules.Lint_rules
 module Summary = Sec_summary.Summary
@@ -122,9 +122,9 @@ let maybe t ~tid cond =
     "branches disagree on the depth at return" [ "guard-balance" ]
     (rules ts)
 
-(* The facts-export: a node-field read between enter and exit is proved
-   guarded, so composing the typestate facts discharges the rule-4
-   diagnostic the syntactic lint reports. *)
+(* The rule-4 query: a node-field read between enter and exit is at
+   guard depth >= 1 on every path, so the corpus run does not report
+   it. *)
 let test_guard_facts_discharge_rule4 () =
   let src =
     {|
@@ -139,15 +139,6 @@ let peek t ~tid =
   v
 |}
   in
-  let _, ts = analyze_src src in
-  Alcotest.(check bool)
-    "the read is in the definitely-guarded set" true
-    (Ts.guarded_positions ts ~file:"fix.ml" <> []);
-  let syntactic = L.check_string ~scope ~filename:"fix.ml" src in
-  Alcotest.(check (list string))
-    "syntactic lint demands a guard"
-    [ "ebr-guard" ]
-    (List.map (fun (d : L.diagnostic) -> d.rule) syntactic);
   let corpus src =
     let _, _, ds = Ts.check_sources ~scope [ ("fix.ml", src) ] in
     List.map (fun (d : L.diagnostic) -> d.rule) ds
@@ -511,7 +502,7 @@ let test_dynamic_rest (entry : Registry.entry) () =
     (Explore.progress_class_to_string c.Explore.verdict)
 
 (* -------------------------------------------------------------------- *)
-(* Monotonicity: composed facts only ever discharge rule 1-9
+(* Monotonicity: summary facts only ever discharge per-file rule
    obligations — over every lint fixture, the facts-composed run
    reports a subset of the syntactic-only run. *)
 
@@ -519,14 +510,12 @@ let test_facts_monotone_over_fixtures () =
   let dir = resolve [ "lint_fixtures"; "test/lint_fixtures" ] in
   let files = List.sort compare (gather dir []) in
   Alcotest.(check bool) "fixtures found" true (files <> []);
-  let env, ts, _ = Ts.check_corpus ~scope files in
+  let env, _, _ = Ts.check_corpus ~scope files in
   List.iter
     (fun file ->
       let key (d : L.diagnostic) = (d.line, d.col, d.rule) in
       let syntactic = List.map key (L.check_file ~scope file) in
-      let facts =
-        Ts.facts_with ts ~file (Summary.facts_for env ~file)
-      in
+      let facts = Summary.facts_for env ~file in
       List.iter
         (fun (d : L.diagnostic) ->
           if not (List.mem (key d) syntactic) then
