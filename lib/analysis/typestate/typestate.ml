@@ -1449,39 +1449,50 @@ let protocol_check ~file ~units ~file_unit_ids ~call_unit auto =
 (* Rule 12: reachability + verdicts                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* A witness: [(file, pos, reason)] of a stuck wait reachable through
-   the resolved call graph, or [None]. [stuck_of] abstracts the
+(* Per file: is a stuck wait reachable through the resolved call graph,
+   and the rule-12 declaration diagnostics. [stuck_of] abstracts the
    per-unit stuck sets so the audit probe can override one file's. *)
 let progress_view units files ~stuck_of =
   let n = Array.length units in
-  let state = Array.make n 0 (* 0 unvisited, 1 visiting, 2 done *) in
-  let witness = Array.make n None in
-  let rec go i =
-    if state.(i) = 2 then witness.(i)
-    else if state.(i) = 1 then None
-    else begin
-      state.(i) <- 1;
-      let w =
-        match stuck_of i with
-        | (p, r) :: _ -> Some (units.(i).u_file, p, r)
-        | [] ->
-            List.fold_left
-              (fun acc c -> match acc with Some _ -> acc | None -> go c)
-              None units.(i).u_calls
-      in
-      state.(i) <- 2;
-      witness.(i) <- w;
-      w
-    end
+  (* reachability is a fixpoint over the call edges, so it does not
+     depend on the order a search would visit a call cycle in *)
+  let reaches = Array.init n (fun i -> stuck_of i <> []) in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    Array.iteri
+      (fun i u ->
+        if (not reaches.(i)) && List.exists (fun c -> reaches.(c)) u.u_calls
+        then begin
+          reaches.(i) <- true;
+          changed := true
+        end)
+      units
+  done;
+  (* the witness [(file, pos, reason)]: the first stuck wait a
+     depth-first search through reaching units finds *)
+  let witness i =
+    let seen = Array.make n false in
+    let rec go i =
+      seen.(i) <- true;
+      match stuck_of i with
+      | (p, r) :: _ -> Some (units.(i).u_file, p, r)
+      | [] ->
+          List.fold_left
+            (fun acc c ->
+              match acc with
+              | None when reaches.(c) && not seen.(c) -> go c
+              | _ -> acc)
+            None units.(i).u_calls
+    in
+    go i
   in
   let blocking = ref [] in
   let diags = ref [] in
   List.iter
     (fun (fname, fi) ->
       let w =
-        List.fold_left
-          (fun acc u -> match acc with Some _ -> acc | None -> go u)
-          None fi.f_units
+        Option.bind (List.find_opt (fun u -> reaches.(u)) fi.f_units) witness
       in
       blocking := (fname, w <> None) :: !blocking;
       match fi.f_progress with

@@ -43,6 +43,8 @@
       through the resolved call graph (so [fc_stack.ml] is blocking
       {e via} [fc.ml]'s combiner wait); a [[@@@progress]] declaration
       disagreeing with the verdict is diagnosed at the declaration.
+      Reachability is a fixpoint over the call edges, so the verdict
+      does not depend on the order files are analysed in.
     - rule 6, [retry-discipline] — a query over rule 12's loop records:
       a retry-shaped loop (a [while] whose condition reads an atomic, or
       a recursive group containing a CAS or [exchange]) that is not

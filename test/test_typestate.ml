@@ -272,6 +272,40 @@ let push t v = Helper.await t; ignore v
          d.file = "caller.ml" && d.rule = "loop-progress")
        (Ts.diagnostics ts))
 
+(* Reachability must not depend on the order files are analysed in: a
+   search that reaches [y] while its caller [x] (on the same call cycle)
+   is still open must not record [y] as reaching no stuck wait, or
+   [user.ml], which reaches the wait only through [y], comes out
+   lock_free whenever [cyc.ml] is analysed before it. *)
+let test_reachability_order_independent () =
+  let waiter =
+    ( "waiter.ml",
+      {|
+module A = Atomic
+let spin t = Backoff.spin_until (fun () -> A.get t.flag)
+|} )
+  in
+  let cyc =
+    ( "cyc.ml",
+      {|
+module A = Atomic
+let rec x t = A.incr t.c; if t.n > 0 then Waiter.spin t else y t
+and y t = x t
+|} )
+  in
+  let user = ("user.ml", {|
+let w t = Cyc.y t
+|}) in
+  List.iter
+    (fun order ->
+      let _, ts = analyze_pairs order in
+      Alcotest.(check (option string))
+        (Printf.sprintf "user.ml is blocking (order %s)"
+           (String.concat ", " (List.map fst order)))
+        (Some "blocking")
+        (Option.map Ts.verdict_to_string (Ts.verdict_of ts ~file:"user.ml")))
+    [ [ waiter; cyc; user ]; [ waiter; user; cyc ] ]
+
 (* -------------------------------------------------------------------- *)
 (* Rule 13: protocol automata *)
 
@@ -556,6 +590,8 @@ let () =
           quick "lock_free over stuck spin" test_verdict_contradiction;
           quick "blocking needs a witness" test_blocking_needs_witness;
           quick "cross-file reachability" test_cross_file_stuck_reachability;
+          quick "order-independent reachability"
+            test_reachability_order_independent;
         ] );
       ( "protocol",
         [
