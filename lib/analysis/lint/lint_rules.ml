@@ -1,5 +1,7 @@
 (* Static enforcement of the repo's shared-memory discipline, over the
-   compiler-libs parsetree. Ten rule classes (see docs/ANALYSIS.md):
+   compiler-libs parsetree. Ten rule classes (see docs/ANALYSIS.md);
+   rules 4, 6 and 10 are computed by the typestate and summary analyses
+   and are listed here because they share the diagnostic surface:
 
    1. [mutable-field] — algorithm modules (lib/stacks, lib/core,
       lib/reclaim, lib/funnel) may not declare [mutable] record fields

@@ -3,8 +3,8 @@
    raises (the exception edge skips the exit); [unpin_twice] exits at
    depth zero; [maybe_leak]'s branches disagree on the depth at the
    return. The [n.value] read in [peek_exn] sits between the enter and
-   the exit on every non-raising path, so the typestate facts discharge
-   rule 4 for it — no ebr-guard marker. *)
+   the exit on every path that reaches it, so the rule-4 query accepts
+   it — no ebr-guard marker. *)
 
 module A = Atomic
 module E = Ebr.Make (Prim)
