@@ -1774,12 +1774,6 @@ let retry_diags ~file loops =
 let file_loops t fi =
   List.concat_map (fun uid -> t.units.(uid).u_loops) fi.f_units
 
-let query_diagnostics t =
-  List.concat_map
-    (fun (file, fi) ->
-      guard_diags ~file fi @ retry_diags ~file (file_loops t fi))
-    t.files
-
 (* ------------------------------------------------------------------ *)
 (* Accessors                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -1876,8 +1870,8 @@ let cfg_stats t ~file =
 (* ------------------------------------------------------------------ *)
 
 (* Lint [sources] as one corpus: one summary environment, one typestate
-   analysis, each file's rule 1-9 diagnostics under the summary facts,
-   plus the whole-environment rule-10 and typestate diagnostics. *)
+   analysis, each file's per-file rule diagnostics under the summary
+   facts, plus the rule-10, rule 11-13 and rule 4/6 query diagnostics. *)
 let check_with ~summary ?scope sources =
   let ts = analyze_sources ~summary ?scope sources in
   let diagnostics =
@@ -1888,7 +1882,11 @@ let check_with ~summary ?scope sources =
           ~filename:file src)
       sources
     @ Summary.publication_diagnostics summary
-    @ diagnostics ts @ query_diagnostics ts
+    @ diagnostics ts
+    @ List.concat_map
+        (fun (file, fi) ->
+          guard_diags ~file fi @ retry_diags ~file (file_loops ts fi))
+        ts.files
   in
   (summary, ts, List.sort diag_order diagnostics)
 
