@@ -886,10 +886,6 @@ let audit_string ?facts ?probe ?scope ~filename src =
   | structure -> audit_structure ?facts ?probe ~file:filename ~scope structure
   | exception _ -> []
 
-let audit_file ?facts ?probe ?scope path =
-  let scope = match scope with Some s -> s | None -> scope_of_path path in
-  audit_string ?facts ?probe ~scope ~filename:path (read_file path)
-
 (* ------------------------------------------------------------------ *)
 (* Output                                                               *)
 

@@ -44,8 +44,8 @@
     through {!facts}, a bundle of location predicates computed by
     {!Sec_summary.Summary} that only ever {e discharge} obligations
     (never add new ones), so a no-facts run is sound but may demand
-    annotations the analysis proves unnecessary — {!audit_file} finds
-    those.
+    annotations the analysis proves unnecessary — {!audit_string}
+    finds those.
 
     [retire-once] and the typestate [ebr-guard] are the static prong of
     the reclamation-safety layer ({!Sec_analysis.Reclaim_checker} is
@@ -127,20 +127,14 @@ val check_file : ?facts:facts -> ?scope:scope -> string -> diagnostic list
 val check_string :
   ?facts:facts -> ?scope:scope -> filename:string -> string -> diagnostic list
 
-(** Audit the annotations of a file: for each occurrence, recheck with
-    that one occurrence treated as absent; unchanged diagnostics mean
-    the annotation is stale. [probe] decides an occurrence instead when
-    it returns [Some live] — the hook through which
-    {!Sec_typestate.Typestate} audits the annotations of its own rules.
-    Parse failures audit as the empty list (the check entry points
-    report the parse error). *)
-val audit_file :
-  ?facts:facts ->
-  ?probe:(annotation -> bool option) ->
-  ?scope:scope ->
-  string ->
-  audit_entry list
-
+(** Audit the annotations of source text ([filename] as in
+    {!check_string}): for each occurrence, recheck with that one
+    occurrence treated as absent; unchanged diagnostics mean the
+    annotation is stale. [probe] decides an occurrence instead when it
+    returns [Some live] — the hook through which
+    {!Sec_typestate.Typestate.audit} audits the annotations of its own
+    rules. Parse failures audit as the empty list (the check entry
+    points report the parse error). *)
 val audit_string :
   ?facts:facts ->
   ?probe:(annotation -> bool option) ->
