@@ -109,7 +109,6 @@ type env = {
   totals : (string, effects) Hashtbl.t;
   mutable entry_set : String_set.t;
   mutable eff_rounds : int;
-  mutable ctx_rounds_v : int;
   cg_tbl : (string, bool) Hashtbl.t;
   cc_tbl : (string, bool) Hashtbl.t;
   cf_tbl : (string, bool) Hashtbl.t;
@@ -135,7 +134,6 @@ let new_env () =
     totals = Hashtbl.create 128;
     entry_set = String_set.empty;
     eff_rounds = 0;
-    ctx_rounds_v = 0;
     cg_tbl = Hashtbl.create 128;
     cc_tbl = Hashtbl.create 128;
     cf_tbl = Hashtbl.create 128;
@@ -890,11 +888,9 @@ let ctx_fixpoint env sites tbl site_ok =
       Hashtbl.replace tbl key
         ((not (String_set.mem key env.entry_set)) && Hashtbl.mem sites key))
     keys;
-  let rounds = ref 0 in
   let changed = ref true in
   while !changed do
     changed := false;
-    incr rounds;
     List.iter
       (fun key ->
         if Hashtbl.find tbl key then
@@ -909,8 +905,7 @@ let ctx_fixpoint env sites tbl site_ok =
             Hashtbl.replace tbl key false;
             changed := true))
       keys
-  done;
-  if !rounds > env.ctx_rounds_v then env.ctx_rounds_v <- !rounds
+  done
 
 let compute_ctx env =
   let sites = call_sites env in
@@ -1157,7 +1152,4 @@ let resolved_calls env ~file =
   List.sort compare !acc
 let total_effects env key = total env key
 let effect_rounds env = env.eff_rounds
-let ctx_rounds env = env.ctx_rounds_v
 let ctx_guarded env key = tbl_true env.cg_tbl key
-let ctx_gated env key = tbl_true env.cc_tbl key
-let ctx_fresh env key = tbl_true env.cf_tbl key

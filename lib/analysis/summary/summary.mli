@@ -123,18 +123,10 @@ val file_functions : env -> file:string -> (string * (int * int)) list
 val resolved_calls :
   env -> file:string -> ((int * int) * (string * string * (int * int))) list
 
-(** Entry points whose transitive effect plain-writes or RMWs the
-    cell. *)
-val cell_writers : env -> string -> String_set.t
-
 (** Rounds the bottom-up effect fixpoint took to converge. *)
 val effect_rounds : env -> int
 
-(** Max rounds any context fixpoint took to converge. *)
-val ctx_rounds : env -> int
-
-(** Context-fixpoint results for a function key. *)
+(** Guard-context fixpoint result for a function key: every resolved
+    call site reaching it runs under an EBR guard. *)
 val ctx_guarded : env -> string -> bool
 
-val ctx_gated : env -> string -> bool
-val ctx_fresh : env -> string -> bool
