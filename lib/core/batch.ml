@@ -242,7 +242,10 @@ module Make (P : Sec_prim.Prim_intf.S) (Store : STORE) = struct
      as the one before it ([expected]): when every thread of the shard is
      already in, waiting longer cannot add anyone (cf. DECS, PAPERS.md:
      pay for elimination and combining in proportion to the contention
-     met). *)
+     met). Each extension window is polled every [poll_step] units, so
+     the freeze comes the moment the batch fills. *)
+  let poll_step = 64
+
   let freezer_backoff t batch =
     let budget = t.config.Config.freeze_backoff in
     if budget > 0 then begin
@@ -257,10 +260,18 @@ module Make (P : Sec_prim.Prim_intf.S) (Store : STORE) = struct
       P.relax initial;
       let after_initial = announced () in
       if after_initial > 1 && after_initial < batch.expected then begin
-        (* Others are arriving: let the batch grow. *)
+        (* Others are arriving: let the batch grow. A window that runs
+           out before the batch fills starts another only if the batch
+           grew during it. *)
+        let rec poll k =
+          if k > 0 && announced () < batch.expected then begin
+            P.relax poll_step;
+            poll (k - 1)
+          end
+        in
         let rec wait spent seen =
           if spent < budget then begin
-            P.relax extension;
+            poll (extension / poll_step);
             let now = announced () in
             if now > seen && now < batch.expected then
               wait (spent + extension) now

@@ -28,7 +28,9 @@ type t = {
       (** Budget, in relax units, for the freezer's adaptive wait before
           freezing its batch: it keeps polling while announcements still
           arrive, up to this total, and stops once the batch is as large
-          as the previous batch of its aggregator. A longer wait lets
+          as the previous batch of its aggregator. Past the initial
+          probe, the wait re-reads the counters every few units, so the
+          freeze comes the moment the batch fills. A longer wait lets
           more operations join the batch, raising the elimination and
           combining degrees (paper, Section 3.1). [0] freezes
           immediately (the ablation benchmark uses this). *)

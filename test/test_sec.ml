@@ -331,12 +331,24 @@ let test_freezer_fair_12 () = check_fair ~threads:12
    aggregators, so 2 per shard): a freezer edit that moves it fails
    here. A freezer that waits out its extension after both fibers of a
    shard have announced completes about 2.5x fewer. *)
-let pinned_uncontended_ops = 5_716
+let pinned_uncontended_ops = 5_728
 
 let test_freezer_uncontended_pin () =
   let counts = sim_update_counts ~seed:1 ~threads:4 ~cycles:1_000_000 in
   Alcotest.(check int) "ops (seed 1, 4 fibers, 1M cycles)"
     pinned_uncontended_ops
+    (Array.fold_left ( + ) 0 counts)
+
+(* Pinned throughput of the sim-contended shape (56 fibers, 2
+   aggregators, 28 per shard). The freezer polls its extension window
+   and freezes the moment [expected] have announced; one that checks
+   only at the window's end completes 16 935 here. *)
+let pinned_contended_ops = 18_858
+
+let test_freezer_contended_pin () =
+  let counts = sim_update_counts ~seed:1 ~threads:56 ~cycles:1_000_000 in
+  Alcotest.(check int) "ops (seed 1, 56 fibers, 1M cycles)"
+    pinned_contended_ops
     (Array.fold_left ( + ) 0 counts)
 
 (* [freeze_backoff = 0] freezes at once: a lone thread's operations
@@ -437,6 +449,8 @@ let () =
           Alcotest.test_case "fair at 12 fibers" `Quick test_freezer_fair_12;
           Alcotest.test_case "uncontended ops pin" `Quick
             test_freezer_uncontended_pin;
+          Alcotest.test_case "contended ops pin" `Quick
+            test_freezer_contended_pin;
           Alcotest.test_case "no probe without backoff" `Quick
             test_no_probe_without_backoff;
         ] );
