@@ -29,7 +29,7 @@ type t = {
           freezing its batch: it keeps polling while announcements still
           arrive, up to this total, and stops once the batch is as large
           as the previous batch of its aggregator. Past the initial
-          probe, the wait re-reads the counters every few units, so the
+          probe, the wait re-reads the counters every 64 units, so the
           freeze comes the moment the batch fills. A longer wait lets
           more operations join the batch, raising the elimination and
           combining degrees (paper, Section 3.1). [0] freezes
