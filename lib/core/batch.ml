@@ -117,12 +117,6 @@ module Make (P : Sec_prim.Prim_intf.S) (Store : STORE) = struct
        mirrors the config flag so the per-op branch is a plain read. *)
     recycle : bool;
     mag : 'a node Mag.t;
-    (* Contention-adaptive sharding ([Config.adaptive]): the number of
-       aggregators announcements actually route to, moved between 1 and
-       [Array.length aggregators] by the freeze-time controller. *)
-    active : int A.t;
-    win_ops : int A.t; (* operations frozen in the current window *)
-    win_batches : int A.t; (* batches frozen in the current window *)
   }
 
   let make_batch capacity ~expected =
@@ -147,14 +141,14 @@ module Make (P : Sec_prim.Prim_intf.S) (Store : STORE) = struct
     (* Routing is [tid mod K] with every tid below [max_threads], so
        clamping K to the thread count is routing-equivalent (aggregators
        past it could never be reached) — it keeps harness runs at low
-       thread counts working with a high configured K. Nonsensical
-       configurations built by hand still fail [Config.validate]. *)
+       thread counts working with a high configured K. [Config.validate]
+       still rejects K < 1 and a negative [freeze_backoff]. *)
     let config =
       if config.Config.num_aggregators > max_threads then
         { config with Config.num_aggregators = max_threads }
       else config
     in
-    Config.validate ~capacity:max_threads config;
+    Config.validate config;
     {
       store = store config.Config.num_aggregators;
       aggregators =
@@ -178,19 +172,7 @@ module Make (P : Sec_prim.Prim_intf.S) (Store : STORE) = struct
          else None);
       recycle = config.Config.recycle_nodes;
       mag = Mag.create ~max_threads ();
-      (* Adaptive runs start consolidated (K = 1, the best single-thread
-         setting) and grow under pressure; the field is untouched — and
-         never read — without [Config.adaptive]. *)
-      active = A.make_padded 1;
-      win_ops = A.make_padded 0;
-      win_batches = A.make_padded 0;
     }
-
-  (* Current routing width: K under static sharding, the controller's
-     choice under [Config.adaptive]. *)
-  let active_aggregators t =
-    if t.config.Config.adaptive then A.get t.active
-    else Array.length t.aggregators
 
   (* ------------------------------------------------------------------ *)
   (* Freezing (paper: FreezeBatch, lines 28–32)                          *)
@@ -204,34 +186,6 @@ module Make (P : Sec_prim.Prim_intf.S) (Store : STORE) = struct
         Counter.add s.operations ~tid (pushes + pops);
         Counter.add s.eliminated ~tid eliminated;
         Counter.add s.combined ~tid (pushes + pops - eliminated)
-
-  (* Contention controller (cf. "A Dynamic Elimination-Combining Stack
-     Algorithm", PAPERS.md): every freeze feeds its batch size into a
-     window; once [adapt_window] batches have been frozen, the freezer
-     that closes the window compares the window's mean batching degree
-     against two thresholds and widens or narrows the routing. Hysteresis
-     (grow at a mean of >= [grow_degree] ops/batch, shrink only at
-     <= [shrink_degree]) keeps the controller from oscillating on
-     workloads that hover between the two. Runs without [Config.adaptive]
-     never touch these cells, so the static path is unchanged. *)
-  let adapt_window = 16
-  let grow_degree = 4
-  let shrink_degree_x2 = 3 (* shrink when 2 * mean <= 3, i.e. mean <= 1.5 *)
-
-  let adapt t ~ops =
-    ignore (A.fetch_and_add t.win_ops ops);
-    let b = A.fetch_and_add t.win_batches 1 + 1 in
-    if b >= adapt_window && A.compare_and_set t.win_batches b 0 then begin
-      (* One winner per window: the CAS above closes it, the exchange
-         claims its tally (concurrent freezers may have added a few more
-         ops — they roll into this window's mean, which is fine). *)
-      let total = A.exchange t.win_ops 0 in
-      let k = A.get t.active in
-      if total >= grow_degree * b && k < Array.length t.aggregators then
-        A.set t.active (k + 1)
-      else if 2 * total <= shrink_degree_x2 * b && k > 1 then
-        A.set t.active (k - 1)
-    end
 
   (* The freezer lingers so more operations join the batch, raising the
      elimination/combining degree (paper, Section 3.1). The wait is
@@ -298,7 +252,6 @@ module Make (P : Sec_prim.Prim_intf.S) (Store : STORE) = struct
     A.set batch.pop_at_freeze pops;
     A.set batch.push_at_freeze pushes;
     record_batch_stats t ~tid ~pushes ~pops;
-    if t.config.Config.adaptive then adapt t ~ops:(pushes + pops);
     (* Installing the new batch is what releases the waiting announcers. *)
     A.set aggregator.batch (make_batch t.capacity ~expected:(pushes + pops))
 
@@ -399,7 +352,7 @@ module Make (P : Sec_prim.Prim_intf.S) (Store : STORE) = struct
     end
 
   let push_op t ~tid value =
-    let shard = tid mod active_aggregators t in
+    let shard = tid mod Array.length t.aggregators in
     let aggregator = t.aggregators.(shard) in
     let node = make_node t ~tid value in
     let rec try_batch () =
@@ -436,7 +389,7 @@ module Make (P : Sec_prim.Prim_intf.S) (Store : STORE) = struct
     try_batch ()
 
   let pop_op t ~tid =
-    let shard = tid mod active_aggregators t in
+    let shard = tid mod Array.length t.aggregators in
     let aggregator = t.aggregators.(shard) in
     let rec try_batch () =
       let batch = A.get aggregator.batch in

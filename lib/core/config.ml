@@ -21,9 +21,7 @@ type mutation =
 type t = {
   num_aggregators : int;
       (** K: threads are assigned to aggregators by [tid mod K]. The paper
-          finds two aggregators best on most workloads (Figure 4). With
-          {!adaptive} set, this is the *maximum*: the contention
-          controller moves the active count between 1 and K. *)
+          finds two aggregators best on most workloads (Figure 4). *)
   freeze_backoff : int;
       (** Budget, in relax units, for the freezer's adaptive wait before
           freezing its batch: it keeps polling while announcements still
@@ -38,13 +36,6 @@ type t = {
       (** Record per-batch statistics (batching degree, %eliminated,
           %combined — Tables 1–3). Costs a few striped-counter updates per
           *batch* (not per operation). *)
-  adaptive : bool;
-      (** Contention-adaptive sharding (cf. "A Dynamic
-          Elimination-Combining Stack Algorithm", PAPERS.md): sample the
-          batching degree at each freeze and grow/shrink the *active*
-          aggregator count between 1 and {!num_aggregators}. Off by
-          default so pinned-seed results are byte-identical; see
-          docs/PERF.md. *)
   recycle_nodes : bool;
       (** Recycle batch-chain and elimination nodes through a per-domain
           {!Sec_reclaim.Magazine} instead of allocating per push; full
@@ -64,48 +55,18 @@ let default =
     num_aggregators = 2;
     freeze_backoff = 1024;
     collect_stats = false;
-    adaptive = false;
     recycle_nodes = false;
     mutation = No_mutation;
   }
 
-(* [capacity] is the elimination-array size (= max_threads) of the stack
-   being configured: an aggregator beyond the thread count can never be
-   reached by [tid mod K], so requesting more of them than threads is a
-   configuration error, not a tuning choice. *)
-let validate ?capacity t =
+let validate t =
   if t.num_aggregators < 1 then
     invalid_arg "Sec_core.Config: num_aggregators must be at least 1";
   if t.freeze_backoff < 0 then
-    invalid_arg "Sec_core.Config: freeze_backoff must be non-negative";
-  match capacity with
-  | Some cap when t.num_aggregators > cap ->
-      invalid_arg
-        (Printf.sprintf
-           "Sec_core.Config: num_aggregators (%d) exceeds capacity (%d): \
-            threads are routed by [tid mod K], so the extra aggregators \
-            could never be used"
-           t.num_aggregators cap)
-  | _ -> ()
+    invalid_arg "Sec_core.Config: freeze_backoff must be non-negative"
 
 let with_aggregators k t = { t with num_aggregators = k }
 let with_backoff b t = { t with freeze_backoff = b }
 let with_stats t = { t with collect_stats = true }
-let with_adaptive t = { t with adaptive = true }
 let with_recycling t = { t with recycle_nodes = true }
 let with_mutation m t = { t with mutation = m }
-
-let mutation_to_string = function
-  | No_mutation -> "none"
-  | Batch_overflow -> "batch-overflow"
-  | Pop_reorder -> "pop-reorder"
-
-let pp ppf t =
-  Format.fprintf ppf
-    "{aggregators=%d; freeze_backoff=%d; stats=%b; adaptive=%b; \
-     recycle=%b%s}"
-    t.num_aggregators t.freeze_backoff t.collect_stats t.adaptive
-    t.recycle_nodes
-    (match t.mutation with
-    | No_mutation -> ""
-    | m -> "; MUTANT=" ^ mutation_to_string m)

@@ -108,7 +108,6 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
 
   let stats = B.stats
   let config = B.config
-  let active_aggregators = B.active_aggregators
   let magazine_stats = B.magazine_stats
   let magazine_hit_rate = B.magazine_hit_rate
   let slab_stats = B.slab_stats

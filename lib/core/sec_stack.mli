@@ -21,12 +21,6 @@ module Make (_ : Sec_prim.Prim_intf.S) : sig
 
   val config : 'a t -> Config.t
 
-  (** Aggregators announcements currently route to: the configured K
-      under static sharding, the contention controller's current choice
-      (between 1 and K) when the stack was created with
-      [Config.adaptive]. *)
-  val active_aggregators : 'a t -> int
-
   (** Node-magazine tallies for this stack (all zero unless created with
       [Config.recycle_nodes]). See {!Sec_reclaim.Magazine.Make.stats}. *)
   val magazine_stats : 'a t -> Sec_reclaim.Magazine.stats

@@ -59,12 +59,10 @@ type doc = {
 (* ------------------------------------------------------------------ *)
 (* Collection                                                          *)
 
-(* The recycling and adaptive SEC variants and the EBR structures ride
-   along in the baseline so the zero-allocation claim is itself
-   regression-checked. *)
+(* The recycling SEC variant and the EBR structures ride along in the
+   baseline so the zero-allocation claim is itself regression-checked. *)
 let bench_entries =
-  Registry.paper_set @ Registry.reclaimed_set
-  @ [ Registry.sec_recycling; Registry.sec_adaptive ]
+  Registry.paper_set @ Registry.reclaimed_set @ [ Registry.sec_recycling ]
 
 let bench_threads = [ 1; 2; 4 ]
 
@@ -530,9 +528,9 @@ type regression = {
   current : float;
 }
 
-(* Only the paper-set structures gate the build: the magazine/adaptive
-   variants and the EBR twins are newer and noisier, and the acceptance
-   bar for this layer is "no paper-set structure regresses". *)
+(* Only the paper-set structures gate the build: the magazine variant
+   and the EBR twins are newer and noisier, and the acceptance bar for
+   this layer is "no paper-set structure regresses". *)
 let gating_algorithms =
   List.map (fun e -> e.Registry.name) Registry.paper_set
 

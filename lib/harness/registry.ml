@@ -94,13 +94,6 @@ let sec_recycling =
   sec_configured ~label:"SEC+MAG"
     ~config:(Sec_core.Config.with_recycling Sec_core.Config.default)
 
-(* Recycling plus the contention-adaptive sharding controller. *)
-let sec_adaptive =
-  sec_configured ~label:"SEC+ADPT"
-    ~config:
-      (Sec_core.Config.with_adaptive
-         (Sec_core.Config.with_recycling Sec_core.Config.default))
-
 let treiber =
   {
     name = "TRB";
@@ -183,9 +176,8 @@ let reclaimed_set = [ treiber_ebr; tsi_ebr ]
 
 (* Extensions beyond the paper: spinlock baseline, hierarchical
    (NUMA-aware) combining, the EBR-reclaimed variants, and the SEC
-   recycling/adaptive variants of this repo's perf layer. *)
-let all =
-  paper_set @ [ lock; hsynch ] @ reclaimed_set @ [ sec_recycling; sec_adaptive ]
+   recycling variant of this repo's perf layer. *)
+let all = paper_set @ [ lock; hsynch ] @ reclaimed_set @ [ sec_recycling ]
 
 (* SEC_Agg1 .. SEC_Agg5, the self-comparison of Figure 4. *)
 let sec_aggregator_sweep =

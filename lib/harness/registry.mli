@@ -47,10 +47,6 @@ val sec_configured : label:string -> config:Sec_core.Config.t -> entry
     see docs/PERF.md. *)
 val sec_recycling : entry
 
-(** [sec_recycling] plus the contention-adaptive sharding controller
-    ("SEC+ADPT"). *)
-val sec_adaptive : entry
-
 val treiber : entry
 val eb : entry
 val fc : entry

@@ -1,13 +1,12 @@
 (* The zero-allocation perf layer: per-domain node magazines
    (lib/reclaim/magazine.ml), the reclaim checker's recycling contract,
    the magazine-backed TRB-EBR's observational equivalence with plain
-   Treiber, and the contention-adaptive sharding controller.
+   Treiber, and SEC+MAG's static [tid mod K] routing.
 
    The sweeps in test_reclaim.ml already model-check the magazine-backed
    structures under preemption with [check_reclamation]; this file covers
    the allocator's own semantics and the end-to-end properties the perf
-   work claims (fewer allocations, unchanged behaviour, K adapting to
-   contention). *)
+   work claims (fewer allocations, unchanged behaviour). *)
 
 module Mag = Sec_reclaim.Magazine
 module NMag = Sec_reclaim.Magazine.Make (Sec_prim.Native)
@@ -252,72 +251,39 @@ let test_fewer_allocations () =
     true (ebr < trb)
 
 (* ------------------------------------------------------------------ *)
-(* Contention-adaptive sharding. *)
+(* Static sharding: SEC+MAG routes [tid] to aggregator [tid mod K]. *)
 
 module SimSec = Sec_core.Sec_stack.Make (SP)
 
-(* A lone fiber produces singleton batches, so the controller must hold
-   the active shard count at one; eight contending fibers pile many ops
-   into each batch, so it must grow past one; and once the contention
-   drains away, windows of singleton batches shrink it back to one. *)
-let test_adaptive_convergence () =
-  let config =
-    Config.with_adaptive
-      (Config.with_recycling
-         { Config.default with Config.num_aggregators = 4 })
-  in
-  let solo_start, peak, settled =
-    fst
-      (Sim.run ~seed:3 ~jitter:4 ~topology:Topology.testbox (fun () ->
-           let s = SimSec.create_with ~config ~max_threads:16 () in
-           for i = 1 to 64 do
-             SimSec.push s ~tid:0 i;
-             ignore (SimSec.pop s ~tid:0)
-           done;
-           let solo_start = SimSec.active_aggregators s in
-           let peaks = Array.make 8 1 in
-           for w = 0 to 7 do
+(* Two fibers on different aggregators (tids 0 and 1, K = 2) never meet
+   in a batch, so every frozen batch holds exactly one operation; on the
+   same aggregator (tids 0 and 2) some batches hold both. *)
+let batch_tally tids =
+  let config = Config.with_stats (Config.with_recycling Config.default) in
+  fst
+    (Sim.run ~seed:3 ~jitter:4 ~topology:Topology.testbox (fun () ->
+         let s = SimSec.create_with ~config ~max_threads:4 () in
+         List.iter
+           (fun tid ->
              Sim.spawn (fun () ->
-                 let tid = Sim.fiber_id () in
-                 for i = 1 to 300 do
+                 for i = 1 to 50 do
                    SimSec.push s ~tid i;
-                   ignore (SimSec.pop s ~tid);
-                   if i land 15 = 0 then
-                     peaks.(w) <- max peaks.(w) (SimSec.active_aggregators s)
-                 done)
-           done;
-           Sim.await_all ();
-           let peak = Array.fold_left max 1 peaks in
-           for i = 1 to 400 do
-             SimSec.push s ~tid:0 i;
-             ignore (SimSec.pop s ~tid:0)
-           done;
-           (solo_start, peak, SimSec.active_aggregators s)))
-  in
-  Alcotest.(check int) "a lone fiber holds one shard" 1 solo_start;
-  Alcotest.(check bool)
-    (Printf.sprintf "contention grows the shard count (peak %d)" peak)
-    true (peak > 1);
-  Alcotest.(check int) "cooldown shrinks back to one shard" 1 settled
+                   ignore (SimSec.pop s ~tid)
+                 done))
+           tids;
+         Sim.await_all ();
+         let st = SimSec.stats s in
+         (st.Sec_core.Sec_stats.batches, st.Sec_core.Sec_stats.operations)))
 
-(* With the controller off, routing is the static [tid mod K] of the
-   seed implementation and the active count always reads K. *)
-let test_static_when_disabled () =
-  let static =
-    fst
-      (Sim.run ~seed:3 ~jitter:4 ~topology:Topology.testbox (fun () ->
-           let s =
-             SimSec.create_with ~config:Config.default ~max_threads:8 ()
-           in
-           for i = 1 to 32 do
-             SimSec.push s ~tid:0 i;
-             ignore (SimSec.pop s ~tid:0)
-           done;
-           SimSec.active_aggregators s))
-  in
-  Alcotest.(check int)
-    "adaptive=false keeps every aggregator active"
-    Config.default.Config.num_aggregators static
+let test_shards_never_share () =
+  let batches, ops = batch_tally [ 0; 1 ] in
+  Alcotest.(check int) "tids 0 and 1: 200 operations" 200 ops;
+  Alcotest.(check int) "tids 0 and 1: one operation per batch" ops batches;
+  let batches, ops = batch_tally [ 0; 2 ] in
+  Alcotest.(check int) "tids 0 and 2: 200 operations" 200 ops;
+  Alcotest.(check bool)
+    (Printf.sprintf "tids 0 and 2 share batches (%d batches)" batches)
+    true (batches < ops)
 
 let () =
   Alcotest.run "magazine"
@@ -346,11 +312,9 @@ let () =
           Alcotest.test_case "fewer simulated allocations" `Quick
             test_fewer_allocations;
         ] );
-      ( "adaptive sharding",
+      ( "tid mod K routing",
         [
-          Alcotest.test_case "converges with contention" `Quick
-            test_adaptive_convergence;
-          Alcotest.test_case "static when disabled" `Quick
-            test_static_when_disabled;
+          Alcotest.test_case "shards never share a batch" `Quick
+            test_shards_never_share;
         ] );
     ]

@@ -509,7 +509,7 @@ let test_sec_blocking_via_engine () =
     [ "core/sec_stack.ml"; "core/sec_pool.ml" ]
 
 (* Leg 2 (dynamic) for the entries test_progress.ml does not cover:
-   the reclaimed and recycling/adaptive variants and the pool. *)
+   the reclaimed and recycling variants and the pool. *)
 let stack_scenario ?(tids = [| 0; 1 |]) (module M : Registry.MAKER) () =
   let module St = M (SP) in
   let s = St.create ~max_threads:8 () in
@@ -522,8 +522,7 @@ let stack_scenario ?(tids = [| 0; 1 |]) (module M : Registry.MAKER) () =
 let test_dynamic_rest (entry : Registry.entry) () =
   let tids =
     (* SEC variants block only same-shard: route both fibers onto
-       aggregator 0 (the pool and the adaptive variant consolidate to
-       one shard anyway). *)
+       aggregator 0 ([tid mod K] with the default K = 2). *)
     let n = entry.Registry.name in
     if String.length n >= 3 && String.sub n 0 3 = "SEC" then Some [| 0; 2 |]
     else None
@@ -616,7 +615,7 @@ let () =
                     (Explore.progress_class_to_string entry.Registry.progress))
                  (test_dynamic_rest entry))
              (Registry.reclaimed_set
-             @ [ Registry.sec_recycling; Registry.sec_adaptive; Registry.pool ])
+             @ [ Registry.sec_recycling; Registry.pool ])
       );
       ( "facts",
         [ quick "monotone over fixtures" test_facts_monotone_over_fixtures ] );
