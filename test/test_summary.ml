@@ -126,6 +126,32 @@ let test_exported_helper_not_ctx_guarded () =
   Alcotest.(check bool) "exported helper stays obligated" false
     (Summary.ctx_guarded env (key_of env ".value_of"))
 
+(* Rule 8 across calls: a node literal in a helper is discharged when
+   every call site sits under [@fresh_ok] and the signature hides the
+   helper; exported, any caller could reach the literal unannotated. *)
+let fresh_src ~hidden =
+  "module A = Atomic\n\
+   module Mag = Magazine.Make (P)\n\
+   module type S = sig\n\
+  \  type 'a t\n\
+  \  val push : 'a t -> 'a -> unit\n\
+   end\n"
+  ^ (if hidden then "module Make () : S = struct\n"
+     else "module Make () = struct\n")
+  ^ "  type 'a node = { value : 'a; next : 'a node option }\n\
+    \  type 'a t = { top : 'a node option A.t }\n\
+    \  let mk v = { value = v; next = None }\n\
+    \  let push t v =\n\
+    \    A.set t.top (Some (mk v [@fresh_ok \"magazine miss\"]))\n\
+     end\n"
+
+let test_ctx_fresh_helper () =
+  Alcotest.(check (list string)) "hidden helper: literal discharged" []
+    (rules (corpus [ ("fresh.ml", fresh_src ~hidden:true) ]));
+  Alcotest.(check (list string)) "exported helper: literal flagged"
+    [ "fresh-node" ]
+    (rules (corpus [ ("fresh.ml", fresh_src ~hidden:false) ]))
+
 (* -------------------------------------------------------------------- *)
 (* Rule 10: plain-publication *)
 
@@ -372,6 +398,8 @@ let () =
             test_ctx_guarded_helper;
           Alcotest.test_case "exported helper stays obligated" `Quick
             test_exported_helper_not_ctx_guarded;
+          Alcotest.test_case "internal helper ctx-fresh" `Quick
+            test_ctx_fresh_helper;
         ] );
       ( "plain-publication",
         [
