@@ -1,13 +1,13 @@
 (* Command-line driver for the discipline lint.
 
    Default mode: walk the given files and directories (recursively,
-   *.ml only) and lint them as one corpus (Typestate.check_corpus): the
-   interprocedural summary analysis (Sec_summary.Summary) and the
-   path-sensitive typestate analysis (Sec_typestate.Typestate) run over
-   the whole set, each file gets the per-file rules under the summary
-   facts, and the rule-10 plain-publication and typestate diagnostics
-   (rules 4, 6 and 11-13) are added; print every diagnostic as
-   file:line:col, and exit non-zero if any were found.
+   *.ml only) and lint them as one corpus (Typestate.check_corpus):
+   each file is parsed once, the interprocedural summary analysis
+   (Sec_summary.Summary, rules 5, 8 and 10) and the path-sensitive
+   typestate analysis (Sec_typestate.Typestate, rules 4, 6 and 11-13)
+   run over the whole set, and each file gets the per-file rules (1, 2,
+   3, 7 and 9); print every diagnostic as file:line:col, and exit
+   non-zero if any were found.
    Wired into the build as [dune build @lint], which [dune runtest]
    depends on — so a discipline violation fails the tier-1 check.
    Output modes: [--json] emits a JSON array of {file, line, col,
@@ -15,13 +15,13 @@
    code-scanning upload (exit status unchanged).
 
    Audit mode: [sec_lint --audit <dir>] rechecks every suppression
-   annotation with that one occurrence treated as absent; annotations
-   whose removal leaves the diagnostic set unchanged are stale and
-   reported (exit 1), together with per-rule suppression counts.
-   [@publication_ok] is counted but not staleness-probed (its rule
-   lives in the summary analysis, not the syntactic recheck);
-   [@unguarded_ok] and [@await_ok] are probed by the typestate analysis
-   (rule 4, and rules 6 and 12 together), the rest by the syntactic
+   annotation with that one occurrence treated as absent, in the
+   analysis that owns its rule; annotations whose removal leaves the
+   diagnostic set unchanged are stale and reported (exit 1), together
+   with per-rule suppression counts. [@unguarded_ok] and [@await_ok]
+   are probed by the typestate analysis (rule 4, and rules 6 and 12
+   together), [@retire_ok], [@fresh_ok] and [@publication_ok] by the
+   summary analysis (rules 5, 8 and 10), the rest by the per-file
    recheck.
 
    Self-test mode: [sec_lint --selftest <dir>] checks the fixture files
@@ -107,14 +107,7 @@ let lint ~output files =
 
 let audit files =
   let _, ts, _ = Typestate.check_corpus files in
-  let entries =
-    List.concat_map
-      (fun file ->
-        List.map
-          (fun e -> (file, e))
-          (Typestate.audit ts ~file (L.read_file file)))
-      files
-  in
+  let entries = Typestate.audit ts in
   let count name =
     List.length
       (List.filter
@@ -353,8 +346,8 @@ let selftest dir =
   end;
   (* Fixtures are checked as if they lived in an algorithm directory,
      with summaries and typestate built over the whole fixture set so
-     interprocedural fixtures exercise the facts and rule 10-13
-     paths. *)
+     interprocedural fixtures exercise the call-site contexts and the
+     rule 10-13 paths. *)
   let scope = { L.check_discipline = true; allow_obj = false } in
   let _env, _ts, diagnostics = Typestate.check_corpus ~scope files in
   let failures = ref 0 in

@@ -1,7 +1,9 @@
 (* Static enforcement of the repo's shared-memory discipline, over the
    compiler-libs parsetree. Ten rule classes (see docs/ANALYSIS.md);
-   rules 4, 6 and 10 are computed by the typestate and summary analyses
-   and are listed here because they share the diagnostic surface:
+   this module checks rules 1, 2, 3, 7 and 9 one file at a time. Rules
+   4 and 6 are computed by the typestate analysis and rules 5, 8 and 10
+   by the summary analysis; they are listed here because they share the
+   diagnostic surface:
 
    1. [mutable-field] — algorithm modules (lib/stacks, lib/core,
       lib/reclaim, lib/funnel) may not declare [mutable] record fields
@@ -25,12 +27,14 @@
       module supplies its node-field and [Ebr]-reference recognisers.
 
    5. [retire-once] — in the same modules, a [retire] call must be
-      syntactically gated by an unlink CAS (the enclosing if-condition or
-      match-scrutinee contains [compare_and_set]), or carry
+      gated by an unlink CAS (the enclosing if-condition or
+      match-scrutinee contains [compare_and_set], at the call or at
+      every call site of its function), or carry
       [@retire_ok "why the node is unlinked exactly once"]. Retiring a
       node twice is the double-free of deferred reclamation; the dynamic
       {!Sec_analysis.Reclaim_checker} catches the interleavings, this
-      rule catches the call sites.
+      rule catches the call sites. Computed by {!Sec_summary.Summary},
+      which owns the call-site context the interprocedural case needs.
 
    6. [retry-discipline] — an unpaced retry loop on shared atomic state.
       The rule is a query over the typestate loop records, so it lives in
@@ -49,8 +53,9 @@
       type) is a hot-path allocation the recycler was built to avoid.
       Allocation must go through the recycler's alloc, with the literal
       only as the miss fallback, annotated
-      [@fresh_ok "why a fresh node is acceptable here"]. Like the other
-      intent annotations, [@fresh_ok] covers its whole subtree.
+      [@fresh_ok "why a fresh node is acceptable here"] (at the literal
+      or at every call site of its function). Computed by
+      {!Sec_summary.Summary}, like rule 5.
 
    9. [spec-class] — a module that implements the stack interface
       (binds both [push] and [pop]) must declare which sequential spec
@@ -77,22 +82,14 @@
    idiom ([module A = P.Atomic], [A.make] / [Atomic.make], [module Ebr
    = Ebr.Make (P)], [Ebr.guard] / [Ebr.retire]) rather than doing
    type-driven analysis, which keeps it dependency-free and fast enough
-   to run on every build. Interprocedural knowledge enters through
-   {!facts}: a bundle of location predicates computed by
-   {!Sec_summary.Summary} from per-function atomic-effect summaries
-   propagated over the whole-library call graph. Facts only ever
-   *discharge* obligations (a call site gated by the unlink CAS, a
-   caller under [@fresh_ok]), never add new ones, so running without
-   facts is always sound but may demand annotations the
-   interprocedural analysis proves unnecessary ([--audit] reports
-   those).
+   to run on every build. The same idiom predicates are exported to the
+   summary and typestate analyses.
 
-   The intent annotations [@retire_ok] and [@fresh_ok] share one
-   subtree-covering discipline ({!covering_annotations}): each needs a
-   non-empty reason string, and each marks its whole subtree, so one
-   annotation on a helper's body covers every occurrence inside it.
-   [@unguarded_ok] and [@await_ok] follow the same discipline in the
-   typestate queries. *)
+   The intent annotations [@retire_ok], [@fresh_ok], [@unguarded_ok],
+   [@await_ok] and [@publication_ok] share one subtree-covering
+   discipline: each needs a non-empty reason string, and each marks its
+   whole subtree, so one annotation on a helper's body covers every
+   occurrence inside it. *)
 
 type diagnostic = {
   file : string;
@@ -107,22 +104,6 @@ type scope = {
       (* rules 1, 2, 4-9: algorithm modules written against Prim_intf *)
   allow_obj : bool; (* rule 3 exemption: lib/prim/padding.ml *)
 }
-
-(* Interprocedural facts, supplied by Sec_summary.Summary (or {!no_facts}
-   when running purely syntactically). Positions are (line, col) pairs of
-   the would-be diagnostic. Facts are consulted only to *suppress* a
-   diagnostic, never to create one. *)
-type facts = {
-  gated_at : int * int -> bool;
-      (* rule 5: every call site of the enclosing function is gated by an
-         unlink compare_and_set *)
-  fresh_at : int * int -> bool;
-      (* rule 8: every call site sits under a [@fresh_ok] extent *)
-}
-
-let no_facts =
-  let f _ = false in
-  { gated_at = f; fresh_at = f }
 
 (* Identity of one annotation occurrence, for the audit's
    disable-and-recheck probe: the position of the attribute *name*
@@ -345,26 +326,8 @@ let expr_contains_ident pred e =
   it.expr it e;
   !found
 
-let expr_contains_cas e = expr_contains_ident is_cas_ident e
-
 (* ------------------------------------------------------------------ *)
 (* The checker                                                          *)
-
-(* Context threaded through the expression walk. *)
-type ctx = {
-  in_shared_block : bool;
-      (* inside a record literal or Array.make/init arguments (rule 2) *)
-  in_cas_branch : bool;
-      (* inside a branch selected by a compare_and_set (rule 5) *)
-  retire_covered : bool; (* inside an [@retire_ok "..."] subtree (rule 5) *)
-  fresh_covered : bool; (* inside a [@fresh_ok "..."] subtree (rule 8) *)
-}
-
-let covering_annotations =
-  [
-    ("retire_ok", fun ctx -> { ctx with retire_covered = true });
-    ("fresh_ok", fun ctx -> { ctx with fresh_covered = true });
-  ]
 
 (* Edit distance, for the unknown-annotation suggestions. *)
 let levenshtein a b =
@@ -391,12 +354,10 @@ let auditable_annotations =
     ("fresh_ok", [ "fresh-node" ]);
     ("unpadded_ok", [ "unpadded-atomic" ]);
     ("plain_ok", [ "mutable-field" ]);
-    (* counted but never staleness-probed: rule 10 is computed by the
-       summary analysis, not by the syntactic recheck the probe runs *)
     ("publication_ok", [ "plain-publication" ]);
   ]
 
-let check_structure ?(facts = no_facts) ?disabled ~file ~scope structure =
+let check ?disabled ~file ~scope structure =
   (* [disabled] names one annotation occurrence to treat as absent: the
      audit's probe. Identity is (name, position of the attribute name),
      so two same-named annotations on one line stay distinct. *)
@@ -408,10 +369,6 @@ let check_structure ?(facts = no_facts) ?disabled ~file ~scope structure =
           (attr.attr_name.Location.txt = d.ann_name
           && pos_of attr.attr_name.Location.loc = (d.ann_line, d.ann_col))
   in
-  (* The shared subtree-covering annotation discipline: an annotation
-     with a non-empty reason string marks the whole subtree it sits on,
-     so one annotation on a helper's body covers every occurrence inside
-     it. [@retire_ok] discharges rule 5, [@fresh_ok] rule 8. *)
   let attr_has_reason name attrs =
     match find_attr name attrs with
     | Some attr when attr_enabled attr -> (
@@ -420,23 +377,11 @@ let check_structure ?(facts = no_facts) ?disabled ~file ~scope structure =
         | None -> false)
     | _ -> false
   in
-  let enter_covering (e : expression) ctx =
-    List.fold_left
-      (fun ctx (name, mark) ->
-        if attr_has_reason name e.pexp_attributes then mark ctx else ctx)
-      ctx covering_annotations
-  in
   let diags = ref [] in
   let add loc rule message =
     let line, col = pos_of loc in
     diags := { file; line; col; rule; message } :: !diags
   in
-
-  let ebr_rules = scope.check_discipline && structure_uses_ebr structure in
-  let magazine_rules =
-    scope.check_discipline && structure_uses_magazine structure
-  in
-  let node_fields = if magazine_rules then node_fields structure else [] in
 
   (* Rules 7 and 9 pre-pass: [@@@progress] / [@@@spec] declarations and
      push/pop bindings anywhere in the structure (including submodules —
@@ -521,15 +466,6 @@ let check_structure ?(facts = no_facts) ?disabled ~file ~scope structure =
     | _ -> ()
   in
 
-  (* Rule 5: retire calls not gated by an unlink CAS. *)
-  let check_retire loc =
-    add loc "retire-once"
-      "retire call not gated by an unlink compare_and_set: whoever loses \
-       the unlink race must not also retire the node (double-free); gate \
-       the call on the winning CAS, or annotate it [@retire_ok \"why the \
-       node is unlinked exactly once\"]"
-  in
-
   (* Rule 7: the progress-class declaration obligations. *)
   (if scope.check_discipline then begin
      List.iter
@@ -592,80 +528,25 @@ let check_structure ?(facts = no_facts) ?disabled ~file ~scope structure =
             [spec] field"
      | _ -> ()
    end);
-  (* Rule 8: node literals outside the magazine-miss fallback. *)
-  let check_fresh_node loc =
-    add loc "fresh-node"
-      "node record constructed directly in a module that recycles nodes \
-       through Magazine or Slab: the hot path must try the recycler's \
-       alloc first and only fall back to a literal on a miss; annotate \
-       that fallback [@fresh_ok \"why a fresh node is acceptable here\"]"
-  in
-
-  let rec expr ctx (e : expression) =
-    let has_reason name = attr_has_reason name e.pexp_attributes in
-    (* The shared covering discipline: a justified [@retire_ok] /
-       [@fresh_ok] marks this whole subtree. *)
-    let ctx = enter_covering e ctx in
+  (* [shared]: inside a record literal or Array.make/init arguments, a
+     long-lived shared block (rule 2). *)
+  let rec expr shared (e : expression) =
     match e.pexp_desc with
     | Pexp_ident { txt; loc } -> check_obj txt loc
     | Pexp_apply ({ pexp_desc = Pexp_ident { txt; loc }; _ }, args) ->
         check_obj txt loc;
         (if
-           scope.check_discipline && ctx.in_shared_block
-           && is_atomic_make txt
-           && not (has_reason "unpadded_ok")
+           scope.check_discipline && shared && is_atomic_make txt
+           && not (attr_has_reason "unpadded_ok" e.pexp_attributes)
          then check_unpadded e.pexp_loc);
-        (if
-           ebr_rules && is_retire_call txt
-           && (not ctx.in_cas_branch)
-           && (not ctx.retire_covered)
-           && not (facts.gated_at (pos_of e.pexp_loc))
-         then check_retire e.pexp_loc);
-        let arg_ctx =
-          {
-            ctx with
-            (* Entering Array.make/Array.init arguments counts as entering
-               a shared block: the cells live together in one array. *)
-            in_shared_block = ctx.in_shared_block || is_array_builder txt;
-          }
-        in
-        List.iter (fun (_, a) -> expr arg_ctx a) args
-    | Pexp_ifthenelse (cond, then_, else_) ->
-        expr ctx cond;
-        let branch_ctx =
-          if expr_contains_cas cond then { ctx with in_cas_branch = true }
-          else ctx
-        in
-        expr branch_ctx then_;
-        Option.iter (expr branch_ctx) else_
-    | Pexp_match (scrutinee, cases) ->
-        expr ctx scrutinee;
-        let branch_ctx =
-          if expr_contains_cas scrutinee then { ctx with in_cas_branch = true }
-          else ctx
-        in
-        List.iter
-          (fun c ->
-            Option.iter (expr branch_ctx) c.pc_guard;
-            expr branch_ctx c.pc_rhs)
-          cases
+        (* Entering Array.make/Array.init arguments counts as entering a
+           shared block: the cells live together in one array. *)
+        let shared = shared || is_array_builder txt in
+        List.iter (fun (_, a) -> expr shared a) args
     | Pexp_record (fields, base) ->
-        (if
-           magazine_rules && Option.is_none base
-           && (not ctx.fresh_covered)
-           && fields <> []
-           && List.for_all
-                (fun (({ txt; _ } : Longident.t Location.loc), _) ->
-                  List.mem (last_component txt) node_fields)
-                fields
-           && not (facts.fresh_at (pos_of e.pexp_loc))
-         then check_fresh_node e.pexp_loc);
-        Option.iter (expr ctx) base;
-        List.iter
-          (fun (_, v) -> expr { ctx with in_shared_block = true } v)
-          fields
-    | Pexp_array items ->
-        List.iter (expr { ctx with in_shared_block = true }) items
+        Option.iter (expr shared) base;
+        List.iter (fun (_, v) -> expr true v) fields
+    | Pexp_array items -> List.iter (expr true) items
     | _ ->
         (* Generic descent that preserves the context:
            [default_iterator.expr it e] iterates [e]'s children through
@@ -673,7 +554,7 @@ let check_structure ?(facts = no_facts) ?disabled ~file ~scope structure =
         let it =
           {
             Ast_iterator.default_iterator with
-            expr = (fun _ child -> expr ctx child);
+            expr = (fun _ child -> expr shared child);
             type_declaration = (fun _ td -> type_declaration td);
           }
         in
@@ -685,18 +566,10 @@ let check_structure ?(facts = no_facts) ?disabled ~file ~scope structure =
     | _ -> ()
   in
 
-  let top_ctx =
-    {
-      in_shared_block = false;
-      in_cas_branch = false;
-      retire_covered = false;
-      fresh_covered = false;
-    }
-  in
   let iterator =
     {
       Ast_iterator.default_iterator with
-      expr = (fun _ e -> expr top_ctx e);
+      expr = (fun _ e -> expr false e);
       type_declaration = (fun _ td -> type_declaration td);
     }
   in
@@ -779,26 +652,18 @@ let check_structure ?(facts = no_facts) ?disabled ~file ~scope structure =
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                         *)
 
-(* Both entry points parse from an in-memory string so location handling
-   (notably [pos_bol] bookkeeping across multi-line tokens, which
-   [Lexing.from_channel] refills mid-token) is byte-identical between
-   fixture EXPECT markers ([check_string]) and real files
-   ([check_file]). *)
+let check_structure ~file ~scope structure = check ~file ~scope structure
+
+(* Every entry point parses from an in-memory string so location
+   handling (notably [pos_bol] bookkeeping across multi-line tokens,
+   which [Lexing.from_channel] refills mid-token) is byte-identical
+   between fixture EXPECT markers ([check_string]) and real files. A
+   file that does not parse yields its one [parse-error] diagnostic. *)
 let parse_string ~file src =
   let lexbuf = Lexing.from_string src in
   Location.init lexbuf file;
-  Parse.implementation lexbuf
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let check_string ?facts ?scope ~filename src =
-  let scope = match scope with Some s -> s | None -> scope_of_path filename in
-  match parse_string ~file:filename src with
-  | structure -> check_structure ?facts ~file:filename ~scope structure
+  match Parse.implementation lexbuf with
+  | structure -> Ok structure
   | exception exn ->
       let loc, msg =
         match Location.error_of_exn exn with
@@ -806,11 +671,22 @@ let check_string ?facts ?scope ~filename src =
         | _ -> (Location.none, Printexc.to_string exn)
       in
       let line, col = pos_of loc in
-      [ { file = filename; line; col; rule = "parse-error"; message = msg } ]
+      Error { file; line; col; rule = "parse-error"; message = msg }
 
-let check_file ?facts ?scope path =
-  let scope = match scope with Some s -> s | None -> scope_of_path path in
-  check_string ?facts ~scope ~filename:path (read_file path)
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let check_string ?scope ~filename src =
+  let scope = match scope with Some s -> s | None -> scope_of_path filename in
+  match parse_string ~file:filename src with
+  | Ok structure -> check ~file:filename ~scope structure
+  | Error d -> [ d ]
+
+let check_file ?scope path =
+  check_string ?scope ~filename:path (read_file path)
 
 (* ------------------------------------------------------------------ *)
 (* Annotation audit                                                     *)
@@ -818,8 +694,7 @@ let check_file ?facts ?scope path =
 (* Every auditable annotation occurrence in the structure, in source
    order. The attribute hook sees attributes wherever they syntactically
    attach (expressions, value bindings, label declarations), so one walk
-   covers all of [@unguarded_ok]/[@retire_ok]/[@await_ok]/[@fresh_ok]/
-   [@unpadded_ok]/[@plain_ok]. *)
+   covers every name in [auditable_annotations]. *)
 let annotations_of_structure structure =
   let anns = ref [] in
   let it =
@@ -858,20 +733,16 @@ type audit_entry = {
    occurrence as absent changes the diagnostic set. Precise by
    construction — whatever subtree/covering semantics the rules give an
    annotation, the probe inherits them. [probe] decides the occurrences
-   whose rules live in another analysis. *)
-let audit_structure ?facts ?(probe = fun _ -> None) ~file ~scope structure =
-  let base = check_structure ?facts ~file ~scope structure in
+   whose rules live in another analysis; the rest are rechecked against
+   this module's rules. *)
+let audit_structure ~probe ~file ~scope structure =
+  let base = check ~file ~scope structure in
   List.map
     (fun ann ->
       let live =
         match probe ann with
         | Some live -> live
-        | None ->
-            (* The syntactic recheck cannot decide [@publication_ok]:
-               conservatively live. *)
-            ann.ann_name = "publication_ok"
-            || check_structure ?facts ~disabled:ann ~file ~scope structure
-               <> base
+        | None -> check ~disabled:ann ~file ~scope structure <> base
       in
       {
         audit_annotation = ann;
@@ -879,12 +750,6 @@ let audit_structure ?facts ?(probe = fun _ -> None) ~file ~scope structure =
         audit_live = live;
       })
     (annotations_of_structure structure)
-
-let audit_string ?facts ?probe ?scope ~filename src =
-  let scope = match scope with Some s -> s | None -> scope_of_path filename in
-  match parse_string ~file:filename src with
-  | structure -> audit_structure ?facts ?probe ~file:filename ~scope structure
-  | exception _ -> []
 
 (* ------------------------------------------------------------------ *)
 (* Output                                                               *)

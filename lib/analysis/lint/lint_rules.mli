@@ -1,55 +1,40 @@
 (** Static lint for the repo's shared-memory discipline.
 
-    The syntactic rule classes, reported as [file:line:col] diagnostics
-    (rules 4 and 6 — [ebr-guard], [retry-discipline] — are queries over
-    the typestate CFG, and rules 11-13 — [guard-balance],
-    [loop-progress], [protocol] — are path-sensitive; all five live in
-    {!Sec_typestate.Typestate}):
+    The per-file rule classes, reported as [file:line:col] diagnostics:
     - [mutable-field]: no [mutable] record field in algorithm modules
       without [@plain_ok "publication argument"];
     - [unpadded-atomic]: atomics stored in long-lived shared blocks
       (records, arrays) must be [make_padded] or [@unpadded_ok "..."];
     - [obj-confinement]: [Obj.*] only in [lib/prim/padding.ml];
-    - [retire-once]: in the same modules, [retire] calls must be inside
-      a branch selected by a [compare_and_set] (the unlink CAS) or carry
-      [@retire_ok "reason"];
     - [progress-class]: a module binding both [push] and [pop] must
       declare [[@@@progress "lock_free"]] or [[@@@progress "blocking"]]
       (rule 12 checks the declared class against the static verdict);
-    - [fresh-node]: in modules recycling nodes through
-      {!Sec_reclaim.Magazine}, node record literals must be the
-      magazine-miss fallback ([Mag.alloc] first), annotated
-      [@fresh_ok "reason"];
     - [spec-class]: the same modules must declare the sequential spec
       their histories refine — [[@@@spec "stack"]] (strict LIFO) or
       [[@@@spec "pool"]] (order-relaxed bag) — matching the registry
       entry's [spec] field, which selects the refinement properties
-      checked dynamically by {!Sec_refine.Refine};
-    - [plain-publication]: a [get x … set x] read-modify-plain-write
-      chain on an atomic cell written from two or more entry points,
-      with no ordering RMW between the read and the plain store — the
-      static mirror of the dynamic detector's write-write-race model.
-      The chain may span helper calls, so the rule is computed by
-      {!Sec_summary.Summary} over the interprocedural summaries; it
-      shares this module's diagnostic surface and the
-      [@publication_ok "reason"] annotation discipline.
+      checked dynamically by {!Sec_refine.Refine}.
 
-    The intent annotations ([@retire_ok], [@fresh_ok], and the typestate
-    queries' [@unguarded_ok] and [@await_ok]) share one subtree-covering
+    The other rules share this module's diagnostic surface and idiom
+    predicates but are owned by the analysis that computes them.
+    {!Sec_summary.Summary} owns [retire-once] (rule 5: a [retire] call
+    gated by the unlink CAS or [@retire_ok "reason"]), [fresh-node]
+    (rule 8: a node literal in a module recycling through
+    {!Sec_reclaim.Magazine} or {!Sec_reclaim.Slab} is the miss fallback,
+    [@fresh_ok "reason"]) and [plain-publication] (rule 10).
+    {!Sec_typestate.Typestate} owns [ebr-guard] and [retry-discipline]
+    (rules 4 and 6, queries over its CFG) and the path-sensitive rules
+    11-13 ([guard-balance], [loop-progress], [protocol]).
+
+    The intent annotations ([@retire_ok], [@fresh_ok], [@unguarded_ok],
+    [@await_ok] and [@publication_ok]) share one subtree-covering
     discipline: each needs a non-empty reason string, and each covers
     the whole subtree it sits on, so one annotation on a helper body
     covers every occurrence inside it.
 
-    The per-file rules are syntactic; interprocedural knowledge enters
-    through {!facts}, a bundle of location predicates computed by
-    {!Sec_summary.Summary} that only ever {e discharge} obligations
-    (never add new ones), so a no-facts run is sound but may demand
-    annotations the analysis proves unnecessary — {!audit_string}
-    finds those.
-
-    [retire-once] and the typestate [ebr-guard] are the static prong of
-    the reclamation-safety layer ({!Sec_analysis.Reclaim_checker} is
-    the dynamic prong); [progress-class] and the typestate
+    [retire-once] and [ebr-guard] are the static prong of the
+    reclamation-safety layer ({!Sec_analysis.Reclaim_checker} is the
+    dynamic prong); [progress-class] and the typestate
     [retry-discipline] and [loop-progress] are the static prong of the
     progress layer ({!Sec_analysis.Progress_monitor} and the suspension
     classifier {!Sec_sim.Explore.classify} are the dynamic prong). See
@@ -67,27 +52,11 @@ type diagnostic = {
 
 type scope = {
   check_discipline : bool;
-      (** apply the mutable-field, unpadded-atomic, retire-once,
-          progress-class, fresh-node and spec-class rules (retire-once
-          also requires the module to reference [Ebr]) and the typestate
-          rules *)
+      (** apply the mutable-field, unpadded-atomic, progress-class and
+          spec-class rules, and the summary and typestate rules that
+          need the discipline scope *)
   allow_obj : bool;  (** exempt from obj-confinement *)
 }
-
-(** Interprocedural facts supplied by {!Sec_summary.Summary}. Every
-    predicate takes the (line, col) anchor of a would-be diagnostic and
-    returns whether the interprocedural analysis discharges that
-    obligation. Facts only suppress diagnostics. *)
-type facts = {
-  gated_at : int * int -> bool;
-      (** rule 5: every call site of the enclosing function is gated by
-          an unlink compare_and_set *)
-  fresh_at : int * int -> bool;
-      (** rule 8: every call site sits under a [@fresh_ok] extent *)
-}
-
-(** The all-false bundle: a purely syntactic run. *)
-val no_facts : facts
 
 (** One annotation occurrence, identified by name and the position of
     the attribute name (so two same-named annotations on one line stay
@@ -116,31 +85,36 @@ type audit_entry = {
     allowed only in [lib/prim/padding.ml]. *)
 val scope_of_path : string -> scope
 
+(** Parse an implementation from source text, locations rooted at
+    [file]. A syntax error yields the file's one [parse-error]
+    diagnostic. *)
+val parse_string :
+  file:string -> string -> (Parsetree.structure, diagnostic) result
+
+(** This module's rules over one parsed file. *)
+val check_structure :
+  file:string -> scope:scope -> Parsetree.structure -> diagnostic list
+
 (** Check a source file on disk. [scope] defaults to
-    [scope_of_path path]; [facts] defaults to {!no_facts}. Parses from
-    an in-memory copy of the file so locations are computed exactly as
-    in {!check_string}. *)
-val check_file : ?facts:facts -> ?scope:scope -> string -> diagnostic list
+    [scope_of_path path]. Parses from an in-memory copy of the file so
+    locations are computed exactly as in {!check_string}. *)
+val check_file : ?scope:scope -> string -> diagnostic list
 
 (** Check source text directly (for fixtures and tests); [filename] is
     used for reporting and the default scope. *)
-val check_string :
-  ?facts:facts -> ?scope:scope -> filename:string -> string -> diagnostic list
+val check_string : ?scope:scope -> filename:string -> string -> diagnostic list
 
-(** Audit the annotations of source text ([filename] as in
-    {!check_string}): for each occurrence, recheck with that one
-    occurrence treated as absent; unchanged diagnostics mean the
-    annotation is stale. [probe] decides an occurrence instead when it
-    returns [Some live] — the hook through which
-    {!Sec_typestate.Typestate.audit} audits the annotations of its own
-    rules. Parse failures audit as the empty list (the check entry
-    points report the parse error). *)
-val audit_string :
-  ?facts:facts ->
-  ?probe:(annotation -> bool option) ->
-  ?scope:scope ->
-  filename:string ->
-  string ->
+(** Audit the annotations of one parsed file. [probe] decides an
+    occurrence when it returns [Some live] — the hook through which
+    {!Sec_typestate.Typestate.audit} hands each annotation to the
+    analysis that owns its rule. An occurrence the probe leaves [None]
+    is rechecked against this module's rules with that one occurrence
+    treated as absent; unchanged diagnostics mean it is stale. *)
+val audit_structure :
+  probe:(annotation -> bool option) ->
+  file:string ->
+  scope:scope ->
+  Parsetree.structure ->
   audit_entry list
 
 val pp_diagnostic : Format.formatter -> diagnostic -> unit
@@ -199,12 +173,12 @@ val node_fields : Parsetree.structure -> string list
 (** Does the structure reference [Ebr] (the rule-4/5 arming test)? *)
 val structure_uses_ebr : Parsetree.structure -> bool
 
+(** Does the structure reference [Magazine] or [Slab] (the rule-8
+    arming test)? *)
+val structure_uses_magazine : Parsetree.structure -> bool
+
 (** (line, 0-based column) of a location's start. *)
 val pos_of : Location.t -> int * int
-
-(** Parse an implementation from source text, locations rooted at
-    [file]. Raises on syntax errors. *)
-val parse_string : file:string -> string -> Parsetree.structure
 
 (** Whole-file read, binary-safe. *)
 val read_file : string -> string

@@ -52,26 +52,45 @@ let eq_effects a b =
 (* Function records and events                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* Why a site is covered for one obligation: structurally ([lex]:
+   inside a guard call or a CAS-selected branch), or by the annotation
+   occurrences [anns] (positions of the attribute names) whose extent
+   contains it. Keeping the occurrences lets the audit ask whether a
+   site stays covered with one of them ignored. *)
+type cover = { lex : bool; anns : (int * int) list }
+
+let no_cover = { lex = false; anns = [] }
+
+(* [without] is one annotation occurrence, (file, position), treated as
+   absent; [file] is the site's. *)
+let covered ?without file c =
+  c.lex || List.exists (fun p -> without <> Some (file, p)) c.anns
+
 type call = {
   clid : Longident.t;
   cline : int;
   ccol : int;
-  cg : bool;  (* lexically under a guard (or [@unguarded_ok] extent) *)
-  cc : bool;  (* lexically in a CAS-selected branch / [@retire_ok] *)
-  cf : bool;  (* under a [@fresh_ok] extent *)
-  cp : bool;  (* under a [@publication_ok] extent *)
+  cg : cover;  (* under a guard call / [@unguarded_ok] *)
+  cc : cover;  (* in a CAS-selected branch / under [@retire_ok] *)
+  cf : cover;  (* under [@fresh_ok] *)
+  cp : cover;  (* under [@publication_ok] *)
   lam_spans : (int * int) list;  (* line spans of literal lambda args *)
   mutable callee : string option;  (* resolved function key *)
 }
 
+(* A rule-5 retire call or rule-8 node literal: the (line, col) of the
+   whole expression, its lexical cover, and whether the rule applies
+   (the file is armed and, for a literal, it has no [with] base). *)
+type site = { spos : int * int; scov : cover; checked : bool }
+
 type event =
   | Read of string
-  | Write of { wcell : string; wline : int; wcol : int; supp : bool }
+  | Write of { wcell : string; wline : int; wcol : int; supp : cover }
   | Rmw of { rcell : string; rline : int }
   | Pace
   | Guard_enter
-  | Retire
-  | Alloc
+  | Retire of site
+  | Alloc of site
   | Call of call
 
 type fn = {
@@ -109,9 +128,8 @@ type env = {
   totals : (string, effects) Hashtbl.t;
   mutable entry_set : String_set.t;
   mutable eff_rounds : int;
-  cg_tbl : (string, bool) Hashtbl.t;
-  cc_tbl : (string, bool) Hashtbl.t;
-  cf_tbl : (string, bool) Hashtbl.t;
+  calls : (string, fn * call) Hashtbl.t;  (* callee key -> call sites *)
+  mutable cg_tbl : (string, bool) Hashtbl.t;
   guard_spans : (string, (int * int) list ref) Hashtbl.t;  (* per file *)
   writers_tbl : (string, String_set.t) Hashtbl.t;  (* cell -> entries *)
 }
@@ -134,9 +152,8 @@ let new_env () =
     totals = Hashtbl.create 128;
     entry_set = String_set.empty;
     eff_rounds = 0;
-    cg_tbl = Hashtbl.create 128;
-    cc_tbl = Hashtbl.create 128;
-    cf_tbl = Hashtbl.create 128;
+    calls = Hashtbl.create 128;
+    cg_tbl = Hashtbl.create 0;
     guard_spans = Hashtbl.create 16;
     writers_tbl = Hashtbl.create 64;
   }
@@ -187,29 +204,15 @@ let pat_vars pat =
   it.pat it pat;
   !acc
 
-let expr_has_cas e =
-  let found = ref false in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun it e ->
-          (match e.pexp_desc with
-          | Pexp_ident { txt; _ } when L.is_cas_ident txt -> found := true
-          | _ -> ());
-          if not !found then Ast_iterator.default_iterator.expr it e);
-    }
-  in
-  it.expr it e;
-  !found
-
-let attr_reason name attrs =
+(* [c] extended by a reasoned [name] annotation among [attrs]. *)
+let annotate name attrs c =
   match L.find_attr name attrs with
   | Some a -> (
       match L.string_payload a with
-      | Some s -> String.trim s <> ""
-      | None -> false)
-  | None -> false
+      | Some s when String.trim s <> "" ->
+          { c with anns = L.pos_of a.attr_name.loc :: c.anns }
+      | _ -> c)
+  | None -> c
 
 (* ------------------------------------------------------------------ *)
 (* .cmt overlay: (line, col) of a field access -> typed cell key        *)
@@ -292,15 +295,17 @@ type fctx = {
   stem : string;
   overlay : int * int -> string option;
   node_fields : string list;
+  retire_rule : bool;  (* rule 5 armed: discipline scope, references Ebr *)
+  fresh_rule : bool;  (* rule 8 armed: discipline scope, Magazine/Slab *)
 }
 
 type wctx = {
   fc : fctx;
   f : fn;
-  g : bool;
-  cas : bool;
-  fr : bool;
-  pb : bool;
+  g : cover;
+  cas : cover;
+  fr : cover;
+  pb : cover;
   al : (string * string) list;  (* local alias -> cell key *)
 }
 
@@ -311,10 +316,10 @@ let enter_attrs ctx (attrs : attributes) =
   else
     {
       ctx with
-      g = ctx.g || attr_reason "unguarded_ok" attrs;
-      cas = ctx.cas || attr_reason "retire_ok" attrs;
-      fr = ctx.fr || attr_reason "fresh_ok" attrs;
-      pb = ctx.pb || attr_reason "publication_ok" attrs;
+      g = annotate "unguarded_ok" attrs ctx.g;
+      cas = annotate "retire_ok" attrs ctx.cas;
+      fr = annotate "fresh_ok" attrs ctx.fr;
+      pb = annotate "publication_ok" attrs ctx.pb;
     }
 
 let field_key ctx (lid : Longident.t Location.loc) =
@@ -378,6 +383,13 @@ let var_name pat =
   | Ppat_constraint ({ ppat_desc = Ppat_var { txt; _ }; _ }, _) -> Some txt
   | _ -> None
 
+(* The rule-5 gate: branches selected by a condition or scrutinee that
+   contains [compare_and_set]. *)
+let cas_branch ctx cond =
+  if L.expr_contains_ident L.is_cas_ident cond then
+    { ctx with cas = { ctx.cas with lex = true } }
+  else ctx
+
 let rec walk env ctx e =
   let ctx = enter_attrs ctx e.pexp_attributes in
   match e.pexp_desc with
@@ -386,15 +398,15 @@ let rec walk env ctx e =
   | Pexp_let (_, vbs, body) -> walk_let env ctx vbs body
   | Pexp_ifthenelse (c, t, f) ->
       walk env ctx c;
-      let branch = { ctx with cas = ctx.cas || expr_has_cas c } in
+      let branch = cas_branch ctx c in
       walk env branch t;
       Option.iter (walk env branch) f
-  | Pexp_match (scr, cases) | Pexp_try (scr, cases) ->
+  | Pexp_match (scr, cases) ->
       walk env ctx scr;
-      let branch = { ctx with cas = ctx.cas || expr_has_cas scr } in
+      let branch = cas_branch ctx scr in
       List.iter
         (fun c ->
-          Option.iter (walk env ctx) c.pc_guard;
+          Option.iter (walk env branch) c.pc_guard;
           walk env branch c.pc_rhs)
         cases
   | Pexp_function cases ->
@@ -410,7 +422,14 @@ let rec walk env ctx e =
   | Pexp_record (fields, base) ->
       Option.iter (walk env ctx) base;
       List.iter (fun (_, fe) -> walk env ctx fe) fields;
-      if is_node_literal ctx fields then emit ctx Alloc
+      if is_node_literal ctx fields then
+        emit ctx
+          (Alloc
+             {
+               spos = L.pos_of e.pexp_loc;
+               scov = ctx.fr;
+               checked = ctx.fc.fresh_rule && Option.is_none base;
+             })
   | Pexp_sequence (a, b) ->
       walk env ctx a;
       walk env ctx b
@@ -466,9 +485,15 @@ and walk_apply env ctx e lid args =
       when Hashtbl.mem ctx.f.params x ->
         ctx.f.wrapper <- true
     | _ -> ());
-    walk_args { ctx with g = true })
+    walk_args { ctx with g = { ctx.g with lex = true } })
   else if L.is_retire_call lid then (
-    emit ctx Retire;
+    emit ctx
+      (Retire
+         {
+           spos = L.pos_of e.pexp_loc;
+           scov = ctx.cas;
+           checked = ctx.fc.retire_rule;
+         });
     walk_args ctx)
   else if L.is_array_get lid || L.is_atomic_make lid then walk_args ctx
   else (
@@ -564,7 +589,7 @@ let init_fn env fc ns =
         ~top_level:true
 
 let base_ctx fc fn =
-  { fc; f = fn; g = false; cas = false; fr = false; pb = false;
+  { fc; f = fn; g = no_cover; cas = no_cover; fr = no_cover; pb = no_cover;
     al = [] }
 
 let register_ns env ns =
@@ -794,8 +819,8 @@ let own_effects fn =
           { e with rmws = String_set.add rcell e.rmws; has_rmw = true }
       | Pace -> { e with paces = true }
       | Guard_enter -> { e with guards = true }
-      | Retire -> { e with retires = true }
-      | Alloc -> { e with allocs = true }
+      | Retire _ -> { e with retires = true }
+      | Alloc _ -> { e with allocs = true }
       | Call _ -> e)
     no_effects (events_of fn)
 
@@ -866,27 +891,26 @@ let in_guard_span env file line =
   | Some l -> List.exists (fun (a, b) -> a <= line && line <= b) !l
   | None -> false
 
-let call_sites env =
-  let sites = Hashtbl.create 128 in
+let collect_calls env =
   Hashtbl.iter
     (fun _ fn ->
       List.iter
         (function
-          | Call ({ callee = Some g; _ } as c) -> Hashtbl.add sites g (fn, c)
+          | Call ({ callee = Some g; _ } as c) -> Hashtbl.add env.calls g (fn, c)
           | _ -> ())
         fn.events)
-    env.fns;
-  sites
+    env.fns
 
 (* Greatest fixpoint: a non-entry function with at least one resolved
    call site starts covered; a site left uncovered (lexically, by the
    guard-wrapper spans, or by its caller's own context) withdraws it. *)
-let ctx_fixpoint env sites tbl site_ok =
+let ctx_fixpoint env site_ok =
+  let tbl = Hashtbl.create 128 in
   let keys = List.rev env.order in
   List.iter
     (fun key ->
       Hashtbl.replace tbl key
-        ((not (String_set.mem key env.entry_set)) && Hashtbl.mem sites key))
+        ((not (String_set.mem key env.entry_set)) && Hashtbl.mem env.calls key))
     keys;
   let changed = ref true in
   while !changed do
@@ -899,20 +923,18 @@ let ctx_fixpoint env sites tbl site_ok =
               (fun ((encl : fn), c) ->
                 site_ok encl c
                 || Hashtbl.find_opt tbl encl.key = Some true)
-              (Hashtbl.find_all sites key)
+              (Hashtbl.find_all env.calls key)
           in
           if not ok then (
             Hashtbl.replace tbl key false;
             changed := true))
       keys
-  done
+  done;
+  tbl
 
-let compute_ctx env =
-  let sites = call_sites env in
-  ctx_fixpoint env sites env.cg_tbl (fun encl c ->
-      c.cg || in_guard_span env encl.file c.cline);
-  ctx_fixpoint env sites env.cc_tbl (fun _ c -> c.cc);
-  ctx_fixpoint env sites env.cf_tbl (fun _ c -> c.cf)
+let guard_ctx ?without env =
+  ctx_fixpoint env (fun encl c ->
+      covered ?without encl.file c.cg || in_guard_span env encl.file c.cline)
 
 let compute_writers env =
   String_set.iter
@@ -933,7 +955,7 @@ let compute_writers env =
 (* Analysis driver                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let analyze_common ?scope sources =
+let analyze ?scope sources =
   let env = new_env () in
   List.iter
     (fun (file, _, _) ->
@@ -941,24 +963,23 @@ let analyze_common ?scope sources =
       Hashtbl.replace env.stems (String.capitalize_ascii stem) stem)
     sources;
   List.iter
-    (fun (file, src, overlay) ->
+    (fun (file, src, str) ->
       let sc =
         match scope with Some s -> s | None -> L.scope_of_path file
       in
       Hashtbl.replace env.file_scope file sc;
       env.file_order <- file :: env.file_order;
-      match (try Some (L.parse_string ~file src) with _ -> None) with
-      | None -> ()
-      | Some str ->
-          let fc =
-            {
-              file;
-              stem = stem_of file;
-              overlay;
-              node_fields = L.node_fields str;
-            }
-          in
-          walk_structure env fc fc.stem str)
+      let fc =
+        {
+          file;
+          stem = stem_of file;
+          overlay = overlay_for ~file ~src;
+          node_fields = L.node_fields str;
+          retire_rule = sc.L.check_discipline && L.structure_uses_ebr str;
+          fresh_rule = sc.L.check_discipline && L.structure_uses_magazine str;
+        }
+      in
+      walk_structure env fc fc.stem str)
     sources;
   Hashtbl.iter
     (fun _ fn ->
@@ -972,29 +993,13 @@ let analyze_common ?scope sources =
   compute_entries env;
   effect_fixpoint env;
   compute_guard_spans env;
-  compute_ctx env;
+  collect_calls env;
+  env.cg_tbl <- guard_ctx env;
   compute_writers env;
   env
 
-let analyze ?scope ?(use_cmt = true) files =
-  analyze_common ?scope
-    (List.filter_map
-       (fun file ->
-         match (try Some (L.read_file file) with _ -> None) with
-         | None -> None
-         | Some src ->
-             let overlay =
-               if use_cmt then overlay_for ~file ~src else no_overlay
-             in
-             Some (file, src, overlay))
-       files)
-
-let analyze_sources ?scope sources =
-  analyze_common ?scope
-    (List.map (fun (file, src) -> (file, src, no_overlay)) sources)
-
 (* ------------------------------------------------------------------ *)
-(* Lint integration                                                    *)
+(* Diagnostics and lint integration                                    *)
 (* ------------------------------------------------------------------ *)
 
 let tbl_true tbl key = Hashtbl.find_opt tbl key = Some true
@@ -1017,29 +1022,24 @@ let innermost fns line =
       else best)
     None fns
 
-let facts_for env ~file =
-  let fns = file_fns env file in
-  let at tbl (line, _col) =
-    match innermost fns line with
-    | Some fn -> tbl_true tbl fn.key
-    | None -> false
+let guarded_at ?without env =
+  let tbl =
+    match without with None -> env.cg_tbl | Some _ -> guard_ctx ?without env
   in
-  { L.gated_at = at env.cc_tbl; fresh_at = at env.cf_tbl }
-
-let guarded_at env ~file =
-  let fns = file_fns env file in
-  fun (line, _col) ->
-    (match innermost fns line with
-    | Some fn -> tbl_true env.cg_tbl fn.key
-    | None -> false)
-    || in_guard_span env file line
+  fun ~file ->
+    let fns = file_fns env file in
+    fun (line, _col) ->
+      (match innermost fns line with
+      | Some fn -> tbl_true tbl fn.key
+      | None -> false)
+      || in_guard_span env file line
 
 let cell_writers env cell =
   match Hashtbl.find_opt env.writers_tbl cell with
   | Some s -> s
   | None -> String_set.empty
 
-let publication_diagnostics env =
+let publication_diagnostics ?without env =
   let diags = ref [] in
   let seen = Hashtbl.create 16 in
   let fire (fn : fn) cell line col via =
@@ -1081,11 +1081,16 @@ let publication_diagnostics env =
             | Read c -> reads := String_set.add c !reads
             | Rmw _ -> rmw := true
             | Write { wcell; wline; wcol; supp } ->
-                if (not supp) && (not !rmw) && String_set.mem wcell !reads
+                if
+                  (not (covered ?without fn.file supp))
+                  && (not !rmw) && String_set.mem wcell !reads
                 then fire fn wcell wline wcol None
             | Call ({ callee = Some g; _ } as c) ->
                 let tg = total env g in
-                (if (not c.cp) && (not !rmw) && not tg.has_rmw then
+                (if
+                   (not (covered ?without fn.file c.cp))
+                   && (not !rmw) && not tg.has_rmw
+                 then
                    match
                      String_set.choose_opt (String_set.inter tg.writes !reads)
                    with
@@ -1096,10 +1101,50 @@ let publication_diagnostics env =
             | _ -> ())
           (events_of fn)))
     (List.rev env.order);
-  List.sort
+  List.rev !diags
+
+(* Rules 5 and 8: a site fires unless it is covered lexically or its own
+   function is covered at every call site. *)
+let site_diagnostics ?without env =
+  let gated = ctx_fixpoint env (fun encl c -> covered ?without encl.file c.cc) in
+  let fresh = ctx_fixpoint env (fun encl c -> covered ?without encl.file c.cf) in
+  let diag (fn : fn) s ctx rule message =
+    if
+      s.checked
+      && (not (covered ?without fn.file s.scov))
+      && not (tbl_true ctx fn.key)
+    then
+      Some
+        { L.file = fn.file; line = fst s.spos; col = snd s.spos; rule; message }
+    else None
+  in
+  List.concat_map
+    (fun key ->
+      let fn = Hashtbl.find env.fns key in
+      List.filter_map
+        (function
+          | Retire s ->
+              diag fn s gated "retire-once"
+                "retire call not gated by an unlink compare_and_set: whoever \
+                 loses the unlink race must not also retire the node \
+                 (double-free); gate the call on the winning CAS, or annotate \
+                 it [@retire_ok \"why the node is unlinked exactly once\"]"
+          | Alloc s ->
+              diag fn s fresh "fresh-node"
+                "node record constructed directly in a module that recycles \
+                 nodes through Magazine or Slab: the hot path must try the \
+                 recycler's alloc first and only fall back to a literal on a \
+                 miss; annotate that fallback [@fresh_ok \"why a fresh node is \
+                 acceptable here\"]"
+          | _ -> None)
+        (events_of fn))
+    (List.rev env.order)
+
+let diagnostics ?without env =
+  List.stable_sort
     (fun (a : L.diagnostic) b ->
-      compare (a.file, a.line, a.col) (b.file, b.line, b.col))
-    !diags
+      compare (a.file, a.line, a.col, a.rule) (b.file, b.line, b.col, b.rule))
+    (site_diagnostics ?without env @ publication_diagnostics ?without env)
 
 let may_write_sites env =
   let acc = ref [] in

@@ -3,7 +3,7 @@
     The static prong's second stage (docs/ANALYSIS.md, "Static prong:
     interprocedural summaries"). The per-file lint
     ({!Sec_lint_rules.Lint_rules}) is syntactic; this module builds a
-    whole-library view:
+    whole-library view, and owns the rules that need it:
 
     - one {e function record} per top-level or [let]-bound function
       (nested [let rec]s are separate functions; anonymous lambdas
@@ -19,6 +19,15 @@
       by the caller's own context (greatest fixpoint, initialised true
       for internal functions so cycles resolve optimistically and
       entry points pin the result);
+    - rule 5, [retire-once]: in a discipline module referencing [Ebr],
+      a [retire] call fires unless it sits in a branch selected by a
+      [compare_and_set] (if-condition or match-scrutinee), under
+      [@retire_ok "reason"], or in a function that is CAS-gated at
+      every call site; anchored at the whole application;
+    - rule 8, [fresh-node]: in a discipline module referencing
+      [Magazine] or [Slab], a node record literal without a [with] base
+      fires unless it is under [@fresh_ok "reason"] or in a function
+      whose every call site is; anchored at the record expression;
     - rule 10, [plain-publication]: replaying each function's event
       stream, a plain [Atomic.set c] (or a call whose callee plain-sets
       [c]) fires when [c] was read earlier on the same path (own events
@@ -34,12 +43,11 @@
     local [Atomic.make]s) get per-function pseudo-keys so they can
     never alias a shared field.
 
-    Facts produced here only ever {e discharge} obligations: the
-    {!facts_for} bundle discharges rules 5 and 8 in the lint, and
-    {!guarded_at} discharges rule 4 in {!Sec_typestate.Typestate}. They
-    cannot create diagnostics, so adding summaries to a lint run can
-    only shrink its diagnostic set (rule 10 is the one additive check,
-    and it is this module's own). *)
+    Each call site and rule site records {e which} annotation
+    occurrences cover it, so the audit can recompute a context or a
+    rule's diagnostics with one occurrence ignored ([?without]) — the
+    same answer as deleting it and relinting. {!guarded_at} discharges
+    rule 4 in {!Sec_typestate.Typestate}. *)
 
 module L = Sec_lint_rules.Lint_rules
 
@@ -63,30 +71,32 @@ val no_effects : effects
 
 type env
 
-(** Analyse source files from disk. [use_cmt] (default [true]) overlays
-    typed field paths from each file's [.cmt] when one is found beside
-    the build tree and its source digest matches. [scope] overrides
-    {!L.scope_of_path} for every file (fixtures). Files that fail to
-    parse contribute nothing (the lint reports the parse error). *)
-val analyze : ?scope:L.scope -> ?use_cmt:bool -> string list -> env
+(** Analyse a parsed corpus [(filename, source text, parsetree)] (the
+    lint parses each file once; {!Sec_typestate.Typestate.check_corpus}
+    is the entry point). Typed field paths are overlaid from each
+    file's [.cmt] when one is found beside the build tree and its
+    source digest matches the text. [scope] overrides
+    {!L.scope_of_path} for every file (fixtures). *)
+val analyze :
+  ?scope:L.scope -> (string * string * Parsetree.structure) list -> env
 
-(** Analyse in-memory sources [(filename, contents)] — unit tests. *)
-val analyze_sources : ?scope:L.scope -> (string * string) list -> env
+(** {2 Lint integration}
 
-(** {2 Lint integration} *)
-
-(** The rule 5 and 8 discharge predicates for [file], to pass to
-    {!L.check_file} / {!L.check_string}. *)
-val facts_for : env -> file:string -> L.facts
+    [without] names one annotation occurrence — its file and the
+    (line, col) of the attribute name — to treat as absent: the audit's
+    probe. *)
 
 (** The rule-4 discharge predicate for [file]: is the (line, col)
     position inside a function whose every call site runs under a guard
-    ({!ctx_guarded}), or inside a lambda passed to a guard wrapper? *)
-val guarded_at : env -> file:string -> int * int -> bool
+    ({!ctx_guarded}), or inside a lambda passed to a guard wrapper?
+    Applying it to [env] computes the guard context once for every
+    file. *)
+val guarded_at :
+  ?without:string * (int * int) -> env -> file:string -> int * int -> bool
 
-(** Rule-10 diagnostics across the whole environment, sorted by
-    (file, line, col). *)
-val publication_diagnostics : env -> L.diagnostic list
+(** The diagnostics of rules 5, 8 and 10 across the whole environment,
+    sorted by (file, line, col, rule). *)
+val diagnostics : ?without:string * (int * int) -> env -> L.diagnostic list
 
 (** Every syntactic atomic plain-store or RMW site, as
     [(file, line)] — the static may-race set. Independent of call and

@@ -1233,7 +1233,7 @@ type file_info = {
   f_automata : automaton list;
   f_progress : (string * pos) option;
   f_reads : (pos * string) list;
-      (* node-field reads neither the CFG nor the summary proves guarded *)
+      (* node-field reads the CFG does not prove guarded *)
   f_unguarded : (pos * (pos * pos)) list;
       (* [@unguarded_ok] attr-name occurrence -> its expression's extent *)
   f_awaits : pos list; (* [@await_ok] attr-name occurrences *)
@@ -1247,6 +1247,7 @@ type t = {
   progress_diags : L.diagnostic list; (* baseline rule-12 diags *)
   summary : Summary.env;
   scope : L.scope option;
+  corpus : (string * Parsetree.structure) list; (* every parsed file *)
 }
 
 (* --- structure -> units ------------------------------------------- *)
@@ -1528,19 +1529,14 @@ let diag_order (a : L.diagnostic) (b : L.diagnostic) =
     (a.L.file, a.L.line, a.L.col, a.L.rule)
     (b.L.file, b.L.line, b.L.col, b.L.rule)
 
-let analyze_sources ~summary ?scope sources =
+let scope_for scope file =
+  match scope with Some s -> s | None -> L.scope_of_path file
+
+let analyze ~summary ?scope corpus =
   let parsed =
-    List.filter_map
-      (fun (file, contents) ->
-        let sc =
-          match scope with Some s -> s | None -> L.scope_of_path file
-        in
-        if not sc.L.check_discipline then None
-        else
-          match L.parse_string ~file contents with
-          | str -> Some (file, str)
-          | exception _ -> None)
-      sources
+    List.filter
+      (fun (file, _) -> (scope_for scope file).L.check_discipline)
+      corpus
   in
   let units = ref [] (* reversed *) in
   let n_units = ref 0 in
@@ -1639,17 +1635,13 @@ let analyze_sources ~summary ?scope sources =
               u.u_id)
             raw
         in
-        let summary_guarded = Summary.guarded_at summary ~file in
         ( file,
           {
             f_units = ids;
             f_automata = List.rev !automata;
             f_progress = progress;
             f_reads =
-              List.filter
-                (fun (p, _) ->
-                  not (Hashtbl.mem guarded p || summary_guarded p))
-                reads;
+              List.filter (fun (p, _) -> not (Hashtbl.mem guarded p)) reads;
             f_unguarded = unguarded;
             f_awaits = awaits;
             f_base = !base;
@@ -1714,30 +1706,22 @@ let analyze_sources ~summary ?scope sources =
     (fun (file, fi) ->
       fi.f_blocking <- List.assoc_opt file blocking = Some true)
     files;
-  { units; files; progress_diags = pdiags; summary; scope }
-
-let analyze ~summary ?scope paths =
-  let sources =
-    List.filter_map
-      (fun p ->
-        match L.read_file p with
-        | contents -> Some (p, contents)
-        | exception _ -> None)
-      paths
-  in
-  analyze_sources ~summary ?scope sources
+  { units; files; progress_diags = pdiags; summary; scope; corpus }
 
 (* ------------------------------------------------------------------ *)
 (* Rules 4 and 6: queries over guard depths and loop records           *)
 (* ------------------------------------------------------------------ *)
 
-(* Rule 4: the candidate reads outside every [@unguarded_ok] extent
-   ([disabled]: one occurrence treated as absent — the audit probe). *)
-let guard_diags ~file ?disabled fi =
+(* Rule 4: the candidate reads neither the summary's guard context
+   ([guarded], {!Summary.guarded_at}) discharges nor an [@unguarded_ok]
+   extent covers ([disabled]: one occurrence treated as absent — the
+   audit probe). *)
+let guard_diags ~guarded ~file ?disabled fi =
   let covered p =
-    List.exists
-      (fun (a, (start, stop)) -> Some a <> disabled && start <= p && p < stop)
-      fi.f_unguarded
+    guarded ~file p
+    || List.exists
+         (fun (a, (start, stop)) -> Some a <> disabled && start <= p && p < stop)
+         fi.f_unguarded
   in
   List.filter_map
     (fun (p, field) ->
@@ -1812,48 +1796,71 @@ let automata_of t ~file =
   | None -> []
   | Some fi -> List.map (fun a -> a.a_name) fi.f_automata
 
-(* The typestate side of [--audit]: [@unguarded_ok] is live iff
-   deleting it changes the rule-4 diagnostics; [@await_ok] iff deleting
-   it changes the rule-6 or rule-12 diagnostics. [None] for every other
-   occurrence. *)
-let probe t ~file (ann : L.annotation) =
-  match List.assoc_opt file t.files with
-  | None -> None
-  | Some fi -> (
-      let at = (ann.ann_line, ann.ann_col) in
-      match ann.ann_name with
-      | "unguarded_ok" when List.mem_assoc at fi.f_unguarded ->
-          Some (guard_diags ~file ~disabled:at fi <> guard_diags ~file fi)
-      | "await_ok" when List.mem at fi.f_awaits ->
-          (* reclassify this file's units with the occurrence disabled;
-             await extents are file-local, so only these loops can
-             change — then recompute every verdict (reachability
-             crosses files) *)
-          let reclassified =
-            List.map
-              (fun uid ->
-                let u = t.units.(uid) in
-                ( uid,
-                  classify_binding ~disabled:at u.u_eenv ~group:u.u_group
-                    u.u_vb ))
-              fi.f_units
-          in
-          let _, pdiags =
-            progress_view t.units t.files ~stuck_of:(fun i ->
-                match List.assoc_opt i reclassified with
-                | Some (_, stk) -> stk
-                | None -> t.units.(i).u_stuck)
-          in
-          let loops = List.concat_map (fun (_, (l, _)) -> l) reclassified in
-          Some
-            (pdiags <> t.progress_diags
-            || retry_diags ~file loops <> retry_diags ~file (file_loops t fi))
-      | _ -> None)
+(* The rule-4 diagnostics of every file, with one [@unguarded_ok]
+   occurrence ignored by both the extents and the summary's guard
+   context when [without] is given. *)
+let corpus_guard_diags ?without t =
+  let guarded = Summary.guarded_at ?without t.summary in
+  List.concat_map
+    (fun (file, fi) ->
+      let disabled =
+        match without with Some (f, p) when f = file -> Some p | _ -> None
+      in
+      guard_diags ~guarded ~file ?disabled fi)
+    t.files
 
-let audit t ~file src =
-  L.audit_string ?scope:t.scope
-    ~facts:(Summary.facts_for t.summary ~file)
-    ~probe:(probe t ~file) ~filename:file src
+(* [--audit]: each annotation occurrence is decided by the analysis that
+   owns its rule — live iff ignoring that one occurrence changes that
+   analysis' diagnostics, which is what deleting it and relinting would
+   show. [@unguarded_ok] and [@await_ok] are decided here (rule 4, and
+   rules 6 and 12 together), [@retire_ok], [@fresh_ok] and
+   [@publication_ok] by the summary (rules 5, 8 and 10), the rest by the
+   per-file rules. *)
+let audit t =
+  let guard_base = lazy (corpus_guard_diags t) in
+  let summary_base = lazy (Summary.diagnostics t.summary) in
+  let probe file (ann : L.annotation) =
+    let at = (ann.ann_line, ann.ann_col) in
+    match (ann.ann_name, List.assoc_opt file t.files) with
+    | "unguarded_ok", _ ->
+        Some (corpus_guard_diags ~without:(file, at) t <> Lazy.force guard_base)
+    | ("retire_ok" | "fresh_ok" | "publication_ok"), _ ->
+        Some
+          (Summary.diagnostics ~without:(file, at) t.summary
+          <> Lazy.force summary_base)
+    | "await_ok", Some fi when List.mem at fi.f_awaits ->
+        (* reclassify this file's units with the occurrence disabled;
+           await extents are file-local, so only these loops can
+           change — then recompute every verdict (reachability
+           crosses files) *)
+        let reclassified =
+          List.map
+            (fun uid ->
+              let u = t.units.(uid) in
+              ( uid,
+                classify_binding ~disabled:at u.u_eenv ~group:u.u_group u.u_vb
+              ))
+            fi.f_units
+        in
+        let _, pdiags =
+          progress_view t.units t.files ~stuck_of:(fun i ->
+              match List.assoc_opt i reclassified with
+              | Some (_, stk) -> stk
+              | None -> t.units.(i).u_stuck)
+        in
+        let loops = List.concat_map (fun (_, (l, _)) -> l) reclassified in
+        Some
+          (pdiags <> t.progress_diags
+          || retry_diags ~file loops <> retry_diags ~file (file_loops t fi))
+    | _ -> None
+  in
+  List.concat_map
+    (fun (file, structure) ->
+      List.map
+        (fun e -> (file, e))
+        (L.audit_structure ~probe:(probe file) ~file
+           ~scope:(scope_for t.scope file) structure))
+    t.corpus
 
 let cfg_stats t ~file =
   match List.assoc_opt file t.files with
@@ -1869,32 +1876,39 @@ let cfg_stats t ~file =
 (* Corpus entry point                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Lint [sources] as one corpus: one summary environment, one typestate
-   analysis, each file's per-file rule diagnostics under the summary
-   facts, plus the rule-10, rule 11-13 and rule 4/6 query diagnostics. *)
-let check_with ~summary ?scope sources =
-  let ts = analyze_sources ~summary ?scope sources in
+(* Lint [sources] as one corpus: each file read and parsed once, one
+   summary environment and one typestate analysis over the parsetrees,
+   each file's per-file rule diagnostics, plus the summary's rules 5, 8
+   and 10, the typestate rules 11-13 and the rule 4/6 queries. *)
+let check_sources ?scope sources =
+  let parsed =
+    List.map (fun (file, src) -> (file, src, L.parse_string ~file src)) sources
+  in
+  let ok =
+    List.filter_map
+      (fun (file, src, r) ->
+        match r with Ok str -> Some (file, src, str) | Error _ -> None)
+      parsed
+  in
+  let summary = Summary.analyze ?scope ok in
+  let ts =
+    analyze ~summary ?scope (List.map (fun (file, _, str) -> (file, str)) ok)
+  in
   let diagnostics =
     List.concat_map
-      (fun (file, src) ->
-        L.check_string ?scope
-          ~facts:(Summary.facts_for summary ~file)
-          ~filename:file src)
-      sources
-    @ Summary.publication_diagnostics summary
+      (fun (file, _, r) ->
+        match r with
+        | Ok str -> L.check_structure ~file ~scope:(scope_for scope file) str
+        | Error d -> [ d ])
+      parsed
+    @ Summary.diagnostics summary
     @ diagnostics ts
+    @ corpus_guard_diags ts
     @ List.concat_map
-        (fun (file, fi) ->
-          guard_diags ~file fi @ retry_diags ~file (file_loops ts fi))
+        (fun (file, fi) -> retry_diags ~file (file_loops ts fi))
         ts.files
   in
   (summary, ts, List.sort diag_order diagnostics)
 
 let check_corpus ?scope files =
-  check_with
-    ~summary:(Summary.analyze ?scope files)
-    ?scope
-    (List.map (fun file -> (file, L.read_file file)) files)
-
-let check_sources ?scope sources =
-  check_with ~summary:(Summary.analyze_sources ?scope sources) ?scope sources
+  check_sources ?scope (List.map (fun file -> (file, L.read_file file)) files)

@@ -61,9 +61,9 @@
       are stepped through by running the callee's CFG from the caller's
       state set (memoised; recursion falls back to identity).
 
-    [[@unguarded_ok]] and [[@await_ok]] are audited here ({!audit}):
-    each occurrence is live iff deleting it changes the rule-4 (resp.
-    rule-6 or rule-12) diagnostics. *)
+    {!audit} runs the whole annotation audit: [[@unguarded_ok]] and
+    [[@await_ok]] occurrences are live iff ignoring them changes the
+    rule-4 (resp. rule-6 or rule-12) diagnostics. *)
 
 module L = Sec_lint_rules.Lint_rules
 module Summary = Sec_summary.Summary
@@ -76,26 +76,15 @@ type verdict = Blocking | Lock_free
 val loop_class_to_string : loop_class -> string
 val verdict_to_string : verdict -> string
 
-(** Analyse source files from disk. Only files whose (effective) scope
-    has [check_discipline] set are analysed — the rest contribute no
-    CFGs, no diagnostics and no facts. [summary] must have been built
-    over the same corpus (it supplies call resolution and callee
-    effects). [scope] overrides {!L.scope_of_path} for every file
-    (fixtures / selftest). Files that fail to parse contribute nothing
-    (the lint reports the parse error). *)
-val analyze : summary:Summary.env -> ?scope:L.scope -> string list -> t
-
-(** Analyse in-memory sources [(filename, contents)] — unit tests.
-    [summary] should come from {!Summary.analyze_sources} over the same
-    pairs. *)
-val analyze_sources :
-  summary:Summary.env -> ?scope:L.scope -> (string * string) list -> t
-
-(** Lint [files] as one corpus — the [sec_lint] entry point: one
-    summary environment, one typestate analysis, each file's
-    {!Sec_lint_rules.Lint_rules} diagnostics under the summary facts,
-    plus the rule-10 and typestate diagnostics, sorted by (file, line,
-    col, rule). [scope] overrides {!L.scope_of_path} for every file. *)
+(** Lint [files] as one corpus — the [sec_lint] entry point. Each file
+    is read and parsed once, and its parsetree goes to the summary
+    analysis, this analysis (files whose effective scope has
+    [check_discipline] set) and the per-file rules of
+    {!Sec_lint_rules.Lint_rules}. The diagnostics are the per-file
+    rules', the summary's rules 5, 8 and 10, and this module's rules 4,
+    6 and 11-13, sorted by (file, line, col, rule); a file that does
+    not parse contributes its one [parse-error] diagnostic and nothing
+    else. [scope] overrides {!L.scope_of_path} for every file. *)
 val check_corpus :
   ?scope:L.scope -> string list -> Summary.env * t * L.diagnostic list
 
@@ -126,11 +115,16 @@ val loops :
 (** Names of the protocol automata declared in [file]. *)
 val automata_of : t -> file:string -> string list
 
-(** Audit the annotations of [file] (source text [src]) against the
-    corpus: {!L.audit_string} under the summary facts, with each
-    [[@unguarded_ok]] and [[@await_ok]] occurrence this analysis saw
-    decided by its own disable-and-recheck probe. *)
-val audit : t -> file:string -> string -> L.audit_entry list
+(** Audit every annotation of the corpus, paired with its file, in
+    corpus order. Each occurrence is decided by the analysis that owns
+    its rule, over the parsetrees {!check_corpus} already built: it is
+    live iff ignoring that one occurrence changes that analysis'
+    diagnostics — the answer deleting it and relinting gives.
+    [[@unguarded_ok]] (rule 4, including the summary's guard context)
+    and [[@await_ok]] (rules 6 and 12) are decided here,
+    [[@retire_ok]], [[@fresh_ok]] and [[@publication_ok]] by
+    {!Summary.diagnostics}, the rest by {!L.audit_structure}. *)
+val audit : t -> (string * L.audit_entry) list
 
 (** [(units, cfg nodes, loop heads)] for [file] — introspection. *)
 val cfg_stats : t -> file:string -> int * int * int

@@ -173,7 +173,7 @@ let test_retire_once_fires () =
       \  E.retire t.ebr ~tid (fun () -> ()))\n"
   in
   Alcotest.(check (list string)) "ungated retire fires" [ "retire-once" ]
-    (rules (check src))
+    (rules (corpus src))
 
 let test_retire_gated_by_cas_clean () =
   let src =
@@ -183,7 +183,7 @@ let test_retire_gated_by_cas_clean () =
       \    E.retire t.ebr ~tid (fun () -> ()))\n"
   in
   Alcotest.(check int) "CAS-gated retire is clean" 0
-    (List.length (check src))
+    (List.length (corpus src))
 
 let test_retire_ok_accepted () =
   let src =
@@ -193,7 +193,7 @@ let test_retire_ok_accepted () =
       \   [@retire_ok \"owner-only unlink\"]))\n"
   in
   Alcotest.(check int) "annotated retire is clean" 0
-    (List.length (check src))
+    (List.length (corpus src))
 
 (* -------------------------------------------------------------------- *)
 (* retry-discipline (the static prong of the progress layer) *)
@@ -426,9 +426,9 @@ let test_clean_fixture () =
   Alcotest.(check int) "idiomatic module is clean" 0 (List.length (check src))
 
 (* The real tree must be clean: run the same corpus check the @lint
-   alias runs (interprocedural facts and typestate included — several
-   annotations were deleted because the analyses discharge them) and
-   inspect a few load-bearing files. *)
+   alias runs (summaries and typestate included — several annotations
+   were deleted because the analyses discharge them) and inspect a few
+   load-bearing files. *)
 (* The summary environment must cover the whole library, exactly as the
    @lint alias runs it: signature constraints (e.g. [Stack_intf.S])
    resolve through other files, and an unresolved constraint makes
@@ -489,7 +489,7 @@ let audit src =
     Sec_typestate.Typestate.check_sources ~scope:discipline_scope
       [ ("fixture.ml", src) ]
   in
-  Sec_typestate.Typestate.audit ts ~file:"fixture.ml" src
+  List.map snd (Sec_typestate.Typestate.audit ts)
 
 let test_audit_live_annotation () =
   (* Removing the annotation would add an ebr-guard diagnostic, so it is
@@ -527,6 +527,146 @@ let test_audit_facts_make_annotation_stale () =
   match audit src with
   | [ e ] -> Alcotest.(check bool) "stale with facts" false e.L.audit_live
   | es -> Alcotest.failf "expected one audit entry, got %d" (List.length es)
+
+(* The audit must agree with its definition, delete-and-relint: an
+   annotation is live iff the corpus diagnostics change once that one
+   attribute is gone. The oracle blanks the attribute's source span
+   (found by [Ast_iterator]), which removes it from the parsetree and
+   leaves every other location unchanged, then relints the corpus. *)
+let strip src (ann : L.annotation) =
+  match L.parse_string ~file:"strip.ml" src with
+  | Error _ -> Alcotest.fail "strip: source does not parse"
+  | Ok structure -> (
+      let span = ref None in
+      let it =
+        {
+          Ast_iterator.default_iterator with
+          attribute =
+            (fun it a ->
+              if L.pos_of a.attr_name.loc = (ann.ann_line, ann.ann_col) then
+                span := Some a.attr_loc;
+              Ast_iterator.default_iterator.attribute it a);
+        }
+      in
+      it.structure it structure;
+      match !span with
+      | None -> Alcotest.failf "strip: no [@%s] at %d:%d" ann.ann_name
+                  ann.ann_line ann.ann_col
+      | Some loc ->
+          let b = Bytes.of_string src in
+          for i = loc.loc_start.pos_cnum to loc.loc_end.pos_cnum - 1 do
+            if Bytes.get b i <> '\n' then Bytes.set b i ' '
+          done;
+          Bytes.to_string b)
+
+(* The annotations whose audit verdict disagrees with delete-and-relint
+   over the corpus [sources]. *)
+let oracle_disagreements sources =
+  let relint sources =
+    let _, _, ds =
+      Sec_typestate.Typestate.check_sources ~scope:discipline_scope sources
+    in
+    ds
+  in
+  let base = relint sources in
+  let _, ts, _ =
+    Sec_typestate.Typestate.check_sources ~scope:discipline_scope sources
+  in
+  List.filter_map
+    (fun (file, (e : L.audit_entry)) ->
+      let ann = e.audit_annotation in
+      let stripped =
+        List.map
+          (fun (f, src) -> (f, if f = file then strip src ann else src))
+          sources
+      in
+      let deleting_changes = relint stripped <> base in
+      if deleting_changes = e.audit_live then None
+      else
+        Some
+          (Printf.sprintf "%s:%d:%d [@%s] audits %s" file ann.ann_line
+             ann.ann_col ann.ann_name
+             (if e.audit_live then "live" else "stale")))
+    (Sec_typestate.Typestate.audit ts)
+
+(* Each annotation sits on the only call of a helper the signature
+   hides, so it covers the helper's sites through the call-site
+   context; the last suppresses nothing (a plain store with no prior
+   read). *)
+let oracle_shapes =
+  [
+    ( "retire.ml",
+      {|module A = Atomic
+module E = Ebr.Make (P)
+module type S = sig
+  type 'a t
+  val drop : 'a t -> tid:int -> unit
+end
+module Make () : S = struct
+  type 'a node = { value : 'a }
+  type 'a t = { top : 'a node option A.t; ebr : E.t }
+  let release t ~tid = E.retire t.ebr ~tid (fun () -> ())
+  let drop t ~tid = (release t ~tid [@retire_ok "owner-only unlink"])
+end
+|} );
+    ( "unguarded.ml",
+      {|module A = Atomic
+module E = Ebr.Make (P)
+module type S = sig
+  type 'a t
+  val peek : 'a t -> 'a option
+end
+module Make () : S = struct
+  type 'a node = { value : 'a; next : 'a node option A.t }
+  type 'a t = { top : 'a node option A.t; ebr : E.t }
+  let value_of n = n.value
+  let peek t =
+    match A.get t.top with
+    | None -> None
+    | Some n -> (Some (value_of n) [@unguarded_ok "callers hold the guard"])
+end
+|} );
+    ( "fresh.ml",
+      {|module A = Atomic
+module Mag = Magazine.Make (P)
+module type S = sig
+  type 'a t
+  val push : 'a t -> 'a -> unit
+end
+module Make () : S = struct
+  type 'a node = { value : 'a; next : 'a node option }
+  type 'a t = { top : 'a node option A.t }
+  let mk v = { value = v; next = None }
+  let push t v = A.set t.top (Some (mk v [@fresh_ok "magazine miss"]))
+end
+|} );
+    ( "publication.ml",
+      {|module A = Atomic
+type t = { hits : int A.t }
+let reset t = (A.set t.hits 0 [@publication_ok "single writer"])
+|} );
+  ]
+
+let fixture_dir =
+  List.find_opt Sys.file_exists [ "lint_fixtures"; "test/lint_fixtures" ]
+
+let test_audit_matches_delete_and_relint () =
+  (match fixture_dir with
+  | None -> Alcotest.fail "lint_fixtures not found"
+  | Some dir ->
+      let sources =
+        Sys.readdir dir |> Array.to_list
+        |> List.filter (fun f -> Filename.check_suffix f ".ml")
+        |> List.sort compare
+        |> List.map (fun f ->
+               let path = Filename.concat dir f in
+               (path, L.read_file path))
+      in
+      Alcotest.(check (list string)) "fixture corpus" []
+        (oracle_disagreements sources));
+  Alcotest.(check (list string)) "hidden-helper shapes" []
+    (List.concat_map (fun source -> oracle_disagreements [ source ])
+       oracle_shapes)
 
 (* -------------------------------------------------------------------- *)
 (* SARIF output shape *)
@@ -700,6 +840,8 @@ let () =
             test_audit_stale_annotation;
           Alcotest.test_case "facts flip liveness" `Quick
             test_audit_facts_make_annotation_stale;
+          Alcotest.test_case "matches delete-and-relint" `Quick
+            test_audit_matches_delete_and_relint;
         ] );
       ( "sarif",
         [ Alcotest.test_case "document shape" `Quick test_sarif_shape ] );

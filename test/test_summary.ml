@@ -15,7 +15,11 @@ module Registry = Sec_harness.Registry
 
 let discipline_scope = { L.check_discipline = true; allow_obj = false }
 
-let analyze srcs = Summary.analyze_sources ~scope:discipline_scope srcs
+let analyze srcs =
+  let env, _, _ =
+    Sec_typestate.Typestate.check_sources ~scope:discipline_scope srcs
+  in
+  env
 
 (* Find the unique function key with the given suffix, so the tests do
    not hard-code the namespace mangling. *)
@@ -155,7 +159,7 @@ let test_ctx_fresh_helper () =
 (* -------------------------------------------------------------------- *)
 (* Rule 10: plain-publication *)
 
-let pub_diags srcs = Summary.publication_diagnostics (analyze srcs)
+let pub_diags srcs = Summary.diagnostics (analyze srcs)
 
 let test_publication_direct_chain () =
   let src =
@@ -328,7 +332,7 @@ let test_dynamic_races_subset_of_static () =
     (RD.races d <> []);
   (* 2. The static may-write set over the library. *)
   let lib_dir = resolve [ "../lib"; "lib" ] in
-  let env = Summary.analyze (gather lib_dir []) in
+  let env, _, _ = Sec_typestate.Typestate.check_corpus (gather lib_dir []) in
   let static =
     List.map
       (fun (file, line) -> (normalize file, line))

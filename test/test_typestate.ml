@@ -3,9 +3,8 @@
    the rule-4 query over its guard depth, the loop classifier and
    static progress verdicts (rule 12), the protocol automata (rule 13),
    the three-way progress agreement (declaration = dynamic classifier
-   = static verdict) over every registry entry, seeded protocol mutants
-   for the three shipped automata, and the monotonicity property of the
-   facts pipeline over the lint fixtures. *)
+   = static verdict) over every registry entry, and seeded protocol
+   mutants for the three shipped automata. *)
 
 module L = Sec_lint_rules.Lint_rules
 module Summary = Sec_summary.Summary
@@ -34,16 +33,14 @@ let resolve candidates =
 let lib =
   lazy
     (let dir = resolve [ "../lib"; "lib" ] in
-     let files = gather dir [] in
-     let env = Summary.analyze files in
-     (dir, env, Ts.analyze ~summary:env files))
+     let env, ts, _ = Ts.check_corpus (gather dir []) in
+     (dir, env, ts))
 
 (* Analyse in-memory sources with the discipline scope forced on,
-   returning the typestate result plus everything needed to compose
-   facts. *)
+   returning the summary environment and the typestate result. *)
 let analyze_pairs pairs =
-  let env = Summary.analyze_sources ~scope pairs in
-  (env, Ts.analyze_sources ~summary:env ~scope pairs)
+  let env, ts, _ = Ts.check_sources ~scope pairs in
+  (env, ts)
 
 let analyze_src src = analyze_pairs [ ("fix.ml", src) ]
 
@@ -377,9 +374,8 @@ let analyze_mutant ~path ~what ~with_ =
   let dir, _, _ = Lazy.force lib in
   let file = Filename.concat dir path in
   let src = L.read_file file in
-  let pairs = [ (file, replace ~what ~with_ src) ] in
-  let env = Summary.analyze_sources pairs in
-  Ts.analyze_sources ~summary:env pairs
+  let _, ts, _ = Ts.check_sources [ (file, replace ~what ~with_ src) ] in
+  ts
 
 let protocol_diags ts =
   List.filter (fun (d : L.diagnostic) -> d.rule = "protocol")
@@ -535,29 +531,6 @@ let test_dynamic_rest (entry : Registry.entry) () =
     (Explore.progress_class_to_string c.Explore.verdict)
 
 (* -------------------------------------------------------------------- *)
-(* Monotonicity: summary facts only ever discharge per-file rule
-   obligations — over every lint fixture, the facts-composed run
-   reports a subset of the syntactic-only run. *)
-
-let test_facts_monotone_over_fixtures () =
-  let dir = resolve [ "lint_fixtures"; "test/lint_fixtures" ] in
-  let files = List.sort compare (gather dir []) in
-  Alcotest.(check bool) "fixtures found" true (files <> []);
-  let env, _, _ = Ts.check_corpus ~scope files in
-  List.iter
-    (fun file ->
-      let key (d : L.diagnostic) = (d.line, d.col, d.rule) in
-      let syntactic = List.map key (L.check_file ~scope file) in
-      let facts = Summary.facts_for env ~file in
-      List.iter
-        (fun (d : L.diagnostic) ->
-          if not (List.mem (key d) syntactic) then
-            Alcotest.failf
-              "%s: facts added a diagnostic the syntactic run lacked: %s"
-              file (L.diagnostic_to_string d))
-        (L.check_file ~scope ~facts file))
-    files
-
 (* -------------------------------------------------------------------- *)
 (* Introspection sanity *)
 
@@ -617,7 +590,5 @@ let () =
              (Registry.reclaimed_set
              @ [ Registry.sec_recycling; Registry.pool ])
       );
-      ( "facts",
-        [ quick "monotone over fixtures" test_facts_monotone_over_fixtures ] );
       ("introspection", [ quick "cfg stats" test_cfg_stats ]);
     ]
