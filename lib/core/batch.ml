@@ -74,8 +74,8 @@ end
 module Make (P : Sec_prim.Prim_intf.S) (Store : STORE) = struct
   module A = P.Atomic
   module Backoff = Sec_prim.Backoff.Make (P)
-  module Counter = Sec_prim.Striped_counter.Make (P)
   module Mag = Sec_reclaim.Magazine.Make (P)
+  module Tally = Sec_prim.Tally
 
   type 'a batch = {
     push_count : int A.t;
@@ -99,12 +99,14 @@ module Make (P : Sec_prim.Prim_intf.S) (Store : STORE) = struct
 
   type 'a aggregator = { batch : 'a batch A.t }
 
+  (* Plain per-thread tallies: counting costs no simulated cycle, so a
+     run with [Config.collect_stats] takes the schedule of one without. *)
   type stats_counters = {
-    batches : Counter.t;
-    operations : Counter.t;
-    eliminated : Counter.t;
-    combined : Counter.t;
-    excluded : Counter.t;
+    batches : Tally.t;
+    operations : Tally.t;
+    eliminated : Tally.t;
+    combined : Tally.t;
+    excluded : Tally.t;
   }
 
   type 'a t = {
@@ -161,13 +163,14 @@ module Make (P : Sec_prim.Prim_intf.S) (Store : STORE) = struct
       config;
       stats =
         (if config.Config.collect_stats then
+           let tally () = Tally.create ~threads:max_threads in
            Some
              {
-               batches = Counter.create ();
-               operations = Counter.create ();
-               eliminated = Counter.create ();
-               combined = Counter.create ();
-               excluded = Counter.create ();
+               batches = tally ();
+               operations = tally ();
+               eliminated = tally ();
+               combined = tally ();
+               excluded = tally ();
              }
          else None);
       recycle = config.Config.recycle_nodes;
@@ -182,10 +185,10 @@ module Make (P : Sec_prim.Prim_intf.S) (Store : STORE) = struct
     | None -> ()
     | Some s ->
         let eliminated = 2 * Int.min pushes pops in
-        Counter.incr s.batches ~tid;
-        Counter.add s.operations ~tid (pushes + pops);
-        Counter.add s.eliminated ~tid eliminated;
-        Counter.add s.combined ~tid (pushes + pops - eliminated)
+        Tally.add s.batches ~tid 1;
+        Tally.add s.operations ~tid (pushes + pops);
+        Tally.add s.eliminated ~tid eliminated;
+        Tally.add s.combined ~tid (pushes + pops - eliminated)
 
   (* The freezer lingers so more operations join the batch, raising the
      elimination/combining degree (paper, Section 3.1). The wait is
@@ -256,7 +259,7 @@ module Make (P : Sec_prim.Prim_intf.S) (Store : STORE) = struct
     A.set aggregator.batch (make_batch t.capacity ~expected:(pushes + pops))
 
   let count_excluded t ~tid =
-    match t.stats with Some s -> Counter.incr s.excluded ~tid | None -> ()
+    match t.stats with Some s -> Tally.add s.excluded ~tid 1 | None -> ()
 
   (* Announce via FAA, then either freeze (if we won the seq-0 test&set
      race) or wait until the freezer retires the batch. Returns true when
@@ -438,15 +441,12 @@ module Make (P : Sec_prim.Prim_intf.S) (Store : STORE) = struct
     | None -> Sec_stats.empty
     | Some s ->
         {
-          Sec_stats.batches = Counter.get s.batches;
-          operations = Counter.get s.operations;
-          eliminated = Counter.get s.eliminated;
-          combined = Counter.get s.combined;
-          excluded = Counter.get s.excluded;
+          Sec_stats.batches = Tally.sum s.batches;
+          operations = Tally.sum s.operations;
+          eliminated = Tally.sum s.eliminated;
+          combined = Tally.sum s.combined;
+          excluded = Tally.sum s.excluded;
         }
 
   let config t = t.config
-  let magazine_stats t = Mag.stats t.mag
-  let magazine_hit_rate t = Mag.hit_rate t.mag
-  let slab_stats t = Mag.slab_stats t.mag
 end

@@ -108,9 +108,6 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
 
   let stats = B.stats
   let config = B.config
-  let magazine_stats = B.magazine_stats
-  let magazine_hit_rate = B.magazine_hit_rate
-  let slab_stats = B.slab_stats
 
   (* Current depth of the shared stack; O(n), single snapshot of [top],
      for tests and examples only. *)

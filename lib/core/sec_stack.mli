@@ -21,19 +21,6 @@ module Make (_ : Sec_prim.Prim_intf.S) : sig
 
   val config : 'a t -> Config.t
 
-  (** Node-magazine tallies for this stack (all zero unless created with
-      [Config.recycle_nodes]). See {!Sec_reclaim.Magazine.Make.stats}. *)
-  val magazine_stats : 'a t -> Sec_reclaim.Magazine.stats
-
-  (** Fraction of node requests served without allocating; [0.] before
-      any operation ran. *)
-  val magazine_hit_rate : 'a t -> float
-
-  (** Tallies of the wait-free slab store the magazines park full chains
-      in and refill from (all zero unless created with
-      [Config.recycle_nodes]). *)
-  val slab_stats : 'a t -> Sec_reclaim.Slab.stats
-
   (** Number of nodes currently in the shared stack. O(n); takes a single
       snapshot of the top pointer — meant for tests and examples. *)
   val depth : 'a t -> int

@@ -30,76 +30,40 @@
 
 [@@@progress "lock_free"]
 
+module Tally = Sec_prim.Tally
+
 (* Process-wide tallies across every magazine instance (defined first so
-   the functor can feed them).
+   the functor can feed them), and the only count of magazine events.
 
    The harness benchmarks structures through the opaque
    {!Sec_spec.Stack_intf.S} face, which hides the magazine inside the
-   functor; these global counters are how `sec_bench --emit-json`
-   reports a magazine hit rate anyway. Cells are per-thread (written
-   only by their owning thread; the harness reads them after joining
-   the workers, which provides the ordering), and [reset] brackets one
-   measured run. *)
+   functor; these counters are how `sec_bench --emit-json` reports a
+   magazine hit rate anyway. Each is a {!Sec_prim.Tally}: per-thread
+   padded cells written only by their owning thread and read after the
+   harness joins the workers, which provides the ordering. [reset]
+   brackets one measured run. *)
 module Global = struct
-  type cell = {
-    mutable hits : int;
-        [@plain_ok "one cell per thread id; read only after worker join"]
-    mutable misses : int; [@plain_ok "see [hits]"]
-    mutable recycled : int; [@plain_ok "see [hits]"]
-  }
-
-  (* Sized past any topology in lib/sim/topology.ml; ids are masked so a
-     stray tid can never escape the array. *)
-  let cells = Array.init 256 (fun _ -> { hits = 0; misses = 0; recycled = 0 })
-  let cell tid = cells.(tid land 255)
-
-  let note_hit tid =
-    let c = cell tid in
-    c.hits <- c.hits + 1
-
-  let note_miss tid =
-    let c = cell tid in
-    c.misses <- c.misses + 1
-
-  let note_recycled tid =
-    let c = cell tid in
-    c.recycled <- c.recycled + 1
+  (* Sized past any topology in lib/sim/topology.ml; ids wrap. *)
+  let tally () = Tally.create ~threads:256
+  let hits = tally ()
+  let misses = tally ()
+  let recycled = tally ()
 
   type snapshot = { hits : int; misses : int; recycled : int }
 
-  let reset () =
-    Array.iter
-      (fun (c : cell) ->
-        c.hits <- 0;
-        c.misses <- 0;
-        c.recycled <- 0)
-      cells
+  let reset () = List.iter Tally.reset [ hits; misses; recycled ]
 
   let snapshot () =
-    Array.fold_left
-      (fun (acc : snapshot) (c : cell) ->
-        {
-          hits = acc.hits + c.hits;
-          misses = acc.misses + c.misses;
-          recycled = acc.recycled + c.recycled;
-        })
-      { hits = 0; misses = 0; recycled = 0 }
-      cells
+    {
+      hits = Tally.sum hits;
+      misses = Tally.sum misses;
+      recycled = Tally.sum recycled;
+    }
 
   let hit_rate (s : snapshot) =
     let total = s.hits + s.misses in
     if total = 0 then 0.0 else float_of_int s.hits /. float_of_int total
 end
-
-(* Outside {!Make} so every instantiation shares one nominal type (and
-   interfaces can name it without fixing the substrate). *)
-type stats = {
-  hits : int;  (** allocations served from a magazine or the slab store *)
-  misses : int;  (** allocations that fell through to fresh nodes *)
-  recycled : int;  (** nodes returned by EBR destructors *)
-  chain_puts : int;  (** full magazines emigrated to the slab store *)
-  chain_gets : int;  (** chains adopted from the slab store *)
-}
 
 module Make (P : Sec_prim.Prim_intf.S) = struct
   module Sl = Slab.Make (P)
@@ -110,12 +74,6 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
           "the whole slot record is private to its owning thread; \
            cross-thread traffic goes through the slab store's atomic"]
     mutable count : int; [@plain_ok "thread-private, see [free]"]
-    (* Per-thread tallies, folded by [stats]. *)
-    mutable hits : int; [@plain_ok "thread-private, see [free]"]
-    mutable misses : int; [@plain_ok "thread-private, see [free]"]
-    mutable recycled : int; [@plain_ok "thread-private, see [free]"]
-    mutable chain_puts : int; [@plain_ok "thread-private, see [free]"]
-    mutable chain_gets : int; [@plain_ok "thread-private, see [free]"]
   }
 
   type 'a t = {
@@ -124,24 +82,13 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
     slabs : 'a Sl.t; (* where full magazines go and empty ones refill *)
   }
 
-  let fresh_slot () =
-    {
-      free = [];
-      count = 0;
-      hits = 0;
-      misses = 0;
-      recycled = 0;
-      chain_puts = 0;
-      chain_gets = 0;
-    }
-
   let default_capacity = 64
 
   let create ?(capacity = default_capacity) ?(max_threads = 64) () =
     if capacity < 1 then
       invalid_arg "Magazine.create: capacity must be at least 1";
     {
-      slots = Array.init max_threads (fun _ -> fresh_slot ());
+      slots = Array.init max_threads (fun _ -> { free = []; count = 0 });
       capacity;
       slabs = Sl.create ~chain_len:capacity ~max_threads ();
     }
@@ -158,21 +105,17 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
     | n :: rest ->
         s.free <- rest;
         s.count <- s.count - 1;
-        s.hits <- s.hits + 1;
-        Global.note_hit tid;
+        Tally.add Global.hits ~tid 1;
         Some n
     | [] -> (
         match Sl.alloc_chain t.slabs ~tid with
         | Some (len, n :: chain) ->
             s.free <- chain;
             s.count <- len - 1;
-            s.chain_gets <- s.chain_gets + 1;
-            s.hits <- s.hits + 1;
-            Global.note_hit tid;
+            Tally.add Global.hits ~tid 1;
             Some n
         | Some (_, []) | None ->
-            s.misses <- s.misses + 1;
-            Global.note_miss tid;
+            Tally.add Global.misses ~tid 1;
             None)
 
   (* [recycle t ~tid n] pushes [n] onto the calling thread's magazine;
@@ -180,46 +123,13 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
      another thread's allocation stream can adopt it. *)
   let recycle t ~tid n =
     let s = t.slots.(tid) in
-    s.recycled <- s.recycled + 1;
-    Global.note_recycled tid;
+    Tally.add Global.recycled ~tid 1;
     if s.count >= t.capacity then begin
       let full = s.free in
       s.free <- [];
       s.count <- 0;
-      s.chain_puts <- s.chain_puts + 1;
       Sl.free_chain t.slabs ~tid (t.capacity, full)
     end;
     s.free <- n :: s.free;
     s.count <- s.count + 1
-
-  (* ---------------------------------------------------------------- *)
-  (* Introspection                                                     *)
-
-  type nonrec stats = stats = {
-    hits : int;
-    misses : int;
-    recycled : int;
-    chain_puts : int;
-    chain_gets : int;
-  }
-
-  let stats t =
-    Array.fold_left
-      (fun (acc : stats) (s : _ slot) ->
-        {
-          hits = acc.hits + s.hits;
-          misses = acc.misses + s.misses;
-          recycled = acc.recycled + s.recycled;
-          chain_puts = acc.chain_puts + s.chain_puts;
-          chain_gets = acc.chain_gets + s.chain_gets;
-        })
-      { hits = 0; misses = 0; recycled = 0; chain_puts = 0; chain_gets = 0 }
-      t.slots
-
-  let slab_stats t = Sl.stats t.slabs
-
-  let hit_rate t =
-    let s = stats t in
-    let total = s.hits + s.misses in
-    if total = 0 then 0.0 else float_of_int s.hits /. float_of_int total
 end

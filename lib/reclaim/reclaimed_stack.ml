@@ -128,6 +128,4 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
   let flush t ~tid = Ebr.flush t.ebr ~tid
 
   let reclamation_stats t = Ebr.stats t.ebr
-  let magazine_stats t = Mag.stats t.mag
-  let slab_stats t = Mag.slab_stats t.mag
 end

@@ -35,45 +35,29 @@
 
 [@@@progress "lock_free"]
 
+module Tally = Sec_prim.Tally
+
 (* Process-wide tallies across every slab instance, mirroring
-   {!Magazine.Global}: the harness benchmarks structures through the
-   opaque {!Sec_spec.Stack_intf.S} face, and these counters are how
-   `sec_bench` reports slab traffic anyway. Cells are per-thread
-   (written only by their owning thread; read after worker join) and
-   [reset] brackets one measured run. [pooled]/[capacity] are signed
-   deltas — a chain parked by one thread and adopted by another nets to
-   zero across cells — summed by [snapshot] into a gauge. *)
+   {!Magazine.Global}, and the only count of slab events: the harness
+   benchmarks structures through the opaque {!Sec_spec.Stack_intf.S}
+   face, and these counters are how `sec_bench` reports slab traffic
+   anyway. Each is a {!Sec_prim.Tally} (per-thread cells written only by
+   their owning thread; read after worker join) and [reset] brackets one
+   measured run. [pooled]/[capacity] are signed deltas — a chain parked
+   by one thread and adopted by another nets to zero across cells —
+   summed by [snapshot] into a gauge. *)
 module Global = struct
-  type cell = {
-    mutable parks : int;
-        [@plain_ok "one cell per thread id; read only after worker join"]
-    mutable park_fails : int; [@plain_ok "see [parks]"]
-    mutable adopts : int; [@plain_ok "see [parks]"]
-    mutable adopt_fails : int; [@plain_ok "see [parks]"]
-    mutable chain_puts : int; [@plain_ok "see [parks]"]
-    mutable chain_gets : int; [@plain_ok "see [parks]"]
-    mutable fresh : int; [@plain_ok "see [parks]"]
-    mutable pooled : int; [@plain_ok "see [parks]"]
-    mutable capacity : int; [@plain_ok "see [parks]"]
-  }
-
-  let fresh_cell () =
-    {
-      parks = 0;
-      park_fails = 0;
-      adopts = 0;
-      adopt_fails = 0;
-      chain_puts = 0;
-      chain_gets = 0;
-      fresh = 0;
-      pooled = 0;
-      capacity = 0;
-    }
-
-  (* Sized past any topology in lib/sim/topology.ml; ids are masked so a
-     stray tid can never escape the array. *)
-  let cells = Array.init 256 (fun _ -> fresh_cell ())
-  let cell tid = cells.(tid land 255)
+  (* Sized past any topology in lib/sim/topology.ml; ids wrap. *)
+  let tally () = Tally.create ~threads:256
+  let parks = tally ()
+  let park_fails = tally ()
+  let adopts = tally ()
+  let adopt_fails = tally ()
+  let chain_puts = tally ()
+  let chain_gets = tally ()
+  let fresh = tally ()
+  let pooled = tally ()
+  let capacity = tally ()
 
   type snapshot = {
     parks : int;  (** full slabs parked on the shared partial stack *)
@@ -88,45 +72,31 @@ module Global = struct
   }
 
   let reset () =
-    Array.iter
-      (fun (c : cell) ->
-        c.parks <- 0;
-        c.park_fails <- 0;
-        c.adopts <- 0;
-        c.adopt_fails <- 0;
-        c.chain_puts <- 0;
-        c.chain_gets <- 0;
-        c.fresh <- 0;
-        c.pooled <- 0;
-        c.capacity <- 0)
-      cells
+    List.iter Tally.reset
+      [
+        parks;
+        park_fails;
+        adopts;
+        adopt_fails;
+        chain_puts;
+        chain_gets;
+        fresh;
+        pooled;
+        capacity;
+      ]
 
   let snapshot () =
-    Array.fold_left
-      (fun (acc : snapshot) (c : cell) ->
-        {
-          parks = acc.parks + c.parks;
-          park_fails = acc.park_fails + c.park_fails;
-          adopts = acc.adopts + c.adopts;
-          adopt_fails = acc.adopt_fails + c.adopt_fails;
-          chain_puts = acc.chain_puts + c.chain_puts;
-          chain_gets = acc.chain_gets + c.chain_gets;
-          fresh = acc.fresh + c.fresh;
-          pooled = acc.pooled + c.pooled;
-          capacity = acc.capacity + c.capacity;
-        })
-      {
-        parks = 0;
-        park_fails = 0;
-        adopts = 0;
-        adopt_fails = 0;
-        chain_puts = 0;
-        chain_gets = 0;
-        fresh = 0;
-        pooled = 0;
-        capacity = 0;
-      }
-      cells
+    {
+      parks = Tally.sum parks;
+      park_fails = Tally.sum park_fails;
+      adopts = Tally.sum adopts;
+      adopt_fails = Tally.sum adopt_fails;
+      chain_puts = Tally.sum chain_puts;
+      chain_gets = Tally.sum chain_gets;
+      fresh = Tally.sum fresh;
+      pooled = Tally.sum pooled;
+      capacity = Tally.sum capacity;
+    }
 
   (* Every cross-domain CAS the slab layer issued: park and adopt
      attempts, successes and losses alike. The number test/test_slab.ml
@@ -141,21 +111,6 @@ module Global = struct
     else float_of_int s.pooled /. float_of_int s.capacity
 end
 
-(* Outside {!Make} so every instantiation shares one nominal type (and
-   interfaces can name them without fixing the substrate), mirroring
-   {!Magazine.stats}. *)
-type stats = {
-  parks : int;
-  park_fails : int;
-  adopts : int;
-  adopt_fails : int;
-  chain_puts : int;
-  chain_gets : int;
-  fresh : int;
-  pooled : int;  (** nodes currently inside this instance's slabs *)
-  parked_slabs : int;
-}
-
 module Make (P : Sec_prim.Prim_intf.S) = struct
   module A = P.Atomic
 
@@ -169,7 +124,6 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
           "owner-private while active; ownership is transferred wholesale \
            by the single CAS on the shared partial-slab stack"]
     mutable n_chains : int; [@plain_ok "see [chains]"]
-    mutable pooled : int; [@plain_ok "see [chains]"]
   }
 
   (* Per-domain state: only [tid] touches its dstate (the contract
@@ -177,14 +131,6 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
   type 'a dstate = {
     mutable active : 'a slab;
         [@plain_ok "the whole dstate record is private to its owning thread"]
-    (* per-thread tallies, folded by [stats] *)
-    mutable s_parks : int; [@plain_ok "thread-private, see [active]"]
-    mutable s_park_fails : int; [@plain_ok "thread-private, see [active]"]
-    mutable s_adopts : int; [@plain_ok "thread-private, see [active]"]
-    mutable s_adopt_fails : int; [@plain_ok "thread-private, see [active]"]
-    mutable s_chain_puts : int; [@plain_ok "thread-private, see [active]"]
-    mutable s_chain_gets : int; [@plain_ok "thread-private, see [active]"]
-    mutable s_fresh : int; [@plain_ok "thread-private, see [active]"]
   }
 
   type 'a t = {
@@ -197,9 +143,8 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
   (* [nodes] = slab_chains * chain_len: the Global capacity gauge is in
      node units, matching [pooled], so occupancy is a plain ratio. *)
   let fresh_slab ~nodes tid =
-    let c = Global.cell tid in
-    c.Global.capacity <- c.Global.capacity + nodes;
-    { chains = []; n_chains = 0; pooled = 0 }
+    Tally.add Global.capacity ~tid nodes;
+    { chains = []; n_chains = 0 }
 
   let default_chain_len = 64
   let default_slab_chains = 4
@@ -213,17 +158,7 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
     let nodes = chain_len * slab_chains in
     {
       dstates =
-        Array.init max_threads (fun tid ->
-            {
-              active = fresh_slab ~nodes tid;
-              s_parks = 0;
-              s_park_fails = 0;
-              s_adopts = 0;
-              s_adopt_fails = 0;
-              s_chain_puts = 0;
-              s_chain_gets = 0;
-              s_fresh = 0;
-            });
+        Array.init max_threads (fun tid -> { active = fresh_slab ~nodes tid });
       chain_len;
       slab_chains;
       partial = A.make_padded [];
@@ -235,37 +170,29 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
      slab stays active (temporarily above its nominal bound) and the
      next boundary crossing tries again. Never loops: wait-free. *)
   let try_park t d ~tid =
-    let c = Global.cell tid in
     let cur = A.get t.partial in
     if A.compare_and_set t.partial cur (d.active :: cur) then begin
-      d.s_parks <- d.s_parks + 1;
-      c.Global.parks <- c.Global.parks + 1;
+      Tally.add Global.parks ~tid 1;
       d.active <- fresh_slab ~nodes:(t.chain_len * t.slab_chains) tid
     end
-    else begin
-      d.s_park_fails <- d.s_park_fails + 1;
-      c.Global.park_fails <- c.Global.park_fails + 1
-    end
+    else Tally.add Global.park_fails ~tid 1
 
   (* Adopt a parked slab: ONE CAS attempt. Losing (or an empty partial
      stack) means the caller treats it as a miss and constructs fresh
      nodes — allocation pressure instead of waiting. Never loops. *)
   let try_adopt t d ~tid =
-    let c = Global.cell tid in
     match A.get t.partial with
     | [] -> false
     | (s :: rest) as cur ->
         if A.compare_and_set t.partial cur rest then begin
-          d.s_adopts <- d.s_adopts + 1;
-          c.Global.adopts <- c.Global.adopts + 1;
+          Tally.add Global.adopts ~tid 1;
           (* The active slab is dry (that is why we are here); replace
              it wholesale with the adopted one. *)
           d.active <- s;
           true
         end
         else begin
-          d.s_adopt_fails <- d.s_adopt_fails + 1;
-          c.Global.adopt_fails <- c.Global.adopt_fails + 1;
+          Tally.add Global.adopt_fails ~tid 1;
           false
         end
 
@@ -274,13 +201,10 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
      when the slab fills. *)
   let free_chain t ~tid ((len, _) as chain) =
     let d = t.dstates.(tid) in
-    let c = Global.cell tid in
     d.active.chains <- chain :: d.active.chains;
     d.active.n_chains <- d.active.n_chains + 1;
-    d.active.pooled <- d.active.pooled + len;
-    d.s_chain_puts <- d.s_chain_puts + 1;
-    c.Global.chain_puts <- c.Global.chain_puts + 1;
-    c.Global.pooled <- c.Global.pooled + len;
+    Tally.add Global.chain_puts ~tid 1;
+    Tally.add Global.pooled ~tid len;
     if d.active.n_chains >= t.slab_chains then try_park t d ~tid
 
   (* [alloc_chain t ~tid] — O(1) plain pop; at most one CAS when dry.
@@ -288,16 +212,13 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
      allocation: the minor heap is the chunk). *)
   let alloc_chain t ~tid =
     let d = t.dstates.(tid) in
-    let c = Global.cell tid in
     let take () =
       match d.active.chains with
       | ((len, _) as chain) :: rest ->
           d.active.chains <- rest;
           d.active.n_chains <- d.active.n_chains - 1;
-          d.active.pooled <- d.active.pooled - len;
-          d.s_chain_gets <- d.s_chain_gets + 1;
-          c.Global.chain_gets <- c.Global.chain_gets + 1;
-          c.Global.pooled <- c.Global.pooled - len;
+          Tally.add Global.chain_gets ~tid 1;
+          Tally.add Global.pooled ~tid (-len);
           Some chain
       | [] -> None
     in
@@ -306,54 +227,7 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
     | None ->
         if try_adopt t d ~tid then take ()
         else begin
-          d.s_fresh <- d.s_fresh + 1;
-          c.Global.fresh <- c.Global.fresh + 1;
+          Tally.add Global.fresh ~tid 1;
           None
         end
-
-  (* ---------------------------------------------------------------- *)
-  (* Introspection                                                     *)
-
-  type nonrec stats = stats = {
-    parks : int;
-    park_fails : int;
-    adopts : int;
-    adopt_fails : int;
-    chain_puts : int;
-    chain_gets : int;
-    fresh : int;
-    pooled : int;
-    parked_slabs : int;
-  }
-
-  let stats t =
-    let parked = A.get t.partial in
-    let pooled_parked =
-      List.fold_left (fun acc (s : _ slab) -> acc + s.pooled) 0 parked
-    in
-    Array.fold_left
-      (fun (acc : stats) (d : _ dstate) ->
-        {
-          acc with
-          parks = acc.parks + d.s_parks;
-          park_fails = acc.park_fails + d.s_park_fails;
-          adopts = acc.adopts + d.s_adopts;
-          adopt_fails = acc.adopt_fails + d.s_adopt_fails;
-          chain_puts = acc.chain_puts + d.s_chain_puts;
-          chain_gets = acc.chain_gets + d.s_chain_gets;
-          fresh = acc.fresh + d.s_fresh;
-          pooled = acc.pooled + d.active.pooled;
-        })
-      {
-        parks = 0;
-        park_fails = 0;
-        adopts = 0;
-        adopt_fails = 0;
-        chain_puts = 0;
-        chain_gets = 0;
-        fresh = 0;
-        pooled = pooled_parked;
-        parked_slabs = List.length parked;
-      }
-      t.dstates
 end

@@ -12,9 +12,9 @@
     Nodes live on the GC heap, so the store serves any node type,
     SEC's polymorphic ones included; see docs/PERF.md ("Allocator"). *)
 
-(** Process-wide slab tallies, mirrored on {!Magazine.Global}:
-    per-thread cells, [reset] brackets a measured run, [snapshot]
-    sums. *)
+(** Process-wide slab tallies, mirrored on {!Magazine.Global} and the
+    only count of slab events: one {!Sec_prim.Tally} per counter,
+    [reset] brackets a measured run, [snapshot] sums. *)
 module Global : sig
   type snapshot = {
     parks : int;  (** full slabs parked on the shared partial stack *)
@@ -43,20 +43,6 @@ module Global : sig
   val occupancy : snapshot -> float
 end
 
-(** Per-instance tallies, shared nominally across every {!Make}
-    instantiation (like {!Magazine.stats}). *)
-type stats = {
-  parks : int;
-  park_fails : int;
-  adopts : int;
-  adopt_fails : int;
-  chain_puts : int;
-  chain_gets : int;
-  fresh : int;
-  pooled : int;  (** nodes currently inside this instance's slabs *)
-  parked_slabs : int;
-}
-
 module Make (_ : Sec_prim.Prim_intf.S) : sig
   (** GC-heap slab store over an arbitrary node type. Chains are the
       [(length, nodes)] pairs the magazine already trades in. *)
@@ -77,18 +63,4 @@ module Make (_ : Sec_prim.Prim_intf.S) : sig
   (** O(1): push onto the calling domain's active slab (plain writes);
       at a full-slab boundary, ONE park CAS attempt. *)
   val free_chain : 'a t -> tid:int -> int * 'a list -> unit
-
-  type nonrec stats = stats = {
-    parks : int;
-    park_fails : int;
-    adopts : int;
-    adopt_fails : int;
-    chain_puts : int;
-    chain_gets : int;
-    fresh : int;
-    pooled : int;
-    parked_slabs : int;
-  }
-
-  val stats : 'a t -> stats
 end

@@ -9,6 +9,7 @@
    work claims (fewer allocations, unchanged behaviour). *)
 
 module Mag = Sec_reclaim.Magazine
+module Slab = Sec_reclaim.Slab
 module NMag = Sec_reclaim.Magazine.Make (Sec_prim.Native)
 module Chk = Sec_analysis.Reclaim_checker
 module Config = Sec_core.Config
@@ -23,6 +24,7 @@ module type STACK = Sec_spec.Stack_intf.S
    several tids — legal because we never run two tids concurrently).   *)
 
 let test_local_hit_lifo () =
+  Mag.Global.reset ();
   let m = NMag.create ~capacity:4 ~max_threads:2 () in
   Alcotest.(check int) "capacity accessor" 4 (NMag.capacity m);
   Alcotest.(check bool)
@@ -40,10 +42,10 @@ let test_local_hit_lifo () =
   in
   Alcotest.(check bool) "then the earlier one" true got_a;
   Alcotest.(check bool) "then dry again" true (NMag.alloc m ~tid:0 = None);
-  let s = NMag.stats m in
-  Alcotest.(check int) "hits" 2 s.Mag.hits;
-  Alcotest.(check int) "misses" 2 s.Mag.misses;
-  Alcotest.(check int) "recycled" 2 s.Mag.recycled
+  let s = Mag.Global.snapshot () in
+  Alcotest.(check int) "hits" 2 s.Mag.Global.hits;
+  Alcotest.(check int) "misses" 2 s.Mag.Global.misses;
+  Alcotest.(check int) "recycled" 2 s.Mag.Global.recycled
 
 let test_invalid_capacity () =
   Alcotest.check_raises "capacity must be positive"
@@ -54,16 +56,18 @@ let test_invalid_capacity () =
    0's active slab holds a slab's worth of chains it is parked, and a
    different tid — which never recycled anything — adopts it whole. *)
 let test_slab_overflow_and_adoption () =
+  Mag.Global.reset ();
+  Slab.Global.reset ();
   let m = NMag.create ~capacity:2 ~max_threads:4 () in
   let nodes = Array.init 9 (fun i -> ref i) in
   Array.iter (fun n -> NMag.recycle m ~tid:0 n) nodes;
   (* capacity 2: recycles 3, 5, 7 and 9 each emigrate a full chain; the
      fourth fills the slab (4 chains by default), which parks *)
-  let s = NMag.stats m in
-  Alcotest.(check int) "recycled" 9 s.Mag.recycled;
-  Alcotest.(check int) "four chains emigrated" 4 s.Mag.chain_puts;
-  let sl = NMag.slab_stats m in
-  Alcotest.(check int) "the full slab parked" 1 sl.Sec_reclaim.Slab.parks;
+  let s = Mag.Global.snapshot () in
+  Alcotest.(check int) "recycled" 9 s.Mag.Global.recycled;
+  let sl = Slab.Global.snapshot () in
+  Alcotest.(check int) "four chains emigrated" 4 sl.Slab.Global.chain_puts;
+  Alcotest.(check int) "the full slab parked" 1 sl.Slab.Global.parks;
   (* tid 3 starts empty: everything it gets comes from the parked slab *)
   let adopted = ref 0 in
   (try
@@ -74,11 +78,12 @@ let test_slab_overflow_and_adoption () =
      done
    with Exit -> ());
   Alcotest.(check int) "adopted the eight parked nodes" 8 !adopted;
-  let s = NMag.stats m in
-  Alcotest.(check int) "four chains adopted" 4 s.Mag.chain_gets;
-  let sl = NMag.slab_stats m in
-  Alcotest.(check int) "one slab adoption" 1 sl.Sec_reclaim.Slab.adopts;
-  Alcotest.(check int) "the store is drained" 0 sl.Sec_reclaim.Slab.pooled;
+  let sl = Slab.Global.snapshot () in
+  Alcotest.(check int) "four chains adopted" 4 sl.Slab.Global.chain_gets;
+  Alcotest.(check int) "one slab adoption" 1 sl.Slab.Global.adopts;
+  Alcotest.(check int) "no slab left parked" 0
+    (sl.Slab.Global.parks - sl.Slab.Global.adopts);
+  Alcotest.(check int) "the store is drained" 0 sl.Slab.Global.pooled;
   (* the ninth node stayed in tid 0's private magazine *)
   let got_last =
     match NMag.alloc m ~tid:0 with

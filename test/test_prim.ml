@@ -1,11 +1,11 @@
 (* Unit tests for the execution substrate: padding, RNG, backoff, barrier,
-   striped counters — including the risky parts (Obj-based padding and
+   per-thread tallies — including the risky parts (Obj-based padding and
    yielding from plain domains). *)
 
 module P = Sec_prim.Native
 module Backoff = Sec_prim.Backoff.Make (P)
 module Barrier = Sec_prim.Barrier.Make (P)
-module Counter = Sec_prim.Striped_counter.Make (P)
+module Tally = Sec_prim.Tally
 module Rng = Sec_prim.Rng
 
 let test_padding_atomic () =
@@ -186,27 +186,35 @@ let test_barrier_phases () =
     (fun i c -> Alcotest.(check int) (Printf.sprintf "thread %d phases" i) 5 c)
     log
 
-let test_striped_counter_sequential () =
-  let c = Counter.create ~stripes:4 () in
+(* Ids past [threads] wrap onto existing cells; nothing is lost while
+   one thread drives them all. *)
+let test_tally_sequential () =
+  let c = Tally.create ~threads:4 in
   for tid = 0 to 9 do
-    Counter.add c ~tid 3
+    Tally.add c ~tid 3
   done;
-  Alcotest.(check int) "sum" 30 (Counter.get c);
-  Counter.reset c;
-  Alcotest.(check int) "reset" 0 (Counter.get c)
+  Tally.add c ~tid:1 (-5);
+  Alcotest.(check int) "sum" 25 (Tally.sum c);
+  Tally.reset c;
+  Alcotest.(check int) "reset" 0 (Tally.sum c);
+  Alcotest.check_raises "threads must be positive"
+    (Invalid_argument "Tally.create: threads must be at least 1") (fun () ->
+      ignore (Tally.create ~threads:0))
 
-let test_striped_counter_parallel () =
-  let c = Counter.create () in
+(* Each domain owns its id, so plain increments lose nothing; the join
+   orders them before the sum. *)
+let test_tally_parallel () =
   let per_thread = 10_000 and n = 4 in
+  let c = Tally.create ~threads:n in
   let body tid () =
     for _ = 1 to per_thread do
-      Counter.incr c ~tid
+      Tally.add c ~tid 1
     done
   in
   let ds = List.init (n - 1) (fun i -> Domain.spawn (body (i + 1))) in
   body 0 ();
   List.iter Domain.join ds;
-  Alcotest.(check int) "no lost updates" (n * per_thread) (Counter.get c)
+  Alcotest.(check int) "no lost updates" (n * per_thread) (Tally.sum c)
 
 let test_now_ns_monotonicish () =
   let a = P.now_ns () in
@@ -261,11 +269,11 @@ let () =
         ] );
       ( "barrier",
         [ Alcotest.test_case "multi-phase" `Quick test_barrier_phases ] );
-      ( "striped counter",
+      ( "per-tid tallies",
         [
-          Alcotest.test_case "sequential" `Quick test_striped_counter_sequential;
+          Alcotest.test_case "sequential" `Quick test_tally_sequential;
           Alcotest.test_case "parallel no lost updates" `Quick
-            test_striped_counter_parallel;
+            test_tally_parallel;
         ] );
       ( "clock",
         [ Alcotest.test_case "monotonic-ish" `Quick test_now_ns_monotonicish ] );

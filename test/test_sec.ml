@@ -290,26 +290,48 @@ module SP = Sec_sim.Sim.Prim
 module SimSec = Sec_core.Sec_stack.Make (SP)
 module SR = Sec_harness.Runner.Make (SP)
 
-(* Per-fiber completed operations of a timed SEC run: the shape of the
-   simulated benchmark workloads (prefill 1 000, the simulated runner's
-   loop overhead and jitter of 2) at a shorter budget. *)
+(* A timed SEC run in the shape of the simulated benchmark workloads
+   (prefill 1 000, the simulated runner's loop overhead and jitter of 2)
+   at a shorter budget: per-fiber completed operations and the
+   simulator's stats. *)
+let sim_update_run ?(config = Config.default) ~seed ~threads ~cycles () =
+  Sec_sim.Sim.run ~seed ~jitter:2 ~topology:Sec_sim.Topology.emerald (fun () ->
+      let s = SimSec.create_with ~config ~max_threads:threads () in
+      for i = 1 to 1_000 do
+        SimSec.push s ~tid:0 i
+      done;
+      let outcome =
+        SR.drive ~op_overhead:Sec_harness.Sim_runner.loop_overhead ~threads
+          ~stop:(SR.Timed cycles) ~mix:Sec_harness.Workload.update_heavy
+          ~push:(fun ~tid v -> SimSec.push s ~tid v)
+          ~pop:(fun ~tid -> SimSec.pop s ~tid)
+          ~peek:(fun ~tid -> SimSec.peek s ~tid)
+          ()
+      in
+      outcome.SR.counts)
+
 let sim_update_counts ~seed ~threads ~cycles =
-  fst
-    (Sec_sim.Sim.run ~seed ~jitter:2 ~topology:Sec_sim.Topology.emerald
-       (fun () ->
-         let s = SimSec.create ~max_threads:threads () in
-         for i = 1 to 1_000 do
-           SimSec.push s ~tid:0 i
-         done;
-         let outcome =
-           SR.drive ~op_overhead:Sec_harness.Sim_runner.loop_overhead ~threads
-             ~stop:(SR.Timed cycles) ~mix:Sec_harness.Workload.update_heavy
-             ~push:(fun ~tid v -> SimSec.push s ~tid v)
-             ~pop:(fun ~tid -> SimSec.pop s ~tid)
-             ~peek:(fun ~tid -> SimSec.peek s ~tid)
-             ()
-         in
-         outcome.SR.counts))
+  fst (sim_update_run ~seed ~threads ~cycles ())
+
+(* Batch statistics are plain per-thread tallies, invisible to the
+   simulator: collecting them must not move a single scheduling
+   decision. *)
+let test_stats_schedule_neutral () =
+  List.iter
+    (fun threads ->
+      let run config =
+        let counts, st =
+          sim_update_run ~config ~seed:1 ~threads ~cycles:1_000_000 ()
+        in
+        (Array.fold_left ( + ) 0 counts, st.Sec_sim.Sim.schedule_digest)
+      in
+      let ops, digest = run Config.default in
+      let ops', digest' = run (Config.with_stats Config.default) in
+      Alcotest.(check int) (Printf.sprintf "%d fibers: ops" threads) ops ops';
+      Alcotest.(check int)
+        (Printf.sprintf "%d fibers: schedule digest" threads)
+        digest digest')
+    [ 4; 56 ]
 
 (* The freezer stops waiting once its batch is as large as the previous
    one. That must not leave a thread whose announcement keeps arriving
@@ -428,6 +450,8 @@ let () =
           Alcotest.test_case "elimination under symmetry" `Quick
             test_stats_elimination_under_symmetry;
           Alcotest.test_case "helpers" `Quick test_stats_helpers;
+          Alcotest.test_case "schedule-neutral" `Quick
+            test_stats_schedule_neutral;
         ] );
       ( "homogeneous workloads",
         [

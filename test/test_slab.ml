@@ -18,6 +18,7 @@ module type STACK = Sec_spec.Stack_intf.S
    tids, legal because no two tids ever run concurrently here). *)
 
 let test_chain_round_trip () =
+  Slab.Global.reset ();
   let s = NSl.create ~chain_len:4 ~slab_chains:2 ~max_threads:2 () in
   Alcotest.(check int) "chain_len accessor" 4 (NSl.chain_len s);
   Alcotest.(check bool) "dry store misses" true (NSl.alloc_chain s ~tid:0 = None);
@@ -28,10 +29,10 @@ let test_chain_round_trip () =
       Alcotest.(check int) "length survives" 4 len;
       Alcotest.(check bool) "same chain comes back" true (nodes == snd chain)
   | None -> Alcotest.fail "the freed chain should be allocatable");
-  let st = NSl.stats s in
-  Alcotest.(check int) "one chain in" 1 st.Slab.chain_puts;
-  Alcotest.(check int) "one chain out" 1 st.Slab.chain_gets;
-  Alcotest.(check int) "one miss tallied" 1 st.Slab.fresh
+  let st = Slab.Global.snapshot () in
+  Alcotest.(check int) "one chain in" 1 st.Slab.Global.chain_puts;
+  Alcotest.(check int) "one chain out" 1 st.Slab.Global.chain_gets;
+  Alcotest.(check int) "one miss tallied" 1 st.Slab.Global.fresh
 
 let test_park_and_adopt () =
   Slab.Global.reset ();
@@ -40,10 +41,11 @@ let test_park_and_adopt () =
   let s = NSl.create ~chain_len:2 ~slab_chains:2 ~max_threads:4 () in
   NSl.free_chain s ~tid:0 (2, [ ref 1; ref 2 ]);
   NSl.free_chain s ~tid:0 (2, [ ref 3; ref 4 ]);
-  let st = NSl.stats s in
-  Alcotest.(check int) "full slab parked" 1 st.Slab.parks;
-  Alcotest.(check int) "park kept its nodes pooled" 4 st.Slab.pooled;
-  Alcotest.(check int) "one slab on the partial stack" 1 st.Slab.parked_slabs;
+  let st = Slab.Global.snapshot () in
+  Alcotest.(check int) "full slab parked" 1 st.Slab.Global.parks;
+  Alcotest.(check int) "park kept its nodes pooled" 4 st.Slab.Global.pooled;
+  Alcotest.(check int) "one slab on the partial stack" 1
+    (st.Slab.Global.parks - st.Slab.Global.adopts);
   (* tid 3 never freed anything: its first alloc adopts the parked
      slab in ONE CAS and drains both chains from it. *)
   (match NSl.alloc_chain s ~tid:3 with
@@ -52,15 +54,13 @@ let test_park_and_adopt () =
   (match NSl.alloc_chain s ~tid:3 with
   | Some _ -> ()
   | None -> Alcotest.fail "the adopted slab held a second chain");
-  let st = NSl.stats s in
-  Alcotest.(check int) "one adoption" 1 st.Slab.adopts;
-  Alcotest.(check int) "store drained" 0 st.Slab.pooled;
-  (* the Global mirror saw the same wait-free traffic: no retries. *)
-  let g = Slab.Global.snapshot () in
-  Alcotest.(check int) "global parks" 1 g.Slab.Global.parks;
-  Alcotest.(check int) "global adopts" 1 g.Slab.Global.adopts;
+  let st = Slab.Global.snapshot () in
+  Alcotest.(check int) "one adoption" 1 st.Slab.Global.adopts;
+  Alcotest.(check int) "store drained" 0 st.Slab.Global.pooled;
+  Alcotest.(check int) "no slab left parked" 0
+    (st.Slab.Global.parks - st.Slab.Global.adopts);
   Alcotest.(check int) "no lost CAS in a sequential run" 0
-    (Slab.Global.cas_retries g)
+    (Slab.Global.cas_retries st)
 
 let test_create_validates () =
   Alcotest.check_raises "chain_len must be positive"
