@@ -34,8 +34,11 @@ type t = {
           immediately (the ablation benchmark uses this). *)
   collect_stats : bool;
       (** Record per-batch statistics (batching degree, %eliminated,
-          %combined — Tables 1–3). Costs a few striped-counter updates per
-          *batch* (not per operation). *)
+          %combined — Tables 1–3) in plain per-thread
+          {!Sec_prim.Tally} cells: no atomic and no simulated cost, so a
+          simulated run takes the same schedule with or without it.
+          Natively, two live domains sharing a thread id (more live
+          threads than [max_threads]) may drop increments. *)
   recycle_nodes : bool;
       (** Recycle batch-chain and elimination nodes through a per-domain
           {!Sec_reclaim.Magazine} instead of allocating per push; full

@@ -49,7 +49,11 @@ module Global = struct
   let misses = tally ()
   let recycled = tally ()
 
-  type snapshot = { hits : int; misses : int; recycled : int }
+  type snapshot = {
+    hits : int;  (** allocations served from a magazine or the slab store *)
+    misses : int;  (** allocations that fell through to fresh nodes *)
+    recycled : int;  (** nodes returned to a magazine *)
+  }
 
   let reset () = List.iter Tally.reset [ hits; misses; recycled ]
 
