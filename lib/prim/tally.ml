@@ -1,9 +1,7 @@
 (* One plain int per thread id, each in its own padded stretch of a
    single int array. Cell [i] sits at index [(i + 1) * stride], so no
    two cells, and no cell and the array header every bounds check
-   reads, share a cache line. Plain loads and stores never reach the
-   simulator, so counting costs no simulated cycle and moves no
-   schedule. *)
+   reads, share a cache line. *)
 
 type t = { cells : int array; threads : int }
 
