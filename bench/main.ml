@@ -6,9 +6,11 @@
    show up even without concurrency.
 
    Part 2 (reproduction): regenerates every figure and table of the
-   paper's evaluation via the experiment registry (simulated NUMA
-   machines; see DESIGN.md). Scale with BENCH_SCALE (default 0.5); CSVs
-   land in results/. *)
+   paper's evaluation, then the supporting experiments, via the
+   experiment registry (simulated NUMA machines; see DESIGN.md). Both
+   sets fan their jobs out over the sweep pool; REPORT.md covers the
+   paper set only. Scale with BENCH_SCALE (default 0.5); CSVs land in
+   results/. *)
 
 open Bechamel
 
@@ -94,17 +96,12 @@ let () =
     }
   in
   print_endline "\n== Paper reproduction (simulated NUMA machines) ==";
-  (* Figures and tables decompose into independent simulation jobs and
-     go through the sweep pool (output is bit-identical at any pool
-     size); ablations, extensions and the smoke run carry no plan and
-     run serially after. *)
-  Sec_harness.Experiments.run_figures opts
-    ~jobs:(Sec_harness.Sweep.default_jobs ())
+  let jobs = Sec_harness.Sweep.default_jobs () in
+  Sec_harness.Experiments.run_figures opts ~jobs
     ~report_path:"results/REPORT.md" ();
-  List.iter
-    (fun (e : Sec_harness.Experiments.t) ->
-      if Option.is_none e.Sec_harness.Experiments.plan then begin
-        print_newline ();
-        Sec_harness.Experiments.run_one opts e
-      end)
-    Sec_harness.Experiments.all
+  Sec_harness.Experiments.run_figures opts ~jobs
+    ~only:
+      (List.map
+         (fun (e : Sec_harness.Experiments.t) -> e.id)
+         Sec_harness.Experiments.supporting)
+    ()

@@ -1,8 +1,10 @@
 (* CLI driver for the reproduction experiments.
 
      sec_bench list                   show experiment ids
-     sec_bench run fig2 [options]     regenerate one figure/table
-     sec_bench all [options]          regenerate everything
+     sec_bench run fig2 [options]     run one experiment's plan serially
+     sec_bench all [options]          run every experiment
+     sec_bench figures [options]      run plans over a domain pool
+     sec_bench sweep [options]        an ad-hoc throughput experiment
      sec_bench check [options]        refinement-property sweep
 
    Options: --scale (duration multiplier), --csv DIR, --backend
@@ -77,7 +79,8 @@ let all_cmd =
   let run opts = List.iter (fun (e : E.t) -> E.run_one opts e) E.all in
   Cmd.v (Cmd.info "all" ~doc:"Run every experiment") Term.(const run $ opts_term)
 
-(* Ad-hoc sweeps: any algorithms, any workload, any machine profile. *)
+(* Ad-hoc sweeps: any algorithms, any workload, any machine profile, run
+   as one throughput experiment. Every name resolves before a job runs. *)
 let sweep_cmd =
   let machine_arg =
     let doc = "Machine profile: emerald, icelake, sapphire or testbox." in
@@ -101,41 +104,20 @@ let sweep_cmd =
     Arg.(value & opt (some (list int)) None & info [ "threads" ] ~docv:"N,..." ~doc)
   in
   let run opts machine workload algos threads =
-    let topology = Sec_sim.Topology.by_name machine in
-    let mix = Sec_harness.Workload.by_name workload in
-    List.iter
-      (fun (module B : Sec_harness.Runner.BACKEND) ->
-        let threads =
-          match threads with Some l -> l | None -> B.sweep_threads
-        in
-        let rows =
-          List.map
-            (fun name ->
-              let entry = Sec_harness.Registry.find name in
-              let values =
-                List.map
-                  (fun n ->
-                    (B.run_mix entry.Sec_harness.Registry.maker ~threads:n
-                       ~mix
-                       ~prefill:(B.prefill_for mix)
-                       ~seed:opts.E.seed ())
-                      .Sec_harness.Measurement.mops)
-                  threads
-              in
-              (name, Array.of_list values))
-            algos
-        in
-        Sec_harness.Report.series
-          ~title:
-            (Printf.sprintf "Custom sweep [%s, %s] (Mops/s)" workload B.label)
-          ~columns:threads ~rows;
-        Option.iter
-          (fun dir ->
-            Sec_harness.Report.csv_of_series ~dir
-              ~file:(Printf.sprintf "sweep%s.csv" B.file_suffix)
-              ~columns:threads ~rows)
-          opts.E.csv_dir)
-      (E.backends_of opts ~topology)
+    match
+      ( Sec_sim.Topology.by_name machine,
+        Sec_harness.Workload.by_name workload,
+        List.map Sec_harness.Registry.find algos )
+    with
+    | exception Invalid_argument msg ->
+        Printf.eprintf "%s\n" msg;
+        exit 1
+    | topology, mix, entries ->
+        E.run_one opts
+          (E.series_experiment ~id:"sweep"
+             ~title:(Printf.sprintf "custom throughput sweep on %s" machine)
+             ~topology ~backends:E.backends_of ?threads ~file:"sweep" ~entries
+             ~series_title:"Custom sweep" [ mix ])
   in
   Cmd.v
     (Cmd.info "sweep"
@@ -143,10 +125,11 @@ let sweep_cmd =
     Term.(const run $ opts_term $ machine_arg $ workload_arg $ algos_arg
           $ threads_arg)
 
-(* One-command paper figure set: every fig2..fig12 + table cell
-   regenerated as independent simulation jobs over a native domain pool,
-   plus REPORT.md comparing curve shapes against EXPERIMENTS.md's
-   recorded claims. Output is bit-identical for every --jobs value. *)
+(* One-command paper figure set: every fig2..fig12 + table cell (or,
+   with --only, any experiments' cells) regenerated as independent
+   simulation jobs over a native domain pool, plus REPORT.md comparing
+   curve shapes against EXPERIMENTS.md's recorded claims. Output is
+   bit-identical for every --jobs value. *)
 let figures_cmd =
   let jobs_arg =
     let doc =
@@ -162,8 +145,9 @@ let figures_cmd =
   in
   let only_arg =
     let doc =
-      "Comma-separated figure filters: experiment ids ($(b,fig2)) or \
-       single cells ($(b,fig2/100%upd))."
+      "Comma-separated filters: any experiment id of $(b,sec_bench list) \
+       ($(b,fig2), $(b,smoke)) or single cells ($(b,fig2/100%upd)). \
+       Default: the paper's figures and tables."
     in
     Arg.(value & opt (list string) [] & info [ "only" ] ~docv:"FIG,..." ~doc)
   in

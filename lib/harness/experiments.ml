@@ -1,11 +1,18 @@
 (* The experiment registry: one entry per figure and table of the paper's
-   evaluation (see DESIGN.md for the index). Each experiment prints its
-   series tables and optionally dumps CSVs.
+   evaluation, plus the supporting runs (ablations, the pool extension,
+   latency percentiles, seed spread and the pinned smoke run); DESIGN.md
+   §4 holds the index.
 
-   Experiments are backend-agnostic: they iterate over the
-   {!Runner.BACKEND}s selected by [opts.backend], so the same definition
-   produces paper-scale simulated sweeps (this host has a single core)
-   and small native-domain sanity sweeps. *)
+   Every experiment is a [plan]: a list of [cell]s (one table, or one
+   mix's series on one backend) whose jobs are independent runs, one data
+   point each. `sec_bench run` executes a plan's jobs in order and
+   `sec_bench figures` fans them out over a domain pool; both render the
+   same cells, so their CSVs are byte-identical.
+
+   Series cells run on a {!Runner.BACKEND}. The paper's throughput
+   figures and the latency percentiles run on the backends
+   [opts.backend] selects; every other cell simulates a fixed machine
+   (docs/HARNESS.md says why, per cell). *)
 
 type backend_choice = [ `Sim | `Native | `Both ]
 
@@ -18,51 +25,43 @@ type opts = {
 
 let default_opts = { scale = 1.0; csv_dir = None; backend = `Sim; seed = 1 }
 
-(* Paper figures additionally carry a [plan]: a decomposition into
-   [cell]s (one table, or one mix's series) whose jobs are independent
-   simulations — one (algorithm × thread-count) point each. The serial
-   [run] path executes the same plan in order, so `sec_bench run fig2`
-   and a parallel `sec_bench figures --only fig2` produce byte-identical
-   CSVs. Ablations/extensions have no plan and only the legacy [run]. *)
-type t = {
-  id : string;
-  title : string;
-  run : opts -> unit;
-  plan : (opts -> cell list) option;
-}
+type t = { id : string; title : string; plan : opts -> cell list }
 
 and cell = {
   cell_id : string;  (* "fig2/100%upd"; tables use the bare id *)
   cell_fig : string;  (* experiment id this cell belongs to *)
   cell_topology : string;
+  cell_title : string;
+  cell_file : string;  (* CSV file name under [opts.csv_dir] *)
   cell_jobs : (unit -> job_result) array;
   cell_render : job_result array -> output;  (* pure *)
 }
 
 and job_result =
-  | Mops of float * int  (* throughput point, schedule digest *)
+  | Mops of float * int option  (* throughput point, schedule digest *)
   | Degrees of (float * float * float) * int
       (* (batching degree, %elimination, %combining), schedule digest *)
+  | Histogram of Latency.t
 
 and output =
-  | Series of {
-      title : string;
-      file : string;
-      columns : int list;
-      rows : (string * float array) list;
-    }
+  | Series of { columns : int list; rows : (string * float array) list }
   | Keyed of {
-      title : string;
-      file : string;
+      key : string;  (* CSV header of the row-name column *)
       columns : string list;
       rows : (string * string list) list;
     }
 
-let digest_of = function Mops (_, d) -> d | Degrees (_, d) -> d
-let mops_of = function Mops (v, _) -> v | Degrees _ -> assert false
+let digest_of = function
+  | Mops (_, d) -> d
+  | Degrees (_, d) -> Some d
+  | Histogram _ -> None
+
+let mops_of = function
+  | Mops (v, _) -> v
+  | Degrees _ | Histogram _ -> assert false
 
 (* ------------------------------------------------------------------ *)
-(* Sweep helpers                                                        *)
+(* Backends                                                             *)
 
 let base_cycles = 300_000
 
@@ -72,332 +71,267 @@ let duration_cycles opts =
 let native_duration opts = 0.25 *. opts.scale
 let threads_for = Sim_runner.threads_for
 
-(* The backends an experiment should run on, in report order. Simulated
-   experiments are topology-specific; the native backend ignores the
-   topology (it runs on whatever this host is). *)
+let sim_only opts ~topology : (module Runner.BACKEND) list =
+  [ Sim_runner.backend ~topology ~duration_cycles:(duration_cycles opts) ]
+
+(* The backends selected by [opts.backend], in report order. The native
+   backend ignores the topology (it runs on whatever this host is). *)
 let backends_of opts ~topology : (module Runner.BACKEND) list =
-  let sim () =
-    Sim_runner.backend ~topology ~duration_cycles:(duration_cycles opts)
-  in
   let native () = Native_runner.backend ~duration:(native_duration opts) in
   match opts.backend with
-  | `Sim -> [ sim () ]
+  | `Sim -> sim_only opts ~topology
   | `Native -> [ native () ]
-  | `Both -> [ sim (); native () ]
-
-(* One throughput sweep (a figure's worth of lines) on one backend. *)
-let sweep opts (module B : Runner.BACKEND) ?threads ~mix ~entries ~tag ~title
-    () =
-  let threads = Option.value threads ~default:B.sweep_threads in
-  let prefill = B.prefill_for mix in
-  let rows =
-    List.map
-      (fun (e : Registry.entry) ->
-        let values =
-          List.map
-            (fun n ->
-              (B.run_mix e.Registry.maker ~threads:n ~mix ~prefill
-                 ~seed:opts.seed ())
-                .Measurement.mops)
-            threads
-        in
-        (e.Registry.name, Array.of_list values))
-      entries
-  in
-  Report.series
-    ~title:(Printf.sprintf "%s [%s, %s]" title mix.Workload.label B.label)
-    ~columns:threads ~rows;
-  Option.iter
-    (fun dir ->
-      Report.csv_of_series ~dir
-        ~file:
-          (Printf.sprintf "%s_%s%s.csv" tag mix.Workload.label B.file_suffix)
-        ~columns:threads ~rows)
-    opts.csv_dir
+  | `Both -> sim_only opts ~topology @ [ native () ]
 
 (* ------------------------------------------------------------------ *)
-(* Figure cells: the job-level decomposition behind [plan]               *)
+(* Cells                                                                *)
 
-(* One mix's series on one simulated topology: jobs in (entry, thread)
-   row-major order — exactly the order the serial sweep ran them in. *)
-let series_cell opts ~topology ~entries ~tag ~title mix =
-  let threads = threads_for topology in
-  let nt = List.length threads in
-  let duration = duration_cycles opts in
-  let prefill = Sim_runner.prefill_for mix in
-  let seed = opts.seed in
-  let jobs =
-    List.concat_map
-      (fun (e : Registry.entry) ->
-        List.map
-          (fun n () ->
-            let m, stats =
-              Sim_runner.run_with_stats e.Registry.maker ~topology ~threads:n
-                ~duration_cycles:duration ~mix ~prefill ~seed ()
-            in
-            Mops (m.Measurement.mops, stats.Sec_sim.Sim.schedule_digest))
-          threads)
-      entries
-  in
-  let names = List.map (fun e -> e.Registry.name) entries in
-  let render results =
-    let rows =
-      List.mapi
-        (fun i name ->
-          (name, Array.init nt (fun j -> mops_of results.((i * nt) + j))))
-        names
-    in
-    Series
-      {
-        title =
-          Printf.sprintf "%s [%s, simulated %s]" title mix.Workload.label
-            topology.Sec_sim.Topology.name;
-        file = Printf.sprintf "%s_%s.csv" tag mix.Workload.label;
-        columns = threads;
-        rows;
-      }
-  in
+(* A cell of one job per (row, col), in row-major order. [render] gets
+   [row], where [row i] reads row [i]'s results back in the same order. *)
+let grid_cell ~fig ~cell_id ~topology ~title ~file rows cols job render =
+  let k = List.length cols in
   {
-    cell_id = tag ^ "/" ^ mix.Workload.label;
-    cell_fig = tag;
+    cell_id;
+    cell_fig = fig;
     cell_topology = topology.Sec_sim.Topology.name;
-    cell_jobs = Array.of_list jobs;
-    cell_render = render;
+    cell_title = title;
+    cell_file = file;
+    cell_jobs =
+      Array.of_list (List.concat_map (fun r -> List.map (job r) cols) rows);
+    cell_render =
+      (fun results -> render (fun i -> Array.sub results (i * k) k));
+  }
+
+(* Throughput rows (named first) across thread counts. *)
+let series_render threads rows row =
+  Series
+    {
+      columns = threads;
+      rows =
+        List.mapi (fun i (name, _) -> (name, Array.map mops_of (row i))) rows;
+    }
+
+(* One row per registry entry, printed by [format] from its results. *)
+let entries_render ~columns entries format row =
+  Keyed
+    {
+      key = "algorithm";
+      columns;
+      rows =
+        List.mapi
+          (fun i (e : Registry.entry) -> (e.name, format (row i)))
+          entries;
+    }
+
+(* One throughput point on backend [B]. *)
+let mops_job (module B : Runner.BACKEND) maker ~mix ~seed threads () =
+  let m, digest =
+    B.run_mix maker ~threads ~mix ~prefill:(B.prefill_for mix) ~seed ()
+  in
+  Mops (m.Measurement.mops, digest)
+
+(* One mix's series over [entries] on backend [B]. The CSV is
+   [<file>_<mix><suffix>.csv], where [file] defaults to the id with '_'
+   for '-'; an explicit [file] drops the mix label. *)
+let series_cell opts (module B : Runner.BACKEND) ~id ~topology
+    ?(threads = B.sweep_threads) ?file ~entries ~title mix =
+  let label = mix.Workload.label in
+  let file =
+    match file with
+    | Some f -> f
+    | None -> String.map (function '-' -> '_' | c -> c) id ^ "_" ^ label
+  in
+  let rows = List.map (fun (e : Registry.entry) -> (e.name, e.maker)) entries in
+  grid_cell ~fig:id
+    ~cell_id:(id ^ "/" ^ label ^ B.file_suffix)
+    ~topology
+    ~title:(Printf.sprintf "%s [%s, %s]" title label B.label)
+    ~file:(file ^ B.file_suffix ^ ".csv")
+    rows threads
+    (fun (_, maker) -> mops_job (module B) maker ~mix ~seed:opts.seed)
+    (series_render threads rows)
+
+let series_experiment ~id ~title ~topology ?(backends = sim_only) ?threads
+    ?file ~entries ~series_title mixes =
+  {
+    id;
+    title;
+    plan =
+      (fun opts ->
+        List.concat_map
+          (fun b ->
+            List.map
+              (series_cell opts b ~id ~topology ?threads ?file ~entries
+                 ~title:series_title)
+              mixes)
+          (backends opts ~topology));
   }
 
 (* Batching/elimination/combining degrees (Tables 1/2/3): jobs in
    (mix, thread) row-major order; the render averages each mix's column
-   over its thread points, the same fold order as the serial path. *)
+   over its thread points. Simulator-only: the jobs read SEC's batch
+   statistics, which only {!Sim_runner.run_sec_stats_with} collects. *)
 let degrees_cell opts ~topology ~id ~paper_ref =
   let thread_points = List.filter (fun n -> n >= 8) (threads_for topology) in
-  let np = List.length thread_points in
   let mixes = [ Workload.update_heavy; Workload.mixed; Workload.read_heavy ] in
   let duration = duration_cycles opts in
-  let seed = opts.seed in
-  let jobs =
-    List.concat_map
-      (fun mix ->
-        List.map
-          (fun n () ->
-            let s, sim_stats =
-              Sim_runner.run_sec_stats_with ~config:Sec_core.Config.default
-                ~topology ~threads:n ~duration_cycles:duration ~mix ~seed ()
-            in
-            Degrees
-              ( ( Sec_core.Sec_stats.batching_degree s,
-                  Sec_core.Sec_stats.pct_eliminated s,
-                  Sec_core.Sec_stats.pct_combined s ),
-                sim_stats.Sec_sim.Sim.schedule_digest ))
-          thread_points)
-      mixes
+  let job mix n () =
+        let s, sim_stats =
+          Sim_runner.run_sec_stats_with ~config:Sec_core.Config.default
+            ~topology ~threads:n ~duration_cycles:duration ~mix ~seed:opts.seed
+            ()
+        in
+        Degrees
+          ( ( Sec_core.Sec_stats.batching_degree s,
+              Sec_core.Sec_stats.pct_eliminated s,
+              Sec_core.Sec_stats.pct_combined s ),
+            sim_stats.Sec_sim.Sim.schedule_digest )
   in
-  let render results =
+  let render row =
+    let np = float_of_int (List.length thread_points) in
     let per_mix =
       List.mapi
         (fun i _mix ->
           let avg f =
-            let sum = ref 0. in
-            for j = 0 to np - 1 do
-              (match results.((i * np) + j) with
-              | Degrees (d, _) -> sum := !sum +. f d
-              | Mops _ -> assert false)
-            done;
-            !sum /. float_of_int np
+            Array.fold_left
+              (fun sum r ->
+                match r with
+                | Degrees (d, _) -> sum +. f d
+                | Mops _ | Histogram _ -> assert false)
+              0. (row i)
+            /. np
           in
           ( avg (fun (d, _, _) -> d),
             avg (fun (_, e, _) -> e),
             avg (fun (_, _, c) -> c) ))
         mixes
     in
-    let columns = List.map (fun m -> m.Workload.label) mixes in
     let row f = List.map (fun v -> Printf.sprintf "%.1f" (f v)) per_mix in
-    let rows =
-      [
-        ("Batching Degree", row (fun (d, _, _) -> d));
-        ("%Elimination", row (fun (_, e, _) -> e));
-        ("%Combining", row (fun (_, _, c) -> c));
-      ]
-    in
     Keyed
       {
-        title =
-          Printf.sprintf "%s [simulated %s, averaged over %s threads]"
-            paper_ref topology.Sec_sim.Topology.name
-            (String.concat "," (List.map string_of_int thread_points));
-        file = id ^ ".csv";
-        columns;
-        rows;
+        key = "metric";
+        columns = List.map (fun m -> m.Workload.label) mixes;
+        rows =
+          [
+            ("Batching Degree", row (fun (d, _, _) -> d));
+            ("%Elimination", row (fun (_, e, _) -> e));
+            ("%Combining", row (fun (_, _, c) -> c));
+          ];
       }
   in
-  {
-    cell_id = id;
-    cell_fig = id;
-    cell_topology = topology.Sec_sim.Topology.name;
-    cell_jobs = Array.of_list jobs;
-    cell_render = render;
-  }
+  grid_cell ~fig:id ~cell_id:id ~topology
+    ~title:
+      (Printf.sprintf "%s [simulated %s, averaged over %s threads]" paper_ref
+         topology.Sec_sim.Topology.name
+         (String.concat "," (List.map string_of_int thread_points)))
+    ~file:(id ^ ".csv") mixes thread_points job render
 
-let render_output opts = function
-  | Series { title; file; columns; rows } ->
-      Report.series ~title ~columns ~rows;
+let render_output opts c = function
+  | Series { columns; rows } ->
+      Report.series ~title:c.cell_title ~columns ~rows;
       Option.iter
-        (fun dir -> Report.csv_of_series ~dir ~file ~columns ~rows)
+        (fun dir -> Report.csv_of_series ~dir ~file:c.cell_file ~columns ~rows)
         opts.csv_dir
-  | Keyed { title; file; columns; rows } ->
-      Report.keyed ~title ~columns ~rows;
+  | Keyed { key; columns; rows } ->
+      Report.keyed ~title:c.cell_title ~columns ~rows;
       Option.iter
         (fun dir ->
-          Report.csv ~dir ~file
-            ~header:("metric" :: columns)
+          Report.csv ~dir ~file:c.cell_file ~header:(key :: columns)
             ~rows:(List.map (fun (name, vs) -> name :: vs) rows))
         opts.csv_dir
 
-(* Serial plan execution: jobs in order, one cell at a time. *)
-let run_cells opts cells =
-  List.iter
+(* Every cell's jobs in one [jobs]-domain pool (taken literally, as by
+   {!Sweep.map}; one pool rather than one per cell, so no domain idles at
+   a cell boundary), then each cell printed and written in order. Results
+   come back in job order, so the output is the same for every [jobs]. *)
+let run_cells ?(jobs = 1) opts cells =
+  let results =
+    Sweep.map ~jobs
+      (fun job -> job ())
+      (Array.concat (List.map (fun c -> c.cell_jobs) cells))
+  in
+  let off = ref 0 in
+  List.map
     (fun c ->
-      let results = Array.map (fun job -> job ()) c.cell_jobs in
-      render_output opts (c.cell_render results))
+      let rs = Array.sub results !off (Array.length c.cell_jobs) in
+      off := !off + Array.length rs;
+      let out = c.cell_render rs in
+      render_output opts c out;
+      (c, rs, out))
     cells
 
-(* Throughput figures: update mixes (Figures 2/5/9). *)
+(* ------------------------------------------------------------------ *)
+(* The paper's figures and tables                                       *)
+
+(* Throughput (Figures 2/5/9) and push-only/pop-only (Figures 3/6/10) run
+   on every selected backend. The aggregator self-comparison (Figures
+   4/7/8/11/12) simulates only, like the ablations below: it varies how
+   SEC shards, which the paper measures on multi-socket machines, not on
+   a host with a few cores. *)
+let figure ~id ~topology ~paper_ref ~what ?backends ~entries mixes =
+  series_experiment ~id
+    ~title:
+      (Printf.sprintf "%s: %s on %s" paper_ref what
+         topology.Sec_sim.Topology.name)
+    ~topology ?backends ~entries ~series_title:paper_ref mixes
+
 let throughput_figure ~id ~topology ~paper_ref =
-  let mixes = [ Workload.update_heavy; Workload.mixed; Workload.read_heavy ] in
-  let plan opts =
-    List.map
-      (series_cell opts ~topology ~entries:Registry.paper_set ~tag:id
-         ~title:paper_ref)
-      mixes
-  in
-  {
-    id;
-    title =
-      Printf.sprintf "%s: throughput, 100%%/50%%/10%% updates on %s" paper_ref
-        topology.Sec_sim.Topology.name;
-    run =
-      (fun opts ->
-        (match opts.backend with
-        | `Sim | `Both -> run_cells opts (plan opts)
-        | `Native -> ());
-        match opts.backend with
-        | `Native | `Both ->
-            let backend =
-              Native_runner.backend ~duration:(native_duration opts)
-            in
-            List.iter
-              (fun mix ->
-                sweep opts backend ~mix ~entries:Registry.paper_set ~tag:id
-                  ~title:paper_ref ())
-              mixes
-        | `Sim -> ());
-    plan = Some plan;
-  }
+  figure ~id ~topology ~paper_ref ~what:"throughput, 100%/50%/10% updates"
+    ~backends:backends_of ~entries:Registry.paper_set
+    [ Workload.update_heavy; Workload.mixed; Workload.read_heavy ]
 
-(* Push-only / pop-only figures (Figures 3/6/10). *)
 let homogeneous_figure ~id ~topology ~paper_ref =
-  let mixes = [ Workload.push_only; Workload.pop_only ] in
-  let plan opts =
-    List.map
-      (series_cell opts ~topology ~entries:Registry.paper_set ~tag:id
-         ~title:paper_ref)
-      mixes
-  in
-  {
-    id;
-    title =
-      Printf.sprintf "%s: push-only and pop-only on %s" paper_ref
-        topology.Sec_sim.Topology.name;
-    run =
-      (fun opts ->
-        (match opts.backend with
-        | `Sim | `Both -> run_cells opts (plan opts)
-        | `Native -> ());
-        match opts.backend with
-        | `Native | `Both ->
-            let backend =
-              Native_runner.backend ~duration:(native_duration opts)
-            in
-            List.iter
-              (fun mix ->
-                sweep opts backend ~mix ~entries:Registry.paper_set ~tag:id
-                  ~title:paper_ref ())
-              mixes
-        | `Sim -> ());
-    plan = Some plan;
-  }
+  figure ~id ~topology ~paper_ref ~what:"push-only and pop-only"
+    ~backends:backends_of ~entries:Registry.paper_set
+    [ Workload.push_only; Workload.pop_only ]
 
-(* Aggregator self-comparison (Figures 4/7/8/11/12). Simulator-only. *)
 let aggregator_figure ~id ~topology ~paper_ref ~mixes =
-  let plan opts =
-    List.map
-      (series_cell opts ~topology ~entries:Registry.sec_aggregator_sweep
-         ~tag:id ~title:paper_ref)
-      mixes
-  in
-  {
-    id;
-    title =
-      Printf.sprintf "%s: SEC with 1..5 aggregators on %s" paper_ref
-        topology.Sec_sim.Topology.name;
-    run = (fun opts -> run_cells opts (plan opts));
-    plan = Some plan;
-  }
+  figure ~id ~topology ~paper_ref ~what:"SEC with 1..5 aggregators"
+    ~entries:Registry.sec_aggregator_sweep mixes
 
-(* Batching/elimination/combining degrees (Tables 1/2/3). Simulator-only:
-   the cell reads SEC's internal statistics counters. *)
 let degrees_table ~id ~topology ~paper_ref =
-  let plan opts = [ degrees_cell opts ~topology ~id ~paper_ref ] in
   {
     id;
     title =
       Printf.sprintf "%s: SEC batching/elimination/combining on %s" paper_ref
         topology.Sec_sim.Topology.name;
-    run = (fun opts -> run_cells opts (plan opts));
-    plan = Some plan;
+    plan = (fun opts -> [ degrees_cell opts ~topology ~id ~paper_ref ]);
   }
 
 (* ------------------------------------------------------------------ *)
-(* Ablations (design choices called out in DESIGN.md)                   *)
+(* Supporting experiments (design choices called out in DESIGN.md)      *)
 
 let ablation_backoff =
-  {
-    id = "ablation-backoff";
-    title =
+  series_experiment ~id:"ablation-backoff"
+    ~title:
       "Ablation: SEC freezer wait budget (0 / 512 / 1024 / 2048 / 8192 relax \
-       units)";
-    run =
-      (fun opts ->
-        let entries =
-          List.map
-            (fun b ->
-              Registry.sec_with ~freeze_backoff:b ~aggregators:2
-                ~label:(Printf.sprintf "SEC_bo%d" b) ())
-            [ 0; 512; 1024; 2048; 8192 ]
-        in
-        List.iter
-          (fun mix ->
-            sweep opts
-              (Sim_runner.backend ~topology:Sec_sim.Topology.emerald
-                 ~duration_cycles:(duration_cycles opts))
-              ~mix ~entries ~tag:"ablation_backoff"
-              ~title:"Freezer backoff ablation" ())
-          [ Workload.update_heavy; Workload.push_only ]);
-    plan = None;
-  }
+       units)"
+    ~topology:Sec_sim.Topology.emerald
+    ~entries:
+      (List.map
+         (fun b ->
+           Registry.sec_with ~freeze_backoff:b ~aggregators:2
+             ~label:(Printf.sprintf "SEC_bo%d" b) ())
+         [ 0; 512; 1024; 2048; 8192 ])
+    ~series_title:"Freezer backoff ablation"
+    [ Workload.update_heavy; Workload.push_only ]
 
+(* Simulator-only: the jobs drive a fetch&add counter, not a stack, so
+   they run the workload loop on the simulated substrate directly rather
+   than through a backend. *)
 let ablation_funnel =
   let module SP = Sec_sim.Sim.Prim in
   let module R = Runner.Make (SP) in
+  let topology = Sec_sim.Topology.emerald in
   (* Not a stack benchmark, but the same driver fits: a push-only "stack"
      whose push is one fetch&add. The loop's extra random draws are
      schedule-free in the simulator, so the numbers match the dedicated
      loop this replaces. Runs without jitter: FAA throughput has no
      lockstep fixed points to break. *)
-  let faa_throughput opts ~threads ~variant =
+  let faa_job opts (_, variant) threads () =
     let duration = duration_cycles opts in
-    let ops, _ =
-      Sec_sim.Sim.run ~seed:opts.seed ~topology:Sec_sim.Topology.emerald
-        (fun () ->
+    let ops, stats =
+      Sec_sim.Sim.run ~seed:opts.seed ~topology (fun () ->
           let module Faa = Sec_funnel.Agg_faa.Make (SP) in
           let shards = match variant with `Funnel s -> s | `Central -> 1 in
           let funnel = Faa.create ~shards () in
@@ -414,186 +348,129 @@ let ablation_funnel =
           in
           R.total outcome)
     in
-    (Measurement.of_simulated ~algorithm:"faa" ~threads ~ops ~cycles:duration)
-      .Measurement.mops
+    Mops
+      ( (Measurement.of_simulated ~algorithm:"faa" ~threads ~ops
+           ~cycles:duration)
+          .Measurement.mops,
+        Some stats.Sec_sim.Sim.schedule_digest )
   in
   {
     id = "ablation-funnel";
     title = "Ablation: sharded (aggregating-funnel style) vs central fetch&add";
-    run =
+    plan =
       (fun opts ->
-        let threads = threads_for Sec_sim.Topology.emerald in
-        let variants =
+        let threads = threads_for topology in
+        let rows =
           [
             ("central FAA", `Central);
             ("funnel x2", `Funnel 2);
             ("funnel x4", `Funnel 4);
           ]
         in
-        let rows =
-          List.map
-            (fun (name, v) ->
-              ( name,
-                Array.of_list
-                  (List.map
-                     (fun n -> faa_throughput opts ~threads:n ~variant:v)
-                     threads) ))
-            variants
-        in
-        Report.series
-          ~title:"Fetch&add throughput (Mops/s) [simulated emerald]"
-          ~columns:threads ~rows;
-        Option.iter
-          (fun dir ->
-            Report.csv_of_series ~dir ~file:"ablation_funnel.csv"
-              ~columns:threads ~rows)
-          opts.csv_dir);
-    plan = None;
+        [
+          grid_cell ~fig:"ablation-funnel" ~cell_id:"ablation-funnel" ~topology
+            ~title:"Fetch&add throughput (Mops/s) [simulated emerald]"
+            ~file:"ablation_funnel.csv" rows threads (faa_job opts)
+            (series_render threads rows);
+        ]);
   }
 
 let ablation_hsynch =
-  {
-    id = "ablation-hsynch";
-    title =
-      "Ablation: SEC vs hierarchical combining (H-Synch) vs flat CC-Synch";
-    run =
-      (fun opts ->
-        let entries = [ Registry.sec; Registry.hsynch; Registry.cc ] in
-        List.iter
-          (fun mix ->
-            sweep opts
-              (Sim_runner.backend ~topology:Sec_sim.Topology.sapphire
-                 ~duration_cycles:(duration_cycles opts))
-              ~mix ~entries ~tag:"ablation_hsynch"
-              ~title:"NUMA-aware combining ablation" ())
-          [ Workload.update_heavy ]);
-    plan = None;
-  }
+  series_experiment ~id:"ablation-hsynch"
+    ~title:"Ablation: SEC vs hierarchical combining (H-Synch) vs flat CC-Synch"
+    ~topology:Sec_sim.Topology.sapphire
+    ~entries:[ Registry.sec; Registry.hsynch; Registry.cc ]
+    ~series_title:"NUMA-aware combining ablation" [ Workload.update_heavy ]
 
 let extension_pool =
-  {
-    id = "extension-pool";
-    title =
-      "Extension: SEC-style pool (sharded backing stores) vs SEC stack vs TRB";
-    run =
-      (fun opts ->
-        let (module B : Runner.BACKEND) =
-          Sim_runner.backend ~topology:Sec_sim.Topology.emerald
-            ~duration_cycles:(duration_cycles opts)
-        in
-        let entries =
-          [
-            Registry.pool_with ~aggregators:2 ~label:"SEC-pool x2";
-            Registry.pool_with ~aggregators:4 ~label:"SEC-pool x4";
-            Registry.sec;
-            Registry.treiber;
-          ]
-        in
-        let rows =
-          List.map
-            (fun (e : Registry.entry) ->
-              ( e.Registry.name,
-                Array.of_list
-                  (List.map
-                     (fun n ->
-                       (B.run_mix e.Registry.maker ~threads:n
-                          ~mix:Workload.update_heavy ~seed:opts.seed ())
-                         .Measurement.mops)
-                     B.sweep_threads) ))
-            entries
-        in
-        Report.series
-          ~title:"Pool extension, 100% updates (Mops/s) [simulated emerald]"
-          ~columns:B.sweep_threads ~rows;
-        Option.iter
-          (fun dir ->
-            Report.csv_of_series ~dir ~file:"extension_pool.csv"
-              ~columns:B.sweep_threads ~rows)
-          opts.csv_dir);
-    plan = None;
-  }
+  series_experiment ~id:"extension-pool"
+    ~title:
+      "Extension: SEC-style pool (sharded backing stores) vs SEC stack vs TRB"
+    ~topology:Sec_sim.Topology.emerald ~file:"extension_pool"
+    ~entries:
+      [
+        Registry.pool_with ~aggregators:2 ~label:"SEC-pool x2";
+        Registry.pool_with ~aggregators:4 ~label:"SEC-pool x4";
+        Registry.sec;
+        Registry.treiber;
+      ]
+    ~series_title:"Pool extension" [ Workload.update_heavy ]
 
+(* Simulator-only: the simulator is deterministic per seed, so
+   "run-to-run variance" becomes a reproducible seed-to-seed spread. *)
 let variance_check =
+  let topology = Sec_sim.Topology.emerald and mix = Workload.update_heavy in
   {
     id = "variance";
     title =
       "Supporting: seed-to-seed spread at 28 threads (paper: <5% over 5 runs)";
-    run =
+    plan =
       (fun opts ->
-        let seeds = List.init 5 (fun i -> opts.seed + i) in
-        let rows =
-          List.map
-            (fun (e : Registry.entry) ->
-              let v =
-                Variance.of_sim_runs e ~topology:Sec_sim.Topology.emerald
-                  ~threads:28 ~duration_cycles:(duration_cycles opts)
-                  ~mix:Workload.update_heavy ~seeds
-              in
-              ( e.Registry.name,
-                [
-                  Printf.sprintf "%.2f" v.Variance.mean;
-                  Printf.sprintf "%.2f" v.Variance.min;
-                  Printf.sprintf "%.2f" v.Variance.max;
-                  Printf.sprintf "%.1f%%" v.Variance.relative_spread;
-                ] ))
-            Registry.paper_set
+        let backend =
+          Sim_runner.backend ~topology ~duration_cycles:(duration_cycles opts)
         in
-        Report.keyed
-          ~title:
-            "Throughput over 5 seeds [100%upd, 28 threads, simulated emerald]"
-          ~columns:[ "mean"; "min"; "max"; "spread" ]
-          ~rows;
-        Option.iter
-          (fun dir ->
-            Report.csv ~dir ~file:"variance.csv"
-              ~header:[ "algorithm"; "mean"; "min"; "max"; "spread" ]
-              ~rows:(List.map (fun (n, vs) -> n :: vs) rows))
-          opts.csv_dir);
-    plan = None;
+        [
+          grid_cell ~fig:"variance" ~cell_id:"variance" ~topology
+            ~title:
+              "Throughput over 5 seeds [100%upd, 28 threads, simulated \
+               emerald]"
+            ~file:"variance.csv" Registry.paper_set
+            (List.init 5 (fun i -> opts.seed + i))
+            (fun e seed -> mops_job backend e.Registry.maker ~mix ~seed 28)
+            (entries_render
+               ~columns:[ "mean"; "min"; "max"; "spread" ]
+               Registry.paper_set
+               (fun results ->
+                 let v =
+                   Variance.of_samples
+                     (Array.to_list (Array.map mops_of results))
+                 in
+                 [
+                   Printf.sprintf "%.2f" v.Variance.mean;
+                   Printf.sprintf "%.2f" v.Variance.min;
+                   Printf.sprintf "%.2f" v.Variance.max;
+                   Printf.sprintf "%.1f%%" v.Variance.relative_spread;
+                 ]));
+        ]);
   }
 
 let latency_distribution =
+  let topology = Sec_sim.Topology.emerald and mix = Workload.update_heavy in
   {
     id = "latency-dist";
     title =
       "Supporting: per-operation latency distribution at 28 threads (emerald)";
-    run =
+    plan =
       (fun opts ->
-        List.iter
+        List.map
           (fun (module B : Runner.BACKEND) ->
             let threads = B.latency_point in
-            let rows =
-              List.map
-                (fun (e : Registry.entry) ->
-                  let h =
-                    B.run_latency e.Registry.maker ~threads
-                      ~mix:Workload.update_heavy ~seed:opts.seed ()
-                  in
-                  ( e.Registry.name,
-                    [
-                      Printf.sprintf "%.0f" (Latency.mean h);
-                      string_of_int (Latency.percentile h 50.);
-                      string_of_int (Latency.percentile h 90.);
-                      string_of_int (Latency.percentile h 99.);
-                      string_of_int (Latency.percentile h 99.9);
-                    ] ))
-                Registry.paper_set
-            in
-            Report.keyed
+            grid_cell ~fig:"latency-dist"
+              ~cell_id:("latency-dist" ^ B.file_suffix)
+              ~topology
               ~title:
-                (Printf.sprintf "Per-op latency in %s [100%%upd, %d threads, %s]"
-                   B.latency_unit threads B.label)
-              ~columns:[ "mean"; "p50"; "p90"; "p99"; "p99.9" ]
-              ~rows;
-            Option.iter
-              (fun dir ->
-                Report.csv ~dir
-                  ~file:(Printf.sprintf "latency_dist%s.csv" B.file_suffix)
-                  ~header:[ "algorithm"; "mean"; "p50"; "p90"; "p99"; "p99.9" ]
-                  ~rows:(List.map (fun (n, vs) -> n :: vs) rows))
-              opts.csv_dir)
-          (backends_of opts ~topology:Sec_sim.Topology.emerald));
-    plan = None;
+                (Printf.sprintf "Per-op latency in %s [%s, %d threads, %s]"
+                   B.latency_unit mix.Workload.label threads B.label)
+              ~file:(Printf.sprintf "latency_dist%s.csv" B.file_suffix)
+              Registry.paper_set [ () ]
+              (fun e () () ->
+                Histogram
+                  (B.run_latency e.Registry.maker ~threads ~mix
+                     ~seed:opts.seed ()))
+              (entries_render
+                 ~columns:[ "mean"; "p50"; "p90"; "p99"; "p99.9" ]
+                 Registry.paper_set
+                 (function
+                   | [| Histogram h |] ->
+                       [
+                         Printf.sprintf "%.0f" (Latency.mean h);
+                         string_of_int (Latency.percentile h 50.);
+                         string_of_int (Latency.percentile h 90.);
+                         string_of_int (Latency.percentile h 99.);
+                         string_of_int (Latency.percentile h 99.9);
+                       ]
+                   | _ -> assert false)))
+          (backends_of opts ~topology));
   }
 
 (* A deliberately tiny, fixed-size simulated run for the @bench-smoke
@@ -601,44 +478,19 @@ let latency_distribution =
    (scale and backend options are ignored) so that for a fixed --seed the
    CSV is reproducible byte for byte. *)
 let smoke =
-  {
-    id = "smoke";
-    title = "Smoke: SEC vs TRB, tiny pinned simulated run (golden-diffed)";
-    run =
-      (fun opts ->
-        let (module B : Runner.BACKEND) =
-          Sim_runner.backend ~topology:Sec_sim.Topology.testbox
-            ~duration_cycles:10_000
-        in
-        let threads = [ 1; 2; 4 ] in
-        let mix = Workload.update_heavy in
-        let rows =
-          List.map
-            (fun (e : Registry.entry) ->
-              ( e.Registry.name,
-                Array.of_list
-                  (List.map
-                     (fun n ->
-                       (B.run_mix e.Registry.maker ~threads:n ~mix
-                          ~seed:opts.seed ())
-                         .Measurement.mops)
-                     threads) ))
-            [ Registry.sec; Registry.treiber ]
-        in
-        Report.series
-          ~title:(Printf.sprintf "Smoke [%s, %s]" mix.Workload.label B.label)
-          ~columns:threads ~rows;
-        Option.iter
-          (fun dir ->
-            Report.csv_of_series ~dir ~file:"smoke.csv" ~columns:threads ~rows)
-          opts.csv_dir);
-    plan = None;
-  }
+  series_experiment ~id:"smoke"
+    ~title:"Smoke: SEC vs TRB, tiny pinned simulated run (golden-diffed)"
+    ~topology:Sec_sim.Topology.testbox
+    ~backends:(fun _ ~topology ->
+      [ Sim_runner.backend ~topology ~duration_cycles:10_000 ])
+    ~threads:[ 1; 2; 4 ] ~file:"smoke"
+    ~entries:[ Registry.sec; Registry.treiber ]
+    ~series_title:"Smoke" [ Workload.update_heavy ]
 
 (* ------------------------------------------------------------------ *)
 (* Registry                                                             *)
 
-let all =
+let paper =
   [
     throughput_figure ~id:"fig2" ~topology:Sec_sim.Topology.emerald
       ~paper_ref:"Figure 2";
@@ -683,6 +535,10 @@ let all =
       ~paper_ref:"Figure 12" ~mixes:[ Workload.push_only; Workload.pop_only ];
     degrees_table ~id:"table3" ~topology:Sec_sim.Topology.sapphire
       ~paper_ref:"Table 3";
+  ]
+
+let supporting =
+  [
     ablation_backoff;
     ablation_funnel;
     ablation_hsynch;
@@ -692,27 +548,16 @@ let all =
     smoke;
   ]
 
+let all = paper @ supporting
 let find id = List.find_opt (fun e -> e.id = id) all
-
 let ids () = List.map (fun e -> e.id) all
 
-(* Shared driver plumbing for bin/sec_bench and bench/main. *)
 let run_one opts e =
   Printf.printf "== %s: %s ==\n%!" e.id e.title;
-  e.run opts
-
-let run_all opts =
-  List.iter
-    (fun e ->
-      print_newline ();
-      run_one opts e)
-    all
+  ignore (run_cells opts (e.plan opts))
 
 (* ------------------------------------------------------------------ *)
 (* One-command figure set: `sec_bench figures`                          *)
-
-let figure_ids () =
-  List.filter_map (fun e -> if Option.is_some e.plan then Some e.id else None) all
 
 (* EXPERIMENTS.md's recorded curve shapes, re-checked by every figures
    run. [Best]/[Worst] name the expected winner/weakest line at the top
@@ -764,10 +609,10 @@ let report_section c out =
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
   let matched =
     match out with
-    | Series { columns; rows; title; _ } ->
+    | Series { columns; rows } ->
         line "## %s (%s)" c.cell_id c.cell_topology;
         line "";
-        line "%s" title;
+        line "%s" c.cell_title;
         line "";
         let top = List.nth columns (List.length columns - 1) in
         let at_top (_, vs) = vs.(Array.length vs - 1) in
@@ -814,10 +659,10 @@ let report_section c out =
                    (name_of weakest));
             Some ok
         | Some Elim_dominates | None -> None)
-    | Keyed { rows; title; _ } ->
+    | Keyed { rows; _ } ->
         line "## %s (%s)" c.cell_id c.cell_topology;
         line "";
-        line "%s" title;
+        line "%s" c.cell_title;
         line "";
         let avg name =
           match List.assoc_opt name rows with
@@ -867,17 +712,18 @@ let write_report ~path opts rendered elapsed =
   Report.markdown ~path
     ~lines:(header @ List.map (fun (s, _) -> s) sections)
 
-(* The parallel path: flatten every selected cell's jobs into one array,
-   fan them out over {!Sweep.map}, then render cells in canonical order.
-   Jobs are pure (each owns a fresh simulated machine), so the output —
-   stdout tables, CSVs, report, digests — is bit-identical for every
-   [jobs] value, including the serial [jobs = 1] fallback. *)
+(* The parallel path: every selected cell's jobs fan out over
+   {!Sweep.map}, then each cell renders in canonical order. Jobs are pure
+   (each owns a fresh simulated machine), so the output — stdout tables,
+   CSVs, report, digests — is bit-identical for every [jobs] value,
+   including the serial [jobs = 1] fallback. Only simulated cells are
+   built: native jobs would share the pool's cores. *)
 let run_figures opts ~jobs ?topology ?(only = []) ?report_path ?digest_path ()
     =
-  let plans =
-    List.filter_map (fun e -> Option.map (fun p -> p opts) e.plan) all
+  let opts = { opts with backend = `Sim } in
+  let cells =
+    List.concat_map (fun e -> e.plan opts) (if only = [] then paper else all)
   in
-  let cells = List.concat plans in
   List.iter
     (fun o ->
       if
@@ -907,22 +753,9 @@ let run_figures opts ~jobs ?topology ?(only = []) ?report_path ?digest_path ()
   Printf.printf "figures: %d cells, %d simulation jobs, %d domain%s\n%!"
     (List.length cells) total_jobs jobs
     (if jobs = 1 then "" else "s");
-  let thunks = Array.concat (List.map (fun c -> c.cell_jobs) cells) in
   let t0 = Unix.gettimeofday () in
-  let results = Sweep.map ~jobs (fun job -> job ()) thunks in
+  let outputs = run_cells ~jobs opts cells in
   let elapsed = Unix.gettimeofday () -. t0 in
-  let rendered =
-    let off = ref 0 in
-    List.map
-      (fun c ->
-        let n = Array.length c.cell_jobs in
-        let slice = Array.sub results !off n in
-        off := !off + n;
-        (c, slice))
-      cells
-  in
-  let outputs = List.map (fun (c, rs) -> (c, rs, c.cell_render rs)) rendered in
-  List.iter (fun (_, _, out) -> render_output opts out) outputs;
   Option.iter
     (fun path ->
       let oc = open_out path in
@@ -930,7 +763,10 @@ let run_figures opts ~jobs ?topology ?(only = []) ?report_path ?digest_path ()
       List.iter
         (fun (c, rs, _) ->
           Array.iteri
-            (fun j r -> Printf.fprintf oc "%s,%d,%d\n" c.cell_id j (digest_of r))
+            (fun j r ->
+              Option.iter
+                (Printf.fprintf oc "%s,%d,%d\n" c.cell_id j)
+                (digest_of r))
             rs)
         outputs;
       close_out oc;

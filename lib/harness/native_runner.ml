@@ -78,7 +78,7 @@ let backend ~duration : (module Runner.BACKEND) =
 
     let run_mix maker ~threads ~mix ?(prefill = default_prefill) ?(seed = 1)
         () =
-      run maker ~threads ~duration ~mix ~prefill ~seed ()
+      (run maker ~threads ~duration ~mix ~prefill ~seed (), None)
 
     let run_latency maker ~threads ~mix ?(prefill = default_prefill)
         ?(seed = 1) () =

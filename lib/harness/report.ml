@@ -42,8 +42,13 @@ let keyed ~title ~columns ~rows =
     rows;
   Printf.printf "%s\n%!" (hrule total)
 
-let ensure_dir dir =
-  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
+(* Creates missing parents first; a directory another process created
+   in the meantime is not an error. *)
+let rec ensure_dir dir =
+  if not (Sys.file_exists dir) then begin
+    ensure_dir (Filename.dirname dir);
+    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+  end
 
 (* CSV with a header row; one file per figure/workload. *)
 let csv ~dir ~file ~header ~rows =

@@ -10,10 +10,11 @@ val series :
 val keyed :
   title:string -> columns:string list -> rows:(string * string list) list -> unit
 
+(** [ensure_dir dir] creates [dir] and any missing parents. *)
 val ensure_dir : string -> unit
 
-(** [csv ~dir ~file ~header ~rows] writes a CSV file, creating [dir] if
-    needed. *)
+(** [csv ~dir ~file ~header ~rows] writes a CSV file, creating [dir]
+    (and its parents) if needed. *)
 val csv :
   dir:string -> file:string -> header:string list -> rows:string list list -> unit
 

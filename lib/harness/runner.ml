@@ -211,6 +211,8 @@ module type BACKEND = sig
 
   val latency_unit : string
 
+  (** One throughput point, with the run's schedule digest
+      ([Sim.stats.schedule_digest]; native runs have none). *)
   val run_mix :
     (module Sec_spec.Stack_intf.MAKER) ->
     threads:int ->
@@ -218,7 +220,7 @@ module type BACKEND = sig
     ?prefill:int ->
     ?seed:int ->
     unit ->
-    Measurement.t
+    Measurement.t * int option
 
   val run_latency :
     (module Sec_spec.Stack_intf.MAKER) ->

@@ -143,7 +143,11 @@ let backend ~topology ~duration_cycles : (module Runner.BACKEND) =
 
     let run_mix maker ~threads ~mix ?(prefill = default_prefill) ?(seed = 1)
         () =
-      run maker ~topology ~threads ~duration_cycles ~mix ~prefill ~seed ()
+      let m, stats =
+        run_with_stats maker ~topology ~threads ~duration_cycles ~mix ~prefill
+          ~seed ()
+      in
+      (m, Some stats.Sec_sim.Sim.schedule_digest)
 
     let run_latency maker ~threads ~mix ?(prefill = default_prefill)
         ?(seed = 1) () =

@@ -25,17 +25,6 @@ let of_samples samples =
       in
       { mean; min = mn; max = mx; relative_spread; samples = n }
 
-(* Throughput of [entry] across [seeds] distinct simulated runs. *)
-let of_sim_runs (entry : Registry.entry) ~topology ~threads ~duration_cycles
-    ~mix ~seeds =
-  of_samples
-    (List.map
-       (fun seed ->
-         (Sim_runner.run entry.Registry.maker ~topology ~threads
-            ~duration_cycles ~mix ~seed ())
-           .Measurement.mops)
-       seeds)
-
 let pp ppf t =
   Format.fprintf ppf "%.2f Mops/s (min %.2f, max %.2f, spread %.1f%%, n=%d)"
     t.mean t.min t.max t.relative_spread t.samples

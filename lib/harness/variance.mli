@@ -13,13 +13,4 @@ type t = {
 (** Raises [Invalid_argument] on an empty list. *)
 val of_samples : float list -> t
 
-val of_sim_runs :
-  Registry.entry ->
-  topology:Sec_sim.Topology.t ->
-  threads:int ->
-  duration_cycles:int ->
-  mix:Workload.mix ->
-  seeds:int list ->
-  t
-
 val pp : Format.formatter -> t -> unit

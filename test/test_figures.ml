@@ -59,11 +59,11 @@ let golden_digests () =
 let cell_of id =
   let fig = List.hd (String.split_on_char '/' id) in
   match E.find fig with
-  | Some { E.plan = Some plan; _ } -> (
-      match List.find_opt (fun c -> c.E.cell_id = id) (plan (opts None)) with
+  | Some e -> (
+      match List.find_opt (fun c -> c.E.cell_id = id) (e.plan (opts None)) with
       | Some c -> c
       | None -> Alcotest.failf "experiment %s has no cell %s" fig id)
-  | _ -> Alcotest.failf "experiment %s has no figure plan" fig
+  | None -> Alcotest.failf "no experiment %s" fig
 
 let test_parallel_digests () =
   let golden = golden_digests () in
@@ -76,12 +76,30 @@ let test_parallel_digests () =
         (Array.length results);
       List.iter
         (fun (_, j, d) ->
-          Alcotest.(check int)
+          Alcotest.(check (option int))
             (Printf.sprintf "%s job %d digest" id j)
-            d
+            (Some d)
             (E.digest_of results.(j)))
         want)
     cell_ids
+
+(* ------------------------------------------------------------------ *)
+(* A supporting experiment through the pool: the smoke cell's jobs over
+   a forced 2-domain pool reproduce the @bench-smoke golden CSV.        *)
+
+let smoke_golden =
+  read_file
+    (if Sys.file_exists "smoke.golden.csv" then "smoke.golden.csv"
+     else Filename.concat "test" "smoke.golden.csv")
+
+let test_smoke_pool () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ()) "sec_test_figures_smoke"
+  in
+  let csv = Filename.concat dir "smoke.csv" in
+  if Sys.file_exists csv then Sys.remove csv;
+  ignore (E.run_cells ~jobs:2 (opts (Some dir)) [ cell_of "smoke/100%upd" ]);
+  Alcotest.(check string) "smoke.csv bytes" smoke_golden (read_file csv)
 
 (* ------------------------------------------------------------------ *)
 (* Unknown --only filters are rejected up front, before any job runs.  *)
@@ -102,5 +120,7 @@ let () =
             test_parallel_digests;
           Alcotest.test_case "unknown --only rejected" `Quick
             test_unknown_filter;
+          Alcotest.test_case "smoke through a 2-domain pool" `Quick
+            test_smoke_pool;
         ] );
     ]

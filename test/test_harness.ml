@@ -147,8 +147,10 @@ let test_measurement_scaling () =
   Alcotest.(check (float 1e-3)) "simulated mops" 3_000. sim.Measurement.mops
 
 let test_csv_roundtrip () =
-  let dir = Filename.temp_file "sec" "" in
-  Sys.remove dir;
+  let tmp = Filename.temp_file "sec" "" in
+  Sys.remove tmp;
+  (* Two missing levels: the writer creates every parent. *)
+  let dir = Filename.concat (Filename.concat tmp "a") "b" in
   Report.csv ~dir ~file:"t.csv" ~header:[ "a"; "b" ]
     ~rows:[ [ "1"; "2" ]; [ "3"; "4" ] ];
   let ic = open_in (Filename.concat dir "t.csv") in
@@ -171,6 +173,29 @@ let test_experiment_ids () =
     ];
   Alcotest.(check bool) "find works" true (Experiments.find "fig2" <> None);
   Alcotest.(check bool) "unknown is None" true (Experiments.find "nope" = None)
+
+(* Every experiment has a plan, with every backend selected, and no two
+   cells share an id or a CSV file. *)
+let test_experiment_cells_unique () =
+  let opts = { Experiments.default_opts with Experiments.backend = `Both } in
+  let cells =
+    List.concat_map
+      (fun (e : Experiments.t) ->
+        match e.plan opts with
+        | [] -> Alcotest.failf "experiment %s has no cells" e.id
+        | cs -> cs)
+      Experiments.all
+  in
+  let unique what keys =
+    let sorted = List.sort compare keys in
+    let rec dup = function
+      | a :: (b :: _ as rest) -> if a = b then Some a else dup rest
+      | _ -> None
+    in
+    Option.iter (Alcotest.failf "duplicate %s %S" what) (dup sorted)
+  in
+  unique "cell id" (List.map (fun c -> c.Experiments.cell_id) cells);
+  unique "CSV file" (List.map (fun c -> c.Experiments.cell_file) cells)
 
 let test_experiment_thread_lists () =
   let top = Experiments.threads_for Sec_sim.Topology.emerald in
@@ -227,6 +252,8 @@ let () =
       ( "experiments",
         [
           Alcotest.test_case "ids" `Quick test_experiment_ids;
+          Alcotest.test_case "cells unique" `Quick
+            test_experiment_cells_unique;
           Alcotest.test_case "thread lists" `Quick test_experiment_thread_lists;
           Alcotest.test_case "duration scaling" `Quick
             test_experiment_duration_scaling;
