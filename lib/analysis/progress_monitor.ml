@@ -22,10 +22,12 @@
    complements with cheap always-on watermarks.
 
    Like {!Race_detector} and {!Reclaim_checker}, the monitor installs
-   globally for a run ([active]/[install]/[with_monitor]); the [note_*]
-   hooks cost one ref read when no monitor is installed, so instrumented
-   code (the harness workload loop, the simulators) runs unchanged
-   outside analysis runs. *)
+   globally for a run ([active]/[install]/[with_monitor]). Its one
+   scheduler-side feed is {!Sec_sim.Explore}, which reports every live
+   access to the installed monitor (one ref read when none is); the
+   scenario under test brackets its operations with [on_op_start] and
+   [on_op_end]. The timed simulator feeds nothing: it is the cost
+   model, not an analysis host. *)
 
 type kind = Starvation | Livelock_suspected
 
@@ -207,7 +209,7 @@ let report_to_string r = Format.asprintf "%a" pp_report r
 
 (* ------------------------------------------------------------------ *)
 (* Global installation (same pattern as {!Race_detector.active}: the
-   simulated schedulers run one fiber at a time in one domain). *)
+   exploring scheduler runs one fiber at a time in one domain). *)
 
 let active : t option ref = ref None
 let install m = active := Some m
@@ -216,12 +218,3 @@ let uninstall () = active := None
 let with_monitor m f =
   install m;
   Fun.protect ~finally:uninstall f
-
-let note_op_start ~fiber =
-  match !active with None -> () | Some m -> on_op_start m ~fiber
-
-let note_op_end ~fiber =
-  match !active with None -> () | Some m -> on_op_end m ~fiber
-
-let note_event ~fiber =
-  match !active with None -> () | Some m -> on_event m ~fiber

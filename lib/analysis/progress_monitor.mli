@@ -35,9 +35,12 @@ val create :
 
 (** {1 Event feed}
 
-    Fed by the workload loop ({!on_op_start}/{!on_op_end} around each
-    stack operation) and by the schedulers ({!on_event} at every atomic
-    access, {!on_fiber_exit} at fiber teardown). Starvation is checked at
+    Analyses run under {!Sec_sim.Explore}; the timed simulator
+    {!Sec_sim.Sim} is the cost model and feeds nothing. Under an
+    [Explore] run the installed monitor gets {!on_event} at every live
+    atomic access, and the scenario brackets each stack operation with
+    {!on_op_start}/{!on_op_end}. {!on_fiber_exit} is for a driver that
+    tears a fiber down mid-operation. Starvation is checked at
     completions — a frozen fiber performs no events of its own, so the
     peers' completions must carry the check. *)
 
@@ -61,14 +64,11 @@ val report_to_string : report -> string
 (** {1 Global installation}
 
     Same pattern as {!Race_detector.active} / {!Reclaim_checker.active}:
-    the simulated schedulers interleave fibers within one domain, so a
-    single global slot is safe, and the [note_*] hooks cost one ref read
-    when no monitor is installed. *)
+    {!Sec_sim.Explore} interleaves fibers within one domain, so a single
+    global slot is safe, and its event feed costs one ref read when no
+    monitor is installed. *)
 
 val active : t option ref
 val install : t -> unit
 val uninstall : unit -> unit
 val with_monitor : t -> (unit -> 'a) -> 'a
-val note_op_start : fiber:int -> unit
-val note_op_end : fiber:int -> unit
-val note_event : fiber:int -> unit

@@ -127,10 +127,6 @@ module Make (X : Sec_prim.Prim_intf.EXEC) = struct
             if op_overhead > 0 then X.relax op_overhead;
             let op = Workload.pick mix (X.rand_int 100) in
             let start = if observer.timed then X.now_ns () else 0L in
-            (* Operation boundaries for the progress monitor: one ref
-               read each when no monitor is installed, and no effect is
-               performed, so the effect trace above is unchanged. *)
-            Sec_analysis.Progress_monitor.note_op_start ~fiber:tid;
             let value, result =
               match op with
               | Workload.Push ->
@@ -140,7 +136,6 @@ module Make (X : Sec_prim.Prim_intf.EXEC) = struct
               | Workload.Pop -> (0, pop ~tid)
               | Workload.Peek -> (0, peek ~tid)
             in
-            Sec_analysis.Progress_monitor.note_op_end ~fiber:tid;
             let finish = if observer.timed then X.now_ns () else 0L in
             observer.on_op ~tid ~op ~value ~result ~start ~finish;
             incr ops

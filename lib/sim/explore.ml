@@ -30,9 +30,14 @@
      prunes aggressively and keeps every conflict-driven branch, which in
      practice preserves the bug-finding power of the bounded search.
 
-   Optionally every run is monitored by a {!Sec_analysis.Race_detector};
-   a schedule that exhibits a write-write race fails with the offending
-   source locations even if the scenario's own check passes.
+   This is the one scheduler that hosts the analyses; {!Sim} is the cost
+   model only. Optionally every run is monitored by a
+   {!Sec_analysis.Race_detector} (a schedule that exhibits a write-write
+   race fails with the offending source locations even if the
+   scenario's own check passes) or a {!Sec_analysis.Reclaim_checker};
+   an installed {!Sec_analysis.Progress_monitor} is fed one event per
+   live access; and the suspension adversary ({!suspended_run},
+   {!classify}) freezes one fiber to decide lock-freedom.
 
    Like {!Sim}, the engine installs a {!Sim_effects.dispatch} record for
    the whole run and performs a private effect only when control must
@@ -317,7 +322,9 @@ let random_choice ctx =
 (* A live (non-frozen) access by the current fiber: account the step,
    then let it execute, switch fibers, or abandon the run. *)
 let at_live_access ctx ~loc ~kind =
-  Sim_effects.Progress.on_event ctx.current;
+  (match !Sec_analysis.Progress_monitor.active with
+  | Some m -> Sec_analysis.Progress_monitor.on_event m ~fiber:ctx.current
+  | None -> ());
   ctx.step <- ctx.step + 1;
   if ctx.step > ctx.max_steps then begin
     ctx.livelocked <- true;
@@ -501,7 +508,12 @@ let run_one ctx scenario =
        where abandoned fibers legitimately still hold their guards. *)
     if ctx.livelocked then Livelocked
     else begin
-      Array.iteri (fun i _ -> Sim_effects.Reclaim.on_fiber_exit i) ctx.fibers;
+      (match !Sec_analysis.Reclaim_checker.active with
+      | Some c ->
+          Array.iteri
+            (fun i _ -> Sec_analysis.Reclaim_checker.on_fiber_exit c ~fiber:i)
+            ctx.fibers
+      | None -> ());
       Ok_run (check ())
     end
   in

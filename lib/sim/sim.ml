@@ -33,12 +33,6 @@ open Sim_effects
 exception Deadlock
 exception Not_in_simulation = Sim_effects.Not_in_simulation
 
-exception Stalled
-(* Raised when [run ~max_events] exceeds its event budget: with a fiber
-   frozen by [~suspend], the peers of a blocking algorithm spin forever
-   and virtual time grows without completing — the discrete-event
-   analogue of {!Explore}'s livelock verdict. *)
-
 (* ------------------------------------------------------------------ *)
 (* Binary min-heap of runnable fibers, keyed by (time, fid) so that      *)
 (* scheduling is deterministic.                                          *)
@@ -156,14 +150,11 @@ end
 (* ------------------------------------------------------------------ *)
 
 (* Scheduling effects private to this loop. [Switch] is performed by the
-   dispatch fast path only when an earlier fiber must run; [Freeze] drops
-   the performer (suspension adversary); [Await] parks the joiner. All
-   three are constant constructors, so performing them allocates no
-   payload, and their handler results are preallocated in [ctx]. *)
-type _ Effect.t +=
-  | Switch : unit Effect.t
-  | Freeze : unit Effect.t
-  | Await : unit Effect.t
+   dispatch fast path only when an earlier fiber must run; [Await] parks
+   the joiner. Both are constant constructors, so performing them
+   allocates no payload, and their handler results are preallocated in
+   [ctx]. *)
+type _ Effect.t += Switch : unit Effect.t | Await : unit Effect.t
 
 type handler_fn = ((unit, unit) Effect.Deep.continuation -> unit) option
 
@@ -171,7 +162,6 @@ type ctx = {
   topo : Topology.t;
   cache : Cache_model.t;
   heap : Heap.t;
-  det : Sec_analysis.Race_detector.t option;
   jitter : int;
   sched_rng : Sec_prim.Rng.t;
   (* Flat per-fiber state, indexed by slot = fid + Heap.fid_bias; the
@@ -213,20 +203,10 @@ type ctx = {
      heap's record/array chain there. -1 when the heap is empty. *)
   mutable heap_min : int;
   alloc_base : int; (* domain-local {!Sim_effects.alloc_tally} at run start *)
-  (* Suspension adversary: freeze fiber [suspend_victim] just before its
-     [suspend_after]th atomic access (see {!Explore.classify} for the
-     bounded-sweep version; here a single point suffices for regression
-     pinning). [min_int] as the victim means "nobody" — a plain compare
-     on the fast path instead of an option match. *)
-  suspend_victim : int;
-  suspend_after : int;
-  mutable suspend_seen : int;
-  max_events : int; (* raise [Stalled] past this many events; [max_int] = no cap *)
   (* Preallocated [effc] results for the private effects, so even the
      switch slow path allocates nothing per perform. Set right after the
      record is built — they close over it. *)
   mutable switch_h : handler_fn;
-  mutable freeze_h : handler_fn;
   mutable await_h : handler_fn;
 }
 
@@ -257,7 +237,7 @@ let[@inline never] jitter_extra ctx =
 (* Advance the current fiber's clock to [new_time] (plus seeded jitter),
    account the scheduling event, and report whether an earlier fiber is
    now due — the one decision point every scheduling primitive funnels
-   through, so digest, event count and Stalled policing stay uniform. *)
+   through, so digest and event count stay uniform. *)
 let[@inline] advance ctx new_time =
   let slot = ctx.current in
   let new_time =
@@ -266,22 +246,12 @@ let[@inline] advance ctx new_time =
   Array.unsafe_set ctx.f_time slot new_time;
   ctx.events <- ctx.events + 1;
   ctx.digest <- digest_mix ctx.digest new_time (fid_of slot);
-  if ctx.events > ctx.max_events then raise Stalled;
   let mk = ctx.heap_min in
   mk >= 0
   &&
   let self = Heap.pack_unchecked new_time (fid_of slot) in
   ctx.self_key <- self;
   mk < self
-
-(* Suspension adversary: [true] means the current access never executes
-   and the performer is dropped. *)
-let[@inline] check_freeze ctx =
-  fid_of ctx.current = ctx.suspend_victim
-  && begin
-       ctx.suspend_seen <- ctx.suspend_seen + 1;
-       ctx.suspend_seen = ctx.suspend_after
-     end
 
 let[@inline] access_time ctx line kind =
   let slot = ctx.current in
@@ -304,11 +274,6 @@ let do_spawn ctx body =
   ctx.f_rng.(slot) <- Sec_prim.Rng.split ctx.sched_rng;
   ctx.f_body.(slot) <- Some body;
   ctx.live_workers <- ctx.live_workers + 1;
-  (match ctx.det with
-  | Some d ->
-      Sec_analysis.Race_detector.on_spawn d ~parent:(fid_of ctx.current)
-        ~child:fid
-  | None -> ());
   Heap.push ctx.heap (Heap.pack ctx.f_time.(slot) fid);
   ctx.heap_min <- Heap.min_key ctx.heap
 
@@ -336,9 +301,6 @@ and schedule ctx =
         ctx.joiner_k <- None;
         ctx.joiner <- -1;
         ctx.f_time.(slot) <- Int.max ctx.f_time.(slot) ctx.max_end_time;
-        (match ctx.det with
-        | Some d -> Sec_analysis.Race_detector.on_join d ~fiber:(fid_of slot)
-        | None -> ());
         ctx.current <- slot;
         Effect.Deep.continue k ()
     | Some _ -> raise Deadlock
@@ -354,23 +316,10 @@ and park ctx k =
   ctx.heap_min <- Heap.min_key ctx.heap;
   resume ctx key
 
-(* The suspension adversary dropped the current fiber: it stops forever,
-   no longer counts as live, and its peers run on. *)
-and on_freeze ctx =
-  let slot = ctx.current in
-  ctx.max_end_time <- Int.max ctx.max_end_time ctx.f_time.(slot);
-  if slot <> 0 then ctx.live_workers <- ctx.live_workers - 1;
-  schedule ctx
-
 and on_return ctx =
   let slot = ctx.current in
   ctx.max_end_time <- Int.max ctx.max_end_time ctx.f_time.(slot);
   if slot <> 0 then ctx.live_workers <- ctx.live_workers - 1;
-  (match ctx.det with
-  | Some d -> Sec_analysis.Race_detector.on_exit d ~fiber:(fid_of slot)
-  | None -> ());
-  Sim_effects.Reclaim.on_fiber_exit (fid_of slot);
-  Sim_effects.Progress.on_fiber_exit (fid_of slot);
   schedule ctx
 
 and run_fiber ctx body =
@@ -383,7 +332,6 @@ and run_fiber ctx body =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
           | Switch -> (ctx.switch_h : ((a, _) continuation -> _) option)
-          | Freeze -> (ctx.freeze_h : ((a, _) continuation -> _) option)
           | Await -> (ctx.await_h : ((a, _) continuation -> _) option)
           | _ -> None)
     }
@@ -400,11 +348,7 @@ let dispatch_of ctx =
           ~socket:ctx.f_socket.(ctx.current));
     d_access =
       (fun line kind ->
-        if check_freeze ctx then Effect.perform Freeze
-        else begin
-          Sim_effects.Progress.on_event (fid_of ctx.current);
-          if advance ctx (access_time ctx line kind) then Effect.perform Switch
-        end);
+        if advance ctx (access_time ctx line kind) then Effect.perform Switch);
     d_relax =
       (fun n ->
         if advance ctx (Array.unsafe_get ctx.f_time ctx.current + Int.max 1 n)
@@ -424,13 +368,7 @@ let dispatch_of ctx =
       (fun () -> Sec_prim.Rng.bits (Array.unsafe_get ctx.f_rng ctx.current));
     d_spawn = (fun body -> do_spawn ctx body);
     d_await_all =
-      (fun () ->
-        if ctx.live_workers = 0 then
-          match ctx.det with
-          | Some d ->
-              Sec_analysis.Race_detector.on_join d ~fiber:(fid_of ctx.current)
-          | None -> ()
-        else Effect.perform Await);
+      (fun () -> if ctx.live_workers > 0 then Effect.perform Await);
     d_fiber_id = (fun () -> fid_of ctx.current);
     d_num_workers = (fun () -> ctx.next_core);
   }
@@ -460,8 +398,7 @@ let dead_kont () =
     };
   match !cell with Some k -> k | None -> assert false
 
-let run ?(seed = 42) ?(jitter = 0) ?detector ?reclaim_checker ?progress
-    ?suspend ?max_events ~topology f =
+let run ?(seed = 42) ?(jitter = 0) ~topology f =
   let nslots = Topology.max_threads topology + Heap.fid_bias in
   let main_rng = Sec_prim.Rng.create (Int64.of_int (seed + 1)) in
   let ctx =
@@ -469,7 +406,6 @@ let run ?(seed = 42) ?(jitter = 0) ?detector ?reclaim_checker ?progress
       topo = topology;
       cache = Cache_model.create topology;
       heap = Heap.create ();
-      det = detector;
       jitter;
       sched_rng = Sec_prim.Rng.create (Int64.of_int seed);
       f_time = Array.make nslots 0;
@@ -489,18 +425,12 @@ let run ?(seed = 42) ?(jitter = 0) ?detector ?reclaim_checker ?progress
       self_key = 0;
       heap_min = -1;
       alloc_base = !(Sim_effects.alloc_tally ());
-      suspend_victim = (match suspend with Some (v, _) -> v | None -> min_int);
-      suspend_after = (match suspend with Some (_, n) -> n | None -> 0);
-      suspend_seen = 0;
-      max_events = (match max_events with Some m -> m | None -> max_int);
       switch_h = None;
-      freeze_h = None;
       await_h = None;
     }
   in
   ctx.f_core.(0) <- -2 (* the main pseudo-fiber's off-grid core *);
   ctx.switch_h <- Some (fun k -> park ctx k);
-  ctx.freeze_h <- Some (fun _k -> on_freeze ctx);
   ctx.await_h <-
     Some
       (fun k ->
@@ -508,24 +438,10 @@ let run ?(seed = 42) ?(jitter = 0) ?detector ?reclaim_checker ?progress
         ctx.joiner_k <- Some k;
         schedule ctx);
   let result = ref None in
-  let start () = run_fiber ctx (fun () -> result := Some (f ())) in
-  let start =
-    match reclaim_checker with
-    | Some c -> fun () -> Sec_analysis.Reclaim_checker.with_checker c start
-    | None -> start
-  in
-  let start =
-    match progress with
-    | Some m -> fun () -> Sec_analysis.Progress_monitor.with_monitor m start
-    | None -> start
-  in
   let saved = Sim_effects.install (dispatch_of ctx) in
   Fun.protect
     ~finally:(fun () -> Sim_effects.restore saved)
-    (fun () ->
-      match detector with
-      | Some d -> Sec_analysis.Race_detector.with_detector d start
-      | None -> start ());
+    (fun () -> run_fiber ctx (fun () -> result := Some (f ())));
   match !result with
   | None -> raise Deadlock
   | Some r ->

@@ -5,20 +5,16 @@
     run: atomic accesses are charged through {!Cache_model} inline, and
     a fiber switch happens only when another fiber is now earliest.
     Used to run every stack in this repository at the paper's
-    56/96/192-thread scales on a small host, and to explore
-    interleavings deterministically in tests. *)
+    56/96/192-thread scales on a small host: this is the cost model
+    behind every figure. It hosts no analysis — race detection, the
+    reclamation checker, the progress monitor and the suspension
+    adversary all run under {!Explore}. *)
 
 exception Deadlock
 
 exception Not_in_simulation
 (** Raised by every {!Prim} operation used outside {!run} or an
     {!Explore} run. *)
-
-exception Stalled
-(** Raised when [run ~max_events] exceeds its event budget — the
-    discrete-event analogue of {!Explore}'s livelock verdict: with a
-    fiber frozen by [~suspend], the peers of a blocking algorithm spin
-    forever instead of completing. *)
 
 type stats = {
   elapsed_cycles : int;  (** makespan: latest fiber end time *)
@@ -66,40 +62,14 @@ end
     a fixed [seed]; [jitter > 0] adds seeded random delays (up to that
     many cycles) to every access, perturbing interleavings.
 
-    When [detector] is given it is installed for the duration of the run:
-    every atomic access feeds its happens-before tracker, and spawn /
-    exit / join edges are recorded. Inspect it afterwards with
-    {!Sec_analysis.Race_detector.races}.
-
-    When [reclaim_checker] is given it is likewise installed for the
-    duration: instrumented reclamation code (lib/reclaim) feeds its
-    shadow heap, and fiber completion is reported so leaked guards are
-    caught. Inspect it with {!Sec_analysis.Reclaim_checker.reports}.
-
-    When [progress] is given it is installed for the duration: every
-    atomic access feeds {!Sec_analysis.Progress_monitor.on_event} and
-    fiber completion clears in-flight operations; operation boundaries
-    come from the workload loop's [note_op_*] hooks. Inspect it with
-    {!Sec_analysis.Progress_monitor.reports}.
-
-    [suspend:(fid, n)] is the suspension adversary (see
-    {!Explore.classify} for the sweeping classifier): fiber [fid] is
-    frozen forever just before its [n]th atomic access. A frozen worker
-    stops counting as live, so [await_all] returns once its peers
-    finish — unless they spin on the victim's next write, in which case
-    the run never completes: bound it with [max_events] and catch
-    {!Stalled}. *)
+    [run] is the timing model only. To check a scenario for races
+    ({!Explore.for_all} [~detect_races], {!Explore.replay} [~detector]),
+    reclamation errors ([~check_reclamation], [~reclaim_checker]) or
+    progress ({!Explore.suspended_run}, {!Explore.classify}, with a
+    {!Sec_analysis.Progress_monitor} installed around them), run it
+    under {!Explore}. *)
 val run :
-  ?seed:int ->
-  ?jitter:int ->
-  ?detector:Sec_analysis.Race_detector.t ->
-  ?reclaim_checker:Sec_analysis.Reclaim_checker.t ->
-  ?progress:Sec_analysis.Progress_monitor.t ->
-  ?suspend:int * int ->
-  ?max_events:int ->
-  topology:Topology.t ->
-  (unit -> 'a) ->
-  'a * stats
+  ?seed:int -> ?jitter:int -> topology:Topology.t -> (unit -> 'a) -> 'a * stats
 
 (** Spawn a worker fiber on the next hardware thread (compact placement).
     Must be called inside {!run}; raises past the topology's thread count. *)

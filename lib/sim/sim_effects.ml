@@ -1,14 +1,15 @@
-(* The primitive layer shared by every scheduler that can execute
-   simulated threads: {!Sim} (discrete-event, cost-charging) and
-   {!Explore} (systematic schedule enumeration) each install a
-   {!dispatch} record for the duration of a run; {!Prim} is the
-   {!Sec_prim.Prim_intf.S} implementation that calls through it, so the
-   same algorithm code runs under either.
+(* The primitive layer shared by the two schedulers that execute
+   simulated threads: {!Sim} (discrete-event, cost-charging: the timing
+   model) and {!Explore} (systematic schedule enumeration: the one host
+   of the analyses) each install a {!dispatch} record for the duration
+   of a run; {!Prim} is the {!Sec_prim.Prim_intf.S} implementation that
+   calls through it, so the same algorithm code runs under either.
 
-   When a {!Sec_analysis.Race_detector} is installed, every atomic
-   operation additionally reports a (fiber, location, kind) event to it.
-   The fiber id comes from the installed dispatch, so the events work
-   identically under both schedulers; with no detector installed the
+   When a {!Sec_analysis.Race_detector} is installed — which
+   {!Explore} does for [~detect_races] and [replay ~detector] — every
+   atomic operation additionally reports a (fiber, location, kind)
+   event to it. The hook lives here rather than in {!Explore} because
+   only {!Prim} sees a CAS's outcome. With no detector installed the
    cost is a single ref read per operation. *)
 
 exception Not_in_simulation
@@ -108,38 +109,6 @@ module Detect = struct
         | Write -> on_write d ~fiber ~loc
         | Rmw -> on_rmw d ~fiber ~loc
         | Cas success -> on_cas d ~fiber ~loc ~success)
-end
-
-module Reclaim = struct
-  (* Fiber-exit notification for the reclamation checker
-     ({!Sec_analysis.Reclaim_checker}): a fiber that finishes while still
-     inside an EBR critical section pins the epoch forever. Both
-     schedulers call this when a fiber completes; the checker's other
-     events are fed directly by instrumented algorithm code through the
-     [note_*] hooks. *)
-  let on_fiber_exit fid =
-    match !Sec_analysis.Reclaim_checker.active with
-    | None -> ()
-    | Some c -> Sec_analysis.Reclaim_checker.on_fiber_exit c ~fiber:fid
-end
-
-module Progress = struct
-  (* Scheduling-event feed for the progress monitor
-     ({!Sec_analysis.Progress_monitor}): both schedulers call this at
-     every atomic access they account for, passing the fiber id they
-     already hold — no effect is performed, so the feed never perturbs
-     the schedule. The monitor's operation boundaries are fed directly by
-     the workload loop ({!Sec_harness.Runner}) through the [note_op_*]
-     hooks. One ref read when no monitor is installed. *)
-  let on_event fid =
-    match !Sec_analysis.Progress_monitor.active with
-    | None -> ()
-    | Some m -> Sec_analysis.Progress_monitor.on_event m ~fiber:fid
-
-  let on_fiber_exit fid =
-    match !Sec_analysis.Progress_monitor.active with
-    | None -> ()
-    | Some m -> Sec_analysis.Progress_monitor.on_fiber_exit m ~fiber:fid
 end
 
 module Prim : Sec_prim.Prim_intf.EXEC with type budget = int = struct

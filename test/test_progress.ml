@@ -1,8 +1,10 @@
 (* Tests for the progress layer's dynamic prong: the watermark monitor
    (starvation / suspected livelock over one schedule), the suspension
-   adversary in both simulators, and the mechanical lock-freedom
-   classifier — whose verdict must agree with each registry entry's
-   declared progress class. *)
+   adversary, and the mechanical lock-freedom classifier — whose verdict
+   must agree with each registry entry's declared progress class. All
+   of it runs under {!Explore}, the one scheduler that hosts analyses;
+   {!Sim} appears only for the oversubscribed lock stack, a timing-model
+   regression. *)
 
 module Explore = Sec_sim.Explore
 module Sim = Sec_sim.Sim
@@ -94,23 +96,18 @@ let test_monitor_fiber_exit_clears_in_flight () =
   Alcotest.(check int) "exited fiber no longer in flight" 0
     (List.length (PM.reports m))
 
-let test_note_statics_and_installation () =
-  (* With no monitor installed the statics are no-ops. *)
-  PM.note_op_start ~fiber:0;
-  PM.note_op_end ~fiber:0;
-  PM.note_event ~fiber:0;
-  let m = PM.create ~starvation_ops:2 () in
+let test_installation () =
+  let m = PM.create () in
+  Alcotest.(check bool) "nothing installed before" true (!PM.active = None);
   PM.with_monitor m (fun () ->
-      PM.note_op_start ~fiber:1;
-      for _ = 1 to 2 do
-        PM.note_op_start ~fiber:0;
-        PM.note_op_end ~fiber:0
-      done);
+      Alcotest.(check bool) "installed inside with_monitor" true
+        (match !PM.active with Some m' -> m' == m | None -> false));
   Alcotest.(check bool) "uninstalled after with_monitor" true
     (!PM.active = None);
-  Alcotest.(check (list bool)) "statics fed the installed monitor"
-    [ true ]
-    (List.map (fun k -> k = PM.Starvation) (kinds m))
+  (match PM.with_monitor m (fun () -> failwith "boom") with
+  | () -> Alcotest.fail "expected the body's exception"
+  | exception Failure _ -> ());
+  Alcotest.(check bool) "uninstalled after a raise" true (!PM.active = None)
 
 (* ------------------------------------------------------------------ *)
 (* Suspension classifier vs the registry's declared classes             *)
@@ -209,48 +206,46 @@ let test_combiner_conservation entry () =
         (Explore.schedule_to_string schedule)
 
 (* ------------------------------------------------------------------ *)
-(* The suspension adversary in the discrete-event simulator             *)
+(* One suspension with the monitor installed                            *)
 
-(* Freeze worker 0 just before its 2nd atomic access. For the lock
-   stack that is inside the critical section (access 1 is the winning
-   exchange, access 2 the release store): worker 1 spins forever, the
-   event budget runs out, and the monitor suspects livelock. *)
-let suspended_sim_run maker =
+(* Freeze fiber 0 just before its 2nd atomic access. For the lock stack
+   that is inside the critical section (access 1 is the winning
+   exchange, access 2 the release store): fiber 1 spins until the step
+   budget runs out, and the monitor, fed one event per live access,
+   suspects livelock on the way. *)
+let monitored_suspension maker =
   let m = PM.create ~livelock_events:2_000 () in
+  let scenario () =
+    let module Maker = (val maker : Registry.MAKER) in
+    let module St = Maker (SP) in
+    let s = St.create ~max_threads:2 () in
+    let fiber slot () =
+      PM.on_op_start m ~fiber:slot;
+      St.push s ~tid:slot slot;
+      PM.on_op_end m ~fiber:slot;
+      PM.on_op_start m ~fiber:slot;
+      ignore (St.pop s ~tid:slot);
+      PM.on_op_end m ~fiber:slot
+    in
+    ([ fiber 0; fiber 1 ], fun () -> true)
+  in
   let outcome =
-    match
-      Sim.run ~topology:Topology.testbox ~progress:m ~suspend:(0, 2)
-        ~max_events:50_000 (fun () ->
-          let module Maker = (val maker : Registry.MAKER) in
-          let module St = Maker (SP) in
-          let s = St.create ~max_threads:2 () in
-          for slot = 0 to 1 do
-            Sim.spawn (fun () ->
-                PM.on_op_start m ~fiber:slot;
-                St.push s ~tid:slot slot;
-                PM.on_op_end m ~fiber:slot;
-                PM.on_op_start m ~fiber:slot;
-                ignore (St.pop s ~tid:slot);
-                PM.on_op_end m ~fiber:slot)
-          done;
-          Sim.await_all ())
-    with
-    | _ -> `Completed
-    | exception Sim.Stalled -> `Stalled
+    PM.with_monitor m (fun () ->
+        Explore.suspended_run ~victim:0 ~after:2 scenario)
   in
   (outcome, m)
 
-let test_sim_suspended_lock_holder_stalls () =
-  let outcome, m = suspended_sim_run Registry.lock.Registry.maker in
-  Alcotest.(check bool) "suspended lock holder exhausts the event budget"
-    true (outcome = `Stalled);
+let test_suspended_lock_holder_stalls () =
+  let outcome, m = monitored_suspension Registry.lock.Registry.maker in
+  Alcotest.(check bool) "suspended lock holder blocks its peer" true
+    (outcome = Explore.Blocked);
   Alcotest.(check bool) "monitor suspected livelock" true
     (List.mem PM.Livelock_suspected (kinds m))
 
-let test_sim_suspended_treiber_completes () =
-  let outcome, m = suspended_sim_run Registry.treiber.Registry.maker in
-  Alcotest.(check bool) "treiber peers outlive a suspended fiber" true
-    (outcome = `Completed);
+let test_suspended_treiber_completes () =
+  let outcome, m = monitored_suspension Registry.treiber.Registry.maker in
+  Alcotest.(check bool) "treiber peer outlives a suspended fiber" true
+    (outcome = Explore.Survived { engaged = true });
   Alcotest.(check bool) "no livelock suspected" false
     (List.mem PM.Livelock_suspected (kinds m))
 
@@ -297,8 +292,7 @@ let () =
           quick "idle events clean" test_monitor_idle_events_not_livelock;
           quick "fiber exit clears in-flight"
             test_monitor_fiber_exit_clears_in_flight;
-          quick "note statics and installation"
-            test_note_statics_and_installation;
+          quick "installation" test_installation;
         ] );
       ( "classifier",
         List.map
@@ -324,12 +318,16 @@ let () =
           slow "hsynch conservation under preemption"
             (test_combiner_conservation Registry.hsynch);
         ] );
+      (* Simulated fibers under [Explore]'s suspension adversary. *)
       ( "sim-suspension",
         [
           quick "suspended lock holder stalls"
-            test_sim_suspended_lock_holder_stalls;
+            test_suspended_lock_holder_stalls;
           quick "treiber survives suspension"
-            test_sim_suspended_treiber_completes;
+            test_suspended_treiber_completes;
+        ] );
+      ( "oversubscription",
+        [
           quick "lock stack, threads > cores"
             test_lock_stack_oversubscribed_completes;
         ] );

@@ -415,65 +415,10 @@ let sim_linearizability (module S : STACK) ?(threads = 5) ?(ops = 8)
   done
 
 (* ------------------------------------------------------------------ *)
-(* Adversarial paths through the event loop: suspension freezing a
-   worker mid-spin, event-budget exhaustion, jitter determinism, and
-   heap key-packing range checks.                                       *)
-
-(* Freeze worker 0 before its 3rd access while worker 1 spins on the
-   flag only worker 0 can set: the loop must hit the event budget and
-   raise Stalled rather than spin forever.                              *)
-let test_suspend_stalls_spinner () =
-  let run () =
-    Sim.run ~seed:5 ~suspend:(0, 3) ~max_events:50_000
-      ~topology:Topology.testbox (fun () ->
-        let flag = SP.Atomic.make 0 in
-        Sim.spawn (fun () ->
-            ignore (SP.Atomic.get flag);
-            ignore (SP.Atomic.get flag);
-            (* frozen before this store: *)
-            SP.Atomic.set flag 1);
-        Sim.spawn (fun () ->
-            while SP.Atomic.get flag = 0 do
-              SP.relax 1
-            done);
-        Sim.await_all ())
-  in
-  match run () with
-  | _ -> Alcotest.fail "expected Stalled"
-  | exception Sim.Stalled -> ()
-
-(* A suspended worker stops counting as live, so await_all returns once
-   its peers finish when nobody depends on the victim.                  *)
-let test_suspend_peers_finish () =
-  let total, _ =
-    Sim.run ~seed:6 ~suspend:(0, 2) ~topology:Topology.testbox (fun () ->
-        let c = SP.Atomic.make 0 in
-        for _ = 1 to 3 do
-          Sim.spawn (fun () ->
-              for _ = 1 to 10 do
-                ignore (SP.Atomic.fetch_and_add c 1)
-              done)
-        done;
-        Sim.await_all ();
-        SP.Atomic.get c)
-  in
-  (* Worker 0 completed one faa before freezing; its peers all ran. *)
-  Alcotest.(check int) "survivors' increments" 21 total
-
-(* max_events bounds any run, adversary or not. *)
-let test_max_events_exhaustion () =
-  let run () =
-    Sim.run ~seed:7 ~max_events:100 ~topology:Topology.testbox (fun () ->
-        let c = SP.Atomic.make 0 in
-        Sim.spawn (fun () ->
-            for _ = 1 to 10_000 do
-              ignore (SP.Atomic.fetch_and_add c 1)
-            done);
-        Sim.await_all ())
-  in
-  match run () with
-  | _ -> Alcotest.fail "expected Stalled"
-  | exception Sim.Stalled -> ()
+(* Adversarial paths through the event loop: jitter determinism and
+   heap key-packing range checks. The suspension adversary and the step
+   budget belong to {!Explore}; test_progress and test_explore cover
+   them. *)
 
 (* Same seed + jitter -> identical schedule digest and event count;
    different jitter -> a different schedule (the digest must move).     *)
@@ -628,12 +573,6 @@ let () =
         ] );
       ( "adversarial paths",
         [
-          Alcotest.test_case "suspend stalls a spinner" `Quick
-            test_suspend_stalls_spinner;
-          Alcotest.test_case "suspend lets peers finish" `Quick
-            test_suspend_peers_finish;
-          Alcotest.test_case "max_events exhaustion" `Quick
-            test_max_events_exhaustion;
           Alcotest.test_case "jitter determinism" `Quick
             test_jitter_determinism;
           Alcotest.test_case "heap pack range" `Quick test_heap_pack_range;
