@@ -39,8 +39,8 @@ val create :
     {!Sec_sim.Sim} is the cost model and feeds nothing. Under an
     [Explore] run the installed monitor gets {!on_event} at every live
     atomic access, and the scenario brackets each stack operation with
-    {!on_op_start}/{!on_op_end}. {!on_fiber_exit} is for a driver that
-    tears a fiber down mid-operation. Starvation is checked at
+    {!on_op_start}/{!on_op_end}; {!on_fiber_exit} stops counting a
+    fiber's unfinished operation as in flight. Starvation is checked at
     completions — a frozen fiber performs no events of its own, so the
     peers' completions must carry the check. *)
 
