@@ -198,9 +198,9 @@ let figures_cmd =
       $ out_arg $ report_arg $ no_report_arg $ digests_arg)
 
 (* Machine-readable baseline: pinned sim (or native) runs over every
-   structure, with allocation counts and magazine hit rates; optionally
-   emitted as BENCH_<backend>.json and/or compared against a checked-in
-   baseline (exit 1 past the regression threshold). Wired into
+   structure, with allocation counts; optionally emitted as
+   BENCH_<backend>.json and/or compared against a checked-in baseline
+   (exit 1 past the regression threshold). Wired into
    `dune build @bench-smoke` with `--against BENCH_sim.json`. *)
 let bench_cmd =
   let module J = Sec_harness.Bench_json in
@@ -246,8 +246,7 @@ let bench_cmd =
   in
   let allocs_threshold_arg =
     let doc =
-      "Allowed fractional allocations-per-op regression (default 0.10; \
-       guards the zero-allocation hot-path claim)."
+      "Allowed fractional allocations-per-op regression (default 0.10)."
     in
     Arg.(value & opt float 0.10 & info [ "allocs-threshold" ] ~docv:"F" ~doc)
   in
@@ -273,10 +272,8 @@ let bench_cmd =
     List.iter
       (fun (r : J.row) ->
         Printf.printf
-          "  %-10s t=%d  ops=%-7d allocs=%-8d throughput=%.6f hit_rate=%.2f \
-           slab_cas=%-6d\n"
-          r.J.algorithm r.J.threads r.J.ops r.J.allocs r.J.throughput
-          r.J.mag_hit_rate r.J.slab_cas)
+          "  %-10s t=%d  ops=%-7d allocs=%-8d throughput=%.6f\n"
+          r.J.algorithm r.J.threads r.J.ops r.J.allocs r.J.throughput)
       doc.J.rows;
     Option.iter
       (fun path ->
@@ -322,9 +319,8 @@ let bench_cmd =
   Cmd.v
     (Cmd.info "bench"
        ~doc:
-         "Run the pinned benchmark baseline (throughput + allocations + \
-          magazine hit rate), optionally emitting/checking \
-          BENCH_<backend>.json")
+         "Run the pinned benchmark baseline (throughput + allocations), \
+          optionally emitting/checking BENCH_<backend>.json")
     Term.(
       const run $ seed_arg $ backend_arg $ emit_arg $ against_arg
       $ threshold_arg $ events_threshold_arg $ allocs_threshold_arg)

@@ -3,7 +3,7 @@
    Default mode: walk the given files and directories (recursively,
    *.ml only) and lint them as one corpus (Typestate.check_corpus):
    each file is parsed once, the interprocedural summary analysis
-   (Sec_summary.Summary, rules 5, 8 and 10) and the path-sensitive
+   (Sec_summary.Summary, rules 5 and 10) and the path-sensitive
    typestate analysis (Sec_typestate.Typestate, rules 4, 6 and 11-13)
    run over the whole set, and each file gets the per-file rules (1, 2,
    3, 7 and 9); print every diagnostic as file:line:col, and exit
@@ -20,9 +20,8 @@
    diagnostic set unchanged are stale and reported (exit 1), together
    with per-rule suppression counts. [@unguarded_ok] and [@await_ok]
    are probed by the typestate analysis (rule 4, and rules 6 and 12
-   together), [@retire_ok], [@fresh_ok] and [@publication_ok] by the
-   summary analysis (rules 5, 8 and 10), the rest by the per-file
-   recheck.
+   together), [@retire_ok] and [@publication_ok] by the summary
+   analysis (rules 5 and 10), the rest by the per-file recheck.
 
    Self-test mode: [sec_lint --selftest <dir>] checks the fixture files
    under <dir> (discipline scope forced on, summaries and typestate
@@ -206,20 +205,18 @@ let rule_docs =
        declaration, naming the wait). No suppression: the declaration \
        is the point." );
     ( "fresh-node",
-      Some "fresh_ok",
-      "Rule 8. In modules recycling nodes through Magazine, node record \
-       literals must be the magazine-miss fallback (Mag.alloc first); a \
-       literal elsewhere silently defeats recycling. Annotate \
-       [@fresh_ok \"reason\"] for deliberate fresh allocations \
-       (initialisation, sentinel nodes)." );
+      None,
+      "Rule 8. Retired. It checked node allocation in modules that \
+       recycled nodes, and no module does any more, so nothing reports \
+       it. The number stays so that rules 9-13 keep theirs." );
     ( "spec-class",
       None,
-      "Rule 9. Modules recycling nodes must declare the sequential spec \
-       their histories refine — [@@@spec \"stack\"] (strict LIFO) or \
-       [@@@spec \"pool\"] (order-relaxed bag) — matching the registry \
-       entry's spec field, which selects the refinement properties \
-       checked dynamically. No suppression: the declaration is the \
-       point." );
+      "Rule 9. A module binding both push and pop must declare the \
+       sequential spec its histories refine — [@@@spec \"stack\"] \
+       (strict LIFO) or [@@@spec \"pool\"] (order-relaxed bag) — \
+       matching the registry entry's spec field, which selects the \
+       refinement properties checked dynamically. No suppression: the \
+       declaration is the point." );
     ( "plain-publication",
       Some "publication_ok",
       "Rule 10. A get x ... set x read-modify-plain-write chain on an \
@@ -300,7 +297,7 @@ let explain rule =
    fixture (or a marker) silently dropping out of the corpus would
    otherwise pass the per-file check vacuously; update this pin when
    adding or removing fixture expectations. *)
-let pinned_expect_total = 28
+let pinned_expect_total = 26
 
 (* "(* EXPECT rule-name *)" anywhere in [line]. *)
 let expectation_of_line line =

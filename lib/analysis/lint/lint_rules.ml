@@ -1,8 +1,8 @@
 (* Static enforcement of the repo's shared-memory discipline, over the
    compiler-libs parsetree. Ten rule classes (see docs/ANALYSIS.md);
    this module checks rules 1, 2, 3, 7 and 9 one file at a time. Rules
-   4 and 6 are computed by the typestate analysis and rules 5, 8 and 10
-   by the summary analysis; they are listed here because they share the
+   4 and 6 are computed by the typestate analysis and rules 5 and 10 by
+   the summary analysis; they are listed here because they share the
    diagnostic surface:
 
    1. [mutable-field] — algorithm modules (lib/stacks, lib/core,
@@ -47,15 +47,9 @@
       by the suspension classifier ({!Sec_sim.Explore.classify}, via the
       harness registry) and statically by the typestate rule 12 verdict.
 
-   8. [fresh-node] — in discipline modules that recycle nodes through
-      {!Sec_reclaim.Magazine} or the {!Sec_reclaim.Slab} store, a node
-      record literal (a record whose labels are all fields of a node
-      type) is a hot-path allocation the recycler was built to avoid.
-      Allocation must go through the recycler's alloc, with the literal
-      only as the miss fallback, annotated
-      [@fresh_ok "why a fresh node is acceptable here"] (at the literal
-      or at every call site of its function). Computed by
-      {!Sec_summary.Summary}, like rule 5.
+   8. Retired. It checked node allocation in modules that recycled
+      nodes; no module does any more. The number is kept so rules 9-13
+      keep theirs.
 
    9. [spec-class] — a module that implements the stack interface
       (binds both [push] and [pop]) must declare which sequential spec
@@ -85,11 +79,11 @@
    to run on every build. The same idiom predicates are exported to the
    summary and typestate analyses.
 
-   The intent annotations [@retire_ok], [@fresh_ok], [@unguarded_ok],
-   [@await_ok] and [@publication_ok] share one subtree-covering
-   discipline: each needs a non-empty reason string, and each marks its
-   whole subtree, so one annotation on a helper's body covers every
-   occurrence inside it. *)
+   The intent annotations [@retire_ok], [@unguarded_ok], [@await_ok]
+   and [@publication_ok] share one subtree-covering discipline: each
+   needs a non-empty reason string, and each marks its whole subtree,
+   so one annotation on a helper's body covers every occurrence inside
+   it. *)
 
 type diagnostic = {
   file : string;
@@ -101,7 +95,8 @@ type diagnostic = {
 
 type scope = {
   check_discipline : bool;
-      (* rules 1, 2, 4-9: algorithm modules written against Prim_intf *)
+      (* rules 1, 2, 4-7 and 9: algorithm modules written against
+         Prim_intf *)
   allow_obj : bool; (* rule 3 exemption: lib/prim/padding.ml *)
 }
 
@@ -253,13 +248,11 @@ let contains_sub s sub =
   scan 0
 
 (* The ebr rules apply only to modules that actually reference [Ebr]
-   (aliasing it, applying [Ebr.Make], or calling through it); likewise
-   the fresh-node rule arms only in modules that reference [Magazine].
-   Both scans share this iterator shape. *)
-let structure_references pred structure =
+   (aliasing it, applying [Ebr.Make], or calling through it). *)
+let structure_uses_ebr structure =
   let found = ref false in
   let check_lid lid =
-    if List.exists pred (flatten_longident lid) then found := true
+    if List.mem "Ebr" (flatten_longident lid) then found := true
   in
   let it =
     {
@@ -281,14 +274,10 @@ let structure_references pred structure =
   it.structure it structure;
   !found
 
-let structure_uses_ebr = structure_references (fun c -> c = "Ebr")
-let structure_uses_magazine =
-  structure_references (fun c -> c = "Magazine" || c = "Slab")
 
 (* Field names of reclaimable-node records: every record type whose name
    contains "node". Dereferencing these is what the guard protects (rule
-   4); a literal built from nothing but these fields is what the
-   fresh-node rule flags (rule 8). *)
+   4). *)
 let node_fields structure =
   let fields = ref [] in
   let it =
@@ -351,7 +340,6 @@ let auditable_annotations =
     ("unguarded_ok", [ "ebr-guard" ]);
     ("retire_ok", [ "retire-once" ]);
     ("await_ok", [ "retry-discipline"; "loop-progress" ]);
-    ("fresh_ok", [ "fresh-node" ]);
     ("unpadded_ok", [ "unpadded-atomic" ]);
     ("plain_ok", [ "mutable-field" ]);
     ("publication_ok", [ "plain-publication" ]);

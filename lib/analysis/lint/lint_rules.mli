@@ -18,19 +18,18 @@
     The other rules share this module's diagnostic surface and idiom
     predicates but are owned by the analysis that computes them.
     {!Sec_summary.Summary} owns [retire-once] (rule 5: a [retire] call
-    gated by the unlink CAS or [@retire_ok "reason"]), [fresh-node]
-    (rule 8: a node literal in a module recycling through
-    {!Sec_reclaim.Magazine} or {!Sec_reclaim.Slab} is the miss fallback,
-    [@fresh_ok "reason"]) and [plain-publication] (rule 10).
+    gated by the unlink CAS or [@retire_ok "reason"]) and
+    [plain-publication] (rule 10). Rule 8 is retired; its number is
+    kept so the later rules keep theirs.
     {!Sec_typestate.Typestate} owns [ebr-guard] and [retry-discipline]
     (rules 4 and 6, queries over its CFG) and the path-sensitive rules
     11-13 ([guard-balance], [loop-progress], [protocol]).
 
-    The intent annotations ([@retire_ok], [@fresh_ok], [@unguarded_ok],
-    [@await_ok] and [@publication_ok]) share one subtree-covering
-    discipline: each needs a non-empty reason string, and each covers
-    the whole subtree it sits on, so one annotation on a helper body
-    covers every occurrence inside it.
+    The intent annotations ([@retire_ok], [@unguarded_ok], [@await_ok]
+    and [@publication_ok]) share one subtree-covering discipline: each
+    needs a non-empty reason string, and each covers the whole subtree
+    it sits on, so one annotation on a helper body covers every
+    occurrence inside it.
 
     [retire-once] and [ebr-guard] are the static prong of the
     reclamation-safety layer ({!Sec_analysis.Reclaim_checker} is the
@@ -167,15 +166,11 @@ val string_payload : Parsetree.attribute -> string option
 val find_attr : string -> Parsetree.attributes -> Parsetree.attribute option
 
 (** Field names of every record type whose name contains ["node"]: the
-    reclaimable nodes rule 4 guards and rule 8 recycles. *)
+    reclaimable nodes rule 4 guards. *)
 val node_fields : Parsetree.structure -> string list
 
 (** Does the structure reference [Ebr] (the rule-4/5 arming test)? *)
 val structure_uses_ebr : Parsetree.structure -> bool
-
-(** Does the structure reference [Magazine] or [Slab] (the rule-8
-    arming test)? *)
-val structure_uses_magazine : Parsetree.structure -> bool
 
 (** (line, 0-based column) of a location's start. *)
 val pos_of : Location.t -> int * int

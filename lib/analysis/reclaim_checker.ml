@@ -51,7 +51,6 @@ type kind =
   | Unguarded_access
   | Retire_while_reachable
   | Double_retire
-  | Recycle_of_live
   | Epoch_stalled
   | Guard_leak
 
@@ -291,33 +290,6 @@ let on_reclaim t ~fiber ~node =
              tolerate it (direct feeds in tests). *)
           n.state <- Reclaimed)
 
-(* Magazine recycling: the node's previous life must have completed the
-   whole alloc -> ... -> reclaim cycle before the recycler may hand it
-   out again. A node that reaches a magazine without its destructor
-   having run (e.g. recycled straight out of a pop, skipping the grace
-   period) would mask every use-after-free the shadow heap exists to
-   catch — so recycling a non-reclaimed node is itself a report. The
-   reincarnation gets a fresh id; the old id is retired from the table
-   (stale events against it become no-ops, exactly like untracked
-   nodes). *)
-let on_recycle t ~fiber ~node =
-  t.seq <- t.seq + 1;
-  (match Hashtbl.find_opt t.nodes node with
-  | None -> ()
-  | Some n ->
-      (match n.state with
-      | Reclaimed -> ()
-      | s ->
-          report t ~kind:Recycle_of_live ~node ~fiber ~other:n.retire_fiber
-            ~detail:
-              (Printf.sprintf
-                 "node recycled while %s: only a reclaimed node (destructor \
-                  run after a grace period) may re-enter a magazine"
-                 (state_to_string s))
-            ());
-      Hashtbl.remove t.nodes node);
-  on_alloc t ~fiber
-
 let on_access t ~fiber ~node =
   t.seq <- t.seq + 1;
   match Hashtbl.find_opt t.nodes node with
@@ -379,7 +351,6 @@ let kind_to_string = function
   | Unguarded_access -> "unguarded-access"
   | Retire_while_reachable -> "retire-while-reachable"
   | Double_retire -> "double-retire"
-  | Recycle_of_live -> "recycle-of-live"
   | Epoch_stalled -> "epoch-stalled"
   | Guard_leak -> "guard-leak"
 
@@ -422,9 +393,6 @@ let with_checker t f =
 
 let note_alloc ~fiber =
   match !active with None -> 0 | Some t -> on_alloc t ~fiber
-
-let note_recycle ~fiber ~node =
-  match !active with None -> 0 | Some t -> on_recycle t ~fiber ~node
 
 let note_publish ~fiber ~node =
   if node <> 0 then

@@ -13,10 +13,6 @@ type kind =
       (** a shared node dereferenced by a fiber holding no guard *)
   | Retire_while_reachable  (** retired while still published *)
   | Double_retire  (** retired (or destructed) twice *)
-  | Recycle_of_live
-      (** a magazine recycled a node whose previous life had not reached
-          the reclaimed state — recycling must never skip the grace
-          period *)
   | Epoch_stalled
       (** a fiber pins the epoch while another's limbo grows past the
           bound *)
@@ -44,12 +40,6 @@ val create :
     node's id; every other event identifies the node by it. *)
 
 val on_alloc : t -> fiber:int -> int
-
-val on_recycle : t -> fiber:int -> node:int -> int
-(** A magazine handed the node out again. Legal only from the reclaimed
-    state (the full [alloc -> ... -> reclaim] cycle completed); any other
-    state is reported as {!Recycle_of_live}. Returns a fresh id for the
-    node's next life; the old id is dropped from the shadow heap. *)
 
 val on_publish : t -> fiber:int -> node:int -> unit
 val on_unlink : t -> fiber:int -> node:int -> unit
@@ -83,11 +73,6 @@ val uninstall : unit -> unit
 val with_checker : t -> (unit -> 'a) -> 'a
 
 val note_alloc : fiber:int -> int
-
-val note_recycle : fiber:int -> node:int -> int
-(** The recycling counterpart of {!note_alloc}: validates the previous
-    life ended in reclamation and returns the fresh id (0 when no
-    checker is installed). Pass the node's previous [chk] id. *)
 
 val note_publish : fiber:int -> node:int -> unit
 val note_unlink : fiber:int -> node:int -> unit

@@ -14,7 +14,6 @@ type effects = {
   has_rmw : bool;
   guards : bool;
   retires : bool;
-  allocs : bool;
 }
 
 let no_effects =
@@ -26,7 +25,6 @@ let no_effects =
     has_rmw = false;
     guards = false;
     retires = false;
-    allocs = false;
   }
 
 let union_effects a b =
@@ -38,7 +36,6 @@ let union_effects a b =
     has_rmw = a.has_rmw || b.has_rmw;
     guards = a.guards || b.guards;
     retires = a.retires || b.retires;
-    allocs = a.allocs || b.allocs;
   }
 
 let eq_effects a b =
@@ -46,7 +43,7 @@ let eq_effects a b =
   && String_set.equal a.writes b.writes
   && String_set.equal a.rmws b.rmws
   && a.paces = b.paces && a.has_rmw = b.has_rmw && a.guards = b.guards
-  && a.retires = b.retires && a.allocs = b.allocs
+  && a.retires = b.retires
 
 (* ------------------------------------------------------------------ *)
 (* Function records and events                                         *)
@@ -72,15 +69,13 @@ type call = {
   ccol : int;
   cg : cover;  (* under a guard call / [@unguarded_ok] *)
   cc : cover;  (* in a CAS-selected branch / under [@retire_ok] *)
-  cf : cover;  (* under [@fresh_ok] *)
   cp : cover;  (* under [@publication_ok] *)
   lam_spans : (int * int) list;  (* line spans of literal lambda args *)
   mutable callee : string option;  (* resolved function key *)
 }
 
-(* A rule-5 retire call or rule-8 node literal: the (line, col) of the
-   whole expression, its lexical cover, and whether the rule applies
-   (the file is armed and, for a literal, it has no [with] base). *)
+(* A rule-5 retire call: the (line, col) of the whole expression, its
+   lexical cover, and whether the rule applies (the file is armed). *)
 type site = { spos : int * int; scov : cover; checked : bool }
 
 type event =
@@ -90,7 +85,6 @@ type event =
   | Pace
   | Guard_enter
   | Retire of site
-  | Alloc of site
   | Call of call
 
 type fn = {
@@ -294,9 +288,7 @@ type fctx = {
   file : string;
   stem : string;
   overlay : int * int -> string option;
-  node_fields : string list;
   retire_rule : bool;  (* rule 5 armed: discipline scope, references Ebr *)
-  fresh_rule : bool;  (* rule 8 armed: discipline scope, Magazine/Slab *)
 }
 
 type wctx = {
@@ -304,7 +296,6 @@ type wctx = {
   f : fn;
   g : cover;
   cas : cover;
-  fr : cover;
   pb : cover;
   al : (string * string) list;  (* local alias -> cell key *)
 }
@@ -318,7 +309,6 @@ let enter_attrs ctx (attrs : attributes) =
       ctx with
       g = annotate "unguarded_ok" attrs ctx.g;
       cas = annotate "retire_ok" attrs ctx.cas;
-      fr = annotate "fresh_ok" attrs ctx.fr;
       pb = annotate "publication_ok" attrs ctx.pb;
     }
 
@@ -350,13 +340,6 @@ let cell_key env ctx e =
       | _ ->
           env.anon <- env.anon + 1;
           ctx.f.key ^ ".?" ^ string_of_int env.anon)
-
-let is_node_literal ctx fields =
-  ctx.fc.node_fields <> [] && fields <> []
-  && List.for_all
-       (fun ((lid : Longident.t Location.loc), _) ->
-         List.mem (L.last_component lid.txt) ctx.fc.node_fields)
-       fields
 
 (* The lint's [is_rmw_ident] matches on the last path component alone,
    which is fine for its lexical rules but would classify e.g.
@@ -421,15 +404,7 @@ let rec walk env ctx e =
       walk env ctx body
   | Pexp_record (fields, base) ->
       Option.iter (walk env ctx) base;
-      List.iter (fun (_, fe) -> walk env ctx fe) fields;
-      if is_node_literal ctx fields then
-        emit ctx
-          (Alloc
-             {
-               spos = L.pos_of e.pexp_loc;
-               scov = ctx.fr;
-               checked = ctx.fc.fresh_rule && Option.is_none base;
-             })
+      List.iter (fun (_, fe) -> walk env ctx fe) fields
   | Pexp_sequence (a, b) ->
       walk env ctx a;
       walk env ctx b
@@ -512,7 +487,6 @@ and walk_apply env ctx e lid args =
             ccol;
             cg = ctx.g;
             cc = ctx.cas;
-            cf = ctx.fr;
             cp = ctx.pb;
             lam_spans;
             callee = None;
@@ -589,8 +563,7 @@ let init_fn env fc ns =
         ~top_level:true
 
 let base_ctx fc fn =
-  { fc; f = fn; g = no_cover; cas = no_cover; fr = no_cover; pb = no_cover;
-    al = [] }
+  { fc; f = fn; g = no_cover; cas = no_cover; pb = no_cover; al = [] }
 
 let register_ns env ns =
   if not (Hashtbl.mem env.ns_top ns) then Hashtbl.replace env.ns_top ns (ref [])
@@ -820,7 +793,6 @@ let own_effects fn =
       | Pace -> { e with paces = true }
       | Guard_enter -> { e with guards = true }
       | Retire _ -> { e with retires = true }
-      | Alloc _ -> { e with allocs = true }
       | Call _ -> e)
     no_effects (events_of fn)
 
@@ -974,9 +946,7 @@ let analyze ?scope sources =
           file;
           stem = stem_of file;
           overlay = overlay_for ~file ~src;
-          node_fields = L.node_fields str;
           retire_rule = sc.L.check_discipline && L.structure_uses_ebr str;
-          fresh_rule = sc.L.check_discipline && L.structure_uses_magazine str;
         }
       in
       walk_structure env fc fc.stem str)
@@ -1103,11 +1073,10 @@ let publication_diagnostics ?without env =
     (List.rev env.order);
   List.rev !diags
 
-(* Rules 5 and 8: a site fires unless it is covered lexically or its own
-   function is covered at every call site. *)
+(* Rule 5: a retire site fires unless it is covered lexically or its
+   own function is CAS-gated at every call site. *)
 let site_diagnostics ?without env =
   let gated = ctx_fixpoint env (fun encl c -> covered ?without encl.file c.cc) in
-  let fresh = ctx_fixpoint env (fun encl c -> covered ?without encl.file c.cf) in
   let diag (fn : fn) s ctx rule message =
     if
       s.checked
@@ -1129,13 +1098,6 @@ let site_diagnostics ?without env =
                  loses the unlink race must not also retire the node \
                  (double-free); gate the call on the winning CAS, or annotate \
                  it [@retire_ok \"why the node is unlinked exactly once\"]"
-          | Alloc s ->
-              diag fn s fresh "fresh-node"
-                "node record constructed directly in a module that recycles \
-                 nodes through Magazine or Slab: the hot path must try the \
-                 recycler's alloc first and only fall back to a literal on a \
-                 miss; annotate that fallback [@fresh_ok \"why a fresh node is \
-                 acceptable here\"]"
           | _ -> None)
         (events_of fn))
     (List.rev env.order)

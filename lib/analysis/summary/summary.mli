@@ -9,12 +9,12 @@
       (nested [let rec]s are separate functions; anonymous lambdas
       inline into their enclosing function), carrying an ordered event
       stream of atomic reads, plain stores, RMWs, pacing calls, guard
-      entries, retire sites, node-literal constructions and calls;
+      entries, retire sites and calls;
     - an {e effect summary} per function — the transitive union of its
       own events and its callees' (bottom-up fixpoint over the call
       graph, convergent because the lattice is finite sets + booleans);
-    - a {e context fixpoint} per obligation kind (guarded / CAS-gated /
-      fresh-sanctioned): a non-entry function's obligations
+    - a {e context fixpoint} per obligation kind (guarded / CAS-gated):
+      a non-entry function's obligations
       are discharged when {e every} call site is covered, lexically or
       by the caller's own context (greatest fixpoint, initialised true
       for internal functions so cycles resolve optimistically and
@@ -24,10 +24,6 @@
       [compare_and_set] (if-condition or match-scrutinee), under
       [@retire_ok "reason"], or in a function that is CAS-gated at
       every call site; anchored at the whole application;
-    - rule 8, [fresh-node]: in a discipline module referencing
-      [Magazine] or [Slab], a node record literal without a [with] base
-      fires unless it is under [@fresh_ok "reason"] or in a function
-      whose every call site is; anchored at the record expression;
     - rule 10, [plain-publication]: replaying each function's event
       stream, a plain [Atomic.set c] (or a call whose callee plain-sets
       [c]) fires when [c] was read earlier on the same path (own events
@@ -53,9 +49,9 @@ module L = Sec_lint_rules.Lint_rules
 
 module String_set : Set.S with type elt = string
 
-(** Transitive effect of calling a function. [retires]/[allocs] are
-    reachability bits (does any retire / node construction happen);
-    per-site positions live on the function records. *)
+(** Transitive effect of calling a function. [retires] is a
+    reachability bit (does any retire happen); per-site positions live
+    on the function records. *)
 type effects = {
   reads : String_set.t;  (** atomic cells read *)
   writes : String_set.t;  (** atomic cells plain-[set] *)
@@ -64,7 +60,6 @@ type effects = {
   has_rmw : bool;  (** performs any ordering RMW *)
   guards : bool;  (** enters a [guard] extent *)
   retires : bool;
-  allocs : bool;
 }
 
 val no_effects : effects
@@ -94,7 +89,7 @@ val analyze :
 val guarded_at :
   ?without:string * (int * int) -> env -> file:string -> int * int -> bool
 
-(** The diagnostics of rules 5, 8 and 10 across the whole environment,
+(** The diagnostics of rules 5 and 10 across the whole environment,
     sorted by (file, line, col, rule). *)
 val diagnostics : ?without:string * (int * int) -> env -> L.diagnostic list
 

@@ -1813,9 +1813,8 @@ let corpus_guard_diags ?without t =
    owns its rule — live iff ignoring that one occurrence changes that
    analysis' diagnostics, which is what deleting it and relinting would
    show. [@unguarded_ok] and [@await_ok] are decided here (rule 4, and
-   rules 6 and 12 together), [@retire_ok], [@fresh_ok] and
-   [@publication_ok] by the summary (rules 5, 8 and 10), the rest by the
-   per-file rules. *)
+   rules 6 and 12 together), [@retire_ok] and [@publication_ok] by the
+   summary (rules 5 and 10), the rest by the per-file rules. *)
 let audit t =
   let guard_base = lazy (corpus_guard_diags t) in
   let summary_base = lazy (Summary.diagnostics t.summary) in
@@ -1824,7 +1823,7 @@ let audit t =
     match (ann.ann_name, List.assoc_opt file t.files) with
     | "unguarded_ok", _ ->
         Some (corpus_guard_diags ~without:(file, at) t <> Lazy.force guard_base)
-    | ("retire_ok" | "fresh_ok" | "publication_ok"), _ ->
+    | ("retire_ok" | "publication_ok"), _ ->
         Some
           (Summary.diagnostics ~without:(file, at) t.summary
           <> Lazy.force summary_base)
@@ -1878,8 +1877,8 @@ let cfg_stats t ~file =
 
 (* Lint [sources] as one corpus: each file read and parsed once, one
    summary environment and one typestate analysis over the parsetrees,
-   each file's per-file rule diagnostics, plus the summary's rules 5, 8
-   and 10, the typestate rules 11-13 and the rule 4/6 queries. *)
+   each file's per-file rule diagnostics, plus the summary's rules 5 and
+   10, the typestate rules 11-13 and the rule 4/6 queries. *)
 let check_sources ?scope sources =
   let parsed =
     List.map (fun (file, src) -> (file, src, L.parse_string ~file src)) sources

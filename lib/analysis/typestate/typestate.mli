@@ -81,7 +81,7 @@ val verdict_to_string : verdict -> string
     analysis, this analysis (files whose effective scope has
     [check_discipline] set) and the per-file rules of
     {!Sec_lint_rules.Lint_rules}. The diagnostics are the per-file
-    rules', the summary's rules 5, 8 and 10, and this module's rules 4,
+    rules', the summary's rules 5 and 10, and this module's rules 4,
     6 and 11-13, sorted by (file, line, col, rule); a file that does
     not parse contributes its one [parse-error] diagnostic and nothing
     else. [scope] overrides {!L.scope_of_path} for every file. *)
@@ -122,7 +122,7 @@ val automata_of : t -> file:string -> string list
     diagnostics — the answer deleting it and relinting gives.
     [[@unguarded_ok]] (rule 4, including the summary's guard context)
     and [[@await_ok]] (rules 6 and 12) are decided here,
-    [[@retire_ok]], [[@fresh_ok]] and [[@publication_ok]] by
+    [[@retire_ok]] and [[@publication_ok]] by
     {!Summary.diagnostics}, the rest by {!L.audit_structure}. *)
 val audit : t -> (string * L.audit_entry) list
 

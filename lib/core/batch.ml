@@ -45,11 +45,7 @@
    frozen -write:batch-> open"]
 
 type 'a node = {
-  mutable value : 'a;
-      [@plain_ok
-        "written while the node is private to its pusher (fresh, or \
-         recycled after its last reader provably finished); published by \
-         the elimination-slot store or the combiner's store step"]
+  value : 'a;
   mutable next : 'a node option;
       [@plain_ok
         "linked while the node is still private to one combiner; published \
@@ -74,7 +70,6 @@ end
 module Make (P : Sec_prim.Prim_intf.S) (Store : STORE) = struct
   module A = P.Atomic
   module Backoff = Sec_prim.Backoff.Make (P)
-  module Mag = Sec_reclaim.Magazine.Make (P)
   module Tally = Sec_prim.Tally
 
   type 'a batch = {
@@ -87,10 +82,6 @@ module Make (P : Sec_prim.Prim_intf.S) (Store : STORE) = struct
     batch_applied : bool A.t;
     substack : 'a node option A.t;
         (* chain detached by a pop-side combiner, read by [get_value] *)
-    consumed : int A.t;
-        (* combined pops done reading [substack]; the last one may
-           recycle the detached chain (only touched with
-           [Config.recycle_nodes]) *)
     expected : int;
         (* size (pushes + pops) of the batch this one replaced on the same
            aggregator ([capacity] for the first): the freezer stops
@@ -115,10 +106,6 @@ module Make (P : Sec_prim.Prim_intf.S) (Store : STORE) = struct
     capacity : int; (* elimination-array size = max_threads *)
     config : Config.t;
     stats : stats_counters option;
-    (* Zero-allocation hot path ([Config.recycle_nodes]); [recycle]
-       mirrors the config flag so the per-op branch is a plain read. *)
-    recycle : bool;
-    mag : 'a node Mag.t;
   }
 
   let make_batch capacity ~expected =
@@ -134,7 +121,6 @@ module Make (P : Sec_prim.Prim_intf.S) (Store : STORE) = struct
       freezer_decided = A.make_padded false;
       batch_applied = A.make_padded false;
       substack = A.make_padded None;
-      consumed = A.make_padded 0;
       expected;
     }
 
@@ -173,8 +159,6 @@ module Make (P : Sec_prim.Prim_intf.S) (Store : STORE) = struct
                excluded = tally ();
              }
          else None);
-      recycle = config.Config.recycle_nodes;
-      mag = Mag.create ~max_threads ();
     }
 
   (* ------------------------------------------------------------------ *)
@@ -310,54 +294,14 @@ module Make (P : Sec_prim.Prim_intf.S) (Store : STORE) = struct
     in
     walk (A.get batch.substack) offset
 
-  (* The detached chain's nodes are unreachable from the store (the
-     combiner's step snipped them out), so once every combined pop of the
-     batch has read its value the chain can be recycled. Each reader bumps
-     [batch.consumed] *after* its [get_value]; the one that brings it to
-     the participant count walks the chain. [next] is read before the
-     node is recycled: a recycled node can be adopted (a full magazine
-     parks its chain in the slab store) and re-initialised by another
-     thread immediately. *)
-  let recycle_chain t ~tid batch ~limit =
-    let rec walk node k =
-      if k < limit then
-        match node with
-        | None -> () (* batch outran the store: chain is shorter *)
-        | Some n ->
-            let next = n.next in
-            Mag.recycle t.mag ~tid n;
-            walk next (k + 1)
-    in
-    walk (A.get batch.substack) 0
-
   (* ------------------------------------------------------------------ *)
   (* Operations (paper: Algorithms 1 and 2)                              *)
-
-  (* A recycled node is private to this push until the elimination-slot
-     store publishes it: its previous life ended either in an eliminated
-     pop (the only reader read the value before recycling) or in a
-     detached chain whose last reader recycled it after every [get_value]
-     completed, so the in-place stores below race with nothing. *)
-  let make_node t ~tid value =
-    if t.recycle then
-      match Mag.alloc t.mag ~tid with
-      | Some n ->
-          n.value <- value;
-          n.next <- None;
-          n
-      | None ->
-          P.note_alloc ();
-          ({ value; next = None }
-          [@fresh_ok "magazine miss: cold start or pop-starved run"])
-    else begin
-      P.note_alloc ();
-      ({ value; next = None } [@fresh_ok "recycling disabled in config"])
-    end
 
   let push_op t ~tid value =
     let shard = tid mod Array.length t.aggregators in
     let aggregator = t.aggregators.(shard) in
-    let node = make_node t ~tid value in
+    P.note_alloc ();
+    let node = { value; next = None } in
     let rec try_batch () =
       let batch = A.get aggregator.batch in
       let seq = A.fetch_and_add batch.push_count 1 in
@@ -404,12 +348,8 @@ module Make (P : Sec_prim.Prim_intf.S) (Store : STORE) = struct
         let push_frozen = A.get batch.push_at_freeze in
         if seq < push_frozen then begin
           (* Eliminated: take the value deposited by the push that shares
-             our sequence number. We are that node's only reader, so with
-             recycling on it goes straight back to a magazine. *)
-          let n = node_of batch seq in
-          let v = n.value in
-          if t.recycle then Mag.recycle t.mag ~tid n;
-          Some v
+             our sequence number. *)
+          Some (node_of batch seq).value
         end
         else begin
           if seq = push_frozen then begin
@@ -417,16 +357,7 @@ module Make (P : Sec_prim.Prim_intf.S) (Store : STORE) = struct
             A.set batch.batch_applied true
           end
           else Backoff.spin_until (fun () -> A.get batch.batch_applied);
-          let v = get_value batch ~offset:(seq - push_frozen) in
-          (if t.recycle then
-             (* Participants in the combined phase are exactly the pops
-                with sequence numbers in [push_frozen, pop_frozen) — the
-                combiner included. The last to finish reading recycles
-                the detached chain. *)
-             let total = A.get batch.pop_at_freeze - push_frozen in
-             let finished = A.fetch_and_add batch.consumed 1 + 1 in
-             if finished = total then recycle_chain t ~tid batch ~limit:total);
-          v
+          get_value batch ~offset:(seq - push_frozen)
         end
       end
       else try_batch ()

@@ -39,16 +39,6 @@ type t = {
           simulated run takes the same schedule with or without it.
           Natively, two live domains sharing a thread id (more live
           threads than [max_threads]) may drop increments. *)
-  recycle_nodes : bool;
-      (** Recycle batch-chain and elimination nodes through a per-domain
-          {!Sec_reclaim.Magazine} instead of allocating per push; full
-          and empty magazines trade whole chains with the wait-free
-          {!Sec_reclaim.Slab} store. Costs one extra fetch&add per
-          *combined pop* (to detect when a detached chain's last reader
-          is done); off by default so pinned-seed results are
-          byte-identical. SEC's nodes are polymorphic, so they live on
-          the OCaml heap like every node the slab store serves. See
-          docs/PERF.md, "Allocator". *)
   mutation : mutation;
       (** Seeded correctness mutant (test-only; see {!mutation}). *)
 }
@@ -58,7 +48,6 @@ let default =
     num_aggregators = 2;
     freeze_backoff = 1024;
     collect_stats = false;
-    recycle_nodes = false;
     mutation = No_mutation;
   }
 
@@ -71,5 +60,7 @@ let validate t =
 let with_aggregators k t = { t with num_aggregators = k }
 let with_backoff b t = { t with freeze_backoff = b }
 let with_stats t = { t with collect_stats = true }
-let with_recycling t = { t with recycle_nodes = true }
+(* The identity. It stays only because perfbench's [native-mixed]
+   workload still calls it, until ROADMAP's benchmark item removes it. *)
+let with_recycling t = t
 let with_mutation m t = { t with mutation = m }

@@ -83,28 +83,9 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
   let push t ~tid value = B.push_op t ~tid value
   let pop t ~tid = B.pop_op t ~tid
 
-  (* With recycling off, a node reachable from [top] is immutable, so one
-     read suffices. With recycling on, the node could be popped, recycled
-     and re-initialised between our load of [top] and our read of
-     [value] — so revalidate that [top] still holds the same option cell
-     afterwards. Every push publishes a fresh [Some] box, so physical
-     equality proves the stack did not move under us (and a node still at
-     the top cannot have been recycled: recycling happens only after the
-     node is unlinked). *)
+  (* A node reachable from [top] is immutable, so one read suffices. *)
   let peek (t : _ t) ~tid:_ =
-    let top = t.store.top in
-    let rec attempt () =
-      match A.get top with
-      | None -> None
-      | Some n as cur ->
-          let v = n.Batch.value in
-          if (not t.recycle) || A.get top == cur then Some v
-          else begin
-            P.relax 1;
-            attempt ()
-          end
-    in
-    attempt ()
+    match A.get t.store.top with None -> None | Some n -> Some n.Batch.value
 
   let stats = B.stats
   let config = B.config

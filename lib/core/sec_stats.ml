@@ -1,7 +1,7 @@
 (* Snapshot of SEC batch statistics, as reported in Tables 1–3 of the
    paper. Collected at freeze time by the freezer thread (see
-   {!Sec_stack}), so the numbers describe exactly the batches that were
-   formed during a run. *)
+   [Batch.freeze_batch]), so the numbers describe exactly the batches
+   that were formed during a run. *)
 
 type t = {
   batches : int;  (** number of frozen batches *)
@@ -50,50 +50,25 @@ let pp ppf t =
     (pct_combined t) t.excluded
 
 (* ------------------------------------------------------------------ *)
-(* Allocator statistics: one flat snapshot over the process-wide
-   magazine and slab tallies, so the harness reports the whole node
-   path — L1 magazine hit rate, slab park/adopt traffic and occupancy —
-   from a single call.
-   [alloc_reset]/[alloc_snapshot] bracket one measured run, like the
-   underlying [Global] modules. *)
+(* The five allocator fields perfbench's per-layer metrics still read.
+   No node allocator is left to count, so they are always 0. They stay
+   only for perfbench, until ROADMAP's benchmark item removes them. *)
 
 type alloc_stats = {
   mag_hits : int;
   mag_misses : int;
-  mag_recycled : int;
-  mag_hit_rate : float;
   depot_cas : int;
-      (** Always 0. The magazines' former global depot is gone: their
-          cross-domain traffic is the slab store's, counted in
-          [slab_cas]. Kept so readers of the snapshot (the perfbench
-          per-layer metrics) keep their field set. *)
-  depot_cas_retries : int;  (** Always 0; see [depot_cas]. *)
-  slab_parks : int;  (** full slabs parked on the shared partial stack *)
-  slab_adopts : int;  (** parked slabs adopted by a dry domain *)
-  slab_cas : int;  (** slab-layer CAS attempts (park + adopt) *)
-  slab_cas_retries : int;  (** slab-layer attempts that lost *)
-  slab_fresh : int;  (** slab misses: fresh-node construction *)
-  slab_occupancy : float;  (** pooled / capacity over all slabs *)
+  depot_cas_retries : int;
+  slab_cas : int;
 }
 
-let alloc_reset () =
-  Sec_reclaim.Magazine.Global.reset ();
-  Sec_reclaim.Slab.Global.reset ()
+let alloc_reset () = ()
 
 let alloc_snapshot () =
-  let m = Sec_reclaim.Magazine.Global.snapshot () in
-  let s = Sec_reclaim.Slab.Global.snapshot () in
   {
-    mag_hits = m.Sec_reclaim.Magazine.Global.hits;
-    mag_misses = m.Sec_reclaim.Magazine.Global.misses;
-    mag_recycled = m.Sec_reclaim.Magazine.Global.recycled;
-    mag_hit_rate = Sec_reclaim.Magazine.Global.hit_rate m;
+    mag_hits = 0;
+    mag_misses = 0;
     depot_cas = 0;
     depot_cas_retries = 0;
-    slab_parks = s.Sec_reclaim.Slab.Global.parks;
-    slab_adopts = s.Sec_reclaim.Slab.Global.adopts;
-    slab_cas = Sec_reclaim.Slab.Global.cas_attempts s;
-    slab_cas_retries = Sec_reclaim.Slab.Global.cas_retries s;
-    slab_fresh = s.Sec_reclaim.Slab.Global.fresh;
-    slab_occupancy = Sec_reclaim.Slab.Global.occupancy s;
+    slab_cas = 0;
   }

@@ -3,9 +3,8 @@
    checked-in copy by `dune build @bench-smoke` (and CI). Where the
    smoke CSV pins two algorithms' exact operation counts, this file
    covers every structure in the comparison and adds the allocation
-   dimension this PR is about: simulated allocations per run (the
-   substrate's [note_alloc] tally) and the magazine hit rate for the
-   recycling variants.
+   dimension: simulated allocations per run (the substrate's
+   [note_alloc] tally).
 
    The sim rows are deterministic per seed, so regressions are exact:
    a row's throughput falling more than the threshold below the
@@ -23,14 +22,7 @@ type row = {
   ops : int;
   allocs : int;  (** sim: [Sim.stats.allocs]; native: minor-heap bytes *)
   throughput : float;  (** ops per virtual cycle (sim) or per second *)
-  mag_hits : int;
-  mag_misses : int;
-  mag_recycled : int;
-  mag_hit_rate : float;
-  (* The allocator dimension: slab-layer CAS traffic and occupancy,
-     and — native rows only, zero in sim — GC counters. *)
-  slab_cas : int;
-  slab_occupancy : float;
+  (* Native rows only, zero in sim: GC counters. *)
   gc_minor_words : float;  (** native: minor words allocated; sim: 0 *)
   gc_major_colls : int;  (** native: major collections; sim: 0 *)
 }
@@ -59,29 +51,26 @@ type doc = {
 (* ------------------------------------------------------------------ *)
 (* Collection                                                          *)
 
-(* The recycling SEC variant and the EBR structures ride along in the
-   baseline so the zero-allocation claim is itself regression-checked. *)
-let bench_entries =
-  Registry.paper_set @ Registry.reclaimed_set @ [ Registry.sec_recycling ]
+(* The EBR structures ride along in the baseline so their reclamation
+   cost is itself recorded. *)
+let bench_entries = Registry.paper_set @ Registry.reclaimed_set
 
 let bench_threads = [ 1; 2; 4 ]
 
 (* A long window over a small prefill: [Sim.stats.allocs] counts the
    whole run, so the steady state must dominate the single-threaded
-   prefill for the allocs column (and the magazine hit rate) to reflect
-   the hot path rather than the warm-up. *)
+   prefill for the allocs column to reflect the hot path rather than
+   the warm-up. *)
 let bench_cycles = 200_000
 let bench_prefill = 64
 
 let sim_row entry ~topology ~threads ~duration_cycles ~mix ~seed =
   let module R = Runner.Make (Sec_sim.Sim.Prim) in
-  Sec_core.Sec_stats.alloc_reset ();
   let (name, outcome), stats =
     Sec_sim.Sim.run ~seed ~jitter:2 ~topology (fun () ->
         R.run_maker entry.Registry.maker ~op_overhead:10 ~threads
           ~stop:(R.Timed duration_cycles) ~mix ~prefill:bench_prefill ())
   in
-  let a = Sec_core.Sec_stats.alloc_snapshot () in
   let ops = R.total outcome in
   {
     algorithm = name;
@@ -89,18 +78,11 @@ let sim_row entry ~topology ~threads ~duration_cycles ~mix ~seed =
     ops;
     allocs = stats.Sec_sim.Sim.allocs;
     throughput = float_of_int ops /. float_of_int duration_cycles;
-    mag_hits = a.Sec_core.Sec_stats.mag_hits;
-    mag_misses = a.Sec_core.Sec_stats.mag_misses;
-    mag_recycled = a.Sec_core.Sec_stats.mag_recycled;
-    mag_hit_rate = a.Sec_core.Sec_stats.mag_hit_rate;
-    slab_cas = a.Sec_core.Sec_stats.slab_cas;
-    slab_occupancy = a.Sec_core.Sec_stats.slab_occupancy;
     gc_minor_words = 0.;
     gc_major_colls = 0;
   }
 
 let native_row entry ~threads ~duration ~mix ~seed =
-  Sec_core.Sec_stats.alloc_reset ();
   let before = Gc.allocated_bytes () in
   let gc0 = Gc.quick_stat () in
   let m =
@@ -109,19 +91,12 @@ let native_row entry ~threads ~duration ~mix ~seed =
   in
   let allocated = Gc.allocated_bytes () -. before in
   let gc1 = Gc.quick_stat () in
-  let a = Sec_core.Sec_stats.alloc_snapshot () in
   {
     algorithm = m.Measurement.algorithm;
     threads;
     ops = m.Measurement.ops;
     allocs = int_of_float allocated;
     throughput = float_of_int m.Measurement.ops /. m.Measurement.elapsed;
-    mag_hits = a.Sec_core.Sec_stats.mag_hits;
-    mag_misses = a.Sec_core.Sec_stats.mag_misses;
-    mag_recycled = a.Sec_core.Sec_stats.mag_recycled;
-    mag_hit_rate = a.Sec_core.Sec_stats.mag_hit_rate;
-    slab_cas = a.Sec_core.Sec_stats.slab_cas;
-    slab_occupancy = a.Sec_core.Sec_stats.slab_occupancy;
     gc_minor_words = gc1.Gc.minor_words -. gc0.Gc.minor_words;
     gc_major_colls = gc1.Gc.major_collections - gc0.Gc.major_collections;
   }
@@ -260,14 +235,10 @@ let to_string doc =
       Buffer.add_string buf
         (Printf.sprintf
            "\n    {\"algorithm\": \"%s\", \"threads\": %d, \"ops\": %d, \
-            \"allocs\": %d, \"throughput\": %s, \"mag_hits\": %d, \
-            \"mag_misses\": %d, \"mag_recycled\": %d, \"mag_hit_rate\": %s, \
-            \"slab_cas\": %d, \"slab_occupancy\": %s, \"gc_minor_words\": %s, \
+            \"allocs\": %d, \"throughput\": %s, \"gc_minor_words\": %s, \
             \"gc_major_colls\": %d}"
            (escape r.algorithm) r.threads r.ops r.allocs (fl r.throughput)
-           r.mag_hits r.mag_misses r.mag_recycled (fl r.mag_hit_rate)
-           r.slab_cas (fl r.slab_occupancy) (fl r.gc_minor_words)
-           r.gc_major_colls))
+           (fl r.gc_minor_words) r.gc_major_colls))
     doc.rows;
   Buffer.add_string buf "\n  ]\n}\n";
   Buffer.contents buf
@@ -477,12 +448,6 @@ let row_of_json j =
     ops = to_int (member "ops" j);
     allocs = to_int (member "allocs" j);
     throughput = to_float (member "throughput" j);
-    mag_hits = to_int (member "mag_hits" j);
-    mag_misses = to_int (member "mag_misses" j);
-    mag_recycled = to_int (member "mag_recycled" j);
-    mag_hit_rate = to_float (member "mag_hit_rate" j);
-    slab_cas = opt_int "slab_cas" j ~default:0;
-    slab_occupancy = opt_float "slab_occupancy" j ~default:0.;
     gc_minor_words = opt_float "gc_minor_words" j ~default:0.;
     gc_major_colls = opt_int "gc_major_colls" j ~default:0;
   }
@@ -528,9 +493,9 @@ type regression = {
   current : float;
 }
 
-(* Only the paper-set structures gate the build: the magazine variant
-   and the EBR twins are newer and noisier, and the acceptance bar for
-   this layer is "no paper-set structure regresses". *)
+(* Only the paper-set structures gate the build: the EBR twins are
+   newer and noisier, and the acceptance bar for this layer is "no
+   paper-set structure regresses". *)
 let gating_algorithms =
   List.map (fun e -> e.Registry.name) Registry.paper_set
 
@@ -542,8 +507,7 @@ let gating_algorithms =
    pseudo-row is reported as algorithm "events/sec" at 0 threads. *)
 (* [allocs_threshold] gates allocations per operation (sim rows are
    deterministic, so any growth is a real hot-path change): a current
-   allocs/op more than the fraction above the baseline's fails. A zero
-   baseline (fully recycled hot path) must stay zero. *)
+   allocs/op more than the fraction above the baseline's fails. *)
 let check ?(threshold = 0.10) ?events_threshold ?(allocs_threshold = 0.10)
     ~baseline ~current () =
   let events =

@@ -43,10 +43,6 @@ val sec : entry
 (** SEC under an arbitrary configuration, displayed as [label]. *)
 val sec_configured : label:string -> config:Sec_core.Config.t -> entry
 
-(** SEC with node recycling through per-domain magazines ("SEC+MAG");
-    see docs/PERF.md. *)
-val sec_recycling : entry
-
 val treiber : entry
 val eb : entry
 val fc : entry

@@ -58,9 +58,8 @@ module type S = sig
   (** 30 random bits from the per-thread generator. *)
   val rand_bits : unit -> int
 
-  (** Account one hot-path heap allocation: a freshly constructed node
-      that did not come out of a recycler (see
-      {!Sec_reclaim.Magazine}). Native: a no-op — the GC's own counters
+  (** Account one hot-path heap allocation: a freshly constructed node.
+      Native: a no-op — the GC's own counters
       already measure allocation. Simulator: bumps the run's
       [Sim.stats.allocs] without a scheduling event, so instrumenting a
       path never perturbs schedules (pinned-seed results are unchanged

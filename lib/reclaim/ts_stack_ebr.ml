@@ -24,11 +24,8 @@
    one total order (interval start, then pool), and peek skips nodes
    whose interval is not yet stamped.
 
-   Zero-allocation hot path: like {!Reclaimed_stack}, retired nodes are
-   recycled through a per-domain {!Magazine} once their grace period
-   expires, and push re-initialises a recycled node in place (interval
-   reset to pending, [taken] cleared, [next] relinked) while it is
-   still private to the owner. Only magazine misses construct nodes. *)
+   Like {!Reclaimed_stack}, a retired node is dropped to the GC once its
+   grace period expires, and every push allocates a fresh node. *)
 
 (* Same argument as the plain TS stack: losing the [taken] CAS means a
    peer popped the node, and pool scans never wait on a specific thread. *)
@@ -38,31 +35,22 @@
 module Make (P : Sec_prim.Prim_intf.S) : Sec_spec.Stack_intf.S = struct
   module A = P.Atomic
   module Ebr = Ebr.Make (P)
-  module Mag = Magazine.Make (P)
   module Chk = Sec_analysis.Reclaim_checker
 
   (* Interval [ts_start, ts_end]; [max_int] until the pusher assigns it,
-     which makes an in-flight node "youngest" (taken-immediately).
-     [value]/[chk] are mutable for in-place re-initialisation of a
-     recycled node (private to the pusher until the pool-head store). *)
+     which makes an in-flight node "youngest" (taken-immediately). *)
   type 'a node = {
-    mutable value : 'a;
-        [@plain_ok
-          "written only while the node is private to the pushing owner; \
-           published by the pool-head store"]
+    value : 'a;
     ts : (int64 * int64) A.t;
     taken : bool A.t;
     next : 'a node option A.t;
-    mutable chk : int;
-        [@plain_ok "see [value]"]
-        (* reclamation-checker node id; 0 when untracked *)
+    chk : int; (* reclamation-checker node id; 0 when untracked *)
   }
 
   type 'a t = {
     pools : 'a node option A.t array; (* pool head per thread, padded *)
     delay : int; (* relax units between the two clock reads *)
     ebr : Ebr.t;
-    mag : 'a node Mag.t;
   }
 
   let name = "TSI-EBR"
@@ -77,7 +65,6 @@ module Make (P : Sec_prim.Prim_intf.S) : Sec_spec.Stack_intf.S = struct
       pools = Array.init max_threads (fun _ -> A.make_padded None);
       delay = default_delay;
       ebr = Ebr.create ~max_threads ();
-      mag = Mag.create ~max_threads ();
     }
 
   let push t ~tid value =
@@ -97,47 +84,31 @@ module Make (P : Sec_prim.Prim_intf.S) : Sec_spec.Stack_intf.S = struct
           List.iter
             (fun n ->
               Chk.note_unlink ~fiber:tid ~node:n.chk;
-              (Ebr.retire t.ebr ~tid ~chk:n.chk (fun () ->
-                   Mag.recycle t.mag ~tid n)
+              (Ebr.retire t.ebr ~tid ~chk:n.chk ignore
               [@retire_ok
                 "owner-only unlink: the pool-head store above is private \
                  to tid, so each skipped node is retired exactly once"]))
             skipped
         end;
+        let chk = Chk.note_alloc ~fiber:tid in
+        P.note_alloc ();
         let node =
-          match Mag.alloc t.mag ~tid with
-          | Some n ->
-              (* Grace period over: no scanner can still hold [n], so the
-                 re-initialising stores below are private until the
-                 pool-head store publishes the node again. *)
-              n.chk <- Chk.note_recycle ~fiber:tid ~node:n.chk;
-              n.value <- value;
-              A.set n.ts pending;
-              A.set n.taken false;
-              A.set n.next (A.get t.pools.(tid));
-              n
-          | None ->
-              let chk = Chk.note_alloc ~fiber:tid in
-              P.note_alloc ();
-              ({
-                 value;
-                 (* Written once at publication, then only read by scanning
-                    poppers; padding every per-push node would be a real
-                    allocation-rate regression. *)
-                 ts =
-                   (A.make pending
-                   [@unpadded_ok "written once, then read-only"]);
-                 (* [taken] is the CAS-contended cell: pad it so a popper's
-                    CAS does not invalidate readers of [ts]/[next] in the
-                    same node. *)
-                 taken = A.make_padded false;
-                 next =
-                   (A.make
-                      (A.get t.pools.(tid))
-                   [@unpadded_ok "written once at creation, then read-only"]);
-                 chk;
-               }
-              [@fresh_ok "magazine miss: cold start or pop-starved run"])
+          {
+            value;
+            (* Written once at publication, then only read by scanning
+               poppers; padding every per-push node would be a real
+               allocation-rate regression. *)
+            ts = (A.make pending [@unpadded_ok "written once, then read-only"]);
+            (* [taken] is the CAS-contended cell: pad it so a popper's CAS
+               does not invalidate readers of [ts]/[next] in the same
+               node. *)
+            taken = A.make_padded false;
+            next =
+              (A.make
+                 (A.get t.pools.(tid))
+              [@unpadded_ok "written once at creation, then read-only"]);
+            chk;
+          }
         in
         (* Publish first, then timestamp: the interval must cover a moment
            at which the node was already visible. *)

@@ -22,10 +22,9 @@ type stats = {
   traffic : Cache_model.traffic;
   fibers : int;  (** workers spawned *)
   allocs : int;
-      (** fresh hot-path node allocations, as reported by
-          [P.note_alloc] in instrumented algorithm code. Counted without
-          a scheduling event, so instrumentation never perturbs the
-          schedule; magazine-recycled nodes do not count. *)
+      (** hot-path node allocations, as reported by [P.note_alloc] in
+          instrumented algorithm code. Counted without a scheduling
+          event, so instrumentation never perturbs the schedule. *)
   schedule_digest : int;
       (** order-sensitive FNV-style hash folded over every (time, fid)
           rescheduling decision the event loop made, in order. Equal

@@ -86,6 +86,26 @@ let test_registry_sec_config () =
   let module S = Maker (Sec_prim.Native) in
   Alcotest.(check string) "label" "X" S.name
 
+(* perfbench's native-mixed workload looks SEC up as "SEC+MAG": the
+   name must run exactly SEC, schedule for schedule (the shape of
+   perfbench/test_perfbench.ml). *)
+let test_registry_perfbench_alias () =
+  let module R = Sec_harness.Runner.Make (Sec_sim.Sim.Prim) in
+  let run (e : Registry.entry) =
+    let outcome, stats =
+      Sec_sim.Sim.run ~seed:7 ~jitter:2 ~topology:Sec_sim.Topology.emerald
+        (fun () ->
+          snd
+            (R.run_maker e.Registry.maker ~op_overhead:10 ~threads:8
+               ~stop:(R.Timed 300_000) ~mix:W.update_heavy ()))
+    in
+    (stats.Sec_sim.Sim.schedule_digest, outcome.R.counts)
+  in
+  let sec_digest, sec_counts = run Registry.sec in
+  let alias_digest, alias_counts = run (Registry.find "SEC+MAG") in
+  Alcotest.(check int) "schedule digest" sec_digest alias_digest;
+  Alcotest.(check (array int)) "per-thread counts" sec_counts alias_counts
+
 (* ------------------------------------------------------------------ *)
 (* Runners                                                              *)
 
@@ -234,6 +254,8 @@ let () =
           Alcotest.test_case "names" `Quick test_registry_names;
           Alcotest.test_case "entries work" `Quick test_registry_entries_work;
           Alcotest.test_case "sec config" `Quick test_registry_sec_config;
+          Alcotest.test_case "perfbench alias" `Quick
+            test_registry_perfbench_alias;
         ] );
       ( "runners",
         [

@@ -626,20 +626,6 @@ module Make () : S = struct
     | Some n -> (Some (value_of n) [@unguarded_ok "callers hold the guard"])
 end
 |} );
-    ( "fresh.ml",
-      {|module A = Atomic
-module Mag = Magazine.Make (P)
-module type S = sig
-  type 'a t
-  val push : 'a t -> 'a -> unit
-end
-module Make () : S = struct
-  type 'a node = { value : 'a; next : 'a node option }
-  type 'a t = { top : 'a node option A.t }
-  let mk v = { value = v; next = None }
-  let push t v = A.set t.top (Some (mk v [@fresh_ok "magazine miss"]))
-end
-|} );
     ( "publication.ml",
       {|module A = Atomic
 type t = { hits : int A.t }

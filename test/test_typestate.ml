@@ -505,7 +505,7 @@ let test_sec_blocking_via_engine () =
     [ "core/sec_stack.ml"; "core/sec_pool.ml" ]
 
 (* Leg 2 (dynamic) for the entries test_progress.ml does not cover:
-   the reclaimed and recycling variants and the pool. *)
+   the reclaimed variants and the pool. *)
 let stack_scenario ?(tids = [| 0; 1 |]) (module M : Registry.MAKER) () =
   let module St = M (SP) in
   let s = St.create ~max_threads:8 () in
@@ -587,8 +587,7 @@ let () =
                  (Printf.sprintf "dynamic: %s is %s" entry.Registry.name
                     (Explore.progress_class_to_string entry.Registry.progress))
                  (test_dynamic_rest entry))
-             (Registry.reclaimed_set
-             @ [ Registry.sec_recycling; Registry.pool ])
+             (Registry.reclaimed_set @ [ Registry.pool ])
       );
       ("introspection", [ quick "cfg stats" test_cfg_stats ]);
     ]
