@@ -266,8 +266,11 @@ let bench_cmd =
       (fun (v : Sec_harness.Variance.t) ->
         Printf.printf
           "  event loop spread: mean %.3g, min %.3g, max %.3g events/sec \
-           (spread %.1f%% of mean, n=%d)\n"
-          v.mean v.min v.max v.relative_spread v.samples)
+           (spread %.1f%% of mean, n=%d)%s\n"
+          v.mean v.min v.max v.relative_spread v.samples
+          (match doc.J.words_per_event with
+          | Some w -> Printf.sprintf ", %.2f minor words/event" w
+          | None -> ""))
       doc.J.events_spread;
     List.iter
       (fun (r : J.row) ->

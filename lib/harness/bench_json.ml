@@ -45,6 +45,10 @@ type doc = {
          reader can tell a real change from timing noise; not written to
          the file (the baseline stays byte-stable), [None] when read back
          or when no events were measured. *)
+  words_per_event : float option;
+      (* minor-heap words the pinned sim workload allocates per event,
+         the algorithms' own allocations included; printed, not written
+         to the file, [None] as for [events_spread]. *)
   rows : row list;
 }
 
@@ -106,9 +110,11 @@ let native_row entry ~threads ~duration ~mix ~seed =
    (CAS loop) at 4 threads. The event count is deterministic per seed;
    only the elapsed time varies, so best-of-[reps] timing is the
    low-noise estimator; the spread of all [reps] passes comes back with
-   it. This is the number the event-loop refactor's
-   ">= 2x events/sec" target is measured on (docs/PERF.md), and what the
-   --against gate checks for wall-clock regressions. *)
+   it, and so do the minor words the warm-up pass allocated per event
+   (deterministic per seed, like the event count). This is the number
+   the event-loop refactor's ">= 2x events/sec" target is measured on
+   (docs/PERF.md), and what the --against gate checks for wall-clock
+   regressions. *)
 let events_workload_entries () = [ Registry.sec; Registry.treiber ]
 
 let measure_events_per_sec ?(reps = 12) () =
@@ -127,7 +133,9 @@ let measure_events_per_sec ?(reps = 12) () =
       0
       (events_workload_entries ())
   in
+  let words0 = Gc.minor_words () in
   let events = float_of_int (one ()) (* warm-up pass, fixes the count *) in
+  let words_per_event = (Gc.minor_words () -. words0) /. events in
   let rates =
     List.init reps (fun _ ->
         let t0 = Unix.gettimeofday () in
@@ -144,7 +152,7 @@ let measure_events_per_sec ?(reps = 12) () =
       let mag = 10. ** Float.of_int (2 - int_of_float (Float.log10 raw)) in
       Float.round (raw *. mag) /. mag
   in
-  (best, Variance.of_samples rates)
+  (best, Variance.of_samples rates, words_per_event)
 
 let collect_sim ?(seed = 1) () =
   let topology = Sec_sim.Topology.testbox in
@@ -159,7 +167,9 @@ let collect_sim ?(seed = 1) () =
           bench_threads)
       bench_entries
   in
-  let events_per_sec, events_spread = measure_events_per_sec () in
+  let events_per_sec, events_spread, words_per_event =
+    measure_events_per_sec ()
+  in
   {
     backend = "sim";
     machine = topology.Sec_sim.Topology.name;
@@ -168,6 +178,7 @@ let collect_sim ?(seed = 1) () =
     duration = float_of_int bench_cycles;
     events_per_sec;
     events_spread = Some events_spread;
+    words_per_event = Some words_per_event;
     rows;
   }
 
@@ -189,6 +200,7 @@ let collect_native ?(seed = 1) ?(duration = 0.05) () =
     duration;
     events_per_sec = 0.;
     events_spread = None;
+    words_per_event = None;
     rows;
   }
 
@@ -470,6 +482,7 @@ let of_string src =
           | None -> 0.)
       | _ -> 0.);
     events_spread = None;
+    words_per_event = None;
     rows =
       (match member "rows" j with
       | Arr rows -> List.map row_of_json rows

@@ -110,6 +110,14 @@ val run_cells :
 (** Print an experiment's header and run its plan serially. *)
 val run_one : opts -> t -> unit
 
+(** [report_section cell output] is [cell]'s REPORT.md section and its
+    verdict against EXPERIMENTS.md's recorded claim for the cell:
+    [Some true] for a match, [Some false] for a deviation, [None] when
+    no claim covers it. A [Series] is scored at its last (top) thread
+    count; a [Keyed] table by its averaged ["%Elimination"] and
+    ["%Combining"] rows. *)
+val report_section : cell -> output -> string * bool option
+
 (** [run_figures opts ~jobs ()] regenerates the paper figure set: every
     plan's cells are decomposed into independent simulation jobs, fanned
     out over a [jobs]-domain {!Sweep} pool (clamped to the host's

@@ -21,7 +21,9 @@ let relax n =
 
 let yield = Thread.yield
 
-let now_ns () = Int64.of_float (Unix.gettimeofday () *. 1e9)
+(* CLOCK_MONOTONIC in nanoseconds: [Unix.gettimeofday] has microsecond
+   resolution and steps with the wall clock. *)
+let now_ns = Monotonic_clock.now
 
 (* Per-domain generator, lazily seeded from the domain id and the clock so
    that concurrently created domains get distinct streams. *)

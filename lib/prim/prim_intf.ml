@@ -47,8 +47,9 @@ module type S = sig
       escalate past busy waiting; essential when threads outnumber cores. *)
   val yield : unit -> unit
 
-  (** Monotonic clock. Native: wall clock in nanoseconds. Simulator: the
-      calling fiber's virtual time in cycles. Only differences matter. *)
+  (** Monotonic clock. Native: [CLOCK_MONOTONIC] in nanoseconds, never
+      decreasing. Simulator: the calling fiber's virtual time in cycles.
+      Only differences matter. *)
   val now_ns : unit -> int64
 
   (** [rand_int bound] draws uniformly from [\[0, bound)] using a

@@ -109,6 +109,102 @@ let test_unknown_filter () =
   | () -> Alcotest.fail "unknown filter accepted"
   | exception Invalid_argument _ -> ()
 
+(* ------------------------------------------------------------------ *)
+(* The REPORT.md scorer on synthetic cells: each section's lines and   *)
+(* its verdict against the claim EXPERIMENTS.md records for the cell.  *)
+
+let synthetic ~id ~fig =
+  {
+    E.cell_id = id;
+    cell_fig = fig;
+    cell_topology = "emerald";
+    cell_title = "synthetic " ^ id;
+    cell_file = "unused.csv";
+    cell_jobs = [||];
+    cell_render = (fun _ -> Alcotest.fail "synthetic cells do not render");
+  }
+
+let series rows = E.Series { columns = [ 1; 56 ]; rows }
+
+let check_section name ~id ~fig out ~verdict ~lines =
+  let text, got = E.report_section (synthetic ~id ~fig) out in
+  Alcotest.(check (option bool)) (name ^ " verdict") verdict got;
+  Alcotest.(check (list string)) (name ^ " lines")
+    ([ Printf.sprintf "## %s (emerald)" id; ""; "synthetic " ^ id; "" ]
+    @ lines @ [ ""; "" ])
+    (String.split_on_char '\n' text)
+
+let test_scorer_best_match () =
+  check_section "best match" ~id:"fig2/100%upd" ~fig:"fig2"
+    (series
+       [ ("TSI", [| 2.; 5. |]); ("SEC", [| 1.; 9. |]); ("TRB", [| 3.; 1. |]) ])
+    ~verdict:(Some true)
+    ~lines:
+      [
+        "- At 56 threads: **SEC** leads with 9.00 Mops/s; runner-up TSI at \
+         5.00 (1.80x behind); weakest TRB at 1.00.";
+        "- EXPERIMENTS.md records **SEC** as the winner here — **MATCH**.";
+      ]
+
+let test_scorer_best_deviation () =
+  check_section "best deviation" ~id:"fig5/100%upd" ~fig:"fig5"
+    (series [ ("TSI", [| 2.; 4. |]); ("SEC", [| 1.; 6. |]) ])
+    ~verdict:(Some false)
+    ~lines:
+      [
+        "- At 56 threads: **SEC** leads with 6.00 Mops/s; runner-up TSI at \
+         4.00 (1.50x behind); weakest TSI at 4.00.";
+        "- EXPERIMENTS.md records **TSI** as the winner here — **DEVIATION** \
+         (SEC leads).";
+      ]
+
+let test_scorer_worst_match () =
+  check_section "worst match" ~id:"fig4/50%upd" ~fig:"fig4"
+    (series
+       [
+         ("SEC", [| 1.; 8. |]);
+         ("SEC_Agg1", [| 1.; 0.5 |]);
+         ("SEC_Agg4", [| 1.; 2. |]);
+       ])
+    ~verdict:(Some true)
+    ~lines:
+      [
+        "- At 56 threads: **SEC** leads with 8.00 Mops/s; runner-up SEC_Agg4 \
+         at 2.00 (4.00x behind); weakest SEC_Agg1 at 0.50.";
+        "- EXPERIMENTS.md records **SEC_Agg1** as the weakest line here — \
+         **MATCH**.";
+      ]
+
+let test_scorer_elim_dominates () =
+  check_section "keyed elim dominates" ~id:"table1" ~fig:"table1"
+    (E.Keyed
+       {
+         key = "metric";
+         columns = [ "100%upd"; "50%upd" ];
+         rows =
+           [
+             ("Batching degree", [ "3.1"; "2.2" ]);
+             ("%Elimination", [ "60.0"; "40.0" ]);
+             ("%Combining", [ "30.0"; "n/a" ]);
+           ];
+       })
+    ~verdict:(Some true)
+    ~lines:
+      [
+        "- Elimination 50.0% vs combining 30.0% (averaged over mixes) — \
+         EXPERIMENTS.md records elimination dominating — **MATCH**.";
+      ]
+
+let test_scorer_unclaimed () =
+  check_section "no claim" ~id:"smoke/100%upd" ~fig:"smoke"
+    (series [ ("SEC", [| 1.; 2. |]); ("TRB", [| 1.; 3. |]) ])
+    ~verdict:None
+    ~lines:
+      [
+        "- At 56 threads: **TRB** leads with 3.00 Mops/s; runner-up SEC at \
+         2.00 (1.50x behind); weakest SEC at 2.00.";
+      ]
+
 let () =
   Alcotest.run "figures"
     [
@@ -122,5 +218,14 @@ let () =
             test_unknown_filter;
           Alcotest.test_case "smoke through a 2-domain pool" `Quick
             test_smoke_pool;
+        ] );
+      ( "scorer",
+        [
+          Alcotest.test_case "best match" `Quick test_scorer_best_match;
+          Alcotest.test_case "best deviation" `Quick test_scorer_best_deviation;
+          Alcotest.test_case "worst match" `Quick test_scorer_worst_match;
+          Alcotest.test_case "keyed elim dominates" `Quick
+            test_scorer_elim_dominates;
+          Alcotest.test_case "unclaimed cell" `Quick test_scorer_unclaimed;
         ] );
     ]

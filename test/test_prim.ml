@@ -109,6 +109,58 @@ let test_rng_determinism () =
       (Rng.next_int64 b)
   done
 
+(* The first 16 outputs of every draw for one seed. Golden schedule
+   digests depend on these values, so any change to the generator's
+   representation must reproduce them. *)
+let pin_seed = 0x5EC5EEDL
+
+let first16 f =
+  let r = Rng.create pin_seed in
+  List.init 16 (fun _ -> f r)
+
+let test_rng_pinned_outputs () =
+  Alcotest.(check (list int64)) "next_int64"
+    [ -2124168040899120195L; 1398991194607235161L; 4942111571167307667L;
+      7302979619155123022L; 7853405654740559931L; -574854480122565609L;
+      -4045955691084814689L; -3754692865898911394L; -3669751173488011423L;
+      7109296963816170762L; 6149584981731303101L; -3280811926676017976L;
+      -4674766730921796636L; 3372268310540991745L; -7629800481170556536L;
+      -838475866102226025L ]
+    (first16 Rng.next_int64);
+  Alcotest.(check (list int)) "bits"
+    [ 950098970; 81432005; 287668754; 425089361; 457128373; 1040280889;
+      838236207; 855189934; 860134192; 413815547; 357952957; 882773435;
+      801634587; 196291850; 629628984; 1024936105 ]
+    (first16 Rng.bits);
+  Alcotest.(check (list int)) "int 3"
+    [ 0; 1; 0; 0; 1; 0; 1; 0; 2; 2; 1; 0; 0; 0; 0; 0 ]
+    (first16 (fun r -> Rng.int r 3));
+  Alcotest.(check (list int)) "int 8"
+    [ 3; 5; 1; 4; 3; 1; 1; 5; 6; 0; 3; 4; 6; 0; 0; 1 ]
+    (first16 (fun r -> Rng.int r 8));
+  let child = Rng.split (Rng.create pin_seed) in
+  Alcotest.(check (list int64)) "split child"
+    [ 5316318264780100698L; 9114553824584624893L; 7602200087173707040L;
+      -6113586468880939631L; -6118996800816388328L; 8007140018324080017L;
+      -5803248852701520775L; -1488955622850102637L; -5434823422088764016L;
+      1573586630300820620L; -3579276546473723491L; 2482549563838862221L;
+      8371145715855750782L; 6714790486874971712L; 3665471155681936957L;
+      273879730775050634L ]
+    (List.init 16 (fun _ -> Rng.next_int64 child))
+
+(* The simulator draws on every event, so a draw must not allocate:
+   neither a boxed state nor a boxed intermediate. *)
+let test_rng_draws_do_not_allocate () =
+  let r = Rng.create pin_seed in
+  let acc = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 100_000 do
+    acc := !acc + Rng.bits r + Rng.int r 8 + Rng.int r 3
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "minor words for 100k draws" 0. words;
+  Alcotest.(check bool) "draws were used" true (!acc > 0)
+
 let test_rng_bounds () =
   let r = Rng.create 99L in
   for _ = 1 to 10_000 do
@@ -222,6 +274,30 @@ let test_now_ns_monotonicish () =
   let b = P.now_ns () in
   Alcotest.(check bool) "clock does not go backwards" true (Int64.compare b a >= 0)
 
+(* [now_ns] is CLOCK_MONOTONIC: consecutive reads never decrease, and its
+   resolution is far below the microsecond of a wall clock. The bound is
+   half a microsecond, not one: a microsecond clock read through a float
+   of epoch seconds (ulp 2^-22 s) and scaled to ns can land two distinct
+   reads 768 ns apart. *)
+let test_now_ns_monotonic_fine () =
+  let n = 10_000 in
+  let reads = Array.make n 0L in
+  for i = 0 to n - 1 do
+    reads.(i) <- P.now_ns ()
+  done;
+  let finest = ref Int64.max_int in
+  for i = 1 to n - 1 do
+    let d = Int64.sub reads.(i) reads.(i - 1) in
+    if Int64.compare d 0L < 0 then
+      Alcotest.failf "read %d went backwards by %Ld ns" i (Int64.neg d);
+    if Int64.compare d 0L > 0 && Int64.compare d !finest < 0 then finest := d
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "a distinct consecutive pair < 500 ns apart (finest %Ld)"
+       !finest)
+    true
+    (Int64.compare !finest 500L < 0)
+
 let qcheck_rng_int_in_bounds =
   QCheck.Test.make ~name:"rng: int always in bounds" ~count:500
     QCheck.(pair int64 (int_range 1 1000))
@@ -259,6 +335,9 @@ let () =
           Alcotest.test_case "bounds" `Quick test_rng_bounds;
           Alcotest.test_case "uniformity" `Quick test_rng_uniformity;
           Alcotest.test_case "split independence" `Quick test_rng_split_independent;
+          Alcotest.test_case "pinned outputs" `Quick test_rng_pinned_outputs;
+          Alcotest.test_case "draws do not allocate" `Quick
+            test_rng_draws_do_not_allocate;
           QCheck_alcotest.to_alcotest qcheck_rng_int_in_bounds;
         ] );
       ( "backoff",
@@ -276,5 +355,9 @@ let () =
             test_tally_parallel;
         ] );
       ( "clock",
-        [ Alcotest.test_case "monotonic-ish" `Quick test_now_ns_monotonicish ] );
+        [
+          Alcotest.test_case "monotonic-ish" `Quick test_now_ns_monotonicish;
+          Alcotest.test_case "monotonic, sub-us" `Quick
+            test_now_ns_monotonic_fine;
+        ] );
     ]

@@ -344,6 +344,37 @@ let test_sim_relax_advances_clock () =
   in
   Alcotest.(check bool) "relax 1000 >= 1000 cycles" true (t >= 1000)
 
+(* Minor words per scheduling event over a whole run of [fibers]
+   workers, each looping [relax 1] at the benchmarks' jitter of 2. The
+   count is deterministic; the run's fixed setup is amortised over
+   enough events to stay below the bounds' slack. *)
+let words_per_event ~fibers ~iters =
+  let before = Gc.minor_words () in
+  let (), stats =
+    Sim.run ~seed:1 ~jitter:2 ~topology:Topology.emerald (fun () ->
+        for _ = 1 to fibers do
+          Sim.spawn (fun () ->
+              for _ = 1 to iters do
+                SP.relax 1
+              done)
+        done;
+        Sim.await_all ())
+  in
+  (Gc.minor_words () -. before) /. float_of_int stats.Sim.events
+
+(* A fiber alone never switches: its events allocate nothing, the
+   jitter draw included. *)
+let test_sim_solo_event_allocation () =
+  let w = words_per_event ~fibers:1 ~iters:50_000 in
+  if w >= 0.05 then Alcotest.failf "solo event: %.4f minor words/event" w
+
+(* 56 fibers at equal clocks switch on every event: only the captured
+   continuation (2 words) is left. *)
+let test_sim_round_robin_allocation () =
+  let w = words_per_event ~fibers:56 ~iters:2_000 in
+  if w > 2.05 then
+    Alcotest.failf "56-fiber round robin: %.4f minor words/event" w
+
 (* ------------------------------------------------------------------ *)
 (* Stacks inside the simulator, at paper-scale thread counts            *)
 
@@ -564,6 +595,10 @@ let () =
             test_sim_dispatch_restored;
           Alcotest.test_case "relax advances clock" `Quick
             test_sim_relax_advances_clock;
+          Alcotest.test_case "solo event allocates nothing" `Quick
+            test_sim_solo_event_allocation;
+          Alcotest.test_case "round robin allocates 2 words/event" `Quick
+            test_sim_round_robin_allocation;
           Alcotest.test_case "spawn inherits time" `Quick
             test_sim_spawn_inherits_time;
           Alcotest.test_case "await without workers" `Quick
