@@ -224,13 +224,16 @@ let bench_cmd =
   let against_arg =
     let doc =
       "Compare against the baseline JSON at $(docv); exit non-zero if \
-       any paper-set structure's throughput regresses past the \
-       threshold."
+       any paper-set structure's throughput falls, or its simulated \
+       events per operation rise, past the threshold."
     in
     Arg.(value & opt (some string) None & info [ "against" ] ~docv:"PATH" ~doc)
   in
   let threshold_arg =
-    let doc = "Allowed fractional throughput regression (default 0.10)." in
+    let doc =
+      "Allowed fractional throughput regression, and rise in simulated \
+       events per operation (default 0.10)."
+    in
     Arg.(value & opt float 0.10 & info [ "threshold" ] ~docv:"F" ~doc)
   in
   let events_threshold_arg =
@@ -275,8 +278,9 @@ let bench_cmd =
     List.iter
       (fun (r : J.row) ->
         Printf.printf
-          "  %-10s t=%d  ops=%-7d allocs=%-8d throughput=%.6f\n"
-          r.J.algorithm r.J.threads r.J.ops r.J.allocs r.J.throughput)
+          "  %-10s t=%d  ops=%-7d allocs=%-8d events=%-8d throughput=%.6f\n"
+          r.J.algorithm r.J.threads r.J.ops r.J.allocs r.J.events
+          r.J.throughput)
       doc.J.rows;
     Option.iter
       (fun path ->
@@ -297,8 +301,8 @@ let bench_cmd =
         with
         | [] ->
             Printf.printf
-              "baseline %s: no paper-set regression beyond %.0f%% (%s, \
-               allocs/op beyond %.0f%%)\n"
+              "baseline %s: no paper-set regression beyond %.0f%% \
+               (throughput, events/op; %s, allocs/op beyond %.0f%%)\n"
               path (100. *. threshold)
               (match events_threshold with
               | Some f -> Printf.sprintf "events/sec beyond %.0f%%" (100. *. f)
@@ -322,8 +326,9 @@ let bench_cmd =
   Cmd.v
     (Cmd.info "bench"
        ~doc:
-         "Run the pinned benchmark baseline (throughput + allocations), \
-          optionally emitting/checking BENCH_<backend>.json")
+         "Run the pinned benchmark baseline (throughput, allocations, \
+          simulated events), optionally emitting/checking \
+          BENCH_<backend>.json")
     Term.(
       const run $ seed_arg $ backend_arg $ emit_arg $ against_arg
       $ threshold_arg $ events_threshold_arg $ allocs_threshold_arg)

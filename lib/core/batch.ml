@@ -247,11 +247,22 @@ module Make (P : Sec_prim.Prim_intf.S) (Store : STORE) = struct
 
   (* Announce via FAA, then either freeze (if we won the seq-0 test&set
      race) or wait until the freezer retires the batch. Returns true when
-     the caller's operation belongs to [batch]. *)
+     the caller's operation belongs to [batch].
+
+     A waiter for a freeze starts its probes [poll_step] apart: a freezer
+     with a budget installs the next batch no sooner than its 512-unit
+     probe and [poll_step]-grained checks allow, so the default 4, 8, 16,
+     32-unit probes would read a pointer that cannot have changed yet.
+     (Without a budget the freezer freezes at once; that ablation-only
+     setting is chaotic from seed to seed either way, docs/PERF.md.) *)
+  let await_freeze aggregator batch =
+    Backoff.spin_while ~first:poll_step (fun () ->
+        A.get aggregator.batch == batch)
+
   let announce_and_freeze t ~tid aggregator batch ~seq ~counter_at_freeze =
     if seq = 0 && not (A.exchange batch.freezer_decided true) then
       freeze_batch t ~tid aggregator batch
-    else Backoff.spin_while (fun () -> A.get aggregator.batch == batch);
+    else await_freeze aggregator batch;
     let included = seq < A.get counter_at_freeze in
     if not included then count_excluded t ~tid;
     included
@@ -261,12 +272,15 @@ module Make (P : Sec_prim.Prim_intf.S) (Store : STORE) = struct
 
   let node_of batch i =
     (* The announcer with sequence number [i] deposits its node right
-       after its FAA; the combiner may momentarily have to wait for it. *)
-    Backoff.spin_until (fun () ->
-        match A.get batch.elimination.(i) with Some _ -> true | None -> false);
-    match A.get batch.elimination.(i) with
+       after its FAA; the combiner may momentarily have to wait for it.
+       The common case, the node already there, costs one read. *)
+    let slot = batch.elimination.(i) in
+    match A.get slot with
     | Some n -> n
-    | None -> assert false
+    | None -> (
+        Backoff.spin_until (fun () ->
+            match A.get slot with Some _ -> true | None -> false);
+        match A.get slot with Some n -> n | None -> assert false)
 
   let combine_pushes t ~shard batch ~seq =
     let push_frozen = A.get batch.push_at_freeze in
@@ -311,7 +325,7 @@ module Make (P : Sec_prim.Prim_intf.S) (Store : STORE) = struct
            [max_threads]). The freeze snapshot clamps to [capacity], so we
            are excluded by construction — wait out the batch and retry. *)
         count_excluded t ~tid;
-        Backoff.spin_while (fun () -> A.get aggregator.batch == batch);
+        await_freeze aggregator batch;
         try_batch ()
       end
       else begin
@@ -327,7 +341,11 @@ module Make (P : Sec_prim.Prim_intf.S) (Store : STORE) = struct
               combine_pushes t ~shard batch ~seq;
               A.set batch.batch_applied true
             end
-            else Backoff.spin_until (fun () -> A.get batch.batch_applied)
+            else
+              (* The default probe start, not [poll_step]: a combiner's
+                 store step is short, and starting these waits at
+                 [poll_step] too made pop-only runs slower. *)
+              Backoff.spin_until (fun () -> A.get batch.batch_applied)
           (* else: a pop with our sequence number consumed our node. *)
         end
         else try_batch ()
@@ -356,7 +374,9 @@ module Make (P : Sec_prim.Prim_intf.S) (Store : STORE) = struct
             combine_pops t ~shard batch ~seq;
             A.set batch.batch_applied true
           end
-          else Backoff.spin_until (fun () -> A.get batch.batch_applied);
+          else
+            (* Default probe start, as for the push waiters above. *)
+            Backoff.spin_until (fun () -> A.get batch.batch_applied);
           get_value batch ~offset:(seq - push_frozen)
         end
       end

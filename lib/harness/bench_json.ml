@@ -4,11 +4,13 @@
    smoke CSV pins two algorithms' exact operation counts, this file
    covers every structure in the comparison and adds the allocation
    dimension: simulated allocations per run (the substrate's
-   [note_alloc] tally).
+   [note_alloc] tally) — and the simulator's own cost: the scheduling
+   events each sim row took ([Sim.stats.events]), which set how long a
+   simulated run takes on the wall clock.
 
    The sim rows are deterministic per seed, so regressions are exact:
-   a row's throughput falling more than the threshold below the
-   checked-in baseline fails the build. Native rows exist for human
+   a row's throughput falling, or its events per operation rising, more
+   than the threshold past the checked-in baseline fails the build. Native rows exist for human
    eyes (`--backend native`); they are never compared automatically.
 
    No JSON library ships in this environment, so the writer and the
@@ -21,6 +23,7 @@ type row = {
   threads : int;
   ops : int;
   allocs : int;  (** sim: [Sim.stats.allocs]; native: minor-heap bytes *)
+  events : int;  (** sim: [Sim.stats.events]; native: 0 *)
   throughput : float;  (** ops per virtual cycle (sim) or per second *)
   (* Native rows only, zero in sim: GC counters. *)
   gc_minor_words : float;  (** native: minor words allocated; sim: 0 *)
@@ -81,6 +84,7 @@ let sim_row entry ~topology ~threads ~duration_cycles ~mix ~seed =
     threads;
     ops;
     allocs = stats.Sec_sim.Sim.allocs;
+    events = stats.Sec_sim.Sim.events;
     throughput = float_of_int ops /. float_of_int duration_cycles;
     gc_minor_words = 0.;
     gc_major_colls = 0;
@@ -100,6 +104,7 @@ let native_row entry ~threads ~duration ~mix ~seed =
     threads;
     ops = m.Measurement.ops;
     allocs = int_of_float allocated;
+    events = 0;
     throughput = float_of_int m.Measurement.ops /. m.Measurement.elapsed;
     gc_minor_words = gc1.Gc.minor_words -. gc0.Gc.minor_words;
     gc_major_colls = gc1.Gc.major_collections - gc0.Gc.major_collections;
@@ -247,9 +252,10 @@ let to_string doc =
       Buffer.add_string buf
         (Printf.sprintf
            "\n    {\"algorithm\": \"%s\", \"threads\": %d, \"ops\": %d, \
-            \"allocs\": %d, \"throughput\": %s, \"gc_minor_words\": %s, \
-            \"gc_major_colls\": %d}"
-           (escape r.algorithm) r.threads r.ops r.allocs (fl r.throughput)
+            \"allocs\": %d, \"events\": %d, \"throughput\": %s, \
+            \"gc_minor_words\": %s, \"gc_major_colls\": %d}"
+           (escape r.algorithm) r.threads r.ops r.allocs r.events
+           (fl r.throughput)
            (fl r.gc_minor_words) r.gc_major_colls))
     doc.rows;
   Buffer.add_string buf "\n  ]\n}\n";
@@ -440,8 +446,8 @@ let to_str = function
   | Str s -> s
   | _ -> raise (Parse_error "expected string")
 
-(* The PR 10 columns default to zero when absent, so baselines written
-   by the previous schema still parse (their gates simply do not
+(* The GC and events columns default to zero when absent, so baselines
+   written by an older schema still parse (their gates simply do not
    apply). *)
 let opt_float key j ~default =
   match j with
@@ -459,6 +465,7 @@ let row_of_json j =
     threads = to_int (member "threads" j);
     ops = to_int (member "ops" j);
     allocs = to_int (member "allocs" j);
+    events = opt_int "events" j ~default:0;
     throughput = to_float (member "throughput" j);
     gc_minor_words = opt_float "gc_minor_words" j ~default:0.;
     gc_major_colls = opt_int "gc_major_colls" j ~default:0;
@@ -501,7 +508,8 @@ let read ~path =
 type regression = {
   r_algorithm : string;
   r_threads : int;
-  r_metric : string;  (** "throughput" | "events/sec" | "allocs/op" *)
+  r_metric : string;
+      (** "throughput" | "events/sec" | "allocs/op" | "events/op" *)
   baseline : float;
   current : float;
 }
@@ -520,7 +528,11 @@ let gating_algorithms =
    pseudo-row is reported as algorithm "events/sec" at 0 threads. *)
 (* [allocs_threshold] gates allocations per operation (sim rows are
    deterministic, so any growth is a real hot-path change): a current
-   allocs/op more than the fraction above the baseline's fails. *)
+   allocs/op more than the fraction above the baseline's fails.
+   [threshold] also gates the scheduling events per operation of a row
+   whose baseline records them (> 0): like throughput they are
+   deterministic per seed, and more of them makes every simulated run
+   slower on the wall clock. *)
 let check ?(threshold = 0.10) ?events_threshold ?(allocs_threshold = 0.10)
     ~baseline ~current () =
   let events =
@@ -541,9 +553,11 @@ let check ?(threshold = 0.10) ?events_threshold ?(allocs_threshold = 0.10)
       ]
     | _ -> []
   in
-  let apo (r : row) =
-    if r.ops = 0 then 0. else float_of_int r.allocs /. float_of_int r.ops
+  let per_op n (r : row) =
+    if r.ops = 0 then 0. else float_of_int n /. float_of_int r.ops
   in
+  let apo (r : row) = per_op r.allocs r in
+  let epo (r : row) = per_op r.events r in
   List.concat_map
     (fun (b : row) ->
       if not (List.mem b.algorithm gating_algorithms) then []
@@ -585,6 +599,19 @@ let check ?(threshold = 0.10) ?events_threshold ?(allocs_threshold = 0.10)
                 ]
               else []
             in
-            throughput_reg @ allocs_reg)
+            let events_reg =
+              if b.events > 0 && epo c > (1.0 +. threshold) *. epo b then
+                [
+                  {
+                    r_algorithm = b.algorithm;
+                    r_threads = b.threads;
+                    r_metric = "events/op";
+                    baseline = epo b;
+                    current = epo c;
+                  };
+                ]
+              else []
+            in
+            throughput_reg @ allocs_reg @ events_reg)
     baseline.rows
   @ events

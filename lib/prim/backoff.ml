@@ -18,11 +18,12 @@ module Make (P : Prim_intf.S) = struct
     if t.current < t.max_wait then t.current <- t.current * 2
 
   (* Spin until [condition ()] holds. The first [spin_limit] probes pause
-     briefly; after that each probe also yields, so a waiter never starves
-     the thread it is waiting for when cores are oversubscribed. *)
+     briefly, from [first] units doubling up to 256; after that each probe
+     also yields, so a waiter never starves the thread it is waiting for
+     when cores are oversubscribed. *)
   let spin_limit = 128
 
-  let spin_until condition =
+  let spin_until ?(first = 4) condition =
     if not (condition ()) then begin
       (* Cap the probe gap: most waits here are short (a freeze window, a
          combiner's CAS), and a waiter that naps 1k cycles between probes
@@ -39,9 +40,10 @@ module Make (P : Prim_intf.S) = struct
             go n wait
           end
       in
-      go 0 4
+      go 0 first
     end
 
   (* Spin while [condition ()] holds; dual of [spin_until]. *)
-  let spin_while condition = spin_until (fun () -> not (condition ()))
+  let spin_while ?first condition =
+    spin_until ?first (fun () -> not (condition ()))
 end

@@ -17,11 +17,16 @@ module Make (_ : Prim_intf.S) : sig
   (** Wait a random duration up to the current bound, then double it. *)
   val once : t -> unit
 
-  (** [spin_until p] returns once [p ()] is true. Busy-waits briefly, then
-      escalates to yielding so the awaited thread can run even on an
-      oversubscribed machine. *)
-  val spin_until : (unit -> bool) -> unit
+  (** [spin_until ?first p] returns once [p ()] is true. Busy-waits
+      briefly, then escalates to yielding so the awaited thread can run
+      even on an oversubscribed machine. [first] (default 4, positive) is
+      the gap in relax units between the first two probes; each later gap
+      doubles up to 256. A waiter that knows its condition cannot change
+      sooner than some interval (the writer itself polls at that
+      granularity) passes it as [first] and skips the probes that could
+      only fail. *)
+  val spin_until : ?first:int -> (unit -> bool) -> unit
 
-  (** [spin_while p] returns once [p ()] is false. *)
-  val spin_while : (unit -> bool) -> unit
+  (** [spin_while ?first p] returns once [p ()] is false. *)
+  val spin_while : ?first:int -> (unit -> bool) -> unit
 end

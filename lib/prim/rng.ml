@@ -23,8 +23,6 @@ let create seed =
   set64 t 0 seed;
   t
 
-let copy = Bytes.copy
-
 (* The state step and the SplitMix64 output function. Both are inlined
    into every draw, so their [int64] intermediates stay unboxed. *)
 let[@inline] advance t =

@@ -12,9 +12,6 @@ type t
     streams (SplitMix64's output function decorrelates nearby seeds). *)
 val create : int64 -> t
 
-(** Copy the generator state (streams then diverge independently). *)
-val copy : t -> t
-
 (** Next 64 pseudo-random bits. *)
 val next_int64 : t -> int64
 

@@ -217,6 +217,62 @@ let test_experiment_cells_unique () =
   unique "cell id" (List.map (fun c -> c.Experiments.cell_id) cells);
   unique "CSV file" (List.map (fun c -> c.Experiments.cell_file) cells)
 
+(* The bench baseline's events column: a sim row whose scheduling
+   events per operation rise past the threshold fails [--against], and a
+   baseline written before the column existed reads as 0 and gates
+   nothing. *)
+let test_bench_events_gate () =
+  let module J = Sec_harness.Bench_json in
+  let row events =
+    {
+      J.algorithm = "SEC";
+      threads = 4;
+      ops = 100;
+      allocs = 50;
+      events;
+      throughput = 0.001;
+      gc_minor_words = 0.;
+      gc_major_colls = 0;
+    }
+  in
+  let doc events =
+    {
+      J.backend = "sim";
+      machine = "testbox";
+      unit_label = "ops/cycle";
+      seed = 1;
+      duration = 100_000.;
+      events_per_sec = 0.;
+      events_spread = None;
+      words_per_event = None;
+      rows = [ row events ];
+    }
+  in
+  let metrics ~baseline ~current =
+    List.map
+      (fun (r : J.regression) -> r.J.r_metric)
+      (J.check ~baseline ~current ())
+  in
+  Alcotest.(check (list string)) "within 10%" []
+    (metrics ~baseline:(doc 2_000) ~current:(doc 2_200));
+  Alcotest.(check (list string)) "past 10%" [ "events/op" ]
+    (metrics ~baseline:(doc 2_000) ~current:(doc 2_201));
+  Alcotest.(check (list string)) "fewer events pass" []
+    (metrics ~baseline:(doc 2_000) ~current:(doc 1_000));
+  let old_schema =
+    J.of_string
+      {|{"backend": "sim", "machine": "testbox", "unit": "ops/cycle",
+         "seed": 1, "duration": 100000.0,
+         "rows": [{"algorithm": "SEC", "threads": 4, "ops": 100,
+                   "allocs": 50, "throughput": 0.001}]}|}
+  in
+  Alcotest.(check int) "absent column reads 0" 0
+    (List.hd old_schema.J.rows).J.events;
+  Alcotest.(check (list string)) "old baseline gates no events" []
+    (metrics ~baseline:old_schema ~current:(doc 9_000));
+  Alcotest.(check int) "written and read back" 2_000
+    (List.hd (J.of_string (J.to_string (doc 2_000))).J.rows).J.events
+
 let test_experiment_thread_lists () =
   let top = Experiments.threads_for Sec_sim.Topology.emerald in
   Alcotest.(check int) "emerald sweep tops out at 56" 56
@@ -270,6 +326,8 @@ let () =
           Alcotest.test_case "measurement scaling" `Quick
             test_measurement_scaling;
           Alcotest.test_case "csv roundtrip" `Quick test_csv_roundtrip;
+          Alcotest.test_case "bench events gate" `Quick
+            test_bench_events_gate;
         ] );
       ( "experiments",
         [

@@ -352,8 +352,9 @@ let test_freezer_fair_12 () = check_fair ~threads:12
 (* Pinned throughput of the sim-uncontended shape (4 fibers, 2
    aggregators, so 2 per shard): a freezer edit that moves it fails
    here. A freezer that waits out its extension after both fibers of a
-   shard have announced completes about 2.5x fewer. *)
-let pinned_uncontended_ops = 5_728
+   shard have announced completes about 2.5x fewer. Freeze waiters that
+   probed from 4 units (not [poll_step]) completed 5 728. *)
+let pinned_uncontended_ops = 5_812
 
 let test_freezer_uncontended_pin () =
   let counts = sim_update_counts ~seed:1 ~threads:4 ~cycles:1_000_000 in
@@ -364,14 +365,42 @@ let test_freezer_uncontended_pin () =
 (* Pinned throughput of the sim-contended shape (56 fibers, 2
    aggregators, 28 per shard). The freezer polls its extension window
    and freezes the moment [expected] have announced; one that checks
-   only at the window's end completes 16 935 here. *)
-let pinned_contended_ops = 18_858
+   only at the window's end completes 16 935 here, and freeze waiters
+   that probed from 4 units (not [poll_step]) completed 18 858. *)
+let pinned_contended_ops = 18_979
 
 let test_freezer_contended_pin () =
   let counts = sim_update_counts ~seed:1 ~threads:56 ~cycles:1_000_000 in
   Alcotest.(check int) "ops (seed 1, 56 fibers, 1M cycles)"
     pinned_contended_ops
     (Array.fold_left ( + ) 0 counts)
+
+(* Pinned simulator cost of the same two shapes: the scheduling events
+   ([Sim.stats.events]) a run takes, which set its wall-clock time. An
+   announcer that loses the freezer race first probes the batch pointer
+   [poll_step] units after announcing, since the freezer cannot install
+   the next batch sooner, and a combiner reads an elimination slot that
+   is already filled once. Before both (generic 4-unit probe start, two
+   reads per slot) the 4-fiber run took 137 250 events for 5 728 ops
+   (23.96 per op) and the 56-fiber run 636 918 for 18 858 (33.77 per
+   op); now 19.67 and 26.29 per op. The counts include the 1 000-push
+   prefill. *)
+let pinned_events = [ (4, 114_310); (56, 498_994) ]
+
+let test_freezer_events_pin () =
+  List.iter
+    (fun (threads, pinned) ->
+      let counts, st =
+        sim_update_run ~seed:1 ~threads ~cycles:1_000_000 ()
+      in
+      let ops = Array.fold_left ( + ) 0 counts in
+      let events = st.Sec_sim.Sim.events in
+      Alcotest.(check int)
+        (Printf.sprintf "events (seed 1, %d fibers, 1M cycles; %.2f per op)"
+           threads
+           (float_of_int events /. float_of_int ops))
+        pinned events)
+    pinned_events
 
 (* [freeze_backoff = 0] freezes at once: a lone thread's operations
    never relax, while the default budget relaxes once per operation (the
@@ -475,6 +504,8 @@ let () =
             test_freezer_uncontended_pin;
           Alcotest.test_case "contended ops pin" `Quick
             test_freezer_contended_pin;
+          Alcotest.test_case "events per op pin" `Quick
+            test_freezer_events_pin;
           Alcotest.test_case "no probe without backoff" `Quick
             test_no_probe_without_backoff;
         ] );
