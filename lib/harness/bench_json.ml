@@ -10,8 +10,9 @@
 
    The sim rows are deterministic per seed, so regressions are exact:
    a row's throughput falling, or its events per operation rising, more
-   than the threshold past the checked-in baseline fails the build. Native rows exist for human
-   eyes (`--backend native`); they are never compared automatically.
+   than the threshold past the checked-in baseline fails the build.
+   Native rows exist for human eyes (`--backend native`); they are never
+   compared automatically.
 
    No JSON library ships in this environment, so the writer and the
    tiny recursive-descent reader below are hand-rolled; the reader
