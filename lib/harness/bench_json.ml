@@ -5,12 +5,14 @@
    covers every structure in the comparison and adds the allocation
    dimension: simulated allocations per run (the substrate's
    [note_alloc] tally) — and the simulator's own cost: the scheduling
-   events each sim row took ([Sim.stats.events]), which set how long a
-   simulated run takes on the wall clock.
+   events and the context switches each sim row took ([Sim.stats.events],
+   [Sim.stats.switches]), which set how long a simulated run takes on
+   the wall clock.
 
    The sim rows are deterministic per seed, so regressions are exact:
-   a row's throughput falling, or its events per operation rising, more
-   than the threshold past the checked-in baseline fails the build.
+   a row's throughput falling, or its events or switches per operation
+   rising, more than the threshold past the checked-in baseline fails
+   the build.
    Native rows exist for human eyes (`--backend native`); they are never
    compared automatically.
 
@@ -25,6 +27,7 @@ type row = {
   ops : int;
   allocs : int;  (** sim: [Sim.stats.allocs]; native: minor-heap bytes *)
   events : int;  (** sim: [Sim.stats.events]; native: 0 *)
+  switches : int;  (** sim: [Sim.stats.switches]; native: 0 *)
   throughput : float;  (** ops per virtual cycle (sim) or per second *)
   (* Native rows only, zero in sim: GC counters. *)
   gc_minor_words : float;  (** native: minor words allocated; sim: 0 *)
@@ -65,6 +68,12 @@ let bench_entries = Registry.paper_set @ Registry.reclaimed_set
 
 let bench_threads = [ 1; 2; 4 ]
 
+(* The simulated rows add t = 8, the whole testbox: four announcers per
+   shard, so SEC's freeze wait runs and its cost shows in the events and
+   switches columns. Native rows stay at [bench_threads], so no host
+   runs more spinning domains than a small CI machine has cores. *)
+let sim_bench_threads = bench_threads @ [ 8 ]
+
 (* A long window over a small prefill: [Sim.stats.allocs] counts the
    whole run, so the steady state must dominate the single-threaded
    prefill for the allocs column to reflect the hot path rather than
@@ -86,6 +95,7 @@ let sim_row entry ~topology ~threads ~duration_cycles ~mix ~seed =
     ops;
     allocs = stats.Sec_sim.Sim.allocs;
     events = stats.Sec_sim.Sim.events;
+    switches = stats.Sec_sim.Sim.switches;
     throughput = float_of_int ops /. float_of_int duration_cycles;
     gc_minor_words = 0.;
     gc_major_colls = 0;
@@ -106,6 +116,7 @@ let native_row entry ~threads ~duration ~mix ~seed =
     ops = m.Measurement.ops;
     allocs = int_of_float allocated;
     events = 0;
+    switches = 0;
     throughput = float_of_int m.Measurement.ops /. m.Measurement.elapsed;
     gc_minor_words = gc1.Gc.minor_words -. gc0.Gc.minor_words;
     gc_major_colls = gc1.Gc.major_collections - gc0.Gc.major_collections;
@@ -170,7 +181,7 @@ let collect_sim ?(seed = 1) () =
           (fun threads ->
             sim_row entry ~topology ~threads ~duration_cycles:bench_cycles
               ~mix ~seed)
-          bench_threads)
+          sim_bench_threads)
       bench_entries
   in
   let events_per_sec, events_spread, words_per_event =
@@ -253,9 +264,10 @@ let to_string doc =
       Buffer.add_string buf
         (Printf.sprintf
            "\n    {\"algorithm\": \"%s\", \"threads\": %d, \"ops\": %d, \
-            \"allocs\": %d, \"events\": %d, \"throughput\": %s, \
-            \"gc_minor_words\": %s, \"gc_major_colls\": %d}"
-           (escape r.algorithm) r.threads r.ops r.allocs r.events
+            \"allocs\": %d, \"events\": %d, \"switches\": %d, \
+            \"throughput\": %s, \"gc_minor_words\": %s, \
+            \"gc_major_colls\": %d}"
+           (escape r.algorithm) r.threads r.ops r.allocs r.events r.switches
            (fl r.throughput)
            (fl r.gc_minor_words) r.gc_major_colls))
     doc.rows;
@@ -447,9 +459,9 @@ let to_str = function
   | Str s -> s
   | _ -> raise (Parse_error "expected string")
 
-(* The GC and events columns default to zero when absent, so baselines
-   written by an older schema still parse (their gates simply do not
-   apply). *)
+(* The GC, events and switches columns default to zero when absent, so
+   baselines written by an older schema still parse (their gates simply
+   do not apply). *)
 let opt_float key j ~default =
   match j with
   | Obj fields -> (
@@ -467,6 +479,7 @@ let row_of_json j =
     ops = to_int (member "ops" j);
     allocs = to_int (member "allocs" j);
     events = opt_int "events" j ~default:0;
+    switches = opt_int "switches" j ~default:0;
     throughput = to_float (member "throughput" j);
     gc_minor_words = opt_float "gc_minor_words" j ~default:0.;
     gc_major_colls = opt_int "gc_major_colls" j ~default:0;
@@ -510,7 +523,8 @@ type regression = {
   r_algorithm : string;
   r_threads : int;
   r_metric : string;
-      (** "throughput" | "events/sec" | "allocs/op" | "events/op" *)
+      (** "throughput" | "events/sec" | "allocs/op" | "events/op"
+          | "switches/op" *)
   baseline : float;
   current : float;
 }
@@ -530,10 +544,10 @@ let gating_algorithms =
 (* [allocs_threshold] gates allocations per operation (sim rows are
    deterministic, so any growth is a real hot-path change): a current
    allocs/op more than the fraction above the baseline's fails.
-   [threshold] also gates the scheduling events per operation of a row
-   whose baseline records them (> 0): like throughput they are
-   deterministic per seed, and more of them makes every simulated run
-   slower on the wall clock. *)
+   [threshold] also gates the scheduling events and the context
+   switches per operation of a row whose baseline records them (> 0):
+   like throughput they are deterministic per seed, and more of either
+   makes every simulated run slower on the wall clock. *)
 let check ?(threshold = 0.10) ?events_threshold ?(allocs_threshold = 0.10)
     ~baseline ~current () =
   let events =
@@ -558,7 +572,22 @@ let check ?(threshold = 0.10) ?events_threshold ?(allocs_threshold = 0.10)
     if r.ops = 0 then 0. else float_of_int n /. float_of_int r.ops
   in
   let apo (r : row) = per_op r.allocs r in
-  let epo (r : row) = per_op r.events r in
+  (* A count per operation that rose past [threshold] over a baseline
+     recording it (> 0): [events] and [switches] gate alike. *)
+  let count_reg metric count (b : row) (c : row) =
+    let b_po = per_op (count b) b and c_po = per_op (count c) c in
+    if count b > 0 && c_po > (1.0 +. threshold) *. b_po then
+      [
+        {
+          r_algorithm = b.algorithm;
+          r_threads = b.threads;
+          r_metric = metric;
+          baseline = b_po;
+          current = c_po;
+        };
+      ]
+    else []
+  in
   List.concat_map
     (fun (b : row) ->
       if not (List.mem b.algorithm gating_algorithms) then []
@@ -600,19 +629,8 @@ let check ?(threshold = 0.10) ?events_threshold ?(allocs_threshold = 0.10)
                 ]
               else []
             in
-            let events_reg =
-              if b.events > 0 && epo c > (1.0 +. threshold) *. epo b then
-                [
-                  {
-                    r_algorithm = b.algorithm;
-                    r_threads = b.threads;
-                    r_metric = "events/op";
-                    baseline = epo b;
-                    current = epo c;
-                  };
-                ]
-              else []
-            in
-            throughput_reg @ allocs_reg @ events_reg)
+            throughput_reg @ allocs_reg
+            @ count_reg "events/op" (fun r -> r.events) b c
+            @ count_reg "switches/op" (fun r -> r.switches) b c)
     baseline.rows
   @ events

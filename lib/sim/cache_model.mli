@@ -32,6 +32,11 @@ val line_id : line -> int
     the line. *)
 val access : t -> core:int -> socket:int -> line:line -> now:int -> kind -> int
 
+(** [is_cached line ~core ~socket] is whether a [Read] by [core] on
+    [socket] hits: the core owns the line or its socket holds a shared
+    copy. A hit changes no line state. Allocates nothing. *)
+val is_cached : line -> core:int -> socket:int -> bool
+
 type traffic = { transfers : int; remote_transfers : int; invalidations : int }
 
 (** Cumulative coherence traffic since [create]. *)

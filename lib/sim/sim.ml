@@ -1,11 +1,14 @@
 (* Deterministic discrete-event simulator of a NUMA multicore.
 
    Each simulated hardware thread is a fiber with its own virtual clock.
-   Every *atomic* access charges cycles from the {!Cache_model} and
-   re-schedules, always running the fiber with the smallest virtual time
-   next. Shared-memory conflicts are therefore resolved in virtual-time
-   order, and the makespan of a run is [max] over fiber end times —
-   exactly a parallel discrete-event simulation.
+   Every *atomic* access first waits until its fiber is the earliest,
+   then charges cycles from the {!Cache_model}. A miss, a write or an
+   RMW re-schedules after its charge, so its value takes effect at its
+   completion; a read hit (which changes no line state) is served at its
+   start and the fiber runs on. The fiber with the smallest virtual time
+   always runs next, so shared-memory conflicts are resolved in
+   virtual-time order, and the makespan of a run is [max] over fiber end
+   times — exactly a parallel discrete-event simulation.
 
    Determinism: a fixed seed yields an identical schedule, identical final
    state and identical statistics. The optional [jitter] parameter adds
@@ -188,6 +191,7 @@ type ctx = {
   mutable joiner_k : (unit, unit) Effect.Deep.continuation option;
   mutable max_end_time : int;
   mutable events : int;
+  mutable switches : int; (* parks: [Switch] performed, guard included *)
   (* FNV-style fold over every (new_time, fid) rescheduling decision, in
      order. Two runs with equal digests took the same schedule, so the
      digest is a compact golden for "the refactor did not change one
@@ -213,6 +217,7 @@ type ctx = {
 type stats = {
   elapsed_cycles : int;  (** makespan: latest fiber end time *)
   events : int;  (** scheduling events (atomic accesses etc.) *)
+  switches : int;  (** context switches: parks, the ordering guard's too *)
   traffic : Cache_model.traffic;
   fibers : int;
   allocs : int;  (** fresh hot-path allocations ([P.note_alloc] calls) *)
@@ -312,6 +317,7 @@ and schedule ctx =
    strictly earlier — exactly the precondition of [Heap.replace_min]. *)
 and park ctx k =
   Array.unsafe_set ctx.f_kont ctx.current k;
+  ctx.switches <- ctx.switches + 1;
   let key = Heap.replace_min ctx.heap ctx.self_key in
   ctx.heap_min <- Heap.min_key ctx.heap;
   resume ctx key
@@ -348,7 +354,32 @@ let dispatch_of ctx =
           ~socket:ctx.f_socket.(ctx.current));
     d_access =
       (fun line kind ->
-        if advance ctx (access_time ctx line kind) then Effect.perform Switch);
+        let slot = ctx.current in
+        (* Ordering guard: an access is charged only once its fiber is
+           the earliest. Every other primitive parks after advancing, so
+           this parks only after a read hit that did not. *)
+        let mk = ctx.heap_min in
+        if mk >= 0 then begin
+          let self =
+            Heap.pack_unchecked (Array.unsafe_get ctx.f_time slot) (fid_of slot)
+          in
+          if mk < self then begin
+            ctx.self_key <- self;
+            Effect.perform Switch
+          end
+        end;
+        match kind with
+        | Cache_model.Read
+          when Cache_model.is_cached line
+                 ~core:(Array.unsafe_get ctx.f_core slot)
+                 ~socket:(Array.unsafe_get ctx.f_socket slot) ->
+            (* A hit mutates no line state and its value is the one in
+               the cell now, so it is served without a switch: the clock
+               advances and the next access's guard restores the order. *)
+            ignore (advance ctx (access_time ctx line kind) : bool)
+        | _ ->
+            if advance ctx (access_time ctx line kind) then
+              Effect.perform Switch);
     d_relax =
       (fun n ->
         if advance ctx (Array.unsafe_get ctx.f_time ctx.current + Int.max 1 n)
@@ -421,6 +452,7 @@ let run ?(seed = 42) ?(jitter = 0) ~topology f =
       joiner_k = None;
       max_end_time = 0;
       events = 0;
+      switches = 0;
       digest = 0;
       self_key = 0;
       heap_min = -1;
@@ -449,6 +481,7 @@ let run ?(seed = 42) ?(jitter = 0) ~topology f =
         {
           elapsed_cycles = ctx.max_end_time;
           events = ctx.events;
+          switches = ctx.switches;
           traffic = Cache_model.traffic ctx.cache;
           fibers = ctx.next_core;
           allocs = !(Sim_effects.alloc_tally ()) - ctx.alloc_base;

@@ -217,61 +217,94 @@ let test_experiment_cells_unique () =
   unique "cell id" (List.map (fun c -> c.Experiments.cell_id) cells);
   unique "CSV file" (List.map (fun c -> c.Experiments.cell_file) cells)
 
+(* A one-row sim bench document (SEC at 4 threads, 100 operations)
+   carrying the given events and switches, and the metrics [--against]
+   flags between two of them. *)
+module J = Sec_harness.Bench_json
+
+let bench_doc ?(events = 2_000) ?(switches = 1_000) () =
+  {
+    J.backend = "sim";
+    machine = "testbox";
+    unit_label = "ops/cycle";
+    seed = 1;
+    duration = 100_000.;
+    events_per_sec = 0.;
+    events_spread = None;
+    words_per_event = None;
+    rows =
+      [
+        {
+          J.algorithm = "SEC";
+          threads = 4;
+          ops = 100;
+          allocs = 50;
+          events;
+          switches;
+          throughput = 0.001;
+          gc_minor_words = 0.;
+          gc_major_colls = 0;
+        };
+      ];
+  }
+
+let bench_regressions ~baseline ~current =
+  List.map
+    (fun (r : J.regression) -> r.J.r_metric)
+    (J.check ~baseline ~current ())
+
+(* A baseline written before the events and switches columns existed. *)
+let old_schema_doc () =
+  J.of_string
+    {|{"backend": "sim", "machine": "testbox", "unit": "ops/cycle",
+       "seed": 1, "duration": 100000.0,
+       "rows": [{"algorithm": "SEC", "threads": 4, "ops": 100,
+                 "allocs": 50, "throughput": 0.001}]}|}
+
 (* The bench baseline's events column: a sim row whose scheduling
    events per operation rise past the threshold fails [--against], and a
    baseline written before the column existed reads as 0 and gates
    nothing. *)
 let test_bench_events_gate () =
-  let module J = Sec_harness.Bench_json in
-  let row events =
-    {
-      J.algorithm = "SEC";
-      threads = 4;
-      ops = 100;
-      allocs = 50;
-      events;
-      throughput = 0.001;
-      gc_minor_words = 0.;
-      gc_major_colls = 0;
-    }
-  in
-  let doc events =
-    {
-      J.backend = "sim";
-      machine = "testbox";
-      unit_label = "ops/cycle";
-      seed = 1;
-      duration = 100_000.;
-      events_per_sec = 0.;
-      events_spread = None;
-      words_per_event = None;
-      rows = [ row events ];
-    }
-  in
-  let metrics ~baseline ~current =
-    List.map
-      (fun (r : J.regression) -> r.J.r_metric)
-      (J.check ~baseline ~current ())
-  in
+  let doc events = bench_doc ~events () in
+  let metrics = bench_regressions in
   Alcotest.(check (list string)) "within 10%" []
     (metrics ~baseline:(doc 2_000) ~current:(doc 2_200));
   Alcotest.(check (list string)) "past 10%" [ "events/op" ]
     (metrics ~baseline:(doc 2_000) ~current:(doc 2_201));
   Alcotest.(check (list string)) "fewer events pass" []
     (metrics ~baseline:(doc 2_000) ~current:(doc 1_000));
-  let old_schema =
-    J.of_string
-      {|{"backend": "sim", "machine": "testbox", "unit": "ops/cycle",
-         "seed": 1, "duration": 100000.0,
-         "rows": [{"algorithm": "SEC", "threads": 4, "ops": 100,
-                   "allocs": 50, "throughput": 0.001}]}|}
-  in
+  let old_schema = old_schema_doc () in
   Alcotest.(check int) "absent column reads 0" 0
     (List.hd old_schema.J.rows).J.events;
   Alcotest.(check (list string)) "old baseline gates no events" []
     (metrics ~baseline:old_schema ~current:(doc 9_000));
   Alcotest.(check int) "written and read back" 2_000
     (List.hd (J.of_string (J.to_string (doc 2_000))).J.rows).J.events
+
+(* The switches column gates the same way: context switches per
+   operation past the threshold fail [--against], independently of the
+   events column, and an absent column reads 0 and gates nothing. *)
+let test_bench_switches_gate () =
+  let doc switches = bench_doc ~switches () in
+  let metrics = bench_regressions in
+  Alcotest.(check (list string)) "within 10%" []
+    (metrics ~baseline:(doc 1_000) ~current:(doc 1_100));
+  Alcotest.(check (list string)) "past 10%" [ "switches/op" ]
+    (metrics ~baseline:(doc 1_000) ~current:(doc 1_101));
+  Alcotest.(check (list string)) "fewer switches pass" []
+    (metrics ~baseline:(doc 1_000) ~current:(doc 600));
+  Alcotest.(check (list string))
+    "both counts gate" [ "events/op"; "switches/op" ]
+    (metrics ~baseline:(doc 1_000)
+       ~current:(bench_doc ~events:3_000 ~switches:2_000 ()));
+  let old_schema = old_schema_doc () in
+  Alcotest.(check int) "absent column reads 0" 0
+    (List.hd old_schema.J.rows).J.switches;
+  Alcotest.(check (list string)) "old baseline gates no switches" []
+    (metrics ~baseline:old_schema ~current:(doc 9_000));
+  Alcotest.(check int) "written and read back" 1_000
+    (List.hd (J.of_string (J.to_string (doc 1_000))).J.rows).J.switches
 
 let test_experiment_thread_lists () =
   let top = Experiments.threads_for Sec_sim.Topology.emerald in
@@ -328,6 +361,8 @@ let () =
           Alcotest.test_case "csv roundtrip" `Quick test_csv_roundtrip;
           Alcotest.test_case "bench events gate" `Quick
             test_bench_events_gate;
+          Alcotest.test_case "bench switches gate" `Quick
+            test_bench_switches_gate;
         ] );
       ( "experiments",
         [

@@ -366,8 +366,10 @@ let test_freezer_uncontended_pin () =
    aggregators, 28 per shard). The freezer polls its extension window
    and freezes the moment [expected] have announced; one that checks
    only at the window's end completes 16 935 here, and freeze waiters
-   that probed from 4 units (not [poll_step]) completed 18 858. *)
-let pinned_contended_ops = 18_979
+   that probed from 4 units (not [poll_step]) completed 18 858. A read
+   hit took its value at its end, 2-12 cycles later, until hits stopped
+   rescheduling: 18 979 then. *)
+let pinned_contended_ops = 18_607
 
 let test_freezer_contended_pin () =
   let counts = sim_update_counts ~seed:1 ~threads:56 ~cycles:1_000_000 in
@@ -383,23 +385,36 @@ let test_freezer_contended_pin () =
    is already filled once. Before both (generic 4-unit probe start, two
    reads per slot) the 4-fiber run took 137 250 events for 5 728 ops
    (23.96 per op) and the 56-fiber run 636 918 for 18 858 (33.77 per
-   op); now 19.67 and 26.29 per op. The counts include the 1 000-push
-   prefill. *)
-let pinned_events = [ (4, 114_310); (56, 498_994) ]
+   op); then 19.67 and 26.29 per op (114 310 and 498 994 events).
+   Serving read hits without a switch moved the schedules slightly: now
+   19.68 and 26.76 per op.
+
+   The context switches ([Sim.stats.switches]) of the same runs are
+   pinned beside them. Each freeze or [batch_applied] probe is a relax
+   and a read hit, and while a hit also rescheduled, each cost two
+   switches: 47 989 (8.26 per op) at 4 fibers and 477 703 (25.17 per
+   op) at 56. Now a hit runs on, and only the relax parks. The counts
+   include the 1 000-push prefill. *)
+let pinned_events = [ (4, 114_368, 40_028); (56, 497_940, 306_962) ]
 
 let test_freezer_events_pin () =
   List.iter
-    (fun (threads, pinned) ->
+    (fun (threads, pinned_events, pinned_switches) ->
       let counts, st =
         sim_update_run ~seed:1 ~threads ~cycles:1_000_000 ()
       in
       let ops = Array.fold_left ( + ) 0 counts in
+      let per_op n = float_of_int n /. float_of_int ops in
       let events = st.Sec_sim.Sim.events in
+      let switches = st.Sec_sim.Sim.switches in
       Alcotest.(check int)
         (Printf.sprintf "events (seed 1, %d fibers, 1M cycles; %.2f per op)"
-           threads
-           (float_of_int events /. float_of_int ops))
-        pinned events)
+           threads (per_op events))
+        pinned_events events;
+      Alcotest.(check int)
+        (Printf.sprintf "switches (seed 1, %d fibers, 1M cycles; %.2f per op)"
+           threads (per_op switches))
+        pinned_switches switches)
     pinned_events
 
 (* [freeze_backoff = 0] freezes at once: a lone thread's operations

@@ -344,6 +344,90 @@ let test_sim_relax_advances_clock () =
   in
   Alcotest.(check bool) "relax 1000 >= 1000 cycles" true (t >= 1000)
 
+(* Read hits (testbox, jitter 0). A read the cache model serves from
+   the core's own or its socket's copy changes no line state, so the
+   fiber runs on without a switch; the next access first waits until
+   its fiber is the earliest again. *)
+
+(* Two fibers on socket 0 each spin [relax 10; get] on a line they
+   created (an L1 hit, 2 cycles). Only the relax parks: one switch per
+   probe, where a hit that also parked made it two. *)
+let test_sim_hit_spin_one_switch () =
+  let probes = 100 in
+  let (), stats =
+    Sim.run ~topology:Topology.testbox (fun () ->
+        for _ = 1 to 2 do
+          Sim.spawn (fun () ->
+              let mine = SP.Atomic.make 0 in
+              for _ = 1 to probes do
+                SP.relax 10;
+                ignore (SP.Atomic.get mine)
+              done)
+        done;
+        Sim.await_all ())
+  in
+  Alcotest.(check int) "one switch per probe" (2 * probes) stats.Sim.switches;
+  Alcotest.(check int) "two events per probe" (4 * probes) stats.Sim.events;
+  Alcotest.(check int) "12 cycles per probe" (12 * probes)
+    stats.Sim.elapsed_cycles
+
+(* Fiber 0 (socket 0) hits its own line at t = 0, reaching t = 2, and
+   writes [y] at once; fiber 2 (socket 1) reads [y] at t = 1. The write
+   must wait its turn: the read goes first, on the line as it was, so it
+   is a plain remote transfer (1 + 180) that sees 0, and the write then
+   queues behind it (181 + 60 + 40 to invalidate socket 1). Charged out
+   of order, the write would have claimed the line first and the read
+   would finish at 242 seeing 1. *)
+let test_sim_access_after_hit_waits () =
+  let (seen, done_at, write_done), stats =
+    Sim.run ~topology:Topology.testbox (fun () ->
+        let y = SP.Atomic.make 0 in
+        let read = ref (-1, -1L) and wrote = ref (-1L) in
+        Sim.spawn (fun () ->
+            let x = SP.Atomic.make 0 in
+            ignore (SP.Atomic.get x);
+            SP.Atomic.set y 1;
+            wrote := SP.now_ns ());
+        Sim.spawn (fun () -> ());
+        Sim.spawn (fun () ->
+            SP.relax 1;
+            let v = SP.Atomic.get y in
+            read := (v, SP.now_ns ()));
+        Sim.await_all ();
+        let v, t = !read in
+        (v, t, !wrote))
+  in
+  Alcotest.(check int) "read sees the old value" 0 seen;
+  Alcotest.(check int64) "read completes at 1 + 180" 181L done_at;
+  Alcotest.(check int64) "write queues behind it" 281L write_done;
+  Alcotest.(check int) "the guard's park is a switch" 3 stats.Sim.switches;
+  Alcotest.(check int) "a guard park is no event" 4 stats.Sim.events
+
+(* A read miss still takes its value at completion. Fiber 0 writes [y]
+   at t = 10 (a local transfer, done at 70); fiber 2 on the other socket
+   starts a read at t = 20, which queues behind the write and moves the
+   line across sockets (70 + 180). The write completed inside the
+   read's window, so the read sees it. *)
+let test_sim_read_miss_value_at_completion () =
+  let seen, done_at =
+    fst
+      (Sim.run ~topology:Topology.testbox (fun () ->
+           let y = SP.Atomic.make 0 in
+           let read = ref (-1, -1L) in
+           Sim.spawn (fun () ->
+               SP.relax 10;
+               SP.Atomic.set y 1);
+           Sim.spawn (fun () -> ());
+           Sim.spawn (fun () ->
+               SP.relax 20;
+               let v = SP.Atomic.get y in
+               read := (v, SP.now_ns ()));
+           Sim.await_all ();
+           !read))
+  in
+  Alcotest.(check int) "miss sees the write" 1 seen;
+  Alcotest.(check int64) "miss completes at 70 + 180" 250L done_at
+
 (* Minor words per scheduling event over a whole run of [fibers]
    workers, each looping [relax 1] at the benchmarks' jitter of 2. The
    count is deterministic; the run's fixed setup is amortised over
@@ -595,6 +679,12 @@ let () =
             test_sim_dispatch_restored;
           Alcotest.test_case "relax advances clock" `Quick
             test_sim_relax_advances_clock;
+          Alcotest.test_case "hit spin: one switch per probe" `Quick
+            test_sim_hit_spin_one_switch;
+          Alcotest.test_case "access after a hit waits its turn" `Quick
+            test_sim_access_after_hit_waits;
+          Alcotest.test_case "read miss takes its value at completion" `Quick
+            test_sim_read_miss_value_at_completion;
           Alcotest.test_case "solo event allocates nothing" `Quick
             test_sim_solo_event_allocation;
           Alcotest.test_case "round robin allocates 2 words/event" `Quick
