@@ -93,11 +93,8 @@ let popcount =
   let rec go acc n = if n = 0 then acc else go (acc + (n land 1)) (n lsr 1) in
   go 0
 
-(* Whether a [Read] by [core] on [socket] would hit: the core owns the
-   line or its socket holds a copy. Such a read changes no line state,
-   so {!Sim} serves it without rescheduling. *)
-let[@inline] is_cached line ~core ~socket =
-  line.owner = core || line.sharers land (1 lsl socket) <> 0
+let[@inline] owner line = line.owner
+let[@inline] busy_until line = line.busy_until
 
 (* Returns the accessor's new virtual time after performing [kind] on
    [line] at time [now]. *)

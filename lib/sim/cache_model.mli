@@ -32,10 +32,15 @@ val line_id : line -> int
     the line. *)
 val access : t -> core:int -> socket:int -> line:line -> now:int -> kind -> int
 
-(** [is_cached line ~core ~socket] is whether a [Read] by [core] on
-    [socket] hits: the core owns the line or its socket holds a shared
-    copy. A hit changes no line state. Allocates nothing. *)
-val is_cached : line -> core:int -> socket:int -> bool
+(** The core that holds the line exclusively (its last writer, or its
+    creator), or -1 once a read from another socket has demoted it to
+    shared. Only that core writes the line without a transfer; any
+    other write is a transfer and occupies the line until it lands. *)
+val owner : line -> int
+
+(** The virtual time the line's latest transfer (a miss, or a write
+    from a non-owner) completes, before the accessor's jitter. *)
+val busy_until : line -> int
 
 type traffic = { transfers : int; remote_transfers : int; invalidations : int }
 

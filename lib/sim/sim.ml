@@ -2,13 +2,15 @@
 
    Each simulated hardware thread is a fiber with its own virtual clock.
    Every *atomic* access first waits until its fiber is the earliest,
-   then charges cycles from the {!Cache_model}. A miss, a write or an
-   RMW re-schedules after its charge, so its value takes effect at its
-   completion; a read hit (which changes no line state) is served at its
-   start and the fiber runs on. The fiber with the smallest virtual time
-   always runs next, so shared-memory conflicts are resolved in
-   virtual-time order, and the makespan of a run is [max] over fiber end
-   times — exactly a parallel discrete-event simulation.
+   then charges cycles from the {!Cache_model}. An access re-schedules
+   after its charge, so its value takes effect at its completion. A
+   read hit changes no line state, so when no write can land on the
+   line before it completes, the fiber runs on without the switch: the
+   value it reads then is the one at completion. The fiber with the
+   smallest virtual time always runs next, so shared-memory conflicts
+   are resolved in virtual-time order, and the makespan of a run is
+   [max] over fiber end times — exactly a parallel discrete-event
+   simulation.
 
    Determinism: a fixed seed yields an identical schedule, identical final
    state and identical statistics. The optional [jitter] parameter adds
@@ -164,6 +166,13 @@ type handler_fn = ((unit, unit) Effect.Deep.continuation -> unit) option
 type ctx = {
   topo : Topology.t;
   cache : Cache_model.t;
+  (* For [hit_settled]: fibers [c], [c + phys_cores], ... share core
+     [c]; a write from any other core is a transfer of at least
+     [local_transfer] cycles; [jitter_span] bounds one draw of
+     [jitter_extra]. *)
+  phys_cores : int;
+  local_transfer : int;
+  jitter_span : int;
   heap : Heap.t;
   jitter : int;
   sched_rng : Sec_prim.Rng.t;
@@ -192,6 +201,9 @@ type ctx = {
   mutable max_end_time : int;
   mutable events : int;
   mutable switches : int; (* parks: [Switch] performed, guard included *)
+  (* A read hit skipped its switch, so the current fiber may be ahead of
+     the earliest: the next access runs the ordering guard. *)
+  mutable ran_on : bool;
   (* FNV-style fold over every (new_time, fid) rescheduling decision, in
      order. Two runs with equal digests took the same schedule, so the
      digest is a compact golden for "the refactor did not change one
@@ -342,6 +354,38 @@ and run_fiber ctx body =
           | _ -> None)
     }
 
+(* Whether every fiber on core [fid mod phys_cores] from [fid] on, the
+   current one aside, is parked past [until]. Such a fiber has no write
+   in flight that lands by then (it parks at its write's landing) and
+   cannot start one before. *)
+let rec core_quiet ctx fid ~until =
+  fid >= ctx.next_core
+  ||
+  let slot = fid + Heap.fid_bias in
+  (slot = ctx.current || Array.unsafe_get ctx.f_time slot > until)
+  && core_quiet ctx (fid + ctx.phys_cores) ~until
+
+(* Whether a read that starts at [now] and completes at [until] is a
+   hit sure to read the value it would read at [until]. A read shorter
+   than [local_transfer] moved no line, so it was a hit. A write lands
+   on the line either as a transfer, which occupies it ([busy_until],
+   plus the writer's jitter) and takes longer than the hit, or as an L1
+   write by a fiber on the owner core. So: no transfer may be in
+   flight, and every fiber on the owner core must be parked past
+   [until]. The main pseudo-fiber (core -2) writes nothing while it
+   waits in [await_all]. The one case this cannot see: a fiber that
+   takes the line over during the hit, whose SMT sibling then writes it
+   as an L1 hit before [until]. *)
+let hit_settled ctx line ~now ~until =
+  until - now < ctx.local_transfer
+  && Cache_model.busy_until line + ctx.jitter_span < now
+  &&
+  let owner = Cache_model.owner line in
+  if owner >= 0 then core_quiet ctx owner ~until
+  else
+    owner = -1 || ctx.current = 0 || ctx.joiner = 0
+    || Array.unsafe_get ctx.f_time 0 > until
+
 (* The direct-call implementations {!Sim_effects.Prim} dispatches to for
    the duration of a run. A non-scheduling primitive is a plain read; a
    scheduling one charges its cycles inline and performs an effect only
@@ -357,29 +401,35 @@ let dispatch_of ctx =
         let slot = ctx.current in
         (* Ordering guard: an access is charged only once its fiber is
            the earliest. Every other primitive parks after advancing, so
-           this parks only after a read hit that did not. *)
-        let mk = ctx.heap_min in
-        if mk >= 0 then begin
-          let self =
-            Heap.pack_unchecked (Array.unsafe_get ctx.f_time slot) (fid_of slot)
-          in
-          if mk < self then begin
-            ctx.self_key <- self;
-            Effect.perform Switch
+           only a read hit that skipped its switch can leave the fiber
+           ahead. *)
+        if ctx.ran_on then begin
+          ctx.ran_on <- false;
+          let mk = ctx.heap_min in
+          if mk >= 0 then begin
+            let self =
+              Heap.pack_unchecked
+                (Array.unsafe_get ctx.f_time slot)
+                (fid_of slot)
+            in
+            if mk < self then begin
+              ctx.self_key <- self;
+              Effect.perform Switch
+            end
           end
         end;
-        match kind with
-        | Cache_model.Read
-          when Cache_model.is_cached line
-                 ~core:(Array.unsafe_get ctx.f_core slot)
-                 ~socket:(Array.unsafe_get ctx.f_socket slot) ->
-            (* A hit mutates no line state and its value is the one in
-               the cell now, so it is served without a switch: the clock
-               advances and the next access's guard restores the order. *)
-            ignore (advance ctx (access_time ctx line kind) : bool)
-        | _ ->
-            if advance ctx (access_time ctx line kind) then
-              Effect.perform Switch);
+        let now = Array.unsafe_get ctx.f_time slot in
+        if advance ctx (access_time ctx line kind) then
+          (* A read hit mutates no line state. When no write can land on
+             the line before it completes, its value now is its value
+             then, so it skips the switch: the clock advances and the
+             next access's guard restores the order. *)
+          match kind with
+          | Cache_model.Read
+            when hit_settled ctx line ~now
+                   ~until:(Array.unsafe_get ctx.f_time slot) ->
+              ctx.ran_on <- true
+          | _ -> Effect.perform Switch);
     d_relax =
       (fun n ->
         if advance ctx (Array.unsafe_get ctx.f_time ctx.current + Int.max 1 n)
@@ -436,6 +486,9 @@ let run ?(seed = 42) ?(jitter = 0) ~topology f =
     {
       topo = topology;
       cache = Cache_model.create topology;
+      phys_cores = Topology.physical_cores topology;
+      local_transfer = topology.Topology.costs.Topology.local_transfer;
+      jitter_span = 9 * jitter;
       heap = Heap.create ();
       jitter;
       sched_rng = Sec_prim.Rng.create (Int64.of_int seed);
@@ -453,6 +506,7 @@ let run ?(seed = 42) ?(jitter = 0) ~topology f =
       max_end_time = 0;
       events = 0;
       switches = 0;
+      ran_on = false;
       digest = 0;
       self_key = 0;
       heap_min = -1;

@@ -4,9 +4,10 @@
     reaches the scheduler through a dispatch record installed for the
     run: atomic accesses are charged through {!Cache_model} inline, and
     a fiber switch happens only when another fiber is now earliest. A
-    read hit never switches: its value is the cell's at the hit's start,
-    and the fiber's next access first waits until it is the earliest
-    again.
+    read hit does not switch when no write can land on the line before
+    it completes (none in flight, and the owner core's fibers too far
+    ahead), so its value is the one at completion; the fiber's next
+    access first waits until it is the earliest again.
     Used to run every stack in this repository at the paper's
     56/96/192-thread scales on a small host: this is the cost model
     behind every figure. It hosts no analysis — race detection, the
@@ -27,10 +28,10 @@ type stats = {
           [schedule_digest]. *)
   switches : int;
       (** context switches: the times a fiber parked for an earlier one.
-          A miss, write, RMW, relax or yield parks after it when another
-          fiber is now earlier; a read hit does not, so the next access
-          parks first instead (the ordering guard). Deterministic per
-          seed, like [events]. *)
+          An access, relax or yield parks after it when another fiber
+          is now earlier; a read hit that no write can overtake does
+          not, so the next access parks first instead (the ordering
+          guard). Deterministic per seed, like [events]. *)
   traffic : Cache_model.traffic;
   fibers : int;  (** workers spawned *)
   allocs : int;

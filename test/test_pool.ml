@@ -133,9 +133,9 @@ let test_no_global_hot_spot () =
    freezer, announce or combine steps) changes this digest and must be
    re-recorded deliberately. Before freeze waiters started probing at
    [poll_step] (and a filled elimination slot took two reads) it was
-   3361906400065417051; until a read hit stopped rescheduling,
-   2638060712388763491. *)
-let pinned_pool_digest = 1941988103642799549
+   3361906400065417051; until read hits that no write can overtake
+   stopped rescheduling, 2638060712388763491. *)
+let pinned_pool_digest = 4454502950113138851
 
 let pool_schedule_digest () =
   let _, stats =

@@ -345,9 +345,10 @@ let test_sim_relax_advances_clock () =
   Alcotest.(check bool) "relax 1000 >= 1000 cycles" true (t >= 1000)
 
 (* Read hits (testbox, jitter 0). A read the cache model serves from
-   the core's own or its socket's copy changes no line state, so the
-   fiber runs on without a switch; the next access first waits until
-   its fiber is the earliest again. *)
+   the core's own or its socket's copy changes no line state. When no
+   write can land on the line before the hit completes, the fiber runs
+   on without a switch; the next access first waits until its fiber is
+   the earliest again. *)
 
 (* Two fibers on socket 0 each spin [relax 10; get] on a line they
    created (an L1 hit, 2 cycles). Only the relax parks: one switch per
@@ -371,13 +372,14 @@ let test_sim_hit_spin_one_switch () =
   Alcotest.(check int) "12 cycles per probe" (12 * probes)
     stats.Sim.elapsed_cycles
 
-(* Fiber 0 (socket 0) hits its own line at t = 0, reaching t = 2, and
-   writes [y] at once; fiber 2 (socket 1) reads [y] at t = 1. The write
-   must wait its turn: the read goes first, on the line as it was, so it
-   is a plain remote transfer (1 + 180) that sees 0, and the write then
-   queues behind it (181 + 60 + 40 to invalidate socket 1). Charged out
+(* Fiber 0 (socket 0) hits its own line at t = 10, reaching t = 12, and
+   writes [y] at once; fiber 2 (socket 1) reads [y] at t = 11. The hit
+   skips its switch (no write can land on [x]), so the write must wait
+   its turn: the read goes first, on the line as it was, so it is a
+   plain remote transfer (11 + 180) that sees 0, and the write then
+   queues behind it (191 + 60 + 40 to invalidate socket 1). Charged out
    of order, the write would have claimed the line first and the read
-   would finish at 242 seeing 1. *)
+   would finish at 252 seeing 1. *)
 let test_sim_access_after_hit_waits () =
   let (seen, done_at, write_done), stats =
     Sim.run ~topology:Topology.testbox (fun () ->
@@ -385,12 +387,13 @@ let test_sim_access_after_hit_waits () =
         let read = ref (-1, -1L) and wrote = ref (-1L) in
         Sim.spawn (fun () ->
             let x = SP.Atomic.make 0 in
+            SP.relax 10;
             ignore (SP.Atomic.get x);
             SP.Atomic.set y 1;
             wrote := SP.now_ns ());
         Sim.spawn (fun () -> ());
         Sim.spawn (fun () ->
-            SP.relax 1;
+            SP.relax 11;
             let v = SP.Atomic.get y in
             read := (v, SP.now_ns ()));
         Sim.await_all ();
@@ -398,10 +401,10 @@ let test_sim_access_after_hit_waits () =
         (v, t, !wrote))
   in
   Alcotest.(check int) "read sees the old value" 0 seen;
-  Alcotest.(check int64) "read completes at 1 + 180" 181L done_at;
-  Alcotest.(check int64) "write queues behind it" 281L write_done;
-  Alcotest.(check int) "the guard's park is a switch" 3 stats.Sim.switches;
-  Alcotest.(check int) "a guard park is no event" 4 stats.Sim.events
+  Alcotest.(check int64) "read completes at 11 + 180" 191L done_at;
+  Alcotest.(check int64) "write queues behind it" 291L write_done;
+  Alcotest.(check int) "the guard's park is a switch" 5 stats.Sim.switches;
+  Alcotest.(check int) "a guard park is no event" 5 stats.Sim.events
 
 (* A read miss still takes its value at completion. Fiber 0 writes [y]
    at t = 10 (a local transfer, done at 70); fiber 2 on the other socket
@@ -427,6 +430,61 @@ let test_sim_read_miss_value_at_completion () =
   in
   Alcotest.(check int) "miss sees the write" 1 seen;
   Alcotest.(check int64) "miss completes at 70 + 180" 250L done_at
+
+(* Fibers 0 and 1 share socket 0 (cores 0 and 1). Fiber 0 writes [y]
+   at t = 0, a local transfer that makes core 0 the owner at once but
+   lands at 60. Fiber 1's read at t = 55 hits the socket's copy (12
+   cycles) while that write is in flight, so it waits like a miss and
+   sees the write. Read at its start, it would have seen 0. *)
+let test_sim_hit_waits_for_write_in_flight () =
+  let seen, done_at =
+    fst
+      (Sim.run ~topology:Topology.testbox (fun () ->
+           let y = SP.Atomic.make 0 in
+           let read = ref (-1, -1L) in
+           Sim.spawn (fun () -> SP.Atomic.set y 1);
+           Sim.spawn (fun () ->
+               SP.relax 55;
+               let v = SP.Atomic.get y in
+               read := (v, SP.now_ns ()));
+           Sim.await_all ();
+           !read))
+  in
+  Alcotest.(check int) "hit sees the write in flight" 1 seen;
+  Alcotest.(check int64) "hit completes at 55 + 12" 67L done_at
+
+(* As above, but fiber 0 then relaxes [gap] cycles and writes [y]
+   again as the owner, an L1 write of 2 cycles. Fiber 1 reads at t = 75
+   and completes at 87. With [gap = 20] the owner's write lands at 82,
+   inside the hit, so the hit waits and sees 2. With [gap = 200] the
+   owner's next write lands at 262: the hit runs on and sees 1, and
+   fiber 2 (socket 1, relaxing to 80) no longer costs fiber 1 a
+   switch. *)
+let test_sim_hit_sees_owner_write () =
+  let run gap =
+    Sim.run ~topology:Topology.testbox (fun () ->
+        let y = SP.Atomic.make 0 in
+        let read = ref (-1, -1L) in
+        Sim.spawn (fun () ->
+            SP.Atomic.set y 1;
+            SP.relax gap;
+            SP.Atomic.set y 2);
+        Sim.spawn (fun () ->
+            SP.relax 75;
+            let v = SP.Atomic.get y in
+            read := (v, SP.now_ns ()));
+        Sim.spawn (fun () -> SP.relax 80);
+        Sim.await_all ();
+        !read)
+  in
+  let (seen, done_at), near = run 20 in
+  Alcotest.(check int) "owner's write lands inside the hit" 2 seen;
+  Alcotest.(check int64) "hit completes at 75 + 12" 87L done_at;
+  let (seen, done_at), far = run 200 in
+  Alcotest.(check int) "owner too far ahead: hit reads 1" 1 seen;
+  Alcotest.(check int64) "and completes at 87" 87L done_at;
+  Alcotest.(check int) "near: the hit parks" 6 near.Sim.switches;
+  Alcotest.(check int) "far: it runs on" 4 far.Sim.switches
 
 (* Minor words per scheduling event over a whole run of [fibers]
    workers, each looping [relax 1] at the benchmarks' jitter of 2. The
@@ -685,6 +743,10 @@ let () =
             test_sim_access_after_hit_waits;
           Alcotest.test_case "read miss takes its value at completion" `Quick
             test_sim_read_miss_value_at_completion;
+          Alcotest.test_case "hit waits for a write in flight" `Quick
+            test_sim_hit_waits_for_write_in_flight;
+          Alcotest.test_case "hit sees an owner's write inside it" `Quick
+            test_sim_hit_sees_owner_write;
           Alcotest.test_case "solo event allocates nothing" `Quick
             test_sim_solo_event_allocation;
           Alcotest.test_case "round robin allocates 2 words/event" `Quick
