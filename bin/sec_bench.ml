@@ -225,7 +225,7 @@ let bench_cmd =
     let doc =
       "Compare against the baseline JSON at $(docv); exit non-zero if \
        any paper-set structure's throughput falls, or its simulated \
-       events or context switches per operation rise, past the \
+       events, context switches or cells per operation rise, past the \
        threshold."
     in
     Arg.(value & opt (some string) None & info [ "against" ] ~docv:"PATH" ~doc)
@@ -233,7 +233,7 @@ let bench_cmd =
   let threshold_arg =
     let doc =
       "Allowed fractional throughput regression, and rise in simulated \
-       events and context switches per operation (default 0.10)."
+       events, context switches and cells per operation (default 0.10)."
     in
     Arg.(value & opt float 0.10 & info [ "threshold" ] ~docv:"F" ~doc)
   in
@@ -280,9 +280,9 @@ let bench_cmd =
       (fun (r : J.row) ->
         Printf.printf
           "  %-10s t=%d  ops=%-7d allocs=%-8d events=%-8d switches=%-8d \
-           throughput=%.6f\n"
+           cells=%-8d throughput=%.6f\n"
           r.J.algorithm r.J.threads r.J.ops r.J.allocs r.J.events
-          r.J.switches r.J.throughput)
+          r.J.switches r.J.cells r.J.throughput)
       doc.J.rows;
     Option.iter
       (fun path ->
@@ -304,8 +304,8 @@ let bench_cmd =
         | [] ->
             Printf.printf
               "baseline %s: no paper-set regression beyond %.0f%% \
-               (throughput, events/op, switches/op; %s, allocs/op beyond \
-               %.0f%%)\n"
+               (throughput, events/op, switches/op, cells/op; %s, \
+               allocs/op beyond %.0f%%)\n"
               path (100. *. threshold)
               (match events_threshold with
               | Some f -> Printf.sprintf "events/sec beyond %.0f%%" (100. *. f)
@@ -330,8 +330,8 @@ let bench_cmd =
     (Cmd.info "bench"
        ~doc:
          "Run the pinned benchmark baseline (throughput, allocations, \
-          simulated events and switches), optionally emitting/checking \
-          BENCH_<backend>.json")
+          simulated events, switches and cells), optionally \
+          emitting/checking BENCH_<backend>.json")
     Term.(
       const run $ seed_arg $ backend_arg $ emit_arg $ against_arg
       $ threshold_arg $ events_threshold_arg $ allocs_threshold_arg)

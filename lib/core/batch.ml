@@ -84,8 +84,9 @@ module Make (P : Sec_prim.Prim_intf.S) (Store : STORE) = struct
         (* chain detached by a pop-side combiner, read by [get_value] *)
     expected : int;
         (* size (pushes + pops) of the batch this one replaced on the same
-           aggregator ([capacity] for the first): the freezer stops
-           waiting once this many have announced *)
+           aggregator ([max_threads] for the first, which no batch of a
+           shard reaches at K >= 2): the freezer stops waiting once this
+           many have announced *)
   }
 
   type 'a aggregator = { batch : 'a batch A.t }
@@ -103,7 +104,9 @@ module Make (P : Sec_prim.Prim_intf.S) (Store : STORE) = struct
   type 'a t = {
     store : 'a Store.t;
     aggregators : 'a aggregator array;
-    capacity : int; (* elimination-array size = max_threads *)
+    capacity : int;
+        (* elimination-array size: the shard's P = ceil(max_threads / K),
+           the most threads [tid mod K] routes to one aggregator *)
     config : Config.t;
     stats : stats_counters option;
   }
@@ -137,15 +140,21 @@ module Make (P : Sec_prim.Prim_intf.S) (Store : STORE) = struct
       else config
     in
     Config.validate config;
+    let k = config.Config.num_aggregators in
+    (* Paper, Figure 1: [eliminationArray[P]], P the threads of one
+       aggregator. A thread announces at most once per batch, so a batch
+       holds at most P announcements unless more live threads than
+       [max_threads] share the shard. *)
+    let capacity = (max_threads + k - 1) / k in
     {
-      store = store config.Config.num_aggregators;
+      store = store k;
       aggregators =
-        Array.init config.Config.num_aggregators (fun _ ->
+        Array.init k (fun _ ->
             {
               batch =
-                A.make_padded (make_batch max_threads ~expected:max_threads);
+                A.make_padded (make_batch capacity ~expected:max_threads);
             });
-      capacity = max_threads;
+      capacity;
       config;
       stats =
         (if config.Config.collect_stats then
@@ -224,10 +233,11 @@ module Make (P : Sec_prim.Prim_intf.S) (Store : STORE) = struct
 
   let freeze_batch t ~tid aggregator batch =
     freezer_backoff t batch;
-    (* When more live threads than [max_threads] announce into one batch,
-       the counters race past [capacity]. Announcements at or past it own
-       no elimination slot (the push path bails out before depositing), so
-       the snapshot must exclude them; they retry in a later batch.
+    (* When more threads than [capacity] announce into one batch (more
+       live threads than [max_threads] in all), the counters race past
+       it. Announcements at or past it own no elimination slot (the push
+       path bails out before depositing), so the snapshot must exclude
+       them; they retry in a later batch.
        [Batch_overflow] is the seeded mutant reintroducing the unclamped
        snapshot (Config.mutation — refinement-prong tests only). *)
     let clamp c =
@@ -321,7 +331,7 @@ module Make (P : Sec_prim.Prim_intf.S) (Store : STORE) = struct
       let seq = A.fetch_and_add batch.push_count 1 in
       if seq >= t.capacity then begin
         (* No elimination slot for us: more announcements landed in this
-           batch than the structure was sized for (live threads exceed
+           batch than the shard was sized for (live threads exceed
            [max_threads]). The freeze snapshot clamps to [capacity], so we
            are excluded by construction — wait out the batch and retry. *)
         count_excluded t ~tid;

@@ -8,10 +8,11 @@
 type mutation =
   | No_mutation
   | Batch_overflow
-      (** Omit the freeze-snapshot capacity clamp: when more live threads
-          than [max_threads] announce into one batch, the frozen counters
-          race past the elimination array — the exact bug the clamp in
-          [Batch.freeze_batch] fixed. *)
+      (** Omit the freeze-snapshot capacity clamp: when more threads than
+          the shard's P = ceil(max_threads / K) announce into one batch
+          (more live threads than [max_threads] in all), the frozen
+          counters race past the elimination array — the exact bug the
+          clamp in [Batch.freeze_batch] fixed. *)
   | Pop_reorder
       (** The pop-side combiner publishes the *remaining* stack instead
           of the detached chain as the batch substack: combined pops read

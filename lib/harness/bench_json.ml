@@ -4,15 +4,16 @@
    smoke CSV pins two algorithms' exact operation counts, this file
    covers every structure in the comparison and adds the allocation
    dimension: simulated allocations per run (the substrate's
-   [note_alloc] tally) — and the simulator's own cost: the scheduling
-   events and the context switches each sim row took ([Sim.stats.events],
-   [Sim.stats.switches]), which set how long a simulated run takes on
-   the wall clock.
+   [note_alloc] tally) and the simulated cells it created
+   ([Sim.stats.cells], one per [Atomic.make]: SEC's batch footprint) —
+   and the simulator's own cost: the scheduling events and the context
+   switches each sim row took ([Sim.stats.events], [Sim.stats.switches]),
+   which set how long a simulated run takes on the wall clock.
 
    The sim rows are deterministic per seed, so regressions are exact:
-   a row's throughput falling, or its events or switches per operation
-   rising, more than the threshold past the checked-in baseline fails
-   the build.
+   a row's throughput falling, or its events, switches or cells per
+   operation rising, more than the threshold past the checked-in
+   baseline fails the build.
    Native rows exist for human eyes (`--backend native`); they are never
    compared automatically.
 
@@ -28,6 +29,7 @@ type row = {
   allocs : int;  (** sim: [Sim.stats.allocs]; native: minor-heap bytes *)
   events : int;  (** sim: [Sim.stats.events]; native: 0 *)
   switches : int;  (** sim: [Sim.stats.switches]; native: 0 *)
+  cells : int;  (** sim: [Sim.stats.cells]; native: 0 *)
   throughput : float;  (** ops per virtual cycle (sim) or per second *)
   (* Native rows only, zero in sim: GC counters. *)
   gc_minor_words : float;  (** native: minor words allocated; sim: 0 *)
@@ -96,6 +98,7 @@ let sim_row entry ~topology ~threads ~duration_cycles ~mix ~seed =
     allocs = stats.Sec_sim.Sim.allocs;
     events = stats.Sec_sim.Sim.events;
     switches = stats.Sec_sim.Sim.switches;
+    cells = stats.Sec_sim.Sim.cells;
     throughput = float_of_int ops /. float_of_int duration_cycles;
     gc_minor_words = 0.;
     gc_major_colls = 0;
@@ -117,6 +120,7 @@ let native_row entry ~threads ~duration ~mix ~seed =
     allocs = int_of_float allocated;
     events = 0;
     switches = 0;
+    cells = 0;
     throughput = float_of_int m.Measurement.ops /. m.Measurement.elapsed;
     gc_minor_words = gc1.Gc.minor_words -. gc0.Gc.minor_words;
     gc_major_colls = gc1.Gc.major_collections - gc0.Gc.major_collections;
@@ -265,10 +269,10 @@ let to_string doc =
         (Printf.sprintf
            "\n    {\"algorithm\": \"%s\", \"threads\": %d, \"ops\": %d, \
             \"allocs\": %d, \"events\": %d, \"switches\": %d, \
-            \"throughput\": %s, \"gc_minor_words\": %s, \
+            \"cells\": %d, \"throughput\": %s, \"gc_minor_words\": %s, \
             \"gc_major_colls\": %d}"
            (escape r.algorithm) r.threads r.ops r.allocs r.events r.switches
-           (fl r.throughput)
+           r.cells (fl r.throughput)
            (fl r.gc_minor_words) r.gc_major_colls))
     doc.rows;
   Buffer.add_string buf "\n  ]\n}\n";
@@ -459,9 +463,9 @@ let to_str = function
   | Str s -> s
   | _ -> raise (Parse_error "expected string")
 
-(* The GC, events and switches columns default to zero when absent, so
-   baselines written by an older schema still parse (their gates simply
-   do not apply). *)
+(* The GC, events, switches and cells columns default to zero when
+   absent, so baselines written by an older schema still parse (their
+   gates simply do not apply). *)
 let opt_float key j ~default =
   match j with
   | Obj fields -> (
@@ -480,6 +484,7 @@ let row_of_json j =
     allocs = to_int (member "allocs" j);
     events = opt_int "events" j ~default:0;
     switches = opt_int "switches" j ~default:0;
+    cells = opt_int "cells" j ~default:0;
     throughput = to_float (member "throughput" j);
     gc_minor_words = opt_float "gc_minor_words" j ~default:0.;
     gc_major_colls = opt_int "gc_major_colls" j ~default:0;
@@ -524,7 +529,7 @@ type regression = {
   r_threads : int;
   r_metric : string;
       (** "throughput" | "events/sec" | "allocs/op" | "events/op"
-          | "switches/op" *)
+          | "switches/op" | "cells/op" *)
   baseline : float;
   current : float;
 }
@@ -544,10 +549,11 @@ let gating_algorithms =
 (* [allocs_threshold] gates allocations per operation (sim rows are
    deterministic, so any growth is a real hot-path change): a current
    allocs/op more than the fraction above the baseline's fails.
-   [threshold] also gates the scheduling events and the context
-   switches per operation of a row whose baseline records them (> 0):
-   like throughput they are deterministic per seed, and more of either
-   makes every simulated run slower on the wall clock. *)
+   [threshold] also gates the scheduling events, the context switches
+   and the cells per operation of a row whose baseline records them
+   (> 0): like throughput they are deterministic per seed; more events
+   or switches make every simulated run slower on the wall clock, and
+   more cells mean larger batches or nodes on the heap. *)
 let check ?(threshold = 0.10) ?events_threshold ?(allocs_threshold = 0.10)
     ~baseline ~current () =
   let events =
@@ -573,7 +579,7 @@ let check ?(threshold = 0.10) ?events_threshold ?(allocs_threshold = 0.10)
   in
   let apo (r : row) = per_op r.allocs r in
   (* A count per operation that rose past [threshold] over a baseline
-     recording it (> 0): [events] and [switches] gate alike. *)
+     recording it (> 0): [events], [switches] and [cells] gate alike. *)
   let count_reg metric count (b : row) (c : row) =
     let b_po = per_op (count b) b and c_po = per_op (count c) c in
     if count b > 0 && c_po > (1.0 +. threshold) *. b_po then
@@ -631,6 +637,7 @@ let check ?(threshold = 0.10) ?events_threshold ?(allocs_threshold = 0.10)
             in
             throughput_reg @ allocs_reg
             @ count_reg "events/op" (fun r -> r.events) b c
-            @ count_reg "switches/op" (fun r -> r.switches) b c)
+            @ count_reg "switches/op" (fun r -> r.switches) b c
+            @ count_reg "cells/op" (fun r -> r.cells) b c)
     baseline.rows
   @ events

@@ -168,3 +168,5 @@ let traffic (m : t) =
     remote_transfers = m.remote_transfers;
     invalidations = m.invalidations;
   }
+
+let lines (m : t) = m.next_id

@@ -46,3 +46,7 @@ type traffic = { transfers : int; remote_transfers : int; invalidations : int }
 
 (** Cumulative coherence traffic since [create]. *)
 val traffic : t -> traffic
+
+(** The lines {!new_line} created since [create]: one per simulated
+    cell. *)
+val lines : t -> int

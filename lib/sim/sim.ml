@@ -233,6 +233,7 @@ type stats = {
   traffic : Cache_model.traffic;
   fibers : int;
   allocs : int;  (** fresh hot-path allocations ([P.note_alloc] calls) *)
+  cells : int;  (** cache lines created: simulated [Atomic.make]s *)
   schedule_digest : int;  (** order-sensitive hash of every (time, fid) reschedule *)
 }
 
@@ -539,6 +540,7 @@ let run ?(seed = 42) ?(jitter = 0) ~topology f =
           traffic = Cache_model.traffic ctx.cache;
           fibers = ctx.next_core;
           allocs = !(Sim_effects.alloc_tally ()) - ctx.alloc_base;
+          cells = Cache_model.lines ctx.cache;
           schedule_digest = ctx.digest land max_int;
         } )
 

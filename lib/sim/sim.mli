@@ -38,6 +38,10 @@ type stats = {
       (** hot-path node allocations, as reported by [P.note_alloc] in
           instrumented algorithm code. Counted without a scheduling
           event, so instrumentation never perturbs the schedule. *)
+  cells : int;
+      (** simulated cells created in the run, one cache line per
+          [Atomic.make] or [make_padded]. Creating one is not a
+          scheduling event; deterministic per seed, like [allocs]. *)
   schedule_digest : int;
       (** order-sensitive FNV-style hash folded over every (time, fid)
           rescheduling decision the event loop made, in order. Equal

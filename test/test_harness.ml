@@ -218,11 +218,11 @@ let test_experiment_cells_unique () =
   unique "CSV file" (List.map (fun c -> c.Experiments.cell_file) cells)
 
 (* A one-row sim bench document (SEC at 4 threads, 100 operations)
-   carrying the given events and switches, and the metrics [--against]
-   flags between two of them. *)
+   carrying the given events, switches and cells, and the metrics
+   [--against] flags between two of them. *)
 module J = Sec_harness.Bench_json
 
-let bench_doc ?(events = 2_000) ?(switches = 1_000) () =
+let bench_doc ?(events = 2_000) ?(switches = 1_000) ?(cells = 500) () =
   {
     J.backend = "sim";
     machine = "testbox";
@@ -241,6 +241,7 @@ let bench_doc ?(events = 2_000) ?(switches = 1_000) () =
           allocs = 50;
           events;
           switches;
+          cells;
           throughput = 0.001;
           gc_minor_words = 0.;
           gc_major_colls = 0;
@@ -253,7 +254,8 @@ let bench_regressions ~baseline ~current =
     (fun (r : J.regression) -> r.J.r_metric)
     (J.check ~baseline ~current ())
 
-(* A baseline written before the events and switches columns existed. *)
+(* A baseline written before the events, switches and cells columns
+   existed. *)
 let old_schema_doc () =
   J.of_string
     {|{"backend": "sim", "machine": "testbox", "unit": "ops/cycle",
@@ -305,6 +307,26 @@ let test_bench_switches_gate () =
     (metrics ~baseline:old_schema ~current:(doc 9_000));
   Alcotest.(check int) "written and read back" 1_000
     (List.hd (J.of_string (J.to_string (doc 1_000))).J.rows).J.switches
+
+(* The cells column too: simulated cells created per operation (SEC's
+   batch footprint) past the threshold fail [--against], and an absent
+   column reads 0 and gates nothing. *)
+let test_bench_cells_gate () =
+  let doc cells = bench_doc ~cells () in
+  let metrics = bench_regressions in
+  Alcotest.(check (list string)) "within 10%" []
+    (metrics ~baseline:(doc 500) ~current:(doc 550));
+  Alcotest.(check (list string)) "past 10%" [ "cells/op" ]
+    (metrics ~baseline:(doc 500) ~current:(doc 551));
+  Alcotest.(check (list string)) "fewer cells pass" []
+    (metrics ~baseline:(doc 500) ~current:(doc 300));
+  let old_schema = old_schema_doc () in
+  Alcotest.(check int) "absent column reads 0" 0
+    (List.hd old_schema.J.rows).J.cells;
+  Alcotest.(check (list string)) "old baseline gates no cells" []
+    (metrics ~baseline:old_schema ~current:(doc 9_000));
+  Alcotest.(check int) "written and read back" 500
+    (List.hd (J.of_string (J.to_string (doc 500))).J.rows).J.cells
 
 let test_experiment_thread_lists () =
   let top = Experiments.threads_for Sec_sim.Topology.emerald in
@@ -363,6 +385,7 @@ let () =
             test_bench_events_gate;
           Alcotest.test_case "bench switches gate" `Quick
             test_bench_switches_gate;
+          Alcotest.test_case "bench cells gate" `Quick test_bench_cells_gate;
         ] );
       ( "experiments",
         [

@@ -246,19 +246,21 @@ let qcheck_stats_percentages =
       abs_float (Stats.pct_eliminated st +. Stats.pct_combined st -. 100.)
       < 1e-9)
 
-(* Regression: more than [max_threads] announcements landing in one batch
-   used to trip [assert (seq < capacity)] — and, without the assert, write
-   past the elimination array — on the push path, because every retry FAAs
-   a fresh sequence number. Deterministically provoked in the simulator:
-   one aggregator, a long freeze window, six pushers into a stack sized
-   for two. Overflowing announcers must now wait out the batch and retry. *)
-let test_capacity_overflow () =
+(* Regression: more announcements than a batch's capacity landing in one
+   batch used to trip [assert (seq < capacity)] — and, without the
+   assert, write past the elimination array — on the push path, because
+   every retry FAAs a fresh sequence number. Deterministically provoked
+   in the simulator: a long freeze window and six pushers into a stack
+   sized for two, so three per shard. With one aggregator a batch holds
+   P = 2 announcements; with two, P = 1. Overflowing announcers must now
+   wait out the batch and retry. *)
+let check_capacity_overflow num_aggregators =
   let module SP = Sec_sim.Sim.Prim in
   let module SimSec = Sec_core.Sec_stack.Make (SP) in
   let config =
     {
       Config.default with
-      Config.num_aggregators = 1;
+      Config.num_aggregators;
       freeze_backoff = 50_000;
       collect_stats = true;
     }
@@ -280,8 +282,12 @@ let test_capacity_overflow () =
          with Exit -> ());
         (List.sort compare !out, (SimSec.stats s).Stats.excluded))
   in
-  Alcotest.(check (list int)) "all pushes land" [ 1; 2; 3; 4; 5; 6 ] popped;
-  Alcotest.(check bool) "overflow path exercised" true (excluded > 0)
+  let label what = Printf.sprintf "K = %d: %s" num_aggregators what in
+  Alcotest.(check (list int)) (label "all pushes land") [ 1; 2; 3; 4; 5; 6 ]
+    popped;
+  Alcotest.(check bool) (label "overflow path exercised") true (excluded > 0)
+
+let test_capacity_overflow () = List.iter check_capacity_overflow [ 1; 2 ]
 
 (* ------------------------------------------------------------------ *)
 (* Freezer wait (simulated emerald, 100% updates, fixed seeds)          *)
@@ -398,12 +404,19 @@ let test_freezer_contended_pin () =
    and a read hit, and while a hit also rescheduled, each cost two
    switches: 47 989 (8.26 per op) at 4 fibers and 477 703 (25.17 per
    op) at 56. Now a hit that no write can overtake runs on, and only
-   the relax parks. The counts include the 1 000-push prefill. *)
-let pinned_events = [ (4, 114_226, 42_123); (56, 502_256, 334_839) ]
+   the relax parks. The counts include the 1 000-push prefill.
+
+   The simulated cells the runs create ([Sim.stats.cells]) are pinned
+   last: one batch is 7 cells plus its elimination array, so they track
+   how many batches a run takes and how large each is. While every batch
+   was sized [max_threads], not its shard's P, the same runs created
+   43 035 (7.40 per op) at 4 fibers and 106 347 (5.59 per op) at 56. *)
+let pinned_events =
+  [ (4, 114_226, 42_123, 35_211); (56, 502_256, 334_839, 59_083) ]
 
 let test_freezer_events_pin () =
   List.iter
-    (fun (threads, pinned_events, pinned_switches) ->
+    (fun (threads, pinned_events, pinned_switches, pinned_cells) ->
       let counts, st =
         sim_update_run ~seed:1 ~threads ~cycles:1_000_000 ()
       in
@@ -418,16 +431,32 @@ let test_freezer_events_pin () =
       Alcotest.(check int)
         (Printf.sprintf "switches (seed 1, %d fibers, 1M cycles; %.2f per op)"
            threads (per_op switches))
-        pinned_switches switches)
+        pinned_switches switches;
+      Alcotest.(check int)
+        (Printf.sprintf "cells (seed 1, %d fibers, 1M cycles; %.2f per op)"
+           threads (per_op st.Sec_sim.Sim.cells))
+        pinned_cells st.Sec_sim.Sim.cells)
     pinned_events
 
-(* [freeze_backoff = 0] freezes at once: a lone thread's operations
-   never relax, while the default budget relaxes once per operation (the
-   initial probe). *)
+(* A native substrate that counts [relax] calls and the atomic cells
+   created, for the two tests below. *)
 let relax_calls = ref 0
+let cells_made = ref 0
 
 module Counting_prim = struct
   include Sec_prim.Native
+
+  module Atomic = struct
+    include Sec_prim.Native.Atomic
+
+    let make v =
+      Stdlib.incr cells_made;
+      Sec_prim.Native.Atomic.make v
+
+    let make_padded v =
+      Stdlib.incr cells_made;
+      Sec_prim.Native.Atomic.make_padded v
+  end
 
   let relax n =
     incr relax_calls;
@@ -436,6 +465,9 @@ end
 
 module Counting_sec = Sec_core.Sec_stack.Make (Counting_prim)
 
+(* [freeze_backoff = 0] freezes at once: a lone thread's operations
+   never relax, while the default budget relaxes once per operation (the
+   initial probe). *)
 let test_no_probe_without_backoff () =
   let relaxes freeze_backoff =
     let config = { Config.default with Config.freeze_backoff } in
@@ -452,6 +484,23 @@ let test_no_probe_without_backoff () =
   Alcotest.(check int) "freeze_backoff = 0" 0 (relaxes 0);
   Alcotest.(check int) "default budget: one probe per op" 100
     (relaxes Config.default.Config.freeze_backoff)
+
+(* The batch footprint: a lone push freezes its batch and installs a
+   fresh one, 7 padded cells (counters, freeze snapshots, flags, the
+   substack) plus an elimination array of the shard's P =
+   ceil(max_threads / K) slots (paper, Figure 1). Batches sized by
+   [max_threads] instead made 63 cells at 56 threads, whatever K. *)
+let test_batch_footprint () =
+  List.iter
+    (fun (max_threads, k, expected) ->
+      let s = Counting_sec.create_with ~config:(with_aggs k) ~max_threads () in
+      cells_made := 0;
+      Counting_sec.push s ~tid:0 1;
+      Alcotest.(check int)
+        (Printf.sprintf "max_threads %d, K = %d: cells per lone push"
+           max_threads k)
+        expected !cells_made)
+    [ (56, 2, 35); (56, 5, 19); (56, 1, 63); (192, 2, 103) ]
 
 let test_tid_to_aggregator_coverage () =
   (* Every aggregator must receive traffic when tids cover [0, K). *)
@@ -514,6 +563,7 @@ let () =
             test_tid_to_aggregator_coverage;
           Alcotest.test_case "batch capacity overflow" `Quick
             test_capacity_overflow;
+          Alcotest.test_case "batch footprint" `Quick test_batch_footprint;
         ] );
       ( "freezer",
         [
