@@ -197,85 +197,41 @@ let figures_cmd =
       const run $ scale_arg $ seed_arg $ jobs_arg $ topology_arg $ only_arg
       $ out_arg $ report_arg $ no_report_arg $ digests_arg)
 
-(* Machine-readable baseline: pinned sim (or native) runs over every
-   structure, with allocation counts; optionally emitted as
-   BENCH_<backend>.json and/or compared against a checked-in baseline
-   (exit 1 past the regression threshold). Wired into
+(* Machine-readable baseline: pinned simulated runs over every
+   structure, with allocation, event, switch and cell counts; optionally
+   emitted as BENCH_sim.json and/or compared against a checked-in
+   baseline (exit 1 past the regression threshold). Wired into
    `dune build @bench-smoke` with `--against BENCH_sim.json`. *)
 let bench_cmd =
   let module J = Sec_harness.Bench_json in
-  let backend_arg =
-    let doc = "Substrate to benchmark: $(b,sim) or $(b,native)." in
-    Arg.(
-      value
-      & opt (Arg.enum [ ("sim", `Sim); ("native", `Native) ]) `Sim
-      & info [ "backend" ] ~docv:"BACKEND" ~doc)
-  in
   let emit_arg =
-    let doc =
-      "Write the results as JSON to $(docv) (default \
-       BENCH_<backend>.json when the flag is given without a value)."
-    in
+    let doc = "Write the results as JSON to $(docv)." in
     Arg.(
       value
-      & opt ~vopt:(Some "") (some string) None
+      & opt ~vopt:(Some "BENCH_sim.json") (some string) None
       & info [ "emit-json" ] ~docv:"PATH" ~doc)
   in
   let against_arg =
     let doc =
       "Compare against the baseline JSON at $(docv); exit non-zero if \
-       any paper-set structure's throughput falls, or its simulated \
-       events, context switches or cells per operation rise, past the \
-       threshold."
+       any paper-set structure's row is missing, its throughput falls, \
+       or its allocations, simulated events, context switches or cells \
+       per operation rise, past the threshold."
     in
     Arg.(value & opt (some string) None & info [ "against" ] ~docv:"PATH" ~doc)
   in
   let threshold_arg =
     let doc =
-      "Allowed fractional throughput regression, and rise in simulated \
-       events, context switches and cells per operation (default 0.10)."
+      "Allowed fractional throughput regression, and rise in allocations, \
+       simulated events, context switches and cells per operation \
+       (default 0.10)."
     in
     Arg.(value & opt float 0.10 & info [ "threshold" ] ~docv:"F" ~doc)
   in
-  let events_threshold_arg =
-    let doc =
-      "Also gate the wall-clock events/sec (event-loop throughput): fail \
-       if it regresses by more than this fraction. Off unless given; pass \
-       a wide band when comparing across machines of different speeds."
-    in
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "events-threshold" ] ~docv:"F" ~doc)
-  in
-  let allocs_threshold_arg =
-    let doc =
-      "Allowed fractional allocations-per-op regression (default 0.10)."
-    in
-    Arg.(value & opt float 0.10 & info [ "allocs-threshold" ] ~docv:"F" ~doc)
-  in
-  let run seed backend emit against threshold events_threshold
-      allocs_threshold =
-    let doc =
-      match backend with
-      | `Sim -> J.collect_sim ~seed ()
-      | `Native -> J.collect_native ~seed ()
-    in
-    Printf.printf "bench [%s %s, seed %d]: %d rows (%s)\n" doc.J.backend
-      doc.J.machine doc.J.seed (List.length doc.J.rows) doc.J.unit_label;
-    if doc.J.events_per_sec > 0. then
-      Printf.printf "  event loop: %.3g events/sec (wall clock, best-of-12)\n"
-        doc.J.events_per_sec;
-    Option.iter
-      (fun (v : Sec_harness.Variance.t) ->
-        Printf.printf
-          "  event loop spread: mean %.3g, min %.3g, max %.3g events/sec \
-           (spread %.1f%% of mean, n=%d)%s\n"
-          v.mean v.min v.max v.relative_spread v.samples
-          (match doc.J.words_per_event with
-          | Some w -> Printf.sprintf ", %.2f minor words/event" w
-          | None -> ""))
-      doc.J.events_spread;
+  let run seed emit against threshold =
+    let doc = J.collect ~seed () in
+    Printf.printf "bench [%s, seed %d]: %d rows (ops/cycle)\n" doc.J.machine
+      doc.J.seed (List.length doc.J.rows);
     List.iter
       (fun (r : J.row) ->
         Printf.printf
@@ -286,10 +242,6 @@ let bench_cmd =
       doc.J.rows;
     Option.iter
       (fun path ->
-        let path =
-          if path = "" then Printf.sprintf "BENCH_%s.json" doc.J.backend
-          else path
-        in
         J.write ~path doc;
         Printf.printf "wrote %s\n" path)
       emit;
@@ -297,20 +249,12 @@ let bench_cmd =
     | None -> ()
     | Some path -> (
         let baseline = J.read ~path in
-        match
-          J.check ~threshold ?events_threshold ~allocs_threshold ~baseline
-            ~current:doc ()
-        with
+        match J.check ~threshold ~baseline ~current:doc () with
         | [] ->
             Printf.printf
               "baseline %s: no paper-set regression beyond %.0f%% \
-               (throughput, events/op, switches/op, cells/op; %s, \
-               allocs/op beyond %.0f%%)\n"
+               (throughput, allocs/op, events/op, switches/op, cells/op)\n"
               path (100. *. threshold)
-              (match events_threshold with
-              | Some f -> Printf.sprintf "events/sec beyond %.0f%%" (100. *. f)
-              | None -> "events/sec not gated")
-              (100. *. allocs_threshold)
         | regs ->
             List.iter
               (fun (r : J.regression) ->
@@ -329,12 +273,10 @@ let bench_cmd =
   Cmd.v
     (Cmd.info "bench"
        ~doc:
-         "Run the pinned benchmark baseline (throughput, allocations, \
-          simulated events, switches and cells), optionally \
-          emitting/checking BENCH_<backend>.json")
-    Term.(
-      const run $ seed_arg $ backend_arg $ emit_arg $ against_arg
-      $ threshold_arg $ events_threshold_arg $ allocs_threshold_arg)
+         "Run the pinned simulated benchmark baseline (throughput, \
+          allocations, events, switches and cells), optionally \
+          emitting/checking BENCH_sim.json")
+    Term.(const run $ seed_arg $ emit_arg $ against_arg $ threshold_arg)
 
 (* Refinement sweep: every registry entry (plus the pool relaxation, plus
    — under --mutants — the seeded fault-injection builds) is run through

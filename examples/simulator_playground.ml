@@ -40,8 +40,9 @@ let machine_comparison () =
   List.iter
     (fun topo ->
       let threads = Topology.max_threads topo in
-      let m =
-        Sec_harness.Sim_runner.run Sec_harness.Registry.sec.Sec_harness.Registry.maker
+      let m, _ =
+        Sec_harness.Sim_runner.run_with_stats
+          Sec_harness.Registry.sec.Sec_harness.Registry.maker
           ~topology:topo ~threads ~duration_cycles:100_000
           ~mix:Sec_harness.Workload.update_heavy ()
       in

@@ -55,27 +55,6 @@ end)
   let peek = M.peek
 end
 
-let sec_with ?(freeze_backoff = Sec_core.Config.default.freeze_backoff)
-    ~aggregators ~label () =
-  let module C = struct
-    let label = label
-
-    let config =
-      {
-        Sec_core.Config.default with
-        Sec_core.Config.num_aggregators = aggregators;
-        freeze_backoff;
-      }
-  end in
-  {
-    name = label;
-    maker = (module Sec_configured (C) : MAKER);
-    progress = Blocking;
-    spec = Stack_sem;
-  }
-
-let sec = sec_with ~aggregators:2 ~label:"SEC" ()
-
 let sec_configured ~label ~config =
   let module C = struct
     let label = label
@@ -87,6 +66,18 @@ let sec_configured ~label ~config =
     progress = Blocking;
     spec = Stack_sem;
   }
+
+let sec_with ?(freeze_backoff = Sec_core.Config.default.freeze_backoff)
+    ~aggregators ~label () =
+  sec_configured ~label
+    ~config:
+      {
+        Sec_core.Config.default with
+        Sec_core.Config.num_aggregators = aggregators;
+        freeze_backoff;
+      }
+
+let sec = sec_with ~aggregators:2 ~label:"SEC" ()
 
 let treiber =
   {

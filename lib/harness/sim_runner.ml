@@ -42,16 +42,8 @@ let run_with_stats (module Maker : Registry.MAKER) ~topology ~threads
       ~cycles:duration_cycles,
     stats )
 
-let run (module Maker : Registry.MAKER) ~topology ~threads ~duration_cycles
-    ~mix ?(prefill = default_prefill) ?(value_range = default_value_range)
-    ?(seed = 1) () =
-  fst
-    (run_with_stats
-       (module Maker)
-       ~topology ~threads ~duration_cycles ~mix ~prefill ~value_range ~seed ())
-
-(* Like [run], but recording a per-operation latency histogram (virtual
-   cycles, benchmark-loop overhead excluded). *)
+(* Like [run_with_stats], but recording a per-operation latency
+   histogram (virtual cycles, benchmark-loop overhead excluded). *)
 let run_latency_profile (module Maker : Registry.MAKER) ~topology ~threads
     ~duration_cycles ~mix ?(prefill = default_prefill)
     ?(value_range = default_value_range) ?(seed = 1) () =
@@ -96,13 +88,6 @@ let run_sec_stats_with ~config ~topology ~threads ~duration_cycles ~mix
         Sec_core.Sec_stats.diff (Sec.stats stack) baseline)
   in
   (stats, sim_stats)
-
-let run_sec_stats ~config ~topology ~threads ~duration_cycles ~mix
-    ?(prefill = default_prefill) ?(value_range = default_value_range)
-    ?(seed = 1) () =
-  fst
-    (run_sec_stats_with ~config ~topology ~threads ~duration_cycles ~mix
-       ~prefill ~value_range ~seed ())
 
 (* Record an operation history under virtual time, for linearizability
    checking of simulated executions. *)

@@ -14,23 +14,11 @@ val loop_overhead : int
     pop pressure rather than empty-pop throughput. *)
 val prefill_for : Workload.mix -> int
 
-(** [run maker ~topology ~threads ~duration_cycles ~mix ()] spawns
-    [threads] fibers that hammer a fresh stack until the virtual deadline
-    and reports throughput (scaled as if the machine ran at 3 GHz). *)
-val run :
-  (module Registry.MAKER) ->
-  topology:Sec_sim.Topology.t ->
-  threads:int ->
-  duration_cycles:int ->
-  mix:Workload.mix ->
-  ?prefill:int ->
-  ?value_range:int ->
-  ?seed:int ->
-  unit ->
-  Measurement.t
-
-(** Like {!run}, but also returning the run's simulator statistics —
-    notably [Sim.stats.schedule_digest], which the figure goldens pin so
+(** [run_with_stats maker ~topology ~threads ~duration_cycles ~mix ()]
+    spawns [threads] fibers that hammer a fresh stack until the virtual
+    deadline and reports throughput (scaled as if the machine ran at
+    3 GHz), with the run's simulator statistics — notably
+    [Sim.stats.schedule_digest], which the figure goldens pin so
     event-loop refactors are provably schedule-preserving. *)
 val run_with_stats :
   (module Registry.MAKER) ->
@@ -44,8 +32,9 @@ val run_with_stats :
   unit ->
   Measurement.t * Sec_sim.Sim.stats
 
-(** Like {!run}, but returns a per-operation latency histogram in virtual
-    cycles (used by the latency-distribution experiment). *)
+(** Like {!run_with_stats}, but returns a per-operation latency
+    histogram in virtual cycles (used by the latency-distribution
+    experiment). *)
 val run_latency_profile :
   (module Registry.MAKER) ->
   topology:Sec_sim.Topology.t ->
@@ -59,21 +48,8 @@ val run_latency_profile :
   Latency.t
 
 (** Same run shape for SEC only, returning its batch statistics (prefill
-    excluded) — used for the paper's Tables 1–3. *)
-val run_sec_stats :
-  config:Sec_core.Config.t ->
-  topology:Sec_sim.Topology.t ->
-  threads:int ->
-  duration_cycles:int ->
-  mix:Workload.mix ->
-  ?prefill:int ->
-  ?value_range:int ->
-  ?seed:int ->
-  unit ->
-  Sec_core.Sec_stats.t
-
-(** {!run_sec_stats} plus the run's simulator statistics (same digest use
-    as {!run_with_stats}). *)
+    excluded) — used for the paper's Tables 1–3 — and the run's
+    simulator statistics (same digest use as {!run_with_stats}). *)
 val run_sec_stats_with :
   config:Sec_core.Config.t ->
   topology:Sec_sim.Topology.t ->

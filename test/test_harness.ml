@@ -120,8 +120,8 @@ let test_native_runner_smoke () =
   Alcotest.(check bool) "throughput positive" true (m.Measurement.mops > 0.)
 
 let test_sim_runner_smoke () =
-  let m =
-    Sim_runner.run Registry.sec.Registry.maker
+  let m, _ =
+    Sim_runner.run_with_stats Registry.sec.Registry.maker
       ~topology:Sec_sim.Topology.testbox ~threads:8 ~duration_cycles:30_000
       ~mix:W.mixed ()
   in
@@ -130,16 +130,17 @@ let test_sim_runner_smoke () =
 
 let test_sim_runner_deterministic () =
   let run () =
-    Sim_runner.run Registry.treiber.Registry.maker
-      ~topology:Sec_sim.Topology.testbox ~threads:4 ~duration_cycles:20_000
-      ~mix:W.update_heavy ~seed:5 ()
+    fst
+      (Sim_runner.run_with_stats Registry.treiber.Registry.maker
+         ~topology:Sec_sim.Topology.testbox ~threads:4 ~duration_cycles:20_000
+         ~mix:W.update_heavy ~seed:5 ())
   in
   Alcotest.(check int) "same seed, same ops" (run ()).Measurement.ops
     (run ()).Measurement.ops
 
 let test_sim_runner_sec_stats () =
-  let stats =
-    Sim_runner.run_sec_stats ~config:Sec_core.Config.default
+  let stats, _ =
+    Sim_runner.run_sec_stats_with ~config:Sec_core.Config.default
       ~topology:Sec_sim.Topology.testbox ~threads:8 ~duration_cycles:50_000
       ~mix:W.update_heavy ()
   in
@@ -217,116 +218,124 @@ let test_experiment_cells_unique () =
   unique "cell id" (List.map (fun c -> c.Experiments.cell_id) cells);
   unique "CSV file" (List.map (fun c -> c.Experiments.cell_file) cells)
 
-(* A one-row sim bench document (SEC at 4 threads, 100 operations)
-   carrying the given events, switches and cells, and the metrics
-   [--against] flags between two of them. *)
+(* A sim bench row (SEC at 4 threads, 100 operations) carrying the
+   given counts, a document of such rows, and the metrics [--against]
+   flags between two documents. *)
 module J = Sec_harness.Bench_json
 
-let bench_doc ?(events = 2_000) ?(switches = 1_000) ?(cells = 500) () =
+let bench_row ?(threads = 4) ?(allocs = 50) ?(events = 2_000)
+    ?(switches = 1_000) ?(cells = 500) () =
   {
-    J.backend = "sim";
-    machine = "testbox";
-    unit_label = "ops/cycle";
-    seed = 1;
-    duration = 100_000.;
-    events_per_sec = 0.;
-    events_spread = None;
-    words_per_event = None;
-    rows =
-      [
-        {
-          J.algorithm = "SEC";
-          threads = 4;
-          ops = 100;
-          allocs = 50;
-          events;
-          switches;
-          cells;
-          throughput = 0.001;
-          gc_minor_words = 0.;
-          gc_major_colls = 0;
-        };
-      ];
+    J.algorithm = "SEC";
+    threads;
+    ops = 100;
+    allocs;
+    events;
+    switches;
+    cells;
+    throughput = 0.001;
   }
 
-let bench_regressions ~baseline ~current =
+let bench_doc rows =
+  { J.machine = "testbox"; seed = 1; duration = 100_000.; rows }
+
+let bench_regressions ?threshold ~baseline ~current () =
   List.map
     (fun (r : J.regression) -> r.J.r_metric)
-    (J.check ~baseline ~current ())
+    (J.check ?threshold ~baseline ~current ())
 
-(* A baseline written before the events, switches and cells columns
-   existed. *)
-let old_schema_doc () =
-  J.of_string
-    {|{"backend": "sim", "machine": "testbox", "unit": "ops/cycle",
-       "seed": 1, "duration": 100000.0,
-       "rows": [{"algorithm": "SEC", "threads": 4, "ops": 100,
-                 "allocs": 50, "throughput": 0.001}]}|}
-
-(* The bench baseline's events column: a sim row whose scheduling
-   events per operation rise past the threshold fails [--against], and a
-   baseline written before the column existed reads as 0 and gates
-   nothing. *)
-let test_bench_events_gate () =
-  let doc events = bench_doc ~events () in
-  let metrics = bench_regressions in
-  Alcotest.(check (list string)) "within 10%" []
-    (metrics ~baseline:(doc 2_000) ~current:(doc 2_200));
-  Alcotest.(check (list string)) "past 10%" [ "events/op" ]
-    (metrics ~baseline:(doc 2_000) ~current:(doc 2_201));
-  Alcotest.(check (list string)) "fewer events pass" []
-    (metrics ~baseline:(doc 2_000) ~current:(doc 1_000));
-  let old_schema = old_schema_doc () in
-  Alcotest.(check int) "absent column reads 0" 0
-    (List.hd old_schema.J.rows).J.events;
-  Alcotest.(check (list string)) "old baseline gates no events" []
-    (metrics ~baseline:old_schema ~current:(doc 9_000));
-  Alcotest.(check int) "written and read back" 2_000
-    (List.hd (J.of_string (J.to_string (doc 2_000))).J.rows).J.events
-
-(* The switches column gates the same way: context switches per
-   operation past the threshold fail [--against], independently of the
-   events column, and an absent column reads 0 and gates nothing. *)
-let test_bench_switches_gate () =
-  let doc switches = bench_doc ~switches () in
-  let metrics = bench_regressions in
-  Alcotest.(check (list string)) "within 10%" []
-    (metrics ~baseline:(doc 1_000) ~current:(doc 1_100));
-  Alcotest.(check (list string)) "past 10%" [ "switches/op" ]
-    (metrics ~baseline:(doc 1_000) ~current:(doc 1_101));
-  Alcotest.(check (list string)) "fewer switches pass" []
-    (metrics ~baseline:(doc 1_000) ~current:(doc 600));
+(* The per-operation count columns gate alike: a count per operation
+   rising past the threshold fails [--against], one within it or a
+   fall passes, and each column survives a write and a read back. *)
+let test_bench_count_gates () =
+  List.iter
+    (fun (metric, base, row, column) ->
+      let doc n = bench_doc [ row n ] in
+      let gate name expected n =
+        Alcotest.(check (list string))
+          (metric ^ " " ^ name) expected
+          (bench_regressions ~baseline:(doc base) ~current:(doc n) ())
+      in
+      gate "within 10%" [] (base * 11 / 10);
+      gate "past 10%" [ metric ] ((base * 11 / 10) + 1);
+      gate "fewer pass" [] (base / 2);
+      Alcotest.(check int)
+        (metric ^ " written and read back")
+        base
+        (column (List.hd (J.of_string (J.to_string (doc base))).J.rows)))
+    [
+      ("allocs/op", 50, (fun allocs -> bench_row ~allocs ()), fun r ->
+        r.J.allocs);
+      ("events/op", 2_000, (fun events -> bench_row ~events ()), fun r ->
+        r.J.events);
+      ( "switches/op",
+        1_000,
+        (fun switches -> bench_row ~switches ()),
+        fun r -> r.J.switches );
+      ("cells/op", 500, (fun cells -> bench_row ~cells ()), fun r -> r.J.cells);
+    ];
   Alcotest.(check (list string))
     "both counts gate" [ "events/op"; "switches/op" ]
-    (metrics ~baseline:(doc 1_000)
-       ~current:(bench_doc ~events:3_000 ~switches:2_000 ()));
-  let old_schema = old_schema_doc () in
-  Alcotest.(check int) "absent column reads 0" 0
-    (List.hd old_schema.J.rows).J.switches;
-  Alcotest.(check (list string)) "old baseline gates no switches" []
-    (metrics ~baseline:old_schema ~current:(doc 9_000));
-  Alcotest.(check int) "written and read back" 1_000
-    (List.hd (J.of_string (J.to_string (doc 1_000))).J.rows).J.switches
+    (bench_regressions
+       ~baseline:(bench_doc [ bench_row () ])
+       ~current:(bench_doc [ bench_row ~events:3_000 ~switches:2_000 () ])
+       ())
 
-(* The cells column too: simulated cells created per operation (SEC's
-   batch footprint) past the threshold fail [--against], and an absent
-   column reads 0 and gates nothing. *)
-let test_bench_cells_gate () =
-  let doc cells = bench_doc ~cells () in
-  let metrics = bench_regressions in
-  Alcotest.(check (list string)) "within 10%" []
-    (metrics ~baseline:(doc 500) ~current:(doc 550));
-  Alcotest.(check (list string)) "past 10%" [ "cells/op" ]
-    (metrics ~baseline:(doc 500) ~current:(doc 551));
-  Alcotest.(check (list string)) "fewer cells pass" []
-    (metrics ~baseline:(doc 500) ~current:(doc 300));
-  let old_schema = old_schema_doc () in
-  Alcotest.(check int) "absent column reads 0" 0
-    (List.hd old_schema.J.rows).J.cells;
-  Alcotest.(check (list string)) "old baseline gates no cells" []
-    (metrics ~baseline:old_schema ~current:(doc 9_000));
-  Alcotest.(check int) "written and read back" 500
-    (List.hd (J.of_string (J.to_string (doc 500))).J.rows).J.cells
+(* One [~threshold] sets every gate, allocations per op included. *)
+let test_bench_allocs_threshold () =
+  let baseline = bench_doc [ bench_row ~allocs:50 () ]
+  and current = bench_doc [ bench_row ~allocs:70 () ] in
+  Alcotest.(check (list string))
+    "+40% under a 50% threshold" []
+    (bench_regressions ~threshold:0.5 ~baseline ~current ());
+  Alcotest.(check (list string))
+    "+40% past a 20% threshold" [ "allocs/op" ]
+    (bench_regressions ~threshold:0.2 ~baseline ~current ())
+
+(* A paper-set row the current run lacks is a regression, not a pass;
+   a missing row of a non-gating structure is not. *)
+let test_bench_missing_row () =
+  let ebr = { (bench_row ()) with J.algorithm = "TRB-EBR" } in
+  let baseline =
+    bench_doc [ bench_row (); bench_row ~threads:8 (); ebr ]
+  in
+  Alcotest.(check (list string))
+    "SEC t=8 dropped" [ "missing" ]
+    (bench_regressions ~baseline ~current:(bench_doc [ bench_row (); ebr ]) ());
+  Alcotest.(check (list string))
+    "TRB-EBR dropped" []
+    (bench_regressions ~baseline
+       ~current:(bench_doc [ bench_row (); bench_row ~threads:8 () ])
+       ())
+
+(* Every column is required; keys the reader does not know are
+   ignored. *)
+let test_bench_missing_column () =
+  let doc row =
+    Printf.sprintf
+      {|{"machine": "testbox", "seed": 1, "duration": 100000.0,
+         "rows": [{"algorithm": "SEC", "threads": 4, "ops": 100,
+                   "allocs": 50, "events": 2000, "switches": 1000,
+                   %s"throughput": 0.001}]}|}
+      row
+  in
+  Alcotest.check_raises "no cells column"
+    (J.Parse_error "missing field cells") (fun () ->
+      ignore (J.of_string (doc "")));
+  Alcotest.(check int) "an unknown key is ignored" 500
+    (List.hd (J.of_string (doc {|"cells": 500, "gc_major_colls": 0, |})).J.rows)
+      .J.cells
+
+(* A \u escape with non-hex digits is a parse error at its byte, not
+   an exception from [int_of_string]. *)
+let test_bench_bad_escape () =
+  List.iter
+    (fun src ->
+      Alcotest.check_raises src (J.Parse_error "bad \\u escape at byte 3")
+        (fun () -> ignore (J.parse src)))
+    [ {|"\u00zz"|}; {|"\u_0_1"|}; {|"\u00"|} ];
+  Alcotest.(check bool) "a hex escape decodes" true
+    (J.parse {|"\u0041"|} = J.Str "A")
 
 let test_experiment_thread_lists () =
   let top = Experiments.threads_for Sec_sim.Topology.emerald in
@@ -381,11 +390,14 @@ let () =
           Alcotest.test_case "measurement scaling" `Quick
             test_measurement_scaling;
           Alcotest.test_case "csv roundtrip" `Quick test_csv_roundtrip;
-          Alcotest.test_case "bench events gate" `Quick
-            test_bench_events_gate;
-          Alcotest.test_case "bench switches gate" `Quick
-            test_bench_switches_gate;
-          Alcotest.test_case "bench cells gate" `Quick test_bench_cells_gate;
+          Alcotest.test_case "bench count gates" `Quick
+            test_bench_count_gates;
+          Alcotest.test_case "bench allocs threshold" `Quick
+            test_bench_allocs_threshold;
+          Alcotest.test_case "bench missing row" `Quick test_bench_missing_row;
+          Alcotest.test_case "bench missing column" `Quick
+            test_bench_missing_column;
+          Alcotest.test_case "bench bad escape" `Quick test_bench_bad_escape;
         ] );
       ( "experiments",
         [
