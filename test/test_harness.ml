@@ -246,34 +246,33 @@ let bench_regressions ?threshold ~baseline ~current () =
 
 (* The per-operation count columns gate alike: a count per operation
    rising past the threshold fails [--against], one within it or a
-   fall passes, and each column survives a write and a read back. *)
-let test_bench_count_gates () =
-  List.iter
-    (fun (metric, base, row, column) ->
-      let doc n = bench_doc [ row n ] in
-      let gate name expected n =
-        Alcotest.(check (list string))
-          (metric ^ " " ^ name) expected
-          (bench_regressions ~baseline:(doc base) ~current:(doc n) ())
-      in
-      gate "within 10%" [] (base * 11 / 10);
-      gate "past 10%" [ metric ] ((base * 11 / 10) + 1);
-      gate "fewer pass" [] (base / 2);
-      Alcotest.(check int)
-        (metric ^ " written and read back")
-        base
-        (column (List.hd (J.of_string (J.to_string (doc base))).J.rows)))
-    [
-      ("allocs/op", 50, (fun allocs -> bench_row ~allocs ()), fun r ->
-        r.J.allocs);
-      ("events/op", 2_000, (fun events -> bench_row ~events ()), fun r ->
-        r.J.events);
-      ( "switches/op",
-        1_000,
-        (fun switches -> bench_row ~switches ()),
-        fun r -> r.J.switches );
-      ("cells/op", 500, (fun cells -> bench_row ~cells ()), fun r -> r.J.cells);
-    ];
+   fall passes, and the column survives a write and a read back. *)
+let check_count_gate metric base row column =
+  let doc n = bench_doc [ row n ] in
+  let gate name expected n =
+    Alcotest.(check (list string))
+      (metric ^ " " ^ name) expected
+      (bench_regressions ~baseline:(doc base) ~current:(doc n) ())
+  in
+  gate "within 10%" [] (base * 11 / 10);
+  gate "past 10%" [ metric ] ((base * 11 / 10) + 1);
+  gate "fewer pass" [] (base / 2);
+  Alcotest.(check int)
+    (metric ^ " written and read back")
+    base
+    (column (List.hd (J.of_string (J.to_string (doc base))).J.rows))
+
+(* Simulated scheduling events per operation. *)
+let test_bench_events_gate () =
+  check_count_gate "events/op" 2_000
+    (fun events -> bench_row ~events ())
+    (fun r -> r.J.events)
+
+(* Context switches per operation, gated independently of events. *)
+let test_bench_switches_gate () =
+  check_count_gate "switches/op" 1_000
+    (fun switches -> bench_row ~switches ())
+    (fun r -> r.J.switches);
   Alcotest.(check (list string))
     "both counts gate" [ "events/op"; "switches/op" ]
     (bench_regressions
@@ -281,8 +280,17 @@ let test_bench_count_gates () =
        ~current:(bench_doc [ bench_row ~events:3_000 ~switches:2_000 () ])
        ())
 
+(* Simulated cells created per operation (SEC's batch footprint). *)
+let test_bench_cells_gate () =
+  check_count_gate "cells/op" 500
+    (fun cells -> bench_row ~cells ())
+    (fun r -> r.J.cells)
+
 (* One [~threshold] sets every gate, allocations per op included. *)
 let test_bench_allocs_threshold () =
+  check_count_gate "allocs/op" 50
+    (fun allocs -> bench_row ~allocs ())
+    (fun r -> r.J.allocs);
   let baseline = bench_doc [ bench_row ~allocs:50 () ]
   and current = bench_doc [ bench_row ~allocs:70 () ] in
   Alcotest.(check (list string))
@@ -390,8 +398,11 @@ let () =
           Alcotest.test_case "measurement scaling" `Quick
             test_measurement_scaling;
           Alcotest.test_case "csv roundtrip" `Quick test_csv_roundtrip;
-          Alcotest.test_case "bench count gates" `Quick
-            test_bench_count_gates;
+          Alcotest.test_case "bench events gate" `Quick
+            test_bench_events_gate;
+          Alcotest.test_case "bench switches gate" `Quick
+            test_bench_switches_gate;
+          Alcotest.test_case "bench cells gate" `Quick test_bench_cells_gate;
           Alcotest.test_case "bench allocs threshold" `Quick
             test_bench_allocs_threshold;
           Alcotest.test_case "bench missing row" `Quick test_bench_missing_row;
