@@ -189,23 +189,18 @@ let parse (s : string) : json =
       | Some '"' -> advance ()
       | Some '\\' -> (
           advance ();
+          let simple c =
+            Buffer.add_char buf c;
+            advance ();
+            loop ()
+          in
           match peek () with
-          | Some '"' ->
-              Buffer.add_char buf '"';
-              advance ();
-              loop ()
-          | Some '\\' ->
-              Buffer.add_char buf '\\';
-              advance ();
-              loop ()
-          | Some 'n' ->
-              Buffer.add_char buf '\n';
-              advance ();
-              loop ()
-          | Some 't' ->
-              Buffer.add_char buf '\t';
-              advance ();
-              loop ()
+          | Some (('"' | '\\' | '/') as c) -> simple c
+          | Some 'b' -> simple '\b'
+          | Some 'f' -> simple '\012'
+          | Some 'n' -> simple '\n'
+          | Some 'r' -> simple '\r'
+          | Some 't' -> simple '\t'
           | Some 'u' ->
               (* Only ASCII escapes are ever written; decode low code
                  points, reject the rest. *)

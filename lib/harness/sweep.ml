@@ -1,7 +1,8 @@
-(* Parallel fan-out of independent simulation jobs across a native
-   domain pool, built on {!Sec_prim.Native}'s executor (spawn /
-   await_all) rather than raw [Domain.spawn] so the pool shares the
-   harness's one execution capability.
+(* Parallel fan-out of independent simulation jobs across native
+   domains, built on {!Sec_prim.Native}'s executor (spawn / await_all)
+   rather than raw [Domain.spawn], so the fan-out runs on the harness's
+   one persistent worker pool: the first [map] of a given width creates
+   its domains, later ones reuse them.
 
    Jobs are claimed from a shared atomic index and every result is
    written to its own slot, so the output array is in canonical (input)
@@ -9,10 +10,11 @@
    bit-identical to [Array.map f a] for any [n] as long as [f] is a pure
    function of its argument — which simulator runs are, since each
    [Sim.run] owns a fresh cache model, heap and RNG, and the substrate's
-   allocation tally is domain-local. A worker never lets an exception
-   escape (an escaping exception would abandon the sibling domains
-   mid-join); the first failing job's exception, in job order, is
-   re-raised after the pool drains. *)
+   allocation tally is domain-local (and read as a per-run delta, so a
+   reused domain counts exactly too). A worker never lets an exception
+   escape, so one failing job does not stop its worker from claiming the
+   rest; the first failing job's exception, in job order, is re-raised
+   after the pool drains. *)
 
 let recommended () = max 1 (Domain.recommended_domain_count ())
 

@@ -19,7 +19,11 @@ let relax n =
     Domain.cpu_relax ()
   done
 
-let yield = Thread.yield
+(* [nanosleep(2)] with a zero interval, through [Unix.sleepf 0.]: the call
+   enters the kernel scheduler, so a descheduled domain (or any other
+   runnable thread) gets the CPU. [Thread.yield] would only hand this
+   domain's runtime lock to its own systhreads. *)
+let yield () = Unix.sleepf 0.
 
 (* CLOCK_MONOTONIC in nanoseconds: [Unix.gettimeofday] has microsecond
    resolution and steps with the wall clock. *)
@@ -42,13 +46,24 @@ let rand_bits () = Rng.bits (Domain.DLS.get rng_key)
 let note_alloc () = ()
 
 (* ------------------------------------------------------------------ *)
-(* Execution (Prim_intf.EXEC): a deferred domain pool.
+(* Execution (Prim_intf.EXEC): a persistent worker pool.
 
-   [spawn] only registers a thunk; [await_all] spawns the domains, holds
-   them on a start barrier so they begin the measured phase together,
-   releases them, sleeps out the current deadline's duration (if one was
-   created), raises the stop flag and joins. Harness runs are sequential,
-   so one module-level context is enough; [with_exec] resets it.
+   [spawn] only registers a thunk. [await_all] hands the i-th registered
+   thunk to the i-th pooled domain, creating a domain the first time a run
+   needs more than the pool holds: the pool grows to the largest thread
+   count any run has asked for, and later runs spawn and join no domain.
+   One broadcast releases the workers together; the caller then sleeps out
+   the current deadline's duration (if one was created), raises the stop
+   flag and waits until every job has finished. Idle workers and the
+   waiting caller block on condition variables instead of spinning, so
+   they leave the CPUs to the workers when domains outnumber cores.
+
+   Every job runs to completion: a worker catches its thunk's exception,
+   and [await_all] re-raises the first one in spawn order once all jobs
+   are done, so the next run finds the pool idle. [await_all] from inside
+   a pooled worker raises [Invalid_argument]: it would wait on the pool
+   that runs it. Harness runs are sequential, so one module-level context
+   is enough; [with_exec] resets it.
 
    Randomness: [with_exec ~seed] creates a run-level SplitMix64 stream;
    the caller's generator and each worker's generator are [Rng.split]
@@ -64,8 +79,10 @@ type deadline = {
   mutable measured : float; (* wall time workers actually ran *)
 }
 
+type job = { tid : int; rng : Rng.t; body : unit -> unit }
+
 type exec_ctx = {
-  mutable thunks : (int * Rng.t * (unit -> unit)) list; (* reversed *)
+  mutable thunks : job list; (* reversed *)
   mutable spawned : int;
   mutable current : deadline option;
   mutable run_rng : Rng.t;
@@ -87,52 +104,109 @@ let elapsed d = d.measured
 let spawn body =
   let tid = ctx.spawned in
   ctx.spawned <- tid + 1;
-  ctx.thunks <- (tid, Rng.split ctx.run_rng, body) :: ctx.thunks
+  ctx.thunks <- { tid; rng = Rng.split ctx.run_rng; body } :: ctx.thunks
 
 let thread_id () = Domain.DLS.get tid_key
 let num_threads () = ctx.spawned
 
-let await_all () =
-  let thunks = List.rev ctx.thunks in
-  ctx.thunks <- [];
-  let n = List.length thunks in
-  if n > 0 then begin
-    (* Sense barrier: workers check in, then hold until [go] flips. *)
-    let ready = Stdlib.Atomic.make 0 in
-    let go = Stdlib.Atomic.make false in
-    let domains =
-      List.map
-        (fun (tid, rng, body) ->
-          Domain.spawn (fun () ->
-              Domain.DLS.set tid_key tid;
-              Domain.DLS.set rng_key rng;
-              Stdlib.Atomic.incr ready;
-              while not (Stdlib.Atomic.get go) do
-                Domain.cpu_relax ()
-              done;
-              body ()))
-        thunks
-    in
-    while Stdlib.Atomic.get ready < n do
-      Domain.cpu_relax ()
+(* Every field is read and written under [lock]. *)
+type pool = {
+  lock : Mutex.t;
+  released : Condition.t; (* a run handed out its jobs *)
+  finished : Condition.t; (* the current run's last job finished *)
+  mutable size : int; (* domains created so far *)
+  mutable runs : int; (* runs released so far *)
+  mutable jobs : job array; (* the current run's, by spawn rank *)
+  mutable failures : (exn * Printexc.raw_backtrace) option array;
+  mutable pending : int; (* jobs of the current run still running *)
+}
+
+let pool =
+  {
+    lock = Mutex.create ();
+    released = Condition.create ();
+    finished = Condition.create ();
+    size = 0;
+    runs = 0;
+    jobs = [||];
+    failures = [||];
+    pending = 0;
+  }
+
+let run_job slot job =
+  Domain.DLS.set tid_key job.tid;
+  Domain.DLS.set rng_key job.rng;
+  let failure =
+    match job.body () with
+    | () -> None
+    | exception e -> Some (e, Printexc.get_raw_backtrace ())
+  in
+  Mutex.protect pool.lock (fun () ->
+      pool.failures.(slot) <- failure;
+      pool.pending <- pool.pending - 1;
+      if pool.pending = 0 then Condition.signal pool.finished)
+
+(* Pooled domain [slot]: take job [slot] of every run released after
+   [seen], if that run has one. *)
+let serve slot seen =
+  let seen = ref seen in
+  while true do
+    Mutex.lock pool.lock;
+    while pool.runs = !seen do
+      Condition.wait pool.released pool.lock
     done;
-    Stdlib.Atomic.set go true;
-    let t0 = Unix.gettimeofday () in
-    (match ctx.current with
-    | Some d ->
+    seen := pool.runs;
+    let job =
+      if slot < Array.length pool.jobs then Some pool.jobs.(slot) else None
+    in
+    Mutex.unlock pool.lock;
+    Option.iter (run_job slot) job
+  done
+
+let release jobs =
+  Mutex.protect pool.lock (fun () ->
+      let n = Array.length jobs in
+      while pool.size < n do
+        let slot = pool.size and seen = pool.runs in
+        ignore (Domain.spawn (fun () -> serve slot seen) : unit Domain.t);
+        pool.size <- slot + 1
+      done;
+      pool.jobs <- jobs;
+      pool.failures <- Array.make n None;
+      pool.pending <- n;
+      pool.runs <- pool.runs + 1;
+      Condition.broadcast pool.released)
+
+let wait_finished () =
+  Mutex.protect pool.lock (fun () ->
+      while pool.pending > 0 do
+        Condition.wait pool.finished pool.lock
+      done;
+      pool.jobs <- [||];
+      pool.failures)
+
+let await_all () =
+  (* Only a pooled worker has a thread id. *)
+  if thread_id () >= 0 then
+    invalid_arg "Native.await_all: called from a pooled worker";
+  let jobs = Array.of_list (List.rev ctx.thunks) in
+  let deadline = ctx.current in
+  ctx.thunks <- [];
+  ctx.current <- None;
+  if Array.length jobs > 0 then begin
+    release jobs;
+    let t0 = now_ns () in
+    Option.iter
+      (fun d ->
         Unix.sleepf d.duration;
-        let t1 = Unix.gettimeofday () in
+        let t1 = now_ns () in
         Stdlib.Atomic.set d.stop true;
-        d.measured <- t1 -. t0
-    | None -> ());
-    List.iter Domain.join domains;
-    match ctx.current with
-    | Some _ -> ()
-    | None ->
-        (* Untimed (op-bounded) run: elapsed is join-to-join. *)
-        ignore (Unix.gettimeofday () -. t0)
-  end;
-  ctx.current <- None
+        d.measured <- Int64.to_float (Int64.sub t1 t0) *. 1e-9)
+      deadline;
+    Array.iter
+      (Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt))
+      (wait_finished ())
+  end
 
 let with_exec ~seed f =
   ctx.thunks <- [];

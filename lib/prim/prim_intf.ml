@@ -44,7 +44,9 @@ module type S = sig
   val relax : int -> unit
 
   (** Give other threads a chance to run. Used by spin loops once they
-      escalate past busy waiting; essential when threads outnumber cores. *)
+      escalate past busy waiting; essential when threads outnumber cores.
+      Native: a zero-length [nanosleep], which enters the kernel
+      scheduler. *)
   val yield : unit -> unit
 
   (** Monotonic clock. Native: [CLOCK_MONOTONIC] in nanoseconds, never
@@ -75,8 +77,8 @@ end
     executes on real domains and inside the simulator.
 
     Implementations:
-    - {!Sec_prim.Native}: a deferred domain pool released by a start
-      barrier, with a stop flag flipped after a wall-clock sleep;
+    - {!Sec_prim.Native}: a persistent pool of domains released by one
+      broadcast, with a stop flag flipped after a wall-clock sleep;
     - [Sec_sim.Sim.Prim]: fibers of the discrete-event simulator, with
       deadlines in virtual cycles.
 
@@ -105,15 +107,16 @@ module type EXEC = sig
       the backend. Meaningful once {!await_all} has returned. *)
   val elapsed : deadline -> budget
 
-  (** Register a worker. Workers are released together (native: after a
-      start barrier; simulator: fibers share the spawner's virtual time)
-      and numbered [0, 1, ...] in spawn order. *)
+  (** Register a worker. Workers are released together (native: one
+      broadcast wakes the pooled domains; simulator: fibers share the
+      spawner's virtual time) and numbered [0, 1, ...] in spawn order. *)
   val spawn : (unit -> unit) -> unit
 
   (** Block the caller until every spawned worker has finished. On the
       native backend this is also what starts the deferred workers and,
       when a deadline exists, sleeps out its duration before raising the
-      stop flag. *)
+      stop flag; a worker's exception is re-raised here once all workers
+      have finished (the first in spawn order). *)
   val await_all : unit -> unit
 
   (** The calling worker's id (its spawn rank). *)

@@ -345,6 +345,22 @@ let test_bench_bad_escape () =
   Alcotest.(check bool) "a hex escape decodes" true
     (J.parse {|"\u0041"|} = J.Str "A")
 
+(* Every two-character escape JSON defines decodes; the lint's SARIF
+   writer emits [\r] for a carriage return. *)
+let test_bench_escapes () =
+  List.iter
+    (fun (src, want) ->
+      Alcotest.(check bool) src true (J.parse src = J.Str want))
+    [
+      ({|"a\rb"|}, "a\rb");
+      ({|"a\/b"|}, "a/b");
+      ({|"a\bb"|}, "a\bb");
+      ({|"a\fb"|}, "a\012b");
+      ({|"\"\\\n\t"|}, "\"\\\n\t");
+    ];
+  Alcotest.check_raises "an unknown escape" (J.Parse_error "bad escape at byte 2")
+    (fun () -> ignore (J.parse {|"\x"|}))
+
 let test_experiment_thread_lists () =
   let top = Experiments.threads_for Sec_sim.Topology.emerald in
   Alcotest.(check int) "emerald sweep tops out at 56" 56
@@ -409,6 +425,7 @@ let () =
           Alcotest.test_case "bench missing column" `Quick
             test_bench_missing_column;
           Alcotest.test_case "bench bad escape" `Quick test_bench_bad_escape;
+          Alcotest.test_case "bench escapes" `Quick test_bench_escapes;
         ] );
       ( "experiments",
         [

@@ -714,6 +714,27 @@ let test_sarif_shape () =
         J.(to_int (member "startColumn" region))
   | _ -> Alcotest.fail "expected two results"
 
+(* A message holding a carriage return survives the round trip through
+   the writer's [\r] escape. *)
+let test_sarif_carriage_return () =
+  let d =
+    {
+      L.file = "lib/stacks/x.ml";
+      line = 1;
+      col = 0;
+      rule = "ebr-guard";
+      message = "a\rb";
+    }
+  in
+  match J.member "runs" (J.parse (L.sarif_of_diagnostics [ d ])) with
+  | J.Arr [ run ] -> (
+      match J.member "results" run with
+      | J.Arr [ r ] ->
+          Alcotest.(check string) "message text" "a\rb"
+            J.(to_str (member "text" (member "message" r)))
+      | _ -> Alcotest.fail "expected one result")
+  | _ -> Alcotest.fail "expected one run"
+
 let () =
   Alcotest.run "lint"
     [
@@ -830,5 +851,9 @@ let () =
             test_audit_matches_delete_and_relint;
         ] );
       ( "sarif",
-        [ Alcotest.test_case "document shape" `Quick test_sarif_shape ] );
+        [
+          Alcotest.test_case "document shape" `Quick test_sarif_shape;
+          Alcotest.test_case "carriage return" `Quick
+            test_sarif_carriage_return;
+        ] );
     ]

@@ -1,6 +1,6 @@
 (* Unit tests for the execution substrate: padding, RNG, backoff, barrier,
-   per-thread tallies — including the risky parts (Obj-based padding and
-   yielding from plain domains). *)
+   the native worker pool, per-thread tallies — including the risky parts
+   (Obj-based padding and yielding from plain domains). *)
 
 module P = Sec_prim.Native
 module Backoff = Sec_prim.Backoff.Make (P)
@@ -212,10 +212,118 @@ let test_spin_until () =
   Alcotest.(check bool) "flag set" true (Atomic.get flag)
 
 let test_yield_from_domain () =
-  (* Thread.yield must be callable from a freshly spawned domain that never
+  (* [yield] must be callable from a freshly spawned domain that never
      created threads itself; spin loops rely on this on 1-core hosts. *)
   let d = Domain.spawn (fun () -> P.yield (); 17) in
   Alcotest.(check int) "yield in domain" 17 (Domain.join d)
+
+(* ------------------------------------------------------------------ *)
+(* The native executor's worker pool.                                  *)
+
+(* The [Domain.self] id each worker of a 3-worker run ran on. *)
+let worker_domains ~seed =
+  let ids = Array.make 3 (-1) in
+  P.with_exec ~seed (fun () ->
+      for _ = 1 to 3 do
+        P.spawn (fun () -> ids.(P.thread_id ()) <- (Domain.self () :> int))
+      done;
+      P.await_all ());
+  ids
+
+let test_pool_reuses_domains () =
+  let first = worker_domains ~seed:1L in
+  let second = worker_domains ~seed:2L in
+  Array.iter
+    (fun id ->
+      Alcotest.(check bool)
+        (Printf.sprintf "domain %d ran in the first run" id)
+        true
+        (Array.mem id first))
+    second
+
+(* Each worker's [thread_id] followed by its first three
+   [rand_int 1_000_000] draws, for seed 42, by spawn rank. The values were
+   recorded from the executor that spawned fresh domains per run; the pool
+   keeps its [Rng.split] derivation. *)
+let test_pool_rng_derivation () =
+  let seen = Array.make 3 [] in
+  P.with_exec ~seed:42L (fun () ->
+      for i = 0 to 2 do
+        P.spawn (fun () ->
+            let draws = List.init 3 (fun _ -> P.rand_int 1_000_000) in
+            seen.(i) <- P.thread_id () :: draws)
+      done;
+      P.await_all ());
+  Alcotest.(check (array (list int)))
+    "id and draws per worker"
+    [|
+      [ 0; 366682; 592615; 887915 ];
+      [ 1; 180948; 464099; 890219 ];
+      [ 2; 87888; 402605; 835433 ];
+    |]
+    seen
+
+exception Worker_failed of int
+
+let test_pool_worker_raises () =
+  let finished = Array.make 3 false in
+  let work tid () =
+    Unix.sleepf 0.01;
+    finished.(tid) <- true
+  in
+  let raised =
+    try
+      P.with_exec ~seed:3L (fun () ->
+          P.spawn (work 0);
+          P.spawn (fun () -> raise (Worker_failed 1));
+          P.spawn (work 2);
+          P.await_all ();
+          None)
+    with Worker_failed tid -> Some tid
+  in
+  Alcotest.(check (option int)) "worker 1's exception" (Some 1) raised;
+  Alcotest.(check bool) "worker 0 finished" true finished.(0);
+  Alcotest.(check bool) "worker 2 finished" true finished.(2);
+  (* Two raising workers: the first in spawn order wins, even when it
+     raises last. *)
+  let raised =
+    try
+      P.with_exec ~seed:4L (fun () ->
+          P.spawn (fun () ->
+              Unix.sleepf 0.01;
+              raise (Worker_failed 0));
+          P.spawn (fun () -> raise (Worker_failed 1));
+          P.await_all ();
+          None)
+    with Worker_failed tid -> Some tid
+  in
+  Alcotest.(check (option int)) "first in spawn order" (Some 0) raised;
+  let ran = Atomic.make 0 in
+  P.with_exec ~seed:5L (fun () ->
+      let d = P.deadline_after 0.001 in
+      for _ = 1 to 3 do
+        P.spawn (fun () ->
+            while not (P.expired d) do
+              P.cpu_relax ()
+            done;
+            Atomic.incr ran)
+      done;
+      P.await_all ();
+      Alcotest.(check bool) "elapsed measured" true (P.elapsed d > 0.));
+  Alcotest.(check int) "next run completes" 3 (Atomic.get ran)
+
+let test_pool_await_in_worker () =
+  let seen = ref None in
+  P.with_exec ~seed:6L (fun () ->
+      P.spawn (fun () ->
+          seen :=
+            Some
+              (match P.await_all () with
+              | () -> "returned"
+              | exception Invalid_argument _ -> "invalid_arg"));
+      P.await_all ());
+  Alcotest.(check (option string)) "reentrant await_all" (Some "invalid_arg")
+    !seen
 
 let test_barrier_phases () =
   let n = 4 in
@@ -348,6 +456,13 @@ let () =
         ] );
       ( "barrier",
         [ Alcotest.test_case "multi-phase" `Quick test_barrier_phases ] );
+      ( "native pool",
+        [
+          Alcotest.test_case "reuses domains" `Quick test_pool_reuses_domains;
+          Alcotest.test_case "rng derivation" `Quick test_pool_rng_derivation;
+          Alcotest.test_case "worker raises" `Quick test_pool_worker_raises;
+          Alcotest.test_case "await in worker" `Quick test_pool_await_in_worker;
+        ] );
       ( "per-tid tallies",
         [
           Alcotest.test_case "sequential" `Quick test_tally_sequential;
