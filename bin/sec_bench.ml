@@ -8,8 +8,7 @@
      sec_bench check [options]        refinement-property sweep
 
    Options: --scale (duration multiplier), --csv DIR, --backend
-   sim|native|both (which execution substrate to sweep; --native is a
-   shorthand for both), --seed N. *)
+   sim|native|both (which execution substrate to sweep), --seed N. *)
 
 open Cmdliner
 
@@ -33,23 +32,13 @@ let backend_arg =
   in
   Arg.(value & opt choices `Sim & info [ "backend" ] ~docv:"BACKEND" ~doc)
 
-let native_arg =
-  let doc =
-    "Shorthand for $(b,--backend both): append small native-domain sanity \
-     sweeps (limited by this host's cores)."
-  in
-  Arg.(value & flag & info [ "native" ] ~doc)
-
 let seed_arg =
   let doc = "Run seed (simulated results are deterministic per seed)." in
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc)
 
 let opts_term =
-  let make scale csv_dir backend native seed =
-    let backend = if native then `Both else backend in
-    { E.scale; csv_dir; backend; seed }
-  in
-  Term.(const make $ scale_arg $ csv_arg $ backend_arg $ native_arg $ seed_arg)
+  let make scale csv_dir backend seed = { E.scale; csv_dir; backend; seed } in
+  Term.(const make $ scale_arg $ csv_arg $ backend_arg $ seed_arg)
 
 let run_one opts id =
   match E.find id with

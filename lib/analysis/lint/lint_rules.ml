@@ -673,9 +673,6 @@ let check_string ?scope ~filename src =
   | Ok structure -> check ~file:filename ~scope structure
   | Error d -> [ d ]
 
-let check_file ?scope path =
-  check_string ?scope ~filename:path (read_file path)
-
 (* ------------------------------------------------------------------ *)
 (* Annotation audit                                                     *)
 

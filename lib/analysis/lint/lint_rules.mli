@@ -94,11 +94,6 @@ val parse_string :
 val check_structure :
   file:string -> scope:scope -> Parsetree.structure -> diagnostic list
 
-(** Check a source file on disk. [scope] defaults to
-    [scope_of_path path]. Parses from an in-memory copy of the file so
-    locations are computed exactly as in {!check_string}. *)
-val check_file : ?scope:scope -> string -> diagnostic list
-
 (** Check source text directly (for fixtures and tests); [filename] is
     used for reporting and the default scope. *)
 val check_string : ?scope:scope -> filename:string -> string -> diagnostic list

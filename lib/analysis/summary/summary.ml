@@ -209,85 +209,12 @@ let annotate name attrs c =
   | None -> c
 
 (* ------------------------------------------------------------------ *)
-(* .cmt overlay: (line, col) of a field access -> typed cell key        *)
-(* ------------------------------------------------------------------ *)
-
-let typed_key (ld : Types.label_description) =
-  match Types.get_desc ld.lbl_res with
-  | Types.Tconstr (p, _, _) -> Path.name p ^ "." ^ ld.lbl_name
-  | _ -> ld.lbl_name
-
-let cmt_path_for path =
-  let dir = Filename.dirname path in
-  let mname = String.capitalize_ascii (stem_of path) in
-  let want_suffix = "__" ^ mname ^ ".cmt" in
-  let want_exact = stem_of path ^ ".cmt" in
-  try
-    let objs =
-      Array.to_list (Sys.readdir dir)
-      |> List.filter (fun e ->
-             String.length e > 6
-             && e.[0] = '.'
-             && Filename.check_suffix e ".objs")
-      |> List.sort compare
-    in
-    List.find_map
-      (fun o ->
-        let byte = Filename.concat (Filename.concat dir o) "byte" in
-        try
-          Array.to_list (Sys.readdir byte)
-          |> List.sort compare
-          |> List.find_map (fun f ->
-                 if Filename.check_suffix f want_suffix || f = want_exact then
-                   Some (Filename.concat byte f)
-                 else None)
-        with Sys_error _ -> None)
-      objs
-  with Sys_error _ -> None
-
-let no_overlay : int * int -> string option = fun _ -> None
-
-let overlay_for ~file ~src =
-  match cmt_path_for file with
-  | None -> no_overlay
-  | Some cmt -> (
-      try
-        let info = Cmt_format.read_cmt cmt in
-        let fresh =
-          match info.Cmt_format.cmt_source_digest with
-          | Some d -> d = Digest.string src
-          | None -> false
-        in
-        if not fresh then no_overlay
-        else
-          match info.Cmt_format.cmt_annots with
-          | Cmt_format.Implementation tstr ->
-              let tbl = Hashtbl.create 64 in
-              let it =
-                {
-                  Tast_iterator.default_iterator with
-                  expr =
-                    (fun it e ->
-                      (match e.Typedtree.exp_desc with
-                      | Typedtree.Texp_field (_, lid, ld) ->
-                          Hashtbl.replace tbl (L.pos_of lid.loc) (typed_key ld)
-                      | _ -> ());
-                      Tast_iterator.default_iterator.expr it e);
-                }
-              in
-              it.structure it tstr;
-              fun pos -> Hashtbl.find_opt tbl pos
-          | _ -> no_overlay
-      with _ -> no_overlay)
-
-(* ------------------------------------------------------------------ *)
 (* Extraction walker                                                   *)
 (* ------------------------------------------------------------------ *)
 
 type fctx = {
   file : string;
   stem : string;
-  overlay : int * int -> string option;
   retire_rule : bool;  (* rule 5 armed: discipline scope, references Ebr *)
 }
 
@@ -312,16 +239,11 @@ let enter_attrs ctx (attrs : attributes) =
       pb = annotate "publication_ok" attrs ctx.pb;
     }
 
-let field_key ctx (lid : Longident.t Location.loc) =
-  match ctx.fc.overlay (L.pos_of lid.loc) with
-  | Some k -> ctx.fc.stem ^ ":" ^ k
-  | None -> ctx.fc.stem ^ "." ^ L.last_component lid.txt
-
 (* A cell expression that denotes a record field (through array
    indexing and type constraints), or nothing. *)
 let rec syntactic_cell ctx e =
   match e.pexp_desc with
-  | Pexp_field (_, lid) -> Some (field_key ctx lid)
+  | Pexp_field (_, lid) -> Some (ctx.fc.stem ^ "." ^ L.last_component lid.txt)
   | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, (_, arr) :: _)
     when L.is_array_get txt ->
       syntactic_cell ctx arr
@@ -930,12 +852,12 @@ let compute_writers env =
 let analyze ?scope sources =
   let env = new_env () in
   List.iter
-    (fun (file, _, _) ->
+    (fun (file, _) ->
       let stem = stem_of file in
       Hashtbl.replace env.stems (String.capitalize_ascii stem) stem)
     sources;
   List.iter
-    (fun (file, src, str) ->
+    (fun (file, str) ->
       let sc =
         match scope with Some s -> s | None -> L.scope_of_path file
       in
@@ -945,7 +867,6 @@ let analyze ?scope sources =
         {
           file;
           stem = stem_of file;
-          overlay = overlay_for ~file ~src;
           retire_rule = sc.L.check_discipline && L.structure_uses_ebr str;
         }
       in

@@ -32,12 +32,11 @@
       written by two or more entry points — the static mirror of the
       dynamic detector's write-write-race model.
 
-    Atomic cells are keyed by the typed path of their defining record
-    field when the file's [.cmt] typedtree is available (dune emits
-    them for every library; the key is ["stem:TypePath.field"]), and by
-    ["stem.field"] otherwise; unresolvable cells (function parameters,
-    local [Atomic.make]s) get per-function pseudo-keys so they can
-    never alias a shared field.
+    Atomic cells are keyed ["stem.field"]: the file stem and the last
+    component of the record field's name, so one field has one key
+    wherever its record type is spelled from. Unresolvable cells
+    (function parameters, local [Atomic.make]s) get per-function
+    pseudo-keys so they can never alias a shared field.
 
     Each call site and rule site records {e which} annotation
     occurrences cover it, so the audit can recompute a context or a
@@ -66,14 +65,11 @@ val no_effects : effects
 
 type env
 
-(** Analyse a parsed corpus [(filename, source text, parsetree)] (the
-    lint parses each file once; {!Sec_typestate.Typestate.check_corpus}
-    is the entry point). Typed field paths are overlaid from each
-    file's [.cmt] when one is found beside the build tree and its
-    source digest matches the text. [scope] overrides
-    {!L.scope_of_path} for every file (fixtures). *)
-val analyze :
-  ?scope:L.scope -> (string * string * Parsetree.structure) list -> env
+(** Analyse a parsed corpus [(filename, parsetree)] (the lint parses
+    each file once; {!Sec_typestate.Typestate.check_corpus} is the
+    entry point). [scope] overrides {!L.scope_of_path} for every file
+    (fixtures). *)
+val analyze : ?scope:L.scope -> (string * Parsetree.structure) list -> env
 
 (** {2 Lint integration}
 

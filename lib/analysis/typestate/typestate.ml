@@ -1881,21 +1881,19 @@ let cfg_stats t ~file =
    10, the typestate rules 11-13 and the rule 4/6 queries. *)
 let check_sources ?scope sources =
   let parsed =
-    List.map (fun (file, src) -> (file, src, L.parse_string ~file src)) sources
+    List.map (fun (file, src) -> (file, L.parse_string ~file src)) sources
   in
   let ok =
     List.filter_map
-      (fun (file, src, r) ->
-        match r with Ok str -> Some (file, src, str) | Error _ -> None)
+      (fun (file, r) ->
+        match r with Ok str -> Some (file, str) | Error _ -> None)
       parsed
   in
   let summary = Summary.analyze ?scope ok in
-  let ts =
-    analyze ~summary ?scope (List.map (fun (file, _, str) -> (file, str)) ok)
-  in
+  let ts = analyze ~summary ?scope ok in
   let diagnostics =
     List.concat_map
-      (fun (file, _, r) ->
+      (fun (file, r) ->
         match r with
         | Ok str -> L.check_structure ~file ~scope:(scope_for scope file) str
         | Error d -> [ d ])

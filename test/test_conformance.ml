@@ -3,17 +3,11 @@
 
 module C = Sec_spec.Conformance
 
-(* Simulator-backed runner: each [run] is a fresh simulated machine. *)
-module Sim_runner : C.RUNNER with module P = Sec_sim.Sim.Prim = struct
-  module P = Sec_sim.Sim.Prim
+module Native = Sec_prim.Native
+module SP = Sec_sim.Sim.Prim
 
-  let run body =
-    let result, _ =
-      Sec_sim.Sim.run ~topology:Sec_sim.Topology.emerald (fun () ->
-          body ~spawn:Sec_sim.Sim.spawn ~await:Sec_sim.Sim.await_all)
-    in
-    result
-end
+(* Each simulated run is a fresh simulated machine. *)
+let simulated f = fst (Sec_sim.Sim.run ~topology:Sec_sim.Topology.emerald f)
 
 let check_conforms name (report : C.report) =
   List.iter
@@ -23,20 +17,20 @@ let check_conforms name (report : C.report) =
   Alcotest.(check bool) (name ^ " ran checks") true (report.C.passed > 0)
 
 let test_all_stacks_native () =
-  let module T = C.Make (C.Domain_runner) (Sec_stacks.Treiber.Make (Sec_prim.Native)) in
-  check_conforms "treiber/native" (T.all ());
-  let module E = C.Make (C.Domain_runner) (Sec_stacks.Eb_stack.Make (Sec_prim.Native)) in
-  check_conforms "eb/native" (E.all ());
-  let module S = C.Make (C.Domain_runner) (Sec_core.Sec_stack.Make (Sec_prim.Native)) in
-  check_conforms "sec/native" (S.all ())
+  let module T = C.Make (Native) (Sec_stacks.Treiber.Make (Native)) in
+  check_conforms "treiber/native" (Native.with_exec ~seed:1L T.all);
+  let module E = C.Make (Native) (Sec_stacks.Eb_stack.Make (Native)) in
+  check_conforms "eb/native" (Native.with_exec ~seed:1L E.all);
+  let module S = C.Make (Native) (Sec_core.Sec_stack.Make (Native)) in
+  check_conforms "sec/native" (Native.with_exec ~seed:1L S.all)
 
 let test_all_stacks_simulated () =
-  let module T = C.Make (Sim_runner) (Sec_stacks.Treiber.Make (Sec_sim.Sim.Prim)) in
-  check_conforms "treiber/sim" (T.all ~threads:16 ~ops:100 ());
-  let module F = C.Make (Sim_runner) (Sec_stacks.Fc_stack.Make (Sec_sim.Sim.Prim)) in
-  check_conforms "fc/sim" (F.all ~threads:16 ~ops:100 ());
-  let module S = C.Make (Sim_runner) (Sec_core.Sec_stack.Make (Sec_sim.Sim.Prim)) in
-  check_conforms "sec/sim" (S.all ~threads:16 ~ops:100 ())
+  let module T = C.Make (SP) (Sec_stacks.Treiber.Make (SP)) in
+  check_conforms "treiber/sim" (simulated (T.all ~threads:16 ~ops:100));
+  let module F = C.Make (SP) (Sec_stacks.Fc_stack.Make (SP)) in
+  check_conforms "fc/sim" (simulated (F.all ~threads:16 ~ops:100));
+  let module S = C.Make (SP) (Sec_core.Sec_stack.Make (SP)) in
+  check_conforms "sec/sim" (simulated (S.all ~threads:16 ~ops:100))
 
 (* A broken stack: pop ignores concurrent updates (plain store). The kit
    must catch it — on the simulator, where the race is schedulable. *)
@@ -60,9 +54,9 @@ module Broken (P : Sec_prim.Prim_intf.S) : Sec_spec.Stack_intf.S = struct
 end
 
 let test_broken_stack_flagged () =
-  let module B = C.Make (Sim_runner) (Broken (Sec_sim.Sim.Prim)) in
+  let module B = C.Make (SP) (Broken (SP)) in
   (* Drive enough concurrency that the lost-update race fires. *)
-  let report = B.conservation ~threads:16 ~ops:200 () in
+  let report = simulated (B.conservation ~threads:16 ~ops:200) in
   Alcotest.(check bool) "broken stack detected" true
     (report.C.failures <> [])
 

@@ -465,21 +465,6 @@ let test_repo_files_clean () =
       ]
   end
 
-(* check_string and check_file share one location pipeline: linting the
-   same bytes from memory and from disk must produce identical
-   diagnostics, columns included (multi-line annotations used to
-   disagree). *)
-let test_check_string_file_agree () =
-  let path = "../lib/stacks/ts_stack.ml" in
-  if Sys.file_exists path then begin
-    let src = L.read_file path in
-    let of_file = L.check_file path in
-    let of_string = L.check_string ~filename:path src in
-    Alcotest.(check (list string)) "identical diagnostics"
-      (List.map L.diagnostic_to_string of_file)
-      (List.map L.diagnostic_to_string of_string)
-  end
-
 (* -------------------------------------------------------------------- *)
 (* Audit: live and stale annotations *)
 
@@ -836,8 +821,6 @@ let () =
             test_parse_error_is_a_diagnostic;
           Alcotest.test_case "clean fixture" `Quick test_clean_fixture;
           Alcotest.test_case "repo files clean" `Quick test_repo_files_clean;
-          Alcotest.test_case "check_string agrees with check_file" `Quick
-            test_check_string_file_agree;
         ] );
       ( "audit",
         [

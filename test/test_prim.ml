@@ -1,10 +1,9 @@
-(* Unit tests for the execution substrate: padding, RNG, backoff, barrier,
-   the native worker pool, per-thread tallies — including the risky parts
+(* Unit tests for the execution substrate: padding, RNG, backoff, the
+   native worker pool, per-thread tallies — including the risky parts
    (Obj-based padding and yielding from plain domains). *)
 
 module P = Sec_prim.Native
 module Backoff = Sec_prim.Backoff.Make (P)
-module Barrier = Sec_prim.Barrier.Make (P)
 module Tally = Sec_prim.Tally
 module Rng = Sec_prim.Rng
 
@@ -325,27 +324,6 @@ let test_pool_await_in_worker () =
   Alcotest.(check (option string)) "reentrant await_all" (Some "invalid_arg")
     !seen
 
-let test_barrier_phases () =
-  let n = 4 in
-  let bar = Barrier.create n in
-  let log = Array.make n 0 in
-  let phase = Atomic.make 0 in
-  let body i () =
-    for p = 1 to 5 do
-      Barrier.wait bar;
-      (* Everyone observes the same phase value inside a phase. *)
-      if i = 0 then Atomic.set phase p;
-      Barrier.wait bar;
-      if Atomic.get phase = p then log.(i) <- log.(i) + 1
-    done
-  in
-  let ds = List.init (n - 1) (fun i -> Domain.spawn (body (i + 1))) in
-  body 0 ();
-  List.iter Domain.join ds;
-  Array.iteri
-    (fun i c -> Alcotest.(check int) (Printf.sprintf "thread %d phases" i) 5 c)
-    log
-
 (* Ids past [threads] wrap onto existing cells; nothing is lost while
    one thread drives them all. *)
 let test_tally_sequential () =
@@ -454,8 +432,6 @@ let () =
           Alcotest.test_case "spin_until sees flag" `Quick test_spin_until;
           Alcotest.test_case "yield from domain" `Quick test_yield_from_domain;
         ] );
-      ( "barrier",
-        [ Alcotest.test_case "multi-phase" `Quick test_barrier_phases ] );
       ( "native pool",
         [
           Alcotest.test_case "reuses domains" `Quick test_pool_reuses_domains;

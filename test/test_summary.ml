@@ -2,9 +2,10 @@
    (lib/analysis/summary): fixpoint convergence on call cycles, the
    context fixpoint discharging lint obligations across calls, rule 10
    (plain-publication) in both its intra- and interprocedural forms,
-   pacing through a helper on the seeded fixtures, and the
-   cross-validation of the static may-write set
-   against the dynamic race detector on the mutant corpus. *)
+   pacing through a helper on the seeded fixtures, one cell key per
+   record field across a module boundary, and the cross-validation of
+   the static may-write set against the dynamic race detector on the
+   mutant corpus. *)
 
 module L = Sec_lint_rules.Lint_rules
 module Summary = Sec_summary.Summary
@@ -245,6 +246,30 @@ let test_fixture_differential () =
   end
 
 (* -------------------------------------------------------------------- *)
+(* Cell keys *)
+
+(* One record field is one cell wherever its type is spelled from:
+   inside [module Shared_top] the record type is [t], outside it
+   [Shared_top.t], and [peek]'s read and [link]'s CAS of [top] must
+   still meet on one key, or rule 10's per-cell writer count would
+   split a single field. *)
+let test_one_key_per_field () =
+  let file =
+    resolve [ "../lib/core/sec_stack.ml"; "lib/core/sec_stack.ml" ]
+  in
+  let env, _, _ = Sec_typestate.Typestate.check_corpus [ file ] in
+  let effects key =
+    if not (List.mem key (Summary.functions env)) then
+      Alcotest.failf "no function %s" key;
+    Summary.total_effects env key
+  in
+  let reads = (effects "sec_stack:Make.peek").Summary.reads in
+  let rmws = (effects "sec_stack:Make:Shared_top.link.attempt").Summary.rmws in
+  Alcotest.(check (list string))
+    "peek's read and link's CAS share a key" [ "sec_stack.top" ]
+    (Summary.String_set.elements (Summary.String_set.inter reads rmws))
+
+(* -------------------------------------------------------------------- *)
 (* Cross-validation against the dynamic detector *)
 
 let rec gather path acc =
@@ -395,6 +420,9 @@ let () =
           Alcotest.test_case "fixture: facts vs syntactic" `Quick
             test_fixture_differential;
         ] );
+      ( "cell keys",
+        [ Alcotest.test_case "one key per field" `Quick test_one_key_per_field ]
+      );
       ( "cross-validation",
         [
           Alcotest.test_case "dynamic races within static may-writes"
