@@ -49,7 +49,8 @@ module Heap = struct
      flat arrays, so the heap is a bare int array — a push allocates
      nothing, ordering is a single integer test (the packing is
      order-isomorphic to the lexicographic pair) and sifts move a hole
-     instead of swapping, one key move per level. Exact while
+     instead of swapping, one key move per level, with the smaller child
+     picked without a branch (see [sift_down]). Exact while
      [0 <= fid + fid_bias < 2^fid_bits] and [time < 2^(62 - fid_bits)]
      — two million fibers and ~10^12 virtual cycles, both far past any
      simulated run; [pack] rejects anything outside. *)
@@ -104,28 +105,34 @@ module Heap = struct
 
   (* Sift a root-shaped hole down past children smaller than [key], then
      drop [key] in — shared by [pop] (re-inserting the detached last
-     element) and [replace_min]. The [int] annotations must stay: without
-     them this function generalises to ['a array], every [<] becomes a
-     polymorphic [caml_lessthan] C call, and [@inline] copies that generic
-     body into every caller — on the per-park path that call dominated
-     the cost of a sift. *)
+     element) and [replace_min]. Which sibling is smaller is a coin
+     flip at every level, so a branch there would mispredict once per
+     level; instead [m = (vr - vl) asr 62], all ones exactly when
+     [vr < vl] (keys lie in [0, max_int], so no overflow), selects the
+     right child's value and index. A tie keeps the left, as a
+     branching sift does, and a missing right child reads as [max_int].
+     The [int] annotations must stay: without them this function
+     generalises to ['a array], every [<] becomes a polymorphic
+     [caml_lessthan] C call, and [@inline] copies that generic body
+     into every caller. *)
   let[@inline] sift_down (a : int array) n (key : int) =
     let i = ref 0 in
-    let sifting = ref true in
-    while !sifting do
-      let l = (2 * !i) + 1 in
-      if l >= n then sifting := false
-      else begin
-        let r = l + 1 in
-        let c =
-          if r < n && Array.unsafe_get a r < Array.unsafe_get a l then r else l
-        in
-        if Array.unsafe_get a c < key then begin
-          Array.unsafe_set a !i (Array.unsafe_get a c);
-          i := c
-        end
-        else sifting := false
+    let l = ref 1 in
+    while !l < n do
+      let vl : int = Array.unsafe_get a !l in
+      let vr : int =
+        if !l + 1 < n then Array.unsafe_get a (!l + 1) else max_int
+      in
+      let d = vr - vl in
+      let m = d asr 62 in
+      let v = vl + (d land m) in
+      if v < key then begin
+        let c = !l + (m land 1) in
+        Array.unsafe_set a !i v;
+        i := c;
+        l := (2 * c) + 1
       end
+      else l := n
     done;
     Array.unsafe_set a !i key
 

@@ -55,10 +55,14 @@ type stats = {
     [Invalid_argument] when [fid + fid_bias] does not fit in [fid_bits]
     bits or [time] exceeds the remaining 62-bit range.
 
-    The heap itself is a binary min-heap of such keys (non-negative
-    ints). [pop] and [min_key] return [-1] on an empty heap.
-    [replace_min t key] swaps the root for [key] and returns the old
-    root; it requires a non-empty heap and [key >= min_key t]. *)
+    The heap itself is a binary min-heap of such keys. Every key must
+    lie in [\[0, max_int\]], as [pack] guarantees: the sift behind
+    [pop] and [replace_min] picks the smaller child from the sign of
+    the children's difference, without a branch, and reads a missing
+    right child as [max_int]. [pop] and [min_key] return [-1] on an
+    empty heap. [replace_min t key] swaps the root for [key] and
+    returns the old root; it requires a non-empty heap and
+    [key >= min_key t]. *)
 module Heap : sig
   val fid_bits : int
   val fid_bias : int

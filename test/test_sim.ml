@@ -642,7 +642,15 @@ let test_heap_pack_range () =
    drawn from small times (many ties broken by fid) and from the edges of
    the packing range — the largest fid and times just below
    2^(62 - fid_bits). After every step the heap's min must equal the
-   reference's head. *)
+   reference's head.
+
+   Then the shapes a sentinel-based child pick gets wrong first (the
+   sift reads a missing right child as [max_int]): every heap of 1-3
+   keys over a pool that repeats keys and holds the largest packed key,
+   so a node has only a left child; [replace_min] at every size up to
+   194 keys (sapphire's 192 fibers plus [fid_bias]); and the largest
+   packed key, which equals [max_int], as a child and as the
+   replacement. *)
 let test_heap_differential () =
   let max_fid = (1 lsl Sim.Heap.fid_bits) - 1 - Sim.Heap.fid_bias in
   let max_time = (1 lsl (62 - Sim.Heap.fid_bits)) - 1 in
@@ -698,6 +706,43 @@ let test_heap_differential () =
       (fun k -> Alcotest.(check int) "drain" k (Sim.Heap.pop h))
       !reference;
     Alcotest.(check int) "empty pop" (-1) (Sim.Heap.pop h)
+  done;
+  let top = Sim.Heap.pack max_time max_fid in
+  Alcotest.(check int) "largest packed key is max_int" max_int top;
+  (* push [keys], apply each applicable [replace_min], then drain *)
+  let check_shape keys replacements =
+    let label = Printf.sprintf "%d keys" (List.length keys) in
+    let h = Sim.Heap.create () in
+    List.iter (Sim.Heap.push h) keys;
+    let replace reference k =
+      match reference with
+      | m :: rest when k >= m ->
+          Alcotest.(check int) label m (Sim.Heap.replace_min h k);
+          List.merge Int.compare [ k ] rest
+      | _ -> reference
+    in
+    List.fold_left replace (List.sort Int.compare keys) replacements
+    |> List.iter (fun k -> Alcotest.(check int) label k (Sim.Heap.pop h));
+    Alcotest.(check int) label (-1) (Sim.Heap.pop h)
+  in
+  let pool = [ 0; 1; Sim.Heap.pack 3 0; top - 1; top ] in
+  let rec sequences n =
+    if n = 0 then [ [] ]
+    else
+      List.concat_map
+        (fun ks -> List.map (fun k -> k :: ks) pool)
+        (sequences (n - 1))
+  in
+  List.iter
+    (fun keys -> List.iter (fun k -> check_shape keys [ k ]) pool)
+    (sequences 1 @ sequences 2 @ sequences 3);
+  let st = Random.State.make [| 194 |] in
+  let draw () = if Random.State.int st 4 = 0 then top else key st in
+  for n = 1 to 194 do
+    check_shape
+      (List.init n (fun _ -> draw ()))
+      (List.init (2 * n) (fun _ -> draw ()));
+    check_shape (List.init n (fun i -> if i = n - 1 then top else i)) [ top ]
   done
 
 let () =
