@@ -353,6 +353,45 @@ let test_double_retire_flagged_and_pinned () =
       Alcotest.failf "expected a reclamation violation, got %a"
         Explore.pp_result other
 
+(* -------------------------------------------------------------------- *)
+(* Schedule pins of the Treiber and TS registry entries, each with and
+   without epoch-based reclamation: seed 1, testbox, 100% updates, the
+   BENCH_sim.json window (200 000 cycles over a 64-element prefill), so
+   the op counts equal those rows. BENCH_sim.json only gates them within
+   10%; a change to either stack's or to the reclamation layer's
+   simulated accesses moves a digest here. *)
+
+let pinned_twins =
+  [
+    ("TRB", 4, 242, 3257801741463654725);
+    ("TRB", 8, 447, 1135637789608456315);
+    ("TSI", 4, 540, 3203889217978978525);
+    ("TSI", 8, 837, 2216588825635598810);
+    ("TRB-EBR", 4, 501, 616500360779015016);
+    ("TRB-EBR", 8, 308, 797507465623405240);
+    ("TSI-EBR", 4, 730, 4311301465164809501);
+    ("TSI-EBR", 8, 1177, 2005558459212815538);
+  ]
+
+let test_twin_pins () =
+  List.iter
+    (fun (name, threads, pinned_ops, pinned_digest) ->
+      let entry = Sec_harness.Registry.find name in
+      let m, st =
+        Sec_harness.Sim_runner.run_with_stats entry.Sec_harness.Registry.maker
+          ~topology:Sec_sim.Topology.testbox ~threads ~duration_cycles:200_000
+          ~mix:(Sec_harness.Workload.by_name "100%upd")
+          ~prefill:64 ~seed:1 ()
+      in
+      let label what =
+        Printf.sprintf "%s %s (seed 1, %d threads)" name what threads
+      in
+      Alcotest.(check int) (label "ops") pinned_ops
+        m.Sec_harness.Measurement.ops;
+      Alcotest.(check int) (label "schedule digest") pinned_digest
+        st.Sec_sim.Sim.schedule_digest)
+    pinned_twins
+
 let () =
   Alcotest.run "reclaim"
     [
@@ -392,5 +431,9 @@ let () =
             test_missing_guard_flagged;
           Alcotest.test_case "mutant: double retire flagged & pinned" `Quick
             test_double_retire_flagged_and_pinned;
+        ] );
+      ( "schedule pins",
+        [
+          Alcotest.test_case "TRB, TSI and their EBR twins" `Quick test_twin_pins;
         ] );
     ]
