@@ -20,7 +20,8 @@
    3. [obj-confinement] — [Obj.*] is confined to lib/prim/padding.ml;
       everywhere else it can break the GC invariants padding relies on.
 
-   4. [ebr-guard] — in discipline modules that use [Ebr], a field read of
+   4. [ebr-guard] — in discipline modules that use [Ebr] or take a
+      [Reclaim.S] argument, a field read of
       a node-typed record (any record type whose name contains "node")
       must be guarded. The rule is a query over the typestate CFG's
       guard depth, so it lives in {!Sec_typestate.Typestate}; this
@@ -74,9 +75,9 @@
 
    The per-file checker is syntactic by design: it recognises the repo
    idiom ([module A = P.Atomic], [A.make] / [Atomic.make], [module Ebr
-   = Ebr.Make (P)], [Ebr.guard] / [Ebr.retire]) rather than doing
-   type-driven analysis, which keeps it dependency-free and fast enough
-   to run on every build. The same idiom predicates are exported to the
+   = Ebr.Make (P)], [(R : Reclaim.S)], [Ebr.guard] / [R.retire]) rather
+   than doing type-driven analysis, which keeps it dependency-free and
+   fast enough to run on every build. The same idiom predicates are exported to the
    summary and typestate analyses.
 
    The intent annotations [@retire_ok], [@unguarded_ok], [@await_ok]
@@ -247,12 +248,18 @@ let contains_sub s sub =
   in
   scan 0
 
-(* The ebr rules apply only to modules that actually reference [Ebr]
-   (aliasing it, applying [Ebr.Make], or calling through it). *)
-let structure_uses_ebr structure =
+(* The ebr rules apply only to modules that reclaim nodes: those that
+   reference [Ebr] (aliasing it, applying [Ebr.Make], or calling through
+   it) or take a [Reclaim.S] functor argument, the reclamation layer a
+   structure is written against (lib/reclaim/reclaim.ml). *)
+let structure_uses_reclamation structure =
   let found = ref false in
   let check_lid lid =
-    if List.mem "Ebr" (flatten_longident lid) then found := true
+    if
+      List.exists
+        (fun c -> c = "Ebr" || c = "Reclaim")
+        (flatten_longident lid)
+    then found := true
   in
   let it =
     {
@@ -269,11 +276,16 @@ let structure_uses_ebr structure =
           | Pmod_ident { txt; _ } -> check_lid txt
           | _ -> ());
           Ast_iterator.default_iterator.module_expr it me);
+      module_type =
+        (fun it mt ->
+          (match mt.pmty_desc with
+          | Pmty_ident { txt; _ } -> check_lid txt
+          | _ -> ());
+          Ast_iterator.default_iterator.module_type it mt);
     }
   in
   it.structure it structure;
   !found
-
 
 (* Field names of reclaimable-node records: every record type whose name
    contains "node". Dereferencing these is what the guard protects (rule

@@ -164,8 +164,9 @@ val find_attr : string -> Parsetree.attributes -> Parsetree.attribute option
     reclaimable nodes rule 4 guards. *)
 val node_fields : Parsetree.structure -> string list
 
-(** Does the structure reference [Ebr] (the rule-4/5 arming test)? *)
-val structure_uses_ebr : Parsetree.structure -> bool
+(** Does the structure reference [Ebr] or take a [Reclaim.S] argument
+    (the rule-4/5 arming test)? *)
+val structure_uses_reclamation : Parsetree.structure -> bool
 
 (** (line, 0-based column) of a location's start. *)
 val pos_of : Location.t -> int * int

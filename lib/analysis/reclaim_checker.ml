@@ -12,7 +12,8 @@
 
        alloc -> publish -> unlink -> retire -> reclaim
 
-   fed by instrumented algorithm code (see {!Sec_reclaim.Reclaimed_stack})
+   fed by instrumented algorithm code (the Treiber and TS stacks over
+   {!Sec_reclaim.Reclaim.Ebr}, whose [note_*] hooks forward here)
    and by the EBR substrate itself ([enter]/[exit]/[retire]/destructor
    events). The schedulers run fibers one at a time, so plain state and a
    global installation ref are safe, mirroring {!Race_detector}.

@@ -215,7 +215,7 @@ let annotate name attrs c =
 type fctx = {
   file : string;
   stem : string;
-  retire_rule : bool;  (* rule 5 armed: discipline scope, references Ebr *)
+  retire_rule : bool;  (* rule 5 armed: discipline scope, reclaims nodes *)
 }
 
 type wctx = {
@@ -867,7 +867,7 @@ let analyze ?scope sources =
         {
           file;
           stem = stem_of file;
-          retire_rule = sc.L.check_discipline && L.structure_uses_ebr str;
+          retire_rule = sc.L.check_discipline && L.structure_uses_reclamation str;
         }
       in
       walk_structure env fc fc.stem str)

@@ -1544,7 +1544,7 @@ let analyze ~summary ?scope corpus =
     List.map
       (fun (file, str) ->
         let node_fields =
-          if L.structure_uses_ebr str then L.node_fields str else []
+          if L.structure_uses_reclamation str then L.node_fields str else []
         in
         let raw, progress, protocols, reads, unguarded, awaits =
           collect_structure ~node_fields str

@@ -687,7 +687,7 @@ let report_section c out =
   line "";
   (Buffer.contents b, matched)
 
-let write_report ~path opts rendered elapsed =
+let write_report ~path opts rendered =
   let sections = List.map (fun (c, out) -> report_section c out) rendered in
   let matches =
     List.filter_map (fun (_, m) -> m) sections |> List.filter (fun m -> m)
@@ -698,9 +698,8 @@ let write_report ~path opts rendered elapsed =
       "# Figure reproduction report";
       "";
       Printf.sprintf
-        "Generated by `sec_bench figures` (seed %d, scale %g): %d cells, \
-         %.1fs wall clock."
-        opts.seed opts.scale (List.length rendered) elapsed;
+        "Generated by `sec_bench figures` (seed %d, scale %g): %d cells."
+        opts.seed opts.scale (List.length rendered);
       Printf.sprintf
         "Curve shapes checked against EXPERIMENTS.md's recorded claims: \
          **%d/%d match**. A deviation means the code drifted from the \
@@ -774,8 +773,7 @@ let run_figures opts ~jobs ?topology ?(only = []) ?report_path ?digest_path ()
     digest_path;
   Option.iter
     (fun path ->
-      write_report ~path opts (List.map (fun (c, _, out) -> (c, out)) outputs)
-        elapsed)
+      write_report ~path opts (List.map (fun (c, _, out) -> (c, out)) outputs))
     report_path;
   Printf.printf "figures: done in %.1fs (%d jobs on %d domain%s)\n%!" elapsed
     total_jobs jobs

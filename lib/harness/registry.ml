@@ -79,10 +79,23 @@ let sec_with ?(freeze_backoff = Sec_core.Config.default.freeze_backoff)
 
 let sec = sec_with ~aggregators:2 ~label:"SEC" ()
 
+(* The Treiber and TS stacks over each reclamation layer. *)
+module Trb (P : Sec_prim.Prim_intf.S) =
+  Sec_stacks.Treiber.Make (P) (Sec_reclaim.Reclaim.Gc)
+
+module Tsi (P : Sec_prim.Prim_intf.S) =
+  Sec_stacks.Ts_stack.Make (P) (Sec_reclaim.Reclaim.Gc)
+
+module Trb_ebr (P : Sec_prim.Prim_intf.S) =
+  Sec_stacks.Treiber.Make (P) (Sec_reclaim.Reclaim.Ebr (P))
+
+module Tsi_ebr (P : Sec_prim.Prim_intf.S) =
+  Sec_stacks.Ts_stack.Make (P) (Sec_reclaim.Reclaim.Ebr (P))
+
 let treiber =
   {
     name = "TRB";
-    maker = (module Sec_stacks.Treiber.Make : MAKER);
+    maker = (module Trb : MAKER);
     progress = Lock_free;
     spec = Stack_sem;
   }
@@ -114,7 +127,7 @@ let cc =
 let tsi =
   {
     name = "TSI";
-    maker = (module Sec_stacks.Ts_stack.Make : MAKER);
+    maker = (module Tsi : MAKER);
     progress = Lock_free;
     spec = Stack_sem;
   }
@@ -138,7 +151,7 @@ let hsynch =
 let treiber_ebr =
   {
     name = "TRB-EBR";
-    maker = (module Sec_reclaim.Treiber_ebr.Make : MAKER);
+    maker = (module Trb_ebr : MAKER);
     progress = Lock_free;
     spec = Stack_sem;
   }
@@ -146,7 +159,7 @@ let treiber_ebr =
 let tsi_ebr =
   {
     name = "TSI-EBR";
-    maker = (module Sec_reclaim.Ts_stack_ebr.Make : MAKER);
+    maker = (module Tsi_ebr : MAKER);
     progress = Lock_free;
     spec = Stack_sem;
   }

@@ -15,14 +15,27 @@
    The paper's x86 RDTSCP timestamp source is replaced by the substrate
    clock ({!Sec_prim.Prim_intf.S.now_ns}); see DESIGN.md. Pool cleanup is
    what the published algorithm does lazily: the owner unlinks taken nodes
-   from the head on its next push. *)
+   from the head on its next push.
+
+   Reclamation is the functor argument [R] ({!Sec_reclaim.Reclaim}):
+   "TSI" under [Reclaim.Gc], "TSI-EBR" under [Reclaim.Ebr]. Every
+   operation runs inside [R.guard], because scans traverse pool chains
+   whose nodes a concurrent owner may retire, and the owner retires
+   exactly the taken prefix it unlinks. The one behavioural difference
+   between the two is [R.helpers_unlink]: under the GC any popper may
+   also swing a pool head past a taken prefix (the TS paper's
+   remove-time unlinking); under EBR that helper CAS could race the
+   owner's trim and retire the same prefix twice, so only the owner
+   unlinks. *)
 
 (* Pushes touch only the pusher's own pool; a pop losing the [taken] CAS
-   means a peer claimed the node. No wait names a specific thread. *)
+   means a peer claimed the node. No wait names a specific thread, and
+   epoch entry/exit never waits either. *)
 [@@@progress "lock_free"]
 [@@@spec "stack"]
 
-module Make (P : Sec_prim.Prim_intf.S) : Sec_spec.Stack_intf.S = struct
+module Make (P : Sec_prim.Prim_intf.S) (R : Sec_reclaim.Reclaim.S) :
+  Sec_spec.Stack_intf.S = struct
   module A = P.Atomic
 
   (* Interval [ts_start, ts_end]; [max_int] until the pusher assigns it,
@@ -32,14 +45,16 @@ module Make (P : Sec_prim.Prim_intf.S) : Sec_spec.Stack_intf.S = struct
     ts : (int64 * int64) A.t;
     taken : bool A.t;
     next : 'a node option A.t;
+    chk : int; (* reclamation-checker node id; 0 when untracked *)
   }
 
   type 'a t = {
     pools : 'a node option A.t array; (* pool head per thread, padded *)
     delay : int; (* relax units between the two clock reads *)
+    reclaim : R.t;
   }
 
-  let name = "TSI"
+  let name = "TSI" ^ R.name_suffix
 
   let pending = (Int64.max_int, Int64.max_int)
 
@@ -54,64 +69,83 @@ module Make (P : Sec_prim.Prim_intf.S) : Sec_spec.Stack_intf.S = struct
     {
       pools = Array.init max_threads (fun _ -> A.make_padded None);
       delay = default_delay;
+      reclaim = R.create ~max_threads ();
     }
 
-  (* Owner-only: drop the prefix of taken nodes so scans stay short. *)
+  (* Owner-only: drop the prefix of taken nodes so scans stay short, and
+     retire each node dropped. *)
   let trim_head t tid =
-    let rec skip = function
-      | Some n when A.get n.taken -> skip (A.get n.next)
-      | head -> head
+    let rec skip acc = function
+      | Some n when A.get n.taken -> skip (n :: acc) (A.get n.next)
+      | head -> (acc, head)
     in
     let head = A.get t.pools.(tid) in
-    let head' = skip head in
-    if head != head' then
+    let skipped, head' = skip [] head in
+    if head != head' then begin
       A.set t.pools.(tid) head'
       [@publication_ok
         "owner-only trim: the only concurrent pools.(tid) writer is a \
          helper's pool_youngest CAS unlinking the same taken prefix; \
          overwriting it can only resurrect taken nodes the next scan \
-         re-skips"]
+         re-skips"];
+      List.iter
+        (fun n ->
+          R.note_unlink ~fiber:tid ~node:n.chk;
+          (R.retire t.reclaim ~tid ~chk:n.chk ignore
+          [@retire_ok
+            "owner-only unlink: helpers unlink only when R.helpers_unlink, \
+             whose instance retires nothing, so each skipped node is \
+             retired once"]))
+        skipped
+    end
 
   let push t ~tid value =
-    trim_head t tid;
-    P.note_alloc ();
-    let node =
-      {
-        value;
-        (* Written once at publication, then only read by scanning
-           poppers; padding every per-push node would be a real
-           allocation-rate regression. *)
-        ts = (A.make pending [@unpadded_ok "written once, then read-only"]);
-        (* [taken] is the CAS-contended cell: pad it so a popper's CAS
-           does not invalidate readers of [ts]/[next] in the same node. *)
-        taken = A.make_padded false;
-        next =
-          (A.make
-             (A.get t.pools.(tid))
-          [@unpadded_ok "written once at creation, then read-only"]);
-      }
-    in
-    (* Publish first, then timestamp: the interval must cover a moment at
-       which the node was already visible. *)
-    (A.set t.pools.(tid) (Some node)
-    [@publication_ok
-      "single-writer publication: pools.(tid) is pushed only by its owner, \
-       and losing a helper's concurrent unlink CAS merely resurrects a \
-       taken prefix behind the new node (re-skipped on the next scan)"]);
-    let a = P.now_ns () in
-    if t.delay > 0 then P.relax t.delay;
-    let b = P.now_ns () in
-    A.set node.ts (a, b)
+    R.guard t.reclaim ~tid (fun () ->
+        trim_head t tid;
+        let chk = R.note_alloc ~fiber:tid in
+        P.note_alloc ();
+        let node =
+          {
+            value;
+            (* Written once at publication, then only read by scanning
+               poppers; padding every per-push node would be a real
+               allocation-rate regression. *)
+            ts = (A.make pending [@unpadded_ok "written once, then read-only"]);
+            (* [taken] is the CAS-contended cell: pad it so a popper's CAS
+               does not invalidate readers of [ts]/[next] in the same
+               node. *)
+            taken = A.make_padded false;
+            next =
+              (A.make
+                 (A.get t.pools.(tid))
+              [@unpadded_ok "written once at creation, then read-only"]);
+            chk;
+          }
+        in
+        (* Publish first, then timestamp: the interval must cover a moment
+           at which the node was already visible. *)
+        (A.set t.pools.(tid) (Some node)
+        [@publication_ok
+          "single-writer publication: pools.(tid) is pushed only by its \
+           owner, and losing a helper's concurrent unlink CAS merely \
+           resurrects a taken prefix behind the new node (re-skipped on \
+           the next scan)"]);
+        R.note_publish ~fiber:tid ~node:node.chk;
+        let a = P.now_ns () in
+        if t.delay > 0 then P.relax t.delay;
+        let b = P.now_ns () in
+        A.set node.ts (a, b))
 
   (* First untaken node from the pool head — the pool's youngest. *)
   let rec youngest = function
     | None -> None
     | Some n -> if A.get n.taken then youngest (A.get n.next) else Some n
 
-  (* Any thread may swing a pool head forward past a taken prefix (the TS
-     paper's remove-time unlinking); losing the CAS to the owner's push is
-     harmless — the next scan just skips the prefix again. Without this,
-     pop-heavy workloads would rescan ever-growing chains of taken nodes. *)
+  (* When [R.helpers_unlink], any thread may swing a pool head forward
+     past a taken prefix (the TS paper's remove-time unlinking); losing
+     the CAS to the owner's push is harmless — the next scan just skips
+     the prefix again. Without this, pop-heavy workloads would rescan
+     taken chains until each pool's owner pushes again. *)
   let pool_youngest t i =
     let head = A.get t.pools.(i) in
     let y = youngest head in
@@ -168,7 +202,7 @@ module Make (P : Sec_prim.Prim_intf.S) : Sec_spec.Stack_intf.S = struct
       else begin
         let i = (from + k) mod num_pools in
         let head, young =
-          if stamped_only then
+          if stamped_only || not R.helpers_unlink then
             (* A peek only reads. [youngest] re-boxes the node it returns,
                so the helping CAS of [pool_youngest] replaces even an
                untaken head, and every rescan would then fail the
@@ -214,30 +248,34 @@ module Make (P : Sec_prim.Prim_intf.S) : Sec_spec.Stack_intf.S = struct
     !ok
 
   let pop t ~tid =
-    let started = P.now_ns () in
-    let from = tid mod Array.length t.pools in
-    let rec attempt () =
-      match scan t ~started ~from ~stamped_only:false with
-      | Take_now n | Candidate n ->
-          if try_take n then Some n.value
-          else begin
-            P.relax 8;
-            attempt ()
-          end
-      | Empty_if heads ->
-          if unchanged t heads ~stamped_only:false then None else attempt ()
-    in
-    attempt ()
+    R.guard t.reclaim ~tid (fun () ->
+        let started = P.now_ns () in
+        let from = tid mod Array.length t.pools in
+        let rec attempt () =
+          match scan t ~started ~from ~stamped_only:false with
+          | Take_now n | Candidate n ->
+              R.note_access ~fiber:tid ~node:n.chk;
+              if try_take n then Some n.value
+              else begin
+                P.relax 8;
+                attempt ()
+              end
+          | Empty_if heads ->
+              if unchanged t heads ~stamped_only:false then None else attempt ()
+        in
+        attempt ())
 
   let peek t ~tid =
-    let started = P.now_ns () in
-    let from = tid mod Array.length t.pools in
-    let rec attempt () =
-      match scan t ~started ~from ~stamped_only:true with
-      | Take_now n | Candidate n ->
-          if A.get n.taken then attempt () else Some n.value
-      | Empty_if heads ->
-          if unchanged t heads ~stamped_only:true then None else attempt ()
-    in
-    attempt ()
+    R.guard t.reclaim ~tid (fun () ->
+        let started = P.now_ns () in
+        let from = tid mod Array.length t.pools in
+        let rec attempt () =
+          match scan t ~started ~from ~stamped_only:true with
+          | Take_now n | Candidate n ->
+              R.note_access ~fiber:tid ~node:n.chk;
+              if A.get n.taken then attempt () else Some n.value
+          | Empty_if heads ->
+              if unchanged t heads ~stamped_only:true then None else attempt ()
+        in
+        attempt ())
 end

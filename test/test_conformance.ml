@@ -17,7 +17,9 @@ let check_conforms name (report : C.report) =
   Alcotest.(check bool) (name ^ " ran checks") true (report.C.passed > 0)
 
 let test_all_stacks_native () =
-  let module T = C.Make (Native) (Sec_stacks.Treiber.Make (Native)) in
+  let module T =
+    C.Make (Native) (Sec_stacks.Treiber.Make (Native) (Sec_reclaim.Reclaim.Gc))
+  in
   check_conforms "treiber/native" (Native.with_exec ~seed:1L T.all);
   let module E = C.Make (Native) (Sec_stacks.Eb_stack.Make (Native)) in
   check_conforms "eb/native" (Native.with_exec ~seed:1L E.all);
@@ -25,7 +27,9 @@ let test_all_stacks_native () =
   check_conforms "sec/native" (Native.with_exec ~seed:1L S.all)
 
 let test_all_stacks_simulated () =
-  let module T = C.Make (SP) (Sec_stacks.Treiber.Make (SP)) in
+  let module T =
+    C.Make (SP) (Sec_stacks.Treiber.Make (SP) (Sec_reclaim.Reclaim.Gc))
+  in
   check_conforms "treiber/sim" (simulated (T.all ~threads:16 ~ops:100));
   let module F = C.Make (SP) (Sec_stacks.Fc_stack.Make (SP)) in
   check_conforms "fc/sim" (simulated (F.all ~threads:16 ~ops:100));

@@ -183,7 +183,7 @@ let test_finds_broken_pop () =
   | other -> Alcotest.failf "expected Check_failed, got %s" (result_kind other)
 
 let test_real_treiber_passes () =
-  let module T = Sec_stacks.Treiber.Make (SP) in
+  let module T = Sec_stacks.Treiber.Make (SP) (Sec_reclaim.Reclaim.Gc) in
   let scenario () =
     let s = T.create ~max_threads:2 () in
     T.push s ~tid:0 100;
@@ -306,8 +306,9 @@ module Clocked = struct
     SP.now_ns ()
 end
 
-module Tsi = Sec_stacks.Ts_stack.Make (Clocked)
-module Tsi_ebr = Sec_reclaim.Ts_stack_ebr.Make (Clocked)
+module Tsi = Sec_stacks.Ts_stack.Make (Clocked) (Sec_reclaim.Reclaim.Gc)
+module Tsi_ebr =
+  Sec_stacks.Ts_stack.Make (Clocked) (Sec_reclaim.Reclaim.Ebr (Clocked))
 
 let tsi_quantum = 32
 let tsi_history : int Sec_spec.History.event list ref = ref []

@@ -1,12 +1,13 @@
-(* Tests for the extension modules: hierarchical H-Synch combining, the
-   EBR-integrated stack (paper Section 4), and latency histograms. *)
+(* Tests for the extension modules: hierarchical H-Synch combining,
+   Treiber's stack over epoch-based reclamation (paper Section 4), and
+   latency histograms. *)
 
 module P = Sec_prim.Native
 module Hsynch = Sec_stacks.Hsynch.Make (P)
 module H_stack = Sec_stacks.H_stack.Make (P)
 module SimH = Sec_stacks.H_stack.Make (Sec_sim.Sim.Prim)
-module Reclaimed = Sec_reclaim.Reclaimed_stack.Make (P)
-module Ebr = Sec_reclaim.Ebr.Make (P)
+module Observed = Testkit.Observed_ebr (P)
+module Reclaimed = Sec_stacks.Treiber.Make (P) (Observed)
 module Latency = Sec_harness.Latency
 
 (* ------------------------------------------------------------------ *)
@@ -73,53 +74,63 @@ let test_hstack_simulated_at_scale () =
 
 let test_reclaimed_lifo () =
   let s = Reclaimed.create ~max_threads:1 () in
-  let noop () = () in
-  Reclaimed.push s ~tid:0 1 ~on_reclaim:noop;
-  Reclaimed.push s ~tid:0 2 ~on_reclaim:noop;
+  Reclaimed.push s ~tid:0 1;
+  Reclaimed.push s ~tid:0 2;
   Alcotest.(check (option int)) "peek" (Some 2) (Reclaimed.peek s ~tid:0);
   Alcotest.(check (option int)) "pop 2" (Some 2) (Reclaimed.pop s ~tid:0);
   Alcotest.(check (option int)) "pop 1" (Some 1) (Reclaimed.pop s ~tid:0);
   Alcotest.(check (option int)) "empty" None (Reclaimed.pop s ~tid:0)
 
 let test_reclaimed_destructors_run () =
-  let s = Reclaimed.create ~max_threads:1 () in
-  let freed = ref 0 in
+  let s = Reclaimed.create ~max_threads:2 () in
+  let r = Observed.state () in
+  (* A reader pinned in a critical section holds back every destructor
+     until it leaves: each node outlives its grace period. *)
+  Observed.enter r ~tid:1;
   for i = 1 to 100 do
-    Reclaimed.push s ~tid:0 i ~on_reclaim:(fun () -> incr freed)
+    Reclaimed.push s ~tid:0 i
   done;
   for _ = 1 to 100 do
     ignore (Reclaimed.pop s ~tid:0)
   done;
-  Reclaimed.flush s ~tid:0;
-  Alcotest.(check int) "every popped node reclaimed" 100 !freed;
-  let stats = Reclaimed.reclamation_stats s in
-  Alcotest.(check int) "stats agree" 100 stats.Ebr.reclaimed
+  Observed.flush r ~tid:0;
+  Alcotest.(check int) "none reclaimed while a reader is pinned" 0
+    (Atomic.get Observed.freed);
+  Observed.exit r ~tid:1;
+  Observed.flush r ~tid:0;
+  Alcotest.(check int) "every popped node reclaimed" 100
+    (Atomic.get Observed.freed);
+  let stats = Observed.stats r in
+  Alcotest.(check int) "stats agree" 100 stats.Observed.reclaimed;
+  Alcotest.(check int) "nothing pending" 0 stats.Observed.pending
 
 let test_reclaimed_concurrent_safety () =
-  (* Destructors mark nodes dead; no thread may pop a value whose node was
-     already reclaimed (would indicate premature reclamation). *)
+  (* Every pop retires its node, and once every thread is quiescent and
+     flushed each retired node's destructor has run exactly once. *)
   let threads = 4 in
   let s = Reclaimed.create ~max_threads:threads () in
-  let premature = Atomic.make 0 in
+  let anomalies = Atomic.make 0 in
   let body tid () =
     for i = 1 to 3_000 do
-      let live = Atomic.make true in
-      Reclaimed.push s ~tid i ~on_reclaim:(fun () -> Atomic.set live false);
+      Reclaimed.push s ~tid i;
       match Reclaimed.pop s ~tid with
       | Some _ -> ()
-      | None -> Atomic.incr premature (* can't happen: we just pushed *)
+      | None -> Atomic.incr anomalies (* can't happen: we just pushed *)
     done
   in
   let ds = List.init (threads - 1) (fun i -> Domain.spawn (body (i + 1))) in
   body 0 ();
   List.iter Domain.join ds;
-  Alcotest.(check int) "no anomalies" 0 (Atomic.get premature);
+  Alcotest.(check int) "no anomalies" 0 (Atomic.get anomalies);
+  let r = Observed.state () in
   for tid = 0 to threads - 1 do
-    Reclaimed.flush s ~tid
+    Observed.flush r ~tid
   done;
-  let stats = Reclaimed.reclamation_stats s in
+  let stats = Observed.stats r in
   Alcotest.(check int) "all pops retired a node" (threads * 3_000)
-    stats.Ebr.retired
+    stats.Observed.retired;
+  Alcotest.(check int) "each destructor ran once" (threads * 3_000)
+    (Atomic.get Observed.freed)
 
 (* ------------------------------------------------------------------ *)
 (* Latency histogram                                                    *)

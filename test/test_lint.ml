@@ -461,7 +461,8 @@ let test_repo_files_clean () =
         "../lib/stacks/exchanger.ml";
         "../lib/stacks/eb_stack.ml";
         "../lib/reclaim/ebr.ml";
-        "../lib/reclaim/ts_stack_ebr.ml";
+        "../lib/stacks/treiber.ml";
+        "../lib/stacks/ts_stack.ml";
       ]
   end
 

@@ -168,7 +168,8 @@ let test_flush_idempotent_shutdown () =
 module Explore = Sec_sim.Explore
 module Chk = Sec_analysis.Reclaim_checker
 module SP = Sec_sim.Sim.Prim
-module RS = Sec_reclaim.Reclaimed_stack.Make (SP)
+module Observed = Testkit.Observed_ebr (SP)
+module RS = Sec_stacks.Treiber.Make (SP) (Observed)
 
 let stack_scenario (module M : Sec_spec.Stack_intf.MAKER) () =
   let module St = M (SP) in
@@ -189,14 +190,15 @@ let stack_scenario (module M : Sec_spec.Stack_intf.MAKER) () =
       let all = results.(0) @ results.(1) @ drain [] in
       List.sort compare all = [ 0; 1; 100 ] )
 
-(* Reclaimed_stack through its own interface (push takes [~on_reclaim]),
-   with a full shutdown flush in the final check so the checker sees the
-   complete lifecycle of every node, reclaim included. *)
+(* Treiber over EBR with a full shutdown flush in the final check, so
+   the checker sees the complete lifecycle of every node, reclaim
+   included. *)
 let reclaimed_stack_scenario () =
   let s = RS.create ~max_threads:2 () in
-  RS.push s ~tid:0 100 ~on_reclaim:ignore;
+  let r = Observed.state () in
+  RS.push s ~tid:0 100;
   let fiber slot () =
-    RS.push s ~tid:slot slot ~on_reclaim:ignore;
+    RS.push s ~tid:slot slot;
     ignore (RS.pop s ~tid:slot)
   in
   ( [ fiber 0; fiber 1 ],
@@ -205,9 +207,9 @@ let reclaimed_stack_scenario () =
         match RS.pop s ~tid:0 with Some _ -> drain () | None -> ()
       in
       drain ();
-      RS.flush s ~tid:0;
-      RS.flush s ~tid:1;
-      (RS.reclamation_stats s).RS.Ebr.pending = 0 )
+      Observed.flush r ~tid:0;
+      Observed.flush r ~tid:1;
+      (Observed.stats r).Observed.pending = 0 )
 
 let sweep name scenario () =
   match
@@ -419,14 +421,14 @@ let () =
         [ Alcotest.test_case "8 fibers" `Quick test_ebr_under_simulation ] );
       ( "reclamation-checked exploration",
         [
-          Alcotest.test_case "clean: Reclaimed_stack" `Slow
-            (sweep "Reclaimed_stack" reclaimed_stack_scenario);
+          Alcotest.test_case "clean: Reclaimed TRB, flushed" `Slow
+            (sweep "flushed TRB-EBR" reclaimed_stack_scenario);
           Alcotest.test_case "clean: TRB-EBR" `Slow
             (sweep "TRB-EBR"
-               (stack_scenario (module Sec_reclaim.Treiber_ebr.Make)));
+               (stack_scenario Sec_harness.Registry.treiber_ebr.maker));
           Alcotest.test_case "clean: TSI-EBR" `Slow
             (sweep "TSI-EBR"
-               (stack_scenario (module Sec_reclaim.Ts_stack_ebr.Make)));
+               (stack_scenario Sec_harness.Registry.tsi_ebr.maker));
           Alcotest.test_case "mutant: missing guard flagged" `Quick
             test_missing_guard_flagged;
           Alcotest.test_case "mutant: double retire flagged & pinned" `Quick

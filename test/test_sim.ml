@@ -551,11 +551,11 @@ let sim_conservation (module S : STACK) ~threads ~ops () =
   in
   Alcotest.(check int) "pushed = popped + remaining" 0 pushed_minus_popped
 
-module SimTreiber = Sec_stacks.Treiber.Make (SP)
+module SimTreiber = Sec_stacks.Treiber.Make (SP) (Sec_reclaim.Reclaim.Gc)
 module SimEb = Sec_stacks.Eb_stack.Make (SP)
 module SimFc = Sec_stacks.Fc_stack.Make (SP)
 module SimCc = Sec_stacks.Cc_stack.Make (SP)
-module SimTs = Sec_stacks.Ts_stack.Make (SP)
+module SimTs = Sec_stacks.Ts_stack.Make (SP) (Sec_reclaim.Reclaim.Gc)
 module SimSec = Sec_core.Sec_stack.Make (SP)
 
 let sim_linearizability (module S : STACK) ?(threads = 5) ?(ops = 8)

@@ -2,12 +2,12 @@
    substrates (exchanger, flat-combining and CC-Synch executors). *)
 
 module P = Sec_prim.Native
-module Treiber = Sec_stacks.Treiber.Make (P)
+module Treiber = Sec_stacks.Treiber.Make (P) (Sec_reclaim.Reclaim.Gc)
 module Lock_stack = Sec_stacks.Lock_stack.Make (P)
 module Eb = Sec_stacks.Eb_stack.Make (P)
 module Fc_stack = Sec_stacks.Fc_stack.Make (P)
 module Cc_stack = Sec_stacks.Cc_stack.Make (P)
-module Ts = Sec_stacks.Ts_stack.Make (P)
+module Ts = Sec_stacks.Ts_stack.Make (P) (Sec_reclaim.Reclaim.Gc)
 module Exchanger = Sec_stacks.Exchanger.Make (P)
 module Fc = Sec_stacks.Fc.Make (P)
 module Ccsynch = Sec_stacks.Ccsynch.Make (P)

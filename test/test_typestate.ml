@@ -437,13 +437,11 @@ let file_of_entry name =
   else if prefixed "SEC" then "core/sec_stack.ml"
   else
     match name with
-    | "TRB-EBR" -> "reclaim/treiber_ebr.ml"
-    | "TRB" -> "stacks/treiber.ml"
+    | "TRB" | "TRB-EBR" -> "stacks/treiber.ml"
     | "EB" -> "stacks/eb_stack.ml"
     | "FC" -> "stacks/fc_stack.ml"
     | "CC" -> "stacks/cc_stack.ml"
-    | "TSI-EBR" -> "reclaim/ts_stack_ebr.ml"
-    | "TSI" -> "stacks/ts_stack.ml"
+    | "TSI" | "TSI-EBR" -> "stacks/ts_stack.ml"
     | "LCK" -> "stacks/lock_stack.ml"
     | "HS" -> "stacks/h_stack.ml"
     | n -> Alcotest.failf "no source mapping for registry entry %s" n

@@ -170,3 +170,29 @@ let standard_suite ?(threads = 4) ?(lin_threads = 3) (module S : STACK) =
     Alcotest.test_case "linearizable histories" `Slow
       (linearizability ~threads:lin_threads (module S));
   ]
+
+(* ------------------------------------------------------------------ *)
+(* Observable reclamation                                               *)
+
+(* Epoch-based reclamation as a stack's functor argument, observable from
+   outside: [last] holds the state of the stack created most recently
+   (for [flush] and [stats]), and [freed] counts the destructors run. *)
+module Observed_ebr (P : Sec_prim.Prim_intf.S) = struct
+  include Sec_reclaim.Reclaim.Ebr (P)
+
+  let last = ref None
+  let freed = Stdlib.Atomic.make 0
+
+  let create ?max_threads () =
+    let t = create ?max_threads () in
+    last := Some t;
+    Stdlib.Atomic.set freed 0;
+    t
+
+  let retire t ~tid ?chk destroy =
+    retire t ~tid ?chk (fun () ->
+        destroy ();
+        Stdlib.Atomic.incr freed)
+
+  let state () = Option.get !last
+end
