@@ -21,11 +21,11 @@
       everywhere else it can break the GC invariants padding relies on.
 
    4. [ebr-guard] — in discipline modules that use [Ebr] or take a
-      [Reclaim.S] argument, a field read of
-      a node-typed record (any record type whose name contains "node")
-      must be guarded. The rule is a query over the typestate CFG's
-      guard depth, so it lives in {!Sec_typestate.Typestate}; this
-      module supplies its node-field and [Ebr]-reference recognisers.
+      [Reclaim.S] argument, a field read of a node-typed record (any
+      record type whose name contains "node") must be guarded. The
+      rule is a query over the typestate CFG's guard depth, so it lives
+      in {!Sec_typestate.Typestate}; this module supplies its
+      node-field and reclamation-reference recognisers.
 
    5. [retire-once] — in the same modules, a [retire] call must be
       gated by an unlink CAS (the enclosing if-condition or
@@ -77,8 +77,8 @@
    idiom ([module A = P.Atomic], [A.make] / [Atomic.make], [module Ebr
    = Ebr.Make (P)], [(R : Reclaim.S)], [Ebr.guard] / [R.retire]) rather
    than doing type-driven analysis, which keeps it dependency-free and
-   fast enough to run on every build. The same idiom predicates are exported to the
-   summary and typestate analyses.
+   fast enough to run on every build. The same idiom predicates are
+   exported to the summary and typestate analyses.
 
    The intent annotations [@retire_ok], [@unguarded_ok], [@await_ok]
    and [@publication_ok] share one subtree-covering discipline: each

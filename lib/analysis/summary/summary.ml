@@ -867,7 +867,8 @@ let analyze ?scope sources =
         {
           file;
           stem = stem_of file;
-          retire_rule = sc.L.check_discipline && L.structure_uses_reclamation str;
+          retire_rule =
+            sc.L.check_discipline && L.structure_uses_reclamation str;
         }
       in
       walk_structure env fc fc.stem str)

@@ -1,17 +1,10 @@
-(* The reclamation layer under a lock-free structure, as a functor
-   argument: the Treiber and TS stacks (lib/stacks) are written once
-   against {!S}, and the registry instantiates each twice — over {!Gc}
-   as "TRB"/"TSI" and over {!Ebr} as "TRB-EBR"/"TSI-EBR", the paper's
-   Section 4 setting where every competitor pays for DEBRA-style
-   reclamation.
-
-   A structure runs every traversal inside [guard], retires a node once
-   it has unlinked it, and reports each node's lifecycle to the
-   reclamation checker through the [note_*] hooks (see
-   docs/ANALYSIS.md, "Reclamation prong"). *)
+(* The reclamation layer a lock-free structure is written against. The
+   Treiber and TS stacks (lib/stacks) take it as a functor argument: the
+   registry builds "TRB"/"TSI" over {!Gc} and "TRB-EBR"/"TSI-EBR" over
+   {!Ebr}, the paper's Section 4 setting where every competitor pays for
+   DEBRA-style reclamation. *)
 
 module type S = sig
-  (* Per-structure reclamation state. *)
   type t
 
   (* Appended to the structure's display name: "" or "-EBR". *)
@@ -22,15 +15,14 @@ module type S = sig
      reads is destroyed before [f] returns. *)
   val guard : t -> tid:int -> (unit -> 'a) -> 'a
 
-  (* [retire t ~tid ~chk destroy] hands over an unlinked node; [destroy]
-     runs once no critical section can still reach it. [chk] is the
-     node's checker id. *)
+  (* [retire t ~tid ~chk destroy] hands over an unlinked node, whose
+     checker id is [chk]; [destroy] runs once no critical section can
+     still reach it. *)
   val retire : t -> tid:int -> ?chk:int -> (unit -> unit) -> unit
 
-  (* May any thread unlink another thread's nodes? A helper's unlink
-     can race the owner's and both would retire the same node, so an
-     instance that really retires answers [false] and only owners
-     unlink. *)
+  (* May a thread unlink nodes another thread owns? A helper's unlink can
+     race the owner's, and both would retire the same node, so an
+     instance that really retires answers [false]. *)
   val helpers_unlink : bool
 
   (* The {!Sec_analysis.Reclaim_checker} lifecycle notes; [note_alloc]
@@ -41,8 +33,7 @@ module type S = sig
   val note_unlink : fiber:int -> node:int -> unit
 end
 
-(* The GC reclaims: no critical sections, nothing to retire, no checker
-   notes, and any thread may unlink. *)
+(* The GC reclaims: nothing to guard, retire or note. *)
 module Gc : S = struct
   type t = unit
 
@@ -57,17 +48,16 @@ module Gc : S = struct
   let note_unlink ~fiber:_ ~node:_ = ()
 end
 
-(* Epoch-based reclamation ({!Ebr.Make}); its [flush], [stats] and
-   [epoch] stay reachable for shutdown and tests. *)
+(* Epoch-based reclamation; [flush] and [stats] stay reachable for
+   shutdown and tests. *)
 module Ebr (P : Sec_prim.Prim_intf.S) = struct
   include Ebr.Make (P)
-  module Chk = Sec_analysis.Reclaim_checker
 
   let name_suffix = "-EBR"
   let create ?max_threads () = create ?max_threads ()
   let helpers_unlink = false
-  let note_alloc = Chk.note_alloc
-  let note_publish = Chk.note_publish
-  let note_access = Chk.note_access
-  let note_unlink = Chk.note_unlink
+  let note_alloc = Sec_analysis.Reclaim_checker.note_alloc
+  let note_publish = Sec_analysis.Reclaim_checker.note_publish
+  let note_access = Sec_analysis.Reclaim_checker.note_access
+  let note_unlink = Sec_analysis.Reclaim_checker.note_unlink
 end

@@ -19,14 +19,12 @@
 
    Reclamation is the functor argument [R] ({!Sec_reclaim.Reclaim}):
    "TSI" under [Reclaim.Gc], "TSI-EBR" under [Reclaim.Ebr]. Every
-   operation runs inside [R.guard], because scans traverse pool chains
-   whose nodes a concurrent owner may retire, and the owner retires
-   exactly the taken prefix it unlinks. The one behavioural difference
-   between the two is [R.helpers_unlink]: under the GC any popper may
-   also swing a pool head past a taken prefix (the TS paper's
-   remove-time unlinking); under EBR that helper CAS could race the
-   owner's trim and retire the same prefix twice, so only the owner
-   unlinks. *)
+   operation runs inside [R.guard], since a scan may traverse nodes an
+   owner retires, and the owner retires the taken prefix it unlinks.
+   [R.helpers_unlink] is the one difference between the two: under the
+   GC a popper also swings pool heads past taken prefixes (the TS
+   paper's remove-time unlinking); under EBR that CAS could race the
+   owner's trim into a double retire, so only owners unlink. *)
 
 (* Pushes touch only the pusher's own pool; a pop losing the [taken] CAS
    means a peer claimed the node. No wait names a specific thread, and

@@ -436,6 +436,7 @@ let () =
         ] );
       ( "schedule pins",
         [
-          Alcotest.test_case "TRB, TSI and their EBR twins" `Quick test_twin_pins;
+          Alcotest.test_case "TRB, TSI and their EBR twins" `Quick
+            test_twin_pins;
         ] );
     ]
