@@ -13,6 +13,7 @@
 module Make (P : Sec_prim.Prim_intf.S) = struct
   module A = P.Atomic
   module Backoff = Sec_prim.Backoff.Make (P)
+  module Tally = Sec_prim.Tally
 
   type ('op, 'res) node = {
     mutable req : 'op option;
@@ -33,8 +34,8 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
     local : ('op, 'res) node array; (* per-thread spare node *)
     apply : 'op -> 'res;
     combine_limit : int;
-    combines : int A.t;
-    handoffs : int A.t;
+    combines : Tally.t; (* requests served by a combiner *)
+    handoffs : Tally.t; (* times the combiner role was passed on *)
   }
 
   (* Nodes are recycled for the lifetime of the executor and [wait] is
@@ -57,8 +58,8 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
       local = Array.init max_threads (fun _ -> fresh_node ());
       apply;
       combine_limit;
-      combines = A.make_padded 0;
-      handoffs = A.make_padded 0;
+      combines = Tally.create ~threads:max_threads;
+      handoffs = Tally.create ~threads:max_threads;
     }
 
   let apply t ~tid op =
@@ -86,18 +87,19 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
             | None -> assert false);
             A.set node.completed true;
             A.set node.wait false;
-            A.incr t.combines;
+            Tally.add t.combines ~tid 1;
             serve next_in_line (served + 1)
         | Some _ | None ->
             (* [node] is the tail placeholder (or we hit the limit): hand
                the combiner role to its owner. *)
-            A.incr t.handoffs;
+            Tally.add t.handoffs ~tid 1;
             A.set node.wait false
       in
       serve cur 0;
       match cur.res with Some r -> r | None -> assert false
     end
 
-  let combined_ops t = A.get t.combines
-  let handoffs t = A.get t.handoffs
+  (* Statistics for reports/tests, exact once the callers have joined. *)
+  let combined_ops t = Tally.sum t.combines
+  let handoffs t = Tally.sum t.handoffs
 end

@@ -14,6 +14,7 @@
 module Make (P : Sec_prim.Prim_intf.S) = struct
   module A = P.Atomic
   module Backoff = Sec_prim.Backoff.Make (P)
+  module Tally = Sec_prim.Tally
 
   type ('op, 'res) slot = Idle | Pending of 'op | Done of 'res
 
@@ -22,8 +23,8 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
     slots : ('op, 'res) slot A.t array;
     apply : 'op -> 'res;
     passes : int;
-    combines : int A.t;     (* requests executed on behalf of others *)
-    acquisitions : int A.t; (* times the combiner lock was taken *)
+    combines : Tally.t; (* requests executed by a combiner *)
+    acquisitions : Tally.t; (* times the combiner lock was taken *)
   }
 
   let create ?(max_threads = 64) ?(passes = 2) ~apply () =
@@ -32,8 +33,8 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
       slots = Array.init max_threads (fun _ -> A.make_padded Idle);
       apply;
       passes;
-      combines = A.make_padded 0;
-      acquisitions = A.make_padded 0;
+      combines = Tally.create ~threads:max_threads;
+      acquisitions = Tally.create ~threads:max_threads;
     }
 
   let try_lock t = not (A.exchange t.lock true)
@@ -41,15 +42,19 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
 
   (* Scanning more than once lets requests that were published while the
      combiner was already scanning catch the same combining session. *)
-  let combine t =
-    A.incr t.acquisitions;
+  let combine t ~tid =
+    Tally.add t.acquisitions ~tid 1;
     for _ = 1 to t.passes do
       Array.iter
         (fun slot ->
           match A.get slot with
           | Pending op ->
-              A.set slot (Done (t.apply op));
-              A.incr t.combines
+              (A.set slot (Done (t.apply op))
+              [@publication_ok
+                "slot hand-off: while a slot is Pending only the lock \
+                 holder writes it, and its owner writes it again only \
+                 after reading Done"]);
+              Tally.add t.combines ~tid 1
           | Idle | Done _ -> ())
         t.slots
     done
@@ -68,7 +73,7 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
           res
       | Pending _ ->
           if try_lock t then begin
-            combine t;
+            combine t ~tid;
             unlock t;
             (* We combined after publishing, so our own request is done. *)
             await ()
@@ -84,7 +89,7 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
     in
     await ()
 
-  (* Statistics for reports/tests. *)
-  let combined_ops t = A.get t.combines
-  let lock_acquisitions t = A.get t.acquisitions
+  (* Statistics for reports/tests, exact once the callers have joined. *)
+  let combined_ops t = Tally.sum t.combines
+  let lock_acquisitions t = Tally.sum t.acquisitions
 end
