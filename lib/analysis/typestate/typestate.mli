@@ -40,8 +40,8 @@
       read links) or {!Stuck_spin} (waits that only another thread's
       write can end). A module's static verdict is {!Blocking} iff a
       stuck wait is reachable from one of its top-level functions
-      through the resolved call graph (so [fc_stack.ml] is blocking
-      {e via} [fc.ml]'s combiner wait); a [[@@@progress]] declaration
+      through the resolved call graph (so [serial_stack.ml] is
+      blocking {e via} [ttas.ml]'s lock wait); a [[@@@progress]] declaration
       disagreeing with the verdict is diagnosed at the declaration.
       Reachability is a fixpoint over the call edges, so the verdict
       does not depend on the order files are analysed in.

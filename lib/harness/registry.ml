@@ -111,7 +111,7 @@ let eb =
 let fc =
   {
     name = "FC";
-    maker = (module Sec_stacks.Fc_stack.Make : MAKER);
+    maker = (module Sec_stacks.Serial_stack.Fc : MAKER);
     progress = Blocking;
     spec = Stack_sem;
   }
@@ -119,7 +119,7 @@ let fc =
 let cc =
   {
     name = "CC";
-    maker = (module Sec_stacks.Cc_stack.Make : MAKER);
+    maker = (module Sec_stacks.Serial_stack.Cc : MAKER);
     progress = Blocking;
     spec = Stack_sem;
   }
@@ -135,7 +135,7 @@ let tsi =
 let lock =
   {
     name = "LCK";
-    maker = (module Sec_stacks.Lock_stack.Make : MAKER);
+    maker = (module Sec_stacks.Serial_stack.Lck : MAKER);
     progress = Blocking;
     spec = Stack_sem;
   }
@@ -143,7 +143,7 @@ let lock =
 let hsynch =
   {
     name = "HS";
-    maker = (module Sec_stacks.H_stack.Make : MAKER);
+    maker = (module Sec_stacks.Serial_stack.Hs : MAKER);
     progress = Blocking;
     spec = Stack_sem;
   }

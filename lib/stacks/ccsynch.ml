@@ -8,7 +8,10 @@
    scanning — every traversed node carries a request.
 
    Node recycling follows the paper: a thread donates its local node as the
-   new tail placeholder and adopts the node it obtained from the SWAP. *)
+   new tail placeholder and adopts the node it obtained from the SWAP.
+
+   [batch] wraps a combiner's serving pass and the hand-off write follows
+   it: CC-Synch runs the pass as is, H-Synch ({!Hsynch}) under a lock. *)
 
 module Make (P : Sec_prim.Prim_intf.S) = struct
   module A = P.Atomic
@@ -34,6 +37,7 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
     local : ('op, 'res) node array; (* per-thread spare node *)
     apply : 'op -> 'res;
     combine_limit : int;
+    batch : (unit -> ('op, 'res) node) -> ('op, 'res) node;
     combines : Tally.t; (* requests served by a combiner *)
     handoffs : Tally.t; (* times the combiner role was passed on *)
   }
@@ -50,7 +54,8 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
       next = A.make_padded None;
     }
 
-  let create ?(max_threads = 64) ?(combine_limit = 1024) ~apply () =
+  let create ?(max_threads = 64) ?(combine_limit = 1024)
+      ?(batch = fun serve -> serve ()) ~apply () =
     (* The initial tail is a dummy with [wait = false]: the first announcer
        becomes combiner immediately. *)
     {
@@ -58,6 +63,7 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
       local = Array.init max_threads (fun _ -> fresh_node ());
       apply;
       combine_limit;
+      batch;
       combines = Tally.create ~threads:max_threads;
       handoffs = Tally.create ~threads:max_threads;
     }
@@ -73,12 +79,9 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
     (* Publishing [next] makes [req] visible to the combiner. *)
     A.set cur.next (Some next_node);
     Backoff.spin_while (fun () -> A.get cur.wait);
-    if A.get cur.completed then begin
-      (* Someone combined for us. *)
-      match cur.res with Some r -> r | None -> assert false
-    end
-    else begin
-      (* We are the combiner: serve from our own node onward. *)
+    (* Unless someone combined for us, we are the combiner: serve from our
+       own node onward, up to the tail placeholder or the limit. *)
+    if not (A.get cur.completed) then begin
       let rec serve node served =
         match A.get node.next with
         | Some next_in_line when served < t.combine_limit ->
@@ -89,15 +92,14 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
             A.set node.wait false;
             Tally.add t.combines ~tid 1;
             serve next_in_line (served + 1)
-        | Some _ | None ->
-            (* [node] is the tail placeholder (or we hit the limit): hand
-               the combiner role to its owner. *)
-            Tally.add t.handoffs ~tid 1;
-            A.set node.wait false
+        | Some _ | None -> node
       in
-      serve cur 0;
-      match cur.res with Some r -> r | None -> assert false
-    end
+      let last = t.batch (fun () -> serve cur 0) in
+      (* Hand the combiner role to the owner of the first unserved node. *)
+      Tally.add t.handoffs ~tid 1;
+      A.set last.wait false
+    end;
+    match cur.res with Some r -> r | None -> assert false
 
   (* Statistics for reports/tests, exact once the callers have joined. *)
   let combined_ops t = Tally.sum t.combines

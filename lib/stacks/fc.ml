@@ -22,17 +22,15 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
     lock : bool A.t;
     slots : ('op, 'res) slot A.t array;
     apply : 'op -> 'res;
-    passes : int;
     combines : Tally.t; (* requests executed by a combiner *)
     acquisitions : Tally.t; (* times the combiner lock was taken *)
   }
 
-  let create ?(max_threads = 64) ?(passes = 2) ~apply () =
+  let create ?(max_threads = 64) ~apply () =
     {
       lock = A.make_padded false;
       slots = Array.init max_threads (fun _ -> A.make_padded Idle);
       apply;
-      passes;
       combines = Tally.create ~threads:max_threads;
       acquisitions = Tally.create ~threads:max_threads;
     }
@@ -40,11 +38,11 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
   let try_lock t = not (A.exchange t.lock true)
   let unlock t = A.set t.lock false
 
-  (* Scanning more than once lets requests that were published while the
-     combiner was already scanning catch the same combining session. *)
+  (* Scanning twice lets requests that were published while the combiner
+     was already scanning catch the same combining session. *)
   let combine t ~tid =
     Tally.add t.acquisitions ~tid 1;
-    for _ = 1 to t.passes do
+    for _ = 1 to 2 do
       Array.iter
         (fun slot ->
           match A.get slot with
@@ -65,11 +63,8 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
     let rec await () =
       match A.get slot with
       | Done res ->
-          (A.set slot Idle
-          [@publication_ok
-            "slot hand-off: slots.(tid) is written by the combiner only \
-             while Pending; once it reads Done, the publishing thread owns \
-             it again until the next publication"]);
+          (* Served: the slot is ours again until the next publication. *)
+          A.set slot Idle;
           res
       | Pending _ ->
           if try_lock t then begin

@@ -1,117 +1,40 @@
 (* H-Synch: hierarchical, NUMA-aware combining [Fatourou & Kallimanis,
-   PPoPP 2012]. Threads are grouped into clusters (one per NUMA node);
-   each cluster runs its own CC-Synch-style announcement list, and a
-   cluster's combiner acquires a global lock before serving its batch.
-   Cross-socket traffic is paid once per *batch* (the lock) instead of
-   once per operation, which is the hierarchical analogue of what SEC's
-   aggregators achieve without the global lock.
+   PPoPP 2012], an extension baseline that separates hierarchical
+   combining from SEC's elimination. Threads are grouped into clusters,
+   each running its own CC-Synch ({!Ccsynch}); a cluster's combiner
+   serves its batch under a global TTAS lock and hands its role on only
+   after releasing it. Cross-cluster traffic is paid once per *batch*
+   (the lock) instead of once per operation, the hierarchical analogue
+   of what SEC's aggregators achieve without a global lock.
 
-   Not part of the paper's comparison — included as an extension baseline
-   to separate "NUMA-aware combining" from SEC's elimination. *)
+   The published algorithm clusters threads by NUMA node. Here a
+   cluster is the block of [cluster_size] consecutive thread ids (28 by
+   default), not a socket: under the simulator's fill placement
+   ([Topology.core_of]) sapphire's cluster 0 spans sockets 0-2 and each
+   emerald cluster holds half of each socket. A socket map would need
+   the topology, which [Prim_intf] does not expose. *)
 
 module Make (P : Sec_prim.Prim_intf.S) = struct
-  module A = P.Atomic
-  module Backoff = Sec_prim.Backoff.Make (P)
-
-  type ('op, 'res) node = {
-    mutable req : 'op option;
-        [@plain_ok
-          "written by the owner before the release store to [next] that \
-           publishes the node to the cluster combiner"]
-    mutable res : 'res option;
-        [@plain_ok
-          "written by the combiner before its release store to [wait]; the \
-           owner reads it only after observing [wait = false]"]
-    wait : bool A.t;
-    completed : bool A.t;
-    next : ('op, 'res) node option A.t;
-  }
-
-  type ('op, 'res) cluster = {
-    tail : ('op, 'res) node A.t;
-    local : ('op, 'res) node array; (* per-thread spare node *)
-  }
+  module Ccsynch = Ccsynch.Make (P)
+  module Ttas = Ttas.Make (P)
 
   type ('op, 'res) t = {
-    clusters : ('op, 'res) cluster array;
+    clusters : ('op, 'res) Ccsynch.t array;
     cluster_size : int;
-    global_lock : bool A.t;
-    apply : 'op -> 'res;
-    combine_limit : int;
   }
-
-  (* Recycled for the lifetime of the executor; [wait] is spun on by the
-     owner while the combiner writes it — pad every cell (see ccsynch). *)
-  let fresh_node () =
-    {
-      req = None;
-      res = None;
-      wait = A.make_padded false;
-      completed = A.make_padded false;
-      next = A.make_padded None;
-    }
 
   let create ?(max_threads = 64) ?(cluster_size = 28) ?(combine_limit = 1024)
       ~apply () =
+    let batch = Ttas.with_lock (Ttas.create ()) in
     let clusters = max 1 ((max_threads + cluster_size - 1) / cluster_size) in
     {
       clusters =
         Array.init clusters (fun _ ->
-            {
-              tail = A.make_padded (fresh_node ());
-              local = Array.init max_threads (fun _ -> fresh_node ());
-            });
+            Ccsynch.create ~max_threads ~combine_limit ~batch ~apply ());
       cluster_size;
-      global_lock = A.make_padded false;
-      apply;
-      combine_limit;
     }
 
-  let lock t =
-    let backoff = Backoff.create () in
-    let rec attempt () =
-      if A.exchange t.global_lock true then begin
-        Backoff.spin_while (fun () -> A.get t.global_lock);
-        Backoff.once backoff;
-        attempt ()
-      end
-    in
-    attempt ()
-
-  let unlock t = A.set t.global_lock false
-
   let apply t ~tid op =
-    let cluster = t.clusters.(tid / t.cluster_size mod Array.length t.clusters) in
-    let next_node = cluster.local.(tid) in
-    A.set next_node.next None;
-    A.set next_node.wait true;
-    A.set next_node.completed false;
-    let cur = A.exchange cluster.tail next_node in
-    cur.req <- Some op;
-    cluster.local.(tid) <- cur;
-    A.set cur.next (Some next_node);
-    Backoff.spin_while (fun () -> A.get cur.wait);
-    if A.get cur.completed then
-      match cur.res with Some r -> r | None -> assert false
-    else begin
-      (* Cluster combiner: serve the local list under the global lock. *)
-      lock t;
-      let rec serve node served =
-        match A.get node.next with
-        | Some next_in_line when served < t.combine_limit ->
-            (match node.req with
-            | Some req -> node.res <- Some (t.apply req)
-            | None -> assert false);
-            A.set node.completed true;
-            A.set node.wait false;
-            serve next_in_line (served + 1)
-        | Some _ | None -> node
-      in
-      let last = serve cur 0 in
-      unlock t;
-      (* Hand the cluster-combiner role to the owner of the tail
-         placeholder only after releasing the global lock. *)
-      A.set last.wait false;
-      match cur.res with Some r -> r | None -> assert false
-    end
+    let cluster = tid / t.cluster_size mod Array.length t.clusters in
+    Ccsynch.apply t.clusters.(cluster) ~tid op
 end

@@ -31,7 +31,7 @@ let test_all_stacks_simulated () =
     C.Make (SP) (Sec_stacks.Treiber.Make (SP) (Sec_reclaim.Reclaim.Gc))
   in
   check_conforms "treiber/sim" (simulated (T.all ~threads:16 ~ops:100));
-  let module F = C.Make (SP) (Sec_stacks.Fc_stack.Make (SP)) in
+  let module F = C.Make (SP) (Sec_stacks.Serial_stack.Fc (SP)) in
   check_conforms "fc/sim" (simulated (F.all ~threads:16 ~ops:100));
   let module S = C.Make (SP) (Sec_core.Sec_stack.Make (SP)) in
   check_conforms "sec/sim" (simulated (S.all ~threads:16 ~ops:100))

@@ -4,8 +4,8 @@
 
 module P = Sec_prim.Native
 module Hsynch = Sec_stacks.Hsynch.Make (P)
-module H_stack = Sec_stacks.H_stack.Make (P)
-module SimH = Sec_stacks.H_stack.Make (Sec_sim.Sim.Prim)
+module H_stack = Sec_stacks.Serial_stack.Hs (P)
+module SimH = Sec_stacks.Serial_stack.Hs (Sec_sim.Sim.Prim)
 module Observed = Testkit.Observed_ebr (P)
 module Reclaimed = Sec_stacks.Treiber.Make (P) (Observed)
 module Latency = Sec_harness.Latency

@@ -553,8 +553,8 @@ let sim_conservation (module S : STACK) ~threads ~ops () =
 
 module SimTreiber = Sec_stacks.Treiber.Make (SP) (Sec_reclaim.Reclaim.Gc)
 module SimEb = Sec_stacks.Eb_stack.Make (SP)
-module SimFc = Sec_stacks.Fc_stack.Make (SP)
-module SimCc = Sec_stacks.Cc_stack.Make (SP)
+module SimFc = Sec_stacks.Serial_stack.Fc (SP)
+module SimCc = Sec_stacks.Serial_stack.Cc (SP)
 module SimTs = Sec_stacks.Ts_stack.Make (SP) (Sec_reclaim.Reclaim.Gc)
 module SimSec = Sec_core.Sec_stack.Make (SP)
 

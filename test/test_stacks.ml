@@ -3,10 +3,10 @@
 
 module P = Sec_prim.Native
 module Treiber = Sec_stacks.Treiber.Make (P) (Sec_reclaim.Reclaim.Gc)
-module Lock_stack = Sec_stacks.Lock_stack.Make (P)
+module Lock_stack = Sec_stacks.Serial_stack.Lck (P)
 module Eb = Sec_stacks.Eb_stack.Make (P)
-module Fc_stack = Sec_stacks.Fc_stack.Make (P)
-module Cc_stack = Sec_stacks.Cc_stack.Make (P)
+module Fc_stack = Sec_stacks.Serial_stack.Fc (P)
+module Cc_stack = Sec_stacks.Serial_stack.Cc (P)
 module Ts = Sec_stacks.Ts_stack.Make (P) (Sec_reclaim.Reclaim.Gc)
 module Exchanger = Sec_stacks.Exchanger.Make (P)
 module Fc = Sec_stacks.Fc.Make (P)

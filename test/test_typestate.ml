@@ -439,11 +439,8 @@ let file_of_entry name =
     match name with
     | "TRB" | "TRB-EBR" -> "stacks/treiber.ml"
     | "EB" -> "stacks/eb_stack.ml"
-    | "FC" -> "stacks/fc_stack.ml"
-    | "CC" -> "stacks/cc_stack.ml"
+    | "FC" | "CC" | "HS" | "LCK" -> "stacks/serial_stack.ml"
     | "TSI" | "TSI-EBR" -> "stacks/ts_stack.ml"
-    | "LCK" -> "stacks/lock_stack.ml"
-    | "HS" -> "stacks/h_stack.ml"
     | n -> Alcotest.failf "no source mapping for registry entry %s" n
 
 (* Leg 1 (static): for every registry entry, the [@@@progress]
@@ -480,8 +477,8 @@ let test_three_way_static () =
 
 (* SEC and its pool own no blocking wait: every stuck spin lives in the
    shared batch engine, so both files are blocking only through the
-   resolved call graph into core/batch.ml (as cc_stack.ml is through
-   ccsynch.ml). *)
+   resolved call graph into core/batch.ml (as serial_stack.ml is through
+   ttas.ml). *)
 let test_sec_blocking_via_engine () =
   let dir, _, ts = Lazy.force lib in
   let stuck path =
