@@ -41,8 +41,9 @@
       write can end). A module's static verdict is {!Blocking} iff a
       stuck wait is reachable from one of its top-level functions
       through the resolved call graph (so [serial_stack.ml] is
-      blocking {e via} [ttas.ml]'s lock wait); a [[@@@progress]] declaration
-      disagreeing with the verdict is diagnosed at the declaration.
+      blocking {e via} [ttas.ml]'s lock wait); a [[@@@progress]]
+      declaration disagreeing with the verdict is diagnosed at the
+      declaration.
       Reachability is a fixpoint over the call edges, so the verdict
       does not depend on the order files are analysed in.
     - rule 6, [retry-discipline] — a query over rule 12's loop records:

@@ -35,9 +35,6 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
       acquisitions = Tally.create ~threads:max_threads;
     }
 
-  let try_lock t = not (A.exchange t.lock true)
-  let unlock t = A.set t.lock false
-
   (* Scanning twice lets requests that were published while the combiner
      was already scanning catch the same combining session. *)
   let combine t ~tid =
@@ -67,9 +64,9 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
           A.set slot Idle;
           res
       | Pending _ ->
-          if try_lock t then begin
+          if not (A.exchange t.lock true) then begin
             combine t ~tid;
-            unlock t;
+            A.set t.lock false;
             (* We combined after publishing, so our own request is done. *)
             await ()
           end

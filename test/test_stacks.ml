@@ -277,11 +277,9 @@ let qcheck_stack_pairwise_agreement =
       && t_ts = t_sec)
 
 (* ------------------------------------------------------------------ *)
-(* Schedule pins of the lock and combining baselines: seed 1, testbox,
-   100% updates, the BENCH_sim.json window (200 000 cycles over a
-   64-element prefill), so the op counts equal those rows. BENCH_sim.json
-   only gates the paper set, and only within 10%; a change to an
-   executor's simulated accesses moves a digest here.
+(* Schedule pins (Testkit.check_schedule_pins) of the lock and combining
+   baselines. BENCH_sim.json gates only the paper set, and only within
+   10%; a change to an executor's simulated accesses moves a digest here.
 
    FC and CC are pinned with their statistics counted in per-thread
    tallies. With a simulated fetch-and-add per counted event they read
@@ -289,36 +287,18 @@ let qcheck_stack_pairwise_agreement =
    3779761091714179767) and (545, 1746916325158910419) at 4 and 8
    threads. *)
 
-let pinned_baselines =
-  [
-    ("FC", 4, 747, 130538909938854189);
-    ("FC", 8, 789, 4284007171542472643);
-    ("CC", 4, 447, 1471608554253264337);
-    ("CC", 8, 597, 2117641946945201566);
-    ("HS", 4, 403, 1479315839339158650);
-    ("HS", 8, 592, 1587870930945828095);
-    ("LCK", 4, 229, 1088474989790221585);
-    ("LCK", 8, 254, 2566373623965135064);
-  ]
-
 let test_baseline_pins () =
-  List.iter
-    (fun (name, threads, pinned_ops, pinned_digest) ->
-      let entry = Sec_harness.Registry.find name in
-      let m, st =
-        Sec_harness.Sim_runner.run_with_stats entry.Sec_harness.Registry.maker
-          ~topology:Sec_sim.Topology.testbox ~threads ~duration_cycles:200_000
-          ~mix:(Sec_harness.Workload.by_name "100%upd")
-          ~prefill:64 ~seed:1 ()
-      in
-      let label what =
-        Printf.sprintf "%s %s (seed 1, %d threads)" name what threads
-      in
-      Alcotest.(check int) (label "ops") pinned_ops
-        m.Sec_harness.Measurement.ops;
-      Alcotest.(check int) (label "schedule digest") pinned_digest
-        st.Sec_sim.Sim.schedule_digest)
-    pinned_baselines
+  Testkit.check_schedule_pins
+    [
+      ("FC", 4, 747, 130538909938854189);
+      ("FC", 8, 789, 4284007171542472643);
+      ("CC", 4, 447, 1471608554253264337);
+      ("CC", 8, 597, 2117641946945201566);
+      ("HS", 4, 403, 1479315839339158650);
+      ("HS", 8, 592, 1587870930945828095);
+      ("LCK", 4, 229, 1088474989790221585);
+      ("LCK", 8, 254, 2566373623965135064);
+    ]
 
 (* ------------------------------------------------------------------ *)
 

@@ -174,6 +174,29 @@ let standard_suite ?(threads = 4) ?(lin_threads = 3) (module S : STACK) =
 (* ------------------------------------------------------------------ *)
 (* Observable reclamation                                               *)
 
+(* Schedule pins of registry entries: each [(name, threads, ops,
+   schedule digest)] is checked at seed 1, testbox, 100% updates, over
+   the BENCH_sim.json window (200 000 cycles over a 64-element
+   prefill), so the op counts equal those rows. *)
+let check_schedule_pins pins =
+  List.iter
+    (fun (name, threads, pinned_ops, pinned_digest) ->
+      let entry = Sec_harness.Registry.find name in
+      let m, st =
+        Sec_harness.Sim_runner.run_with_stats entry.Sec_harness.Registry.maker
+          ~topology:Sec_sim.Topology.testbox ~threads ~duration_cycles:200_000
+          ~mix:(Sec_harness.Workload.by_name "100%upd")
+          ~prefill:64 ~seed:1 ()
+      in
+      let label what =
+        Printf.sprintf "%s %s (seed 1, %d threads)" name what threads
+      in
+      Alcotest.(check int) (label "ops") pinned_ops
+        m.Sec_harness.Measurement.ops;
+      Alcotest.(check int) (label "schedule digest") pinned_digest
+        st.Sec_sim.Sim.schedule_digest)
+    pins
+
 (* Epoch-based reclamation as a stack's functor argument, observable from
    outside: [last] holds the state of the stack created most recently
    (for [flush] and [stats]), and [freed] counts the destructors run. *)
