@@ -110,6 +110,8 @@ type env = {
   subs : (string, string) Hashtbl.t;  (* "ns.Name" -> child ns *)
   raw_aliases : (string, string * Longident.t) Hashtbl.t;
       (* "ns.Name" -> (defining ns, rhs head path) *)
+  hidden : (string, string) Hashtbl.t;
+      (* functor-argument ns -> the "ns.Name" it is being bound to *)
   stems : (string, string) Hashtbl.t;  (* "Exchanger" -> "exchanger" *)
   modtypes_full : (string, String_set.t) Hashtbl.t;  (* "stem.S" -> vals *)
   modtypes_name : (string, String_set.t option) Hashtbl.t;
@@ -135,6 +137,7 @@ let new_env () =
     members = Hashtbl.create 128;
     subs = Hashtbl.create 16;
     raw_aliases = Hashtbl.create 16;
+    hidden = Hashtbl.create 4;
     stems = Hashtbl.create 32;
     modtypes_full = Hashtbl.create 16;
     modtypes_name = Hashtbl.create 16;
@@ -552,16 +555,30 @@ and walk_module_expr env fc ns name me =
       walk_module_expr env fc ns name inner
   | Pmod_ident { txt; _ } ->
       Hashtbl.replace env.raw_aliases (ns ^ "." ^ name) (ns, txt)
-  | Pmod_apply _ -> (
-      let rec head m =
+  | Pmod_apply _ ->
+      let rec spine m args =
         match m.pmod_desc with
-        | Pmod_apply (f, _) -> head f
-        | Pmod_ident { txt; _ } -> Some txt
-        | _ -> None
+        | Pmod_apply (f, arg) -> spine f (arg :: args)
+        | Pmod_ident { txt; _ } -> (Some txt, args)
+        | _ -> (None, args)
       in
-      match head me with
-      | Some lid -> Hashtbl.replace env.raw_aliases (ns ^ "." ^ name) (ns, lid)
-      | None -> ())
+      let head, args = spine me [] in
+      Option.iter
+        (fun lid -> Hashtbl.replace env.raw_aliases (ns ^ "." ^ name) (ns, lid))
+        head;
+      List.iteri (walk_functor_arg env fc ns name) args
+  | _ -> ()
+
+(* A structure passed to a functor is a namespace of its own, so calls
+   from its functions resolve. Module bindings are not recursive: inside
+   the argument, [name] still means what it meant before the binding. *)
+and walk_functor_arg env fc ns name i arg =
+  match arg.pmod_desc with
+  | Pmod_structure str ->
+      let child = Printf.sprintf "%s:%s(%d)" ns name (i + 1) in
+      Hashtbl.replace env.hidden child (ns ^ "." ^ name);
+      walk_structure env fc child str
+  | Pmod_constraint (inner, _) -> walk_functor_arg env fc ns name i inner
   | _ -> ()
 
 and walk_top_bindings env fc ns vbs =
@@ -617,8 +634,13 @@ let rec resolve_mod env depth skip from_ns comps =
     match comps with
     | [] -> Some from_ns
     | c :: rest -> (
+        let hidden =
+          List.filter_map (Hashtbl.find_opt env.hidden) (ns_chain from_ns)
+        in
         let rec search = function
           | [] -> Hashtbl.find_opt env.stems c
+          | n :: chain_rest when List.mem (n ^ "." ^ c) hidden ->
+              search chain_rest
           | n :: chain_rest -> (
               let k = n ^ "." ^ c in
               match Hashtbl.find_opt env.subs k with

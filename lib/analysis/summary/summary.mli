@@ -7,7 +7,9 @@
 
     - one {e function record} per top-level or [let]-bound function
       (nested [let rec]s are separate functions; anonymous lambdas
-      inline into their enclosing function), carrying an ordered event
+      inline into their enclosing function; a structure passed to a
+      functor is a namespace of its own, inside which the module being
+      bound keeps its outer meaning), carrying an ordered event
       stream of atomic reads, plain stores, RMWs, pacing calls, guard
       entries, retire sites and calls;
     - an {e effect summary} per function — the transitive union of its

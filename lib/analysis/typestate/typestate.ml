@@ -1218,6 +1218,7 @@ type unit_info = {
   u_id : int;
   u_name : string;
   u_file : string;
+  u_module : string option; (* the file's top-level module it sits in *)
   u_span : int * int;
   u_cfg : cfg;
   u_vb : value_binding;
@@ -1238,13 +1239,13 @@ type file_info = {
       (* [@unguarded_ok] attr-name occurrence -> its expression's extent *)
   f_awaits : pos list; (* [@await_ok] attr-name occurrences *)
   mutable f_base : L.diagnostic list; (* guard + protocol diags *)
-  mutable f_blocking : bool;
 }
 
 type t = {
   units : unit_info array;
   files : (string * file_info) list;
   progress_diags : L.diagnostic list; (* baseline rule-12 diags *)
+  reaches : bool array; (* per unit: a stuck wait is reachable *)
   summary : Summary.env;
   scope : L.scope option;
   corpus : (string * Parsetree.structure) list; (* every parsed file *)
@@ -1261,14 +1262,15 @@ let collect_structure ~node_fields structure =
   let reads = ref [] in
   let unguarded = ref [] in
   let awaits = ref [] in
-  let rec do_structure str = List.iter do_item str
-  and do_item si =
+  (* [top]: the file's top-level module a binding sits in, if any *)
+  let rec do_structure top str = List.iter (do_item top) str
+  and do_item top si =
     match si.pstr_desc with
     | Pstr_value (rf, vbs) ->
         List.iter
           (fun vb ->
             match vb.pvb_pat.ppat_desc with
-            | Ppat_var { txt; _ } -> raw := (txt, vb, rf, vbs) :: !raw
+            | Ppat_var { txt; _ } -> raw := (txt, vb, rf, vbs, top) :: !raw
             | _ -> ())
           vbs
     | Pstr_attribute attr when attr.attr_name.Location.txt = "progress" -> (
@@ -1278,17 +1280,23 @@ let collect_structure ~node_fields structure =
     | Pstr_attribute attr when attr.attr_name.Location.txt = "protocol" ->
         protocols :=
           (L.string_payload attr, L.pos_of attr.attr_loc) :: !protocols
-    | Pstr_module mb -> do_module mb.pmb_expr
-    | Pstr_recmodule mbs -> List.iter (fun mb -> do_module mb.pmb_expr) mbs
+    | Pstr_module mb -> do_module (enter top mb) mb.pmb_expr
+    | Pstr_recmodule mbs ->
+        List.iter (fun mb -> do_module (enter top mb) mb.pmb_expr) mbs
     | _ -> ()
-  and do_module me =
+  and enter top mb = if top = None then mb.pmb_name.txt else top
+  and do_module top me =
     match me.pmod_desc with
-    | Pmod_structure str -> do_structure str
-    | Pmod_functor (_, body) -> do_module body
-    | Pmod_constraint (m, _) -> do_module m
+    | Pmod_structure str -> do_structure top str
+    | Pmod_functor (_, body) -> do_module top body
+    | Pmod_constraint (m, _) -> do_module top m
+    | Pmod_apply (f, arg) ->
+        (* a structure argument's functions are units too *)
+        do_module top f;
+        do_module top arg
     | _ -> ()
   in
-  do_structure structure;
+  do_structure None structure;
   (* rule 4's node-field reads and [@unguarded_ok] extents, and every
      reasoned [@await_ok] occurrence, for the audit probe *)
   let it =
@@ -1450,7 +1458,7 @@ let protocol_check ~file ~units ~file_unit_ids ~call_unit auto =
 (* Rule 12: reachability + verdicts                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Per file: is a stuck wait reachable through the resolved call graph,
+(* Per unit: is a stuck wait reachable through the resolved call graph,
    and the rule-12 declaration diagnostics. [stuck_of] abstracts the
    per-unit stuck sets so the audit probe can override one file's. *)
 let progress_view units files ~stuck_of =
@@ -1488,14 +1496,12 @@ let progress_view units files ~stuck_of =
     in
     go i
   in
-  let blocking = ref [] in
   let diags = ref [] in
   List.iter
     (fun (fname, fi) ->
       let w =
         Option.bind (List.find_opt (fun u -> reaches.(u)) fi.f_units) witness
       in
-      blocking := (fname, w <> None) :: !blocking;
       match fi.f_progress with
       | None -> ()
       | Some (decl, dpos) -> (
@@ -1518,7 +1524,7 @@ let progress_view units files ~stuck_of =
                 :: !diags
           | _ -> ()))
     files;
-  (!blocking, List.rev !diags)
+  (reaches, List.rev !diags)
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
@@ -1580,7 +1586,7 @@ let analyze ~summary ?scope corpus =
         let base = ref (List.rev !proto_diags) in
         let ids =
           List.map
-            (fun (name, vb, rf, vbs) ->
+            (fun (name, vb, rf, vbs, top) ->
               let group =
                 match rf with
                 | Asttypes.Nonrecursive -> None
@@ -1620,6 +1626,7 @@ let analyze ~summary ?scope corpus =
                   u_id = !n_units;
                   u_name = name;
                   u_file = file;
+                  u_module = top;
                   u_span = line_span vb.pvb_loc;
                   u_cfg = cfg;
                   u_vb = vb;
@@ -1645,7 +1652,6 @@ let analyze ~summary ?scope corpus =
             f_unguarded = unguarded;
             f_awaits = awaits;
             f_base = !base;
-            f_blocking = false;
           } ))
       parsed
   in
@@ -1699,14 +1705,10 @@ let analyze ~summary ?scope corpus =
                 auto)
         fi.f_automata)
     files;
-  let blocking, pdiags =
+  let reaches, pdiags =
     progress_view units files ~stuck_of:(fun i -> units.(i).u_stuck)
   in
-  List.iter
-    (fun (file, fi) ->
-      fi.f_blocking <- List.assoc_opt file blocking = Some true)
-    files;
-  { units; files; progress_diags = pdiags; summary; scope; corpus }
+  { units; files; progress_diags = pdiags; reaches; summary; scope; corpus }
 
 (* ------------------------------------------------------------------ *)
 (* Rules 4 and 6: queries over guard depths and loop records           *)
@@ -1766,11 +1768,17 @@ let diagnostics t =
   List.sort diag_order
     (t.progress_diags @ List.concat_map (fun (_, fi) -> fi.f_base) t.files)
 
-let verdict_of t ~file =
-  match List.assoc_opt file t.files with
-  | Some fi when fi.f_units <> [] ->
-      Some (if fi.f_blocking then Blocking else Lock_free)
-  | _ -> None
+let verdict_of ?within t ~file =
+  let roots =
+    match (List.assoc_opt file t.files, within) with
+    | None, _ -> []
+    | Some fi, None -> fi.f_units
+    | Some fi, Some m ->
+        List.filter (fun u -> t.units.(u).u_module = Some m) fi.f_units
+  in
+  if roots = [] then None
+  else if List.exists (fun u -> t.reaches.(u)) roots then Some Blocking
+  else Some Lock_free
 
 let declared_progress t ~file =
   match List.assoc_opt file t.files with

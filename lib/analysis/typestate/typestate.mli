@@ -40,10 +40,10 @@
       read links) or {!Stuck_spin} (waits that only another thread's
       write can end). A module's static verdict is {!Blocking} iff a
       stuck wait is reachable from one of its top-level functions
-      through the resolved call graph (so [serial_stack.ml] is
-      blocking {e via} [ttas.ml]'s lock wait); a [[@@@progress]]
-      declaration disagreeing with the verdict is diagnosed at the
-      declaration.
+      through the resolved call graph (so [sec_stack.ml] is blocking
+      {e via} [batch.ml]'s waits, and [serial_stack.ml]'s FC instance
+      via [fc.ml]'s combiner wait); a [[@@@progress]] declaration
+      disagreeing with the verdict is diagnosed at the declaration.
       Reachability is a fixpoint over the call edges, so the verdict
       does not depend on the order files are analysed in.
     - rule 6, [retry-discipline] — a query over rule 12's loop records:
@@ -101,8 +101,11 @@ val check_sources :
 val diagnostics : t -> L.diagnostic list
 
 (** The static progress verdict for [file]; [None] when the file has no
-    analysed functions. *)
-val verdict_of : t -> file:string -> verdict option
+    analysed functions. [within] narrows the roots to the functions of
+    the file's top-level module of that name (functions of a structure
+    passed to a functor there included), so one file's instances get
+    one verdict each. *)
+val verdict_of : ?within:string -> t -> file:string -> verdict option
 
 (** The file's [[@@@progress]] payload, if declared. *)
 val declared_progress : t -> file:string -> string option

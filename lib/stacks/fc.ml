@@ -60,8 +60,8 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
     let rec await () =
       match A.get slot with
       | Done res ->
-          (* Served: the slot is ours again until the next publication. *)
-          A.set slot Idle;
+          (A.set slot Idle
+          [@publication_ok "the combiner writes a slot only while Pending"]);
           res
       | Pending _ ->
           if not (A.exchange t.lock true) then begin

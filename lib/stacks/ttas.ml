@@ -1,5 +1,5 @@
 (* Test-and-test-and-set spinlock with exponential backoff: LCK's lock
-   (Serial_stack.Locked) and H-Synch's global lock. *)
+   (Serial_stack.Lck) and H-Synch's global lock. *)
 
 module Make (P : Sec_prim.Prim_intf.S) = struct
   module A = P.Atomic

@@ -269,6 +269,48 @@ let push t v = Helper.await t; ignore v
          d.file = "caller.ml" && d.rule = "loop-progress")
        (Ts.diagnostics ts))
 
+(* A structure passed to a functor is analysed: its functions are the
+   roots of that instance's verdict, and inside it the instance's own
+   name still means the module it named before the binding. *)
+let test_functor_argument_reachability () =
+  let _, ts =
+    analyze_pairs
+      [
+        ( "waiter.ml",
+          {|
+module A = Atomic
+module Make (P : Prim) = struct
+  let wait t = while not (A.get t.flag) do () done
+end
+|}
+        );
+        ( "adapter.ml",
+          {|
+[@@@progress "blocking"]
+module Make (E : Executor) = struct
+  let op t = E.run t
+end
+module Waiter (P : Prim) = Make (struct
+  module Waiter = Waiter.Make (P)
+  let run t = Waiter.wait t
+end)
+module Plain (P : Prim) = Make (struct
+  let run _ = ()
+end)
+|}
+        );
+      ]
+  in
+  List.iter
+    (fun (within, v) ->
+      Alcotest.(check (option string))
+        ("adapter.ml's " ^ within) (Some v)
+        (Option.map Ts.verdict_to_string
+           (Ts.verdict_of ~within ts ~file:"adapter.ml")))
+    [ ("Waiter", "blocking"); ("Plain", "lock_free"); ("Make", "lock_free") ];
+  Alcotest.(check (list string))
+    "the file's blocking declaration holds" [] (rules ts)
+
 (* Reachability must not depend on the order files are analysed in: a
    search that reaches [y] while its caller [x] (on the same call cycle)
    is still open must not record [y] as reaching no stuck wait, or
@@ -429,18 +471,24 @@ let test_ebr_unscanned_advance_mutant () =
 (* -------------------------------------------------------------------- *)
 (* Three-way progress agreement over the registry *)
 
-let file_of_entry name =
+(* The source file of a registry entry, and the top-level module in it
+   when one file holds several entries: serial_stack.ml's instances each
+   get the verdict of their own executor. *)
+let source_of_entry name =
   let prefixed p =
     String.length name >= String.length p && String.sub name 0 (String.length p) = p
   in
-  if prefixed "SEC-POOL" then "core/sec_pool.ml"
-  else if prefixed "SEC" then "core/sec_stack.ml"
+  if prefixed "SEC-POOL" then ("core/sec_pool.ml", None)
+  else if prefixed "SEC" then ("core/sec_stack.ml", None)
   else
     match name with
-    | "TRB" | "TRB-EBR" -> "stacks/treiber.ml"
-    | "EB" -> "stacks/eb_stack.ml"
-    | "FC" | "CC" | "HS" | "LCK" -> "stacks/serial_stack.ml"
-    | "TSI" | "TSI-EBR" -> "stacks/ts_stack.ml"
+    | "TRB" | "TRB-EBR" -> ("stacks/treiber.ml", None)
+    | "EB" -> ("stacks/eb_stack.ml", None)
+    | "FC" -> ("stacks/serial_stack.ml", Some "Fc")
+    | "CC" -> ("stacks/serial_stack.ml", Some "Cc")
+    | "HS" -> ("stacks/serial_stack.ml", Some "Hs")
+    | "LCK" -> ("stacks/serial_stack.ml", Some "Lck")
+    | "TSI" | "TSI-EBR" -> ("stacks/ts_stack.ml", None)
     | n -> Alcotest.failf "no source mapping for registry entry %s" n
 
 (* Leg 1 (static): for every registry entry, the [@@@progress]
@@ -453,7 +501,8 @@ let test_three_way_static () =
   let dir, _, ts = Lazy.force lib in
   List.iter
     (fun (entry : Registry.entry) ->
-      let file = Filename.concat dir (file_of_entry entry.Registry.name) in
+      let path, within = source_of_entry entry.Registry.name in
+      let file = Filename.concat dir path in
       let declared_registry =
         Explore.progress_class_to_string entry.Registry.progress
       in
@@ -465,7 +514,7 @@ let test_three_way_static () =
       | None ->
           Alcotest.failf "%s: %s declares no [@@@progress]"
             entry.Registry.name file);
-      match Ts.verdict_of ts ~file with
+      match Ts.verdict_of ?within ts ~file with
       | Some v ->
           Alcotest.(check string)
             (entry.Registry.name ^ ": static verdict = registry")
@@ -477,8 +526,8 @@ let test_three_way_static () =
 
 (* SEC and its pool own no blocking wait: every stuck spin lives in the
    shared batch engine, so both files are blocking only through the
-   resolved call graph into core/batch.ml (as serial_stack.ml is through
-   ttas.ml). *)
+   resolved call graph into core/batch.ml (as serial_stack.ml's
+   instances are through their executors, below). *)
 let test_sec_blocking_via_engine () =
   let dir, _, ts = Lazy.force lib in
   let stuck path =
@@ -498,6 +547,70 @@ let test_sec_blocking_via_engine () =
         (Option.map Ts.verdict_to_string
            (Ts.verdict_of ts ~file:(Filename.concat dir path))))
     [ "core/sec_stack.ml"; "core/sec_pool.ml" ]
+
+(* The library with some files mutated, analysed as one corpus:
+   [mutations] are [(path, what, with_)]. *)
+let analyze_lib_mutant mutations =
+  let dir, _, _ = Lazy.force lib in
+  let sources =
+    List.map
+      (fun file ->
+        let src = L.read_file file in
+        ( file,
+          List.fold_left
+            (fun src (path, what, with_) ->
+              if file = Filename.concat dir path then replace ~what ~with_ src
+              else src)
+            src mutations ))
+      (gather dir [])
+  in
+  let _, ts, _ = Ts.check_sources sources in
+  (dir, ts)
+
+(* serial_stack.ml owns no wait: each instance is blocking through the
+   call graph into its own executor, which holds the stuck wait. Deleting
+   one executor's wait makes exactly the instances that rely on it alone
+   lock_free: FC waits in fc.ml, CC in ccsynch.ml, LCK in ttas.ml, and
+   HS in both ccsynch.ml (its clusters) and ttas.ml (its global lock). *)
+let test_baselines_blocking_via_executors () =
+  let fc_wait = ("stacks/fc.ml", "Backoff.spin_until (fun () ->", "ignore (fun () ->")
+  and cc_wait = ("stacks/ccsynch.ml", "Backoff.spin_while (fun () -> A.get cur.wait);", "")
+  and lock_wait = ("stacks/ttas.ml", "Backoff.spin_while (fun () -> A.get t);", "") in
+  let dir, ts = analyze_lib_mutant [] in
+  let stuck path =
+    List.filter_map
+      (fun (_, name, _, c, _) ->
+        if Ts.loop_class_to_string c = "stuck_spin" then Some name else None)
+      (Ts.loops ts ~file:(Filename.concat dir path))
+  in
+  Alcotest.(check (list string)) "serial_stack.ml has no local stuck wait" []
+    (stuck "stacks/serial_stack.ml");
+  List.iter
+    (fun path ->
+      Alcotest.(check bool) (path ^ " holds a stuck wait") true (stuck path <> []))
+    [ "stacks/fc.ml"; "stacks/ccsynch.ml"; "stacks/ttas.ml" ];
+  List.iter
+    (fun (what, mutations, expected) ->
+      let dir, ts = analyze_lib_mutant mutations in
+      List.iter2
+        (fun m v ->
+          Alcotest.(check (option string))
+            (Printf.sprintf "%s: %s" what m) (Some v)
+            (Option.map Ts.verdict_to_string
+               (Ts.verdict_of ~within:m ts
+                  ~file:(Filename.concat dir "stacks/serial_stack.ml"))))
+        [ "Fc"; "Cc"; "Hs"; "Lck" ] expected)
+    [
+      ("no wait deleted", [], [ "blocking"; "blocking"; "blocking"; "blocking" ]);
+      ("fc.ml's wait deleted", [ fc_wait ],
+        [ "lock_free"; "blocking"; "blocking"; "blocking" ]);
+      ("ccsynch.ml's wait deleted", [ cc_wait ],
+        [ "blocking"; "lock_free"; "blocking"; "blocking" ]);
+      ("ttas.ml's wait deleted", [ lock_wait ],
+        [ "blocking"; "blocking"; "blocking"; "lock_free" ]);
+      ("both of HS's waits deleted", [ cc_wait; lock_wait ],
+        [ "blocking"; "lock_free"; "lock_free"; "lock_free" ]);
+    ]
 
 (* Leg 2 (dynamic) for the entries test_progress.ml does not cover:
    the reclaimed variants and the pool. *)
@@ -559,6 +672,8 @@ let () =
           quick "cross-file reachability" test_cross_file_stuck_reachability;
           quick "order-independent reachability"
             test_reachability_order_independent;
+          quick "functor-argument reachability"
+            test_functor_argument_reachability;
         ] );
       ( "protocol",
         [
@@ -576,6 +691,8 @@ let () =
           test_three_way_static
         :: quick "SEC and pool blocking via the batch engine"
              test_sec_blocking_via_engine
+        :: quick "FC, CC, HS and LCK blocking via their executors"
+             test_baselines_blocking_via_executors
         :: List.map
              (fun (entry : Registry.entry) ->
                slow
