@@ -23,14 +23,13 @@ module Make (P : Sec_prim.Prim_intf.S) = struct
     cluster_size : int;
   }
 
-  let create ?(max_threads = 64) ?(cluster_size = 28) ?(combine_limit = 1024)
-      ~apply () =
+  let create ?(max_threads = 64) ?(cluster_size = 28) ~apply () =
     let batch = Ttas.with_lock (Ttas.create ()) in
     let clusters = max 1 ((max_threads + cluster_size - 1) / cluster_size) in
     {
       clusters =
         Array.init clusters (fun _ ->
-            Ccsynch.create ~max_threads ~combine_limit ~batch ~apply ());
+            Ccsynch.create ~max_threads ~batch ~apply ());
       cluster_size;
     }
 
